@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidParameterError, StaleSnapshotError
-from .paths import PathTable
+from .paths import PathTable, admissible
 from .state import Assignment, EmbeddingState
 from .topology import ResourceVector, VdcRequest
 
@@ -113,9 +113,6 @@ class MipModel:
     def num_constraints(self) -> int:
         return len(self.row_rhs)
 
-    def vars_of_kind(self, kind: str) -> list[int]:
-        return [i for i, v in enumerate(self.vars) if v.kind == kind]
-
     def objective_value(self, one_vars) -> Fraction:
         scaled = sum(self.obj_coef[v] for v in one_vars)
         return Fraction(scaled, self.obj_scale)
@@ -137,17 +134,6 @@ class MipModel:
             lines.append(f"{self.row_label[r]}: {row} {sense} {self.row_rhs[r]}")
         lines.append("binary: " + " ".join(v.name for v in self.vars))
         return "\n".join(lines) + "\n"
-
-
-def _usable_path(rec, down: set[str], latency_bound: int | None) -> bool:
-    if latency_bound is not None and rec.delay > latency_bound:
-        return False
-    if down:
-        if any(e in down for e in rec.edges):
-            return False
-        if any(n in down for n in rec.nodes):
-            return False
-    return True
 
 
 def build_mip(
@@ -319,7 +305,7 @@ def build_mip(
                         recs = [r for r in recs[:1] if len(r.edges) == 1]
                     pair_y: list[int] = []
                     for n, rec in enumerate(recs):
-                        if not _usable_path(rec, down, req.latency_bound):
+                        if not admissible(rec, down, req.latency_bound):
                             continue
                         yi = model._new_var(
                             VarInfo(KIND_Y, req.id, vl_id, host_a, host_b, n),

@@ -10,26 +10,24 @@ from __future__ import annotations
 import argparse
 import logging
 import os
-import random
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 from . import metrics as metrics_mod
 from .batch_solver import SolveBudget, build_mip, solve_exact
-from .errors import VdcembedError
+from .errors import ConfigError, FormatError, VdcembedError
 from .paths import enumerate_paths
-from .scheduler import RUN_MODES, parse_policy_config, run_simulation
-from .state import EmbeddingState
+from .scheduler import RUN_MODES, PolicyConfig, parse_policy_config, run_simulation
+from .state import Assignment, EmbeddingState
 from .topology import (
     ResourceVector,
     build_fat_tree,
     dump_requests,
     dump_substrate,
-    generate_vdc_request,
     load_requests,
     load_substrate,
     parse_workload_config,
+    poisson_arrivals,
     validate_request,
     validate_substrate,
 )
@@ -79,39 +77,27 @@ def cmd_gen_topology(args) -> int:
 def cmd_gen_workload(args) -> int:
     cfg = parse_workload_config(_read(args.config))
     seed = args.seed if args.seed is not None else cfg.seed
-    requests = []
-    if cfg.arrival_rate > 0:
-        rng = random.Random(f"{seed}/arrivals")
-        t = 0.0
-        i = 0
-        while True:
-            t += rng.expovariate(cfg.arrival_rate / 100.0)
-            if t > cfg.horizon:
-                break
-            req = replace(generate_vdc_request(cfg, t, f"{seed}/req/{i}"), id=f"r{i}")
-            requests.append(req)
-            i += 1
+    requests = poisson_arrivals(cfg, cfg.arrival_rate, seed)
     _write(args.out, dump_requests(requests))
     print(f"wrote {args.out}: {len(requests)} requests over horizon {cfg.horizon:g}")
     return EXIT_OK
 
 
 def _parse_lambdas(text: str) -> list[float]:
-    if ":" in text:
-        lo, hi = text.split(":")
-        return [float(v) for v in range(int(lo), int(hi) + 1)]
-    return [float(tok) for tok in text.split(",") if tok]
+    try:
+        if ":" in text:
+            lo, hi = text.split(":")
+            return [float(v) for v in range(int(lo), int(hi) + 1)]
+        return [float(tok) for tok in text.split(",") if tok]
+    except ValueError:
+        raise ConfigError(f"--lambdas: expected 'low:high' or 'a,b,...', got {text!r}") from None
 
 
 def cmd_run(args) -> int:
     # parse every referenced file before any work starts
     net = load_substrate(_read(args.substrate))
     workload = parse_workload_config(_read(args.workload))
-    policy = parse_policy_config(_read(args.policy)) if args.policy else None
-    if policy is None:
-        from .scheduler import PolicyConfig
-
-        policy = PolicyConfig()
+    policy = parse_policy_config(_read(args.policy)) if args.policy else PolicyConfig()
     out_dir = os.environ.get(OUT_DIR_ENV, args.out)
     seed = args.seed if args.seed is not None else workload.seed
     lambdas = _parse_lambdas(args.lambdas) if args.lambdas else [workload.arrival_rate]
@@ -164,49 +150,57 @@ def cmd_solve(args) -> int:
     print(f"objective {float(sol.objective):.4f}")
     print(f"{len(embedded)} embedded of {len(requests)}")
     if args.out:
-        lines = ["assignments 1"]
-        for req in requests:
-            a = sol.embedded.get(req.id)
-            lines.append(f"embedded {req.id} {1 if a is not None else 0}")
-        for req in requests:
-            a = sol.embedded.get(req.id)
-            if a is None:
-                continue
-            for vm_id, pm in a.vm_map.items():
-                lines.append(f"assign vm {req.id} {vm_id} {pm}")
-            for vs_id, ps in a.vswitch_map.items():
-                lines.append(f"assign vswitch {req.id} {vs_id} {ps}")
-            for vl_id, (pa, pb, n) in a.vlink_map.items():
-                lines.append(f"assign vlink {req.id} {vl_id} {pa} {pb} {n}")
-        _write(args.out, "\n".join(lines) + "\n")
+        _write(args.out, _format_assignment_file(requests, sol.embedded))
         print(f"wrote {args.out}")
     return EXIT_OK if sol.optimal else EXIT_INCUMBENT
 
 
-def _parse_assignment_file(text: str):
-    from .state import Assignment
+# the assignment file: a header, one `embedded <request> 0|1` line per request,
+# then `assign vm|vswitch <request> <element> <host>` and
+# `assign vlink <request> <vlink> <node a> <node b> <path index>` records
+_ASSIGN_FIELDS = {"vm": 5, "vswitch": 5, "vlink": 7}
 
+
+def _format_assignment_file(requests, embedded: dict) -> str:
+    lines = ["assignments 1"]
+    for req in requests:
+        lines.append(f"embedded {req.id} {1 if embedded.get(req.id) is not None else 0}")
+    for req in requests:
+        a = embedded.get(req.id)
+        if a is None:
+            continue
+        for vm_id, pm in a.vm_map.items():
+            lines.append(f"assign vm {req.id} {vm_id} {pm}")
+        for vs_id, ps in a.vswitch_map.items():
+            lines.append(f"assign vswitch {req.id} {vs_id} {ps}")
+        for vl_id, (pa, pb, n) in a.vlink_map.items():
+            lines.append(f"assign vlink {req.id} {vl_id} {pa} {pb} {n}")
+    return "\n".join(lines) + "\n"
+
+
+def _parse_assignment_file(text: str):
+    """(embedded flags, assignments by request id); FormatError on any bad line."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].split() != ["assignments", "1"]:
-        raise VdcembedError("bad assignment file header")
+        raise FormatError("bad assignment file header")
     embedded: dict[str, bool] = {}
     slots: dict[str, dict] = {}
     for raw in lines[1:]:
         parts = raw.split()
-        if parts[0] == "embedded":
+        kind = parts[1] if len(parts) > 1 else ""
+        if parts[0] == "embedded" and len(parts) == 3 and parts[2] in ("0", "1"):
             embedded[parts[1]] = parts[2] == "1"
-        elif parts[0] == "assign":
+        elif parts[0] == "assign" and len(parts) == _ASSIGN_FIELDS.get(kind):
             slot = slots.setdefault(parts[2], {"vm": {}, "vswitch": {}, "vlink": {}})
-            if parts[1] == "vm":
-                slot["vm"][parts[3]] = parts[4]
-            elif parts[1] == "vswitch":
-                slot["vswitch"][parts[3]] = parts[4]
-            elif parts[1] == "vlink":
-                slot["vlink"][parts[3]] = (parts[4], parts[5], int(parts[6]))
+            if kind == "vlink":
+                try:
+                    slot[kind][parts[3]] = (parts[4], parts[5], int(parts[6]))
+                except ValueError:
+                    raise FormatError(f"bad path index in {raw!r}") from None
             else:
-                raise VdcembedError(f"bad assign record: {raw!r}")
+                slot[kind][parts[3]] = parts[4]
         else:
-            raise VdcembedError(f"bad assignment line: {raw!r}")
+            raise FormatError(f"bad assignment line: {raw!r}")
     return embedded, {
         rid: Assignment(rid, s["vm"], s["vswitch"], s["vlink"]) for rid, s in slots.items()
     }

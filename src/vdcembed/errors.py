@@ -14,7 +14,7 @@ class ConfigError(VdcembedError):
 
 
 class FormatError(VdcembedError):
-    """A substrate/request/snapshot text file cannot be parsed."""
+    """A substrate, request or assignment text file cannot be parsed."""
 
 
 class UnknownElementError(VdcembedError):

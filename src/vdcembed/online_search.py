@@ -15,7 +15,8 @@ import logging
 from dataclasses import dataclass
 
 from .errors import CommitRejectedError
-from .state import Assignment, EmbeddingState, MODE_ALLOW_CAPACITY, Violation
+from .paths import admissible
+from .state import Assignment, EmbeddingState, MODE_ALLOW_CAPACITY, MODE_STRICT, Violation
 from .topology import ResourceVector, VdcRequest
 
 logger = logging.getLogger(__name__)
@@ -189,11 +190,6 @@ def greedy_temp_map(
             return False
         return allowed_nodes is None or nid in allowed_nodes
 
-    def link_ok(lid):
-        if lid in state.down:
-            return False
-        return allowed_links is None or lid in allowed_links
-
     groups = _vm_groups(req)
     group_order = sorted(
         groups,
@@ -357,11 +353,9 @@ def greedy_temp_map(
         for n, rec in enumerate(recs):
             if is_vm_link and len(rec.edges) != 1:
                 continue
-            if req.latency_bound is not None and rec.delay > req.latency_bound:
+            if not admissible(rec, state.down, req.latency_bound):
                 continue
-            if any(not link_ok(e) for e in rec.edges):
-                continue
-            if any(node in state.down for node in rec.nodes):
+            if allowed_links is not None and any(e not in allowed_links for e in rec.edges):
                 continue
             over = 0.0
             for eid in rec.edges:
@@ -386,64 +380,41 @@ def greedy_temp_map(
     return TempMapping(assignment, ledger, swap_budget=len(ledger))
 
 
-def _clone_state(state: EmbeddingState) -> EmbeddingState:
-    clone = EmbeddingState.__new__(EmbeddingState)
-    clone.net = state.net
-    clone.table = state.table
-    clone.active = dict(state.active)
-    clone.requests = dict(state.requests)
-    clone.residual_servers = dict(state.residual_servers)
-    clone.residual_switches = dict(state.residual_switches)
-    clone.residual_links = dict(state.residual_links)
-    clone.down = set(state.down)
-    clone.version = state.version
-    return clone
-
-
-def _reroute_vlink(probe, rid, vl_id, avoid_link, extra_load):
-    """A replacement path for one committed vlink that skips a congested link.
-
-    Returns the new (a, b, n) key or None. extra_load maps link id -> planned
-    additional bandwidth (the incoming request's tentative usage).
+def _reroute_vlink(probe, req, a, vl_id, avoid_link, extra_load):
+    """Assignment a with vlink vl_id moved to a path that skips a congested
+    link, or None. extra_load maps link id -> planned additional bandwidth
+    (the incoming request's tentative usage).
     """
-    req = probe.requests[rid]
-    a = probe.active[rid]
-    vl = req.vlinks[vl_id]
     pa, pb, old_n = a.vlink_map[vl_id]
-    recs = probe.table.get(pa, pb)
-    old_edges = set(recs[old_n].edges)
-    for n, rec in enumerate(recs):
-        if n == old_n or avoid_link in rec.edges:
-            continue
-        if req.latency_bound is not None and rec.delay > req.latency_bound:
-            continue
-        ok = True
-        for eid in rec.edges:
-            credit = vl.bandwidth if eid in old_edges else 0
-            free = probe.residual_links[eid] + credit - extra_load.get(eid, 0)
-            if eid in probe.down or free < vl.bandwidth:
-                ok = False
-                break
-        if ok:
-            return (pa, pb, n)
-    return None
+    n = probe.free_path(
+        pa,
+        pb,
+        req.vlinks[vl_id].bandwidth,
+        req.latency_bound,
+        credit=probe.table.path(pa, pb, old_n).edges,
+        extra=extra_load,
+        avoid=avoid_link,
+    )
+    if n is None:
+        return None
+    return Assignment(a.request_id, a.vm_map, a.vswitch_map, {**a.vlink_map, vl_id: (pa, pb, n)})
 
 
-def _relocate_vm(probe, rid, vm_id, forbidden_server, extra_srv, extra_lnk):
-    """A rack-local replacement server for one committed VM, nearest first.
+def _relocate_vm(probe, req, a, vm_id, extra_srv, extra_lnk):
+    """Assignment a with one VM moved to another server of its rack, nearest
+    first, plus that server; None when no server has room.
 
     The parent vSwitch stays put, so only servers under the same edge switch
-    qualify. extra_* carry the incoming request's tentative loads.
+    qualify; locality and the server link's bandwidth are honoured. extra_*
+    carry loads planned on top of the probe's residuals.
     """
-    req = probe.requests[rid]
-    a = probe.active[rid]
     old_server = a.vm_map[vm_id]
     rack = probe.net.edge_switch_of(old_server)
     demand = req.vms[vm_id].demand
     vlink = _vm_link_of(req, vm_id)
     options = []
     for sid in sorted(probe.net.servers_under(rack)):
-        if sid in (forbidden_server, old_server) or sid in probe.down:
+        if sid == old_server or sid in probe.down:
             continue
         if req.locality and vm_id in req.locality and sid not in req.locality[vm_id]:
             continue
@@ -468,7 +439,7 @@ def _relocate_vm(probe, rid, vm_id, forbidden_server, extra_srv, extra_lnk):
         new_pa = sid if pa == old_server else pa
         new_pb = sid if pb == old_server else pb
         new_vlink_map[vlink.id] = (new_pa, new_pb, 0)
-    return Assignment(rid, new_vm_map, a.vswitch_map, new_vlink_map), sid
+    return Assignment(a.request_id, new_vm_map, a.vswitch_map, new_vlink_map), sid
 
 
 def swap_repair(
@@ -481,7 +452,7 @@ def swap_repair(
     state. On failure the input state is untouched and the best remaining
     violation total is reported.
     """
-    probe = _clone_state(state)
+    probe = state.copy()
     assignment_box = [temp.assignment]
     moves: list[SwapMove] = []
     incumbent_updates: dict[str, Assignment] = {}
@@ -566,7 +537,9 @@ def _repair_server(probe, req, host, need, srv_extra, ln_extra, moves, incumbent
         candidates.append((not covers, size if covers else -size, rid, vm_id))
     candidates.sort()
     for _, _, rid, vm_id in candidates:
-        relocated = _relocate_vm(probe, rid, vm_id, host, srv_extra, ln_extra)
+        relocated = _relocate_vm(
+            probe, probe.requests[rid], probe.active[rid], vm_id, srv_extra, ln_extra
+        )
         if relocated is None:
             continue
         new_assignment, target = relocated
@@ -621,8 +594,7 @@ def _relocate_vswitch(probe, rid, vs_id, forbidden, sw_extra, ln_extra):
         new_vswitch_map = dict(a.vswitch_map)
         new_vswitch_map[vs_id] = sid
         new_vlink_map = dict(a.vlink_map)
-        ok = True
-        planned: dict[str, int] = {}
+        planned = dict(ln_extra)
         for vl in inc_req.vlinks.values():
             if vs_id not in (vl.a, vl.b):
                 continue
@@ -630,34 +602,16 @@ def _relocate_vswitch(probe, rid, vs_id, forbidden, sw_extra, ln_extra):
             other_img = a.vm_map.get(other) or new_vswitch_map.get(other)
             pa = sid if vl.a == vs_id else other_img
             pb = sid if vl.b == vs_id else other_img
-            old_key = a.vlink_map[vl.id]
-            old_edges = set(probe.table.get(old_key[0], old_key[1])[old_key[2]].edges)
-            picked = None
-            for n, rec in enumerate(probe.table.get(pa, pb)):
-                if inc_req.latency_bound is not None and rec.delay > inc_req.latency_bound:
-                    continue
-                feasible = True
-                for eid in rec.edges:
-                    credit = vl.bandwidth if eid in old_edges else 0
-                    free = (
-                        probe.residual_links[eid]
-                        + credit
-                        - ln_extra.get(eid, 0)
-                        - planned.get(eid, 0)
-                    )
-                    if eid in probe.down or free < vl.bandwidth:
-                        feasible = False
-                        break
-                if feasible:
-                    picked = (pa, pb, n)
-                    for eid in rec.edges:
-                        planned[eid] = planned.get(eid, 0) + vl.bandwidth
-                    break
-            if picked is None:
-                ok = False
+            old_edges = probe.table.path(*a.vlink_map[vl.id]).edges
+            n = probe.free_path(
+                pa, pb, vl.bandwidth, inc_req.latency_bound, credit=old_edges, extra=planned
+            )
+            if n is None:
                 break
-            new_vlink_map[vl.id] = picked
-        if ok:
+            new_vlink_map[vl.id] = (pa, pb, n)
+            for eid in probe.table.path(pa, pb, n).edges:
+                planned[eid] = planned.get(eid, 0) + vl.bandwidth
+        else:
             return Assignment(rid, a.vm_map, new_vswitch_map, new_vlink_map), sid
     return None, None
 
@@ -677,14 +631,10 @@ def _repair_link(probe, req, assignment_box, host, need, ln_extra, moves, incumb
                 candidates.append((not covers, bw if covers else -bw, rid, vl_id))
     candidates.sort()
     for _, _, rid, vl_id in candidates:
-        new_key = _reroute_vlink(probe, rid, vl_id, host, ln_extra)
-        if new_key is None:
-            continue
-        a = probe.active[rid]
-        new_vlink_map = dict(a.vlink_map)
-        new_vlink_map[vl_id] = new_key
-        new_assignment = Assignment(rid, a.vm_map, a.vswitch_map, new_vlink_map)
-        if not _swap_in(probe, rid, new_assignment):
+        new_assignment = _reroute_vlink(
+            probe, probe.requests[rid], probe.active[rid], vl_id, host, ln_extra
+        )
+        if new_assignment is None or not _swap_in(probe, rid, new_assignment):
             continue
         moves.append(SwapMove("vlink-reroute", rid, vl_id, host, host, req.id))
         incumbent_updates[rid] = new_assignment
@@ -695,36 +645,16 @@ def _repair_link(probe, req, assignment_box, host, need, ln_extra, moves, incumb
     assignment = assignment_box[0]
     own = []
     for vl_id, key in assignment.vlink_map.items():
-        recs = probe.table.get(key[0], key[1])
-        if host in recs[key[2]].edges:
+        if host in probe.table.path(*key).edges:
             own.append((req.vlinks[vl_id].bandwidth, vl_id))
     own.sort(reverse=True)
     for _, vl_id in own:
-        vl = req.vlinks[vl_id]
-        pa, pb, old_n = assignment.vlink_map[vl_id]
-        recs = probe.table.get(pa, pb)
-        old_edges = set(recs[old_n].edges)
-        for n, rec in enumerate(recs):
-            if n == old_n or host in rec.edges:
-                continue
-            if req.latency_bound is not None and rec.delay > req.latency_bound:
-                continue
-            feasible = True
-            for eid in rec.edges:
-                credit = vl.bandwidth if eid in old_edges else 0
-                free = probe.residual_links[eid] + credit - ln_extra.get(eid, 0)
-                if eid in probe.down or free < vl.bandwidth:
-                    feasible = False
-                    break
-            if feasible:
-                new_vlink_map = dict(assignment.vlink_map)
-                new_vlink_map[vl_id] = (pa, pb, n)
-                assignment_box[0] = Assignment(
-                    req.id, assignment.vm_map, assignment.vswitch_map, new_vlink_map
-                )
-                moves.append(SwapMove("vlink-reroute", req.id, vl_id, host, host, req.id))
-                logger.debug("swap: own vlink %s rerouted off %s", vl_id, host)
-                return True
+        rerouted = _reroute_vlink(probe, req, assignment, vl_id, host, ln_extra)
+        if rerouted is not None:
+            assignment_box[0] = rerouted
+            moves.append(SwapMove("vlink-reroute", req.id, vl_id, host, host, req.id))
+            logger.debug("swap: own vlink %s rerouted off %s", vl_id, host)
+            return True
     return False
 
 
@@ -757,23 +687,20 @@ def try_online_embed(
         if not (srv_need.le(frag_srv) and sw_need <= frag_sw and bw_need <= frag_bw):
             continue
         temp = greedy_temp_map(state, req, allowed=(nodes, links))
-        if isinstance(temp, TempMapping) and temp.clean:
-            probe = _clone_state(state)
-            try:
-                probe.commit(req, temp.assignment)
-            except CommitRejectedError:
-                continue
+        if (
+            isinstance(temp, TempMapping)
+            and temp.clean
+            and not state.check_assignment(req, temp.assignment, MODE_STRICT)
+        ):
             return OnlineResult(temp.assignment, (), {})
 
     temp = greedy_temp_map(state, req)
     if isinstance(temp, StructuralFailure):
         return temp
     if temp.clean:
-        probe = _clone_state(state)
-        try:
-            probe.commit(req, temp.assignment)
-            return OnlineResult(temp.assignment, (), {})
-        except CommitRejectedError as err:
-            return RepairFailure(f"clean mapping failed strict check: {err}", 0.0)
+        violations = state.check_assignment(req, temp.assignment, MODE_STRICT)
+        if violations:
+            return RepairFailure(f"clean mapping failed strict check: {violations[0]}", 0.0)
+        return OnlineResult(temp.assignment, (), {})
     budget = min(len(temp.ledger), policy.swap_ceiling)
     return swap_repair(state, req, temp, budget)

@@ -49,6 +49,16 @@ class PathTable:
         return recs[n]
 
 
+def admissible(rec: PathRecord, down, latency_bound: int | None) -> bool:
+    """A path is usable when no link or node on it is down and its delay is
+    within the request's latency bound (None means unbounded)."""
+    if latency_bound is not None and rec.delay > latency_bound:
+        return False
+    return not down or not (
+        any(e in down for e in rec.edges) or any(n in down for n in rec.nodes)
+    )
+
+
 def default_pair_filter(net: SubstrateNetwork):
     """Admit switch-switch pairs plus physically adjacent (switch, server) pairs.
 
@@ -105,17 +115,3 @@ def enumerate_paths(
         recs.sort(key=lambda r: (len(r.edges), r.edges))
         table.paths[pair] = recs
     return table
-
-
-def path_edge_indicator(table: PathTable, pair: tuple[str, str], n: int, edge_id: str) -> bool:
-    """True iff edge_id lies on path n of the ordered pair."""
-    return edge_id in table.path(pair[0], pair[1], n).edges
-
-
-def dump_paths(table: PathTable) -> str:
-    """Debug dump: one `path <a> <b> <n> <edge ids...>` line per stored path."""
-    lines = []
-    for (a, b) in sorted(table.paths):
-        for n, rec in enumerate(table.paths[(a, b)]):
-            lines.append(f"path {a} {b} {n} {' '.join(rec.edges)}")
-    return "\n".join(lines) + "\n"

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -22,17 +21,19 @@ from .metrics import TraceRecord
 from .online_search import (
     OnlinePolicy,
     OnlineResult,
+    _relocate_vm,
     compute_fragments,
     try_online_embed,
 )
-from .paths import PathTable, enumerate_paths
-from .state import Assignment, EmbeddingState
+from .paths import PathTable, admissible, enumerate_paths
+from .state import EmbeddingState
 from .topology import (
     ResourceVector,
     SubstrateNetwork,
     VdcRequest,
     WorkloadConfig,
-    generate_vdc_request,
+    config_items,
+    poisson_arrivals,
     sum_vectors,
 )
 
@@ -188,14 +189,7 @@ class PolicyConfig:
 def parse_policy_config(text: str) -> PolicyConfig:
     """Flat key=value policy file; unknown keys are errors."""
     values = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
-        key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
+    for lineno, key, val in config_items(text):
         try:
             if key == "f":
                 values["switch_penalty_divisor"] = Fraction(val)
@@ -290,6 +284,17 @@ class Simulation:
             "migration", now, kind=kind, request=rid, element=element, old=old, new=new
         )
 
+    def _requeue(self, req: VdcRequest, now: float):
+        """Send an incumbent that lost its placement back to the queue."""
+        self.queue.add(
+            PendingEntry(
+                req,
+                arrival_seq=self.seq,
+                expiry=now + self.policy.patience,
+                accepted_before=True,
+            )
+        )
+
     def _expire_due(self, now: float):
         for entry in self.queue.expired(now):
             rid = entry.request.id
@@ -330,10 +335,10 @@ class Simulation:
     # -- embedding passes -------------------------------------------------------
 
     def _apply_online(self, req: VdcRequest, result: OnlineResult, now: float):
-        for rid, update in result.incumbent_updates.items():
-            req_obj = self.state.requests[rid]
-            self.state.release(rid)
-            self.state.commit(req_obj, update)
+        updates = result.incumbent_updates
+        commits = [(self.state.requests[rid], a) for rid, a in updates.items()]
+        self.state.apply(updates, commits + [(req, result.assignment)])
+        for rid in updates:
             for move in result.moves:
                 if move.moved_request == rid and move.kind in ("vm-swap", "vswitch-swap"):
                     self._record_migration(
@@ -346,7 +351,6 @@ class Simulation:
                     )
                 elif move.moved_request == rid:
                     self._record_migration(now, "vlink", rid, move.moved_element, "-", "-")
-        self.state.commit(req, result.assignment)
 
     def _online_pass(self, now: float) -> bool:
         policy = OnlinePolicy(swap_ceiling=self.policy.swap_ceiling)
@@ -408,10 +412,7 @@ class Simulation:
             return False
         plan = extract_assignments(sol, self.state)
         by_id = {req.id: req for req in model.requests}
-        for rid in plan.releases:
-            self.state.release(rid)
-        for req, a in plan.commits:
-            self.state.commit(req, a)
+        self.state.apply(plan.releases, plan.commits)
         for move in plan.migrations:
             self._record_migration(
                 now, move.kind, move.request_id, move.element_id, move.old_host, move.new_host
@@ -423,14 +424,7 @@ class Simulation:
                 accepted += 1
         for rid in plan.requeue:
             # the solver un-embedded an active request: back to the queue
-            self.queue.add(
-                PendingEntry(
-                    by_id[rid],
-                    arrival_seq=self.seq,
-                    expiry=now + self.policy.patience,
-                    accepted_before=True,
-                )
-            )
+            self._requeue(by_id[rid], now)
             self.emit("unembedded", now, request=rid)
         self.emit(
             "decision",
@@ -518,25 +512,20 @@ class Simulation:
                 self.emit("dropped", now, request=request_id)
 
     def handle_failure(self, elements: tuple[str, ...], now: float):
-        self.state.mark_down(elements)
+        state = self.state
+        state.mark_down(elements)
         self.emit("failure", now, elements=",".join(sorted(elements)))
-        displaced = []
-        for rid in list(self.state.active):
-            if self._touches_down(rid):
-                displaced.append(rid)
+        displaced = [rid for rid in state.active if self._touches_down(rid)]
         for rid in displaced:
-            if not self._repair_displaced(rid, now):
-                req = self.state.requests[rid]
-                self.state.release(rid)
-                self.queue.add(
-                    PendingEntry(
-                        req,
-                        arrival_seq=self.seq,
-                        expiry=now + self.policy.patience,
-                        accepted_before=True,
-                    )
-                )
+            req = state.requests[rid]
+            repaired = self._repair_displaced(req, state.release(rid))
+            if repaired is None:
+                self._requeue(req, now)
                 self.emit("displaced", now, request=rid, outcome="requeued")
+                continue
+            for kind, element, old, new in repaired:
+                self._record_migration(now, kind, rid, element, old, new)
+            self.emit("displaced", now, request=rid, outcome="repaired")
         self._drain(now)
 
     def _touches_down(self, rid: str) -> bool:
@@ -546,102 +535,56 @@ class Simulation:
             return True
         if any(h in down for h in a.vswitch_map.values()):
             return True
-        for key in a.vlink_map.values():
-            rec = self.state.table.path(*key)
-            if any(e in down for e in rec.edges) or any(n in down for n in rec.nodes):
-                return True
-        return False
+        return any(
+            not admissible(self.state.table.path(*key), down, None)
+            for key in a.vlink_map.values()
+        )
 
-    def _repair_displaced(self, rid: str, now: float) -> bool:
-        """Move only the elements sitting on failed hardware, keeping the rest."""
+    def _repair_displaced(self, req: VdcRequest, a) -> list | None:
+        """Re-commit a released request with only the elements on failed
+        hardware moved; returns the (kind, element, old, new) moves, or None
+        (nothing committed) when that is impossible.
+
+        A VM on a failed server moves within its rack, a vlink over a failed
+        link or switch takes the first admissible path with room. Planned
+        loads are the request's own usage, so unmoved VMs count once.
+        """
         state = self.state
-        req = state.requests[rid]
-        a = state.active[rid]
         down = state.down
-        new_vm = dict(a.vm_map)
-        new_vs = dict(a.vswitch_map)
-        new_vl = dict(a.vlink_map)
+        if any(host in down for host in a.vswitch_map.values()):
+            return None  # switch loss relocates the vswitch; fall back to requeue
         moved: list[tuple[str, str, str, str]] = []
-
-        for vs_id, host in a.vswitch_map.items():
-            if host in down:
-                return False  # switch loss relocates the vswitch; fall back to requeue
         for vm_id, host in a.vm_map.items():
             if host not in down:
                 continue
-            rack = state.net.edge_switch_of(host)
-            demand = req.vms[vm_id].demand
-            vlink = next(vl for vl in req.vlinks.values() if vm_id in (vl.a, vl.b))
-            target = None
-            for sid in sorted(state.net.servers_under(rack)):
-                if sid in down or sid == host:
-                    continue
-                planned = sum_vectors(
-                    req.vms[v].demand for v, s in new_vm.items() if s == sid and v != vm_id
-                )
-                free = state.residual_servers[sid] - planned
-                lid = state.net.link_between(rack, sid)
-                if demand.le(free) and lid not in down:
-                    target = sid
-                    break
-            if target is None:
-                return False
-            new_vm[vm_id] = target
+            srv, _, ln = state._usage_of(req, a)
+            relocated = _relocate_vm(state, req, a, vm_id, srv, ln)
+            if relocated is None:
+                return None
+            new_a, target = relocated
             moved.append(("vm", vm_id, host, target))
-            pa, pb, _ = a.vlink_map[vlink.id]
-            new_vl[vlink.id] = (
-                target if pa == host else pa,
-                target if pb == host else pb,
-                0,
+            moved.extend(
+                ("vlink", vl_id, "-", "-")
+                for vl_id, key in new_a.vlink_map.items()
+                if key != a.vlink_map[vl_id]
             )
-            moved.append(("vlink", vlink.id, "-", "-"))
-        for vl_id, key in a.vlink_map.items():
-            if new_vl[vl_id] != key:
+            a = new_a
+        for vl_id, (pa, pb, old_n) in a.vlink_map.items():
+            old = state.table.path(pa, pb, old_n)
+            if admissible(old, down, None):
                 continue
-            rec = state.table.path(*key)
-            if not (any(e in down for e in rec.edges) or any(n in down for n in rec.nodes)):
-                continue
-            pa, pb, old_n = key
+            _, _, ln = state._usage_of(req, a)
             vl = req.vlinks[vl_id]
-            picked = None
-            for n, alt in enumerate(state.table.get(pa, pb)):
-                if n == old_n:
-                    continue
-                if any(e in down for e in alt.edges) or any(nd in down for nd in alt.nodes):
-                    continue
-                if req.latency_bound is not None and alt.delay > req.latency_bound:
-                    continue
-                picked = n
-                break
-            if picked is None:
-                return False
-            new_vl[vl_id] = (pa, pb, picked)
+            n = state.free_path(pa, pb, vl.bandwidth, req.latency_bound, old.edges, ln)
+            if n is None:
+                return None
+            a = replace(a, vlink_map={**a.vlink_map, vl_id: (pa, pb, n)})
             moved.append(("vlink", vl_id, "-", "-"))
-
-        candidate = Assignment(rid, new_vm, new_vs, new_vl)
-        probe_req = state.requests[rid]
-        state.release(rid)
         try:
-            state.commit(probe_req, candidate)
+            state.commit(req, a)
         except CommitRejectedError:
-            # already released; requeue instead of restoring a broken mapping
-            self._requeue_after_failed_repair(probe_req, now)
-            return True
-        for kind, element, old, new in moved:
-            self._record_migration(now, kind, rid, element, old, new)
-        self.emit("displaced", now, request=rid, outcome="repaired")
-        return True
-
-    def _requeue_after_failed_repair(self, req: VdcRequest, now: float):
-        self.queue.add(
-            PendingEntry(
-                req,
-                arrival_seq=self.seq,
-                expiry=now + self.policy.patience,
-                accepted_before=True,
-            )
-        )
-        self.emit("displaced", now, request=req.id, outcome="requeued")
+            return None
+        return moved
 
     def handle_scale_up(self, request_id: str, deltas, now: float):
         if request_id not in self.state.active:
@@ -746,23 +689,10 @@ def run_simulation(
         mode=run_mode,
     )
 
-    arrivals: list[SimEvent] = []
-    if lam > 0:
-        rng = random.Random(f"{seed}/arrivals")
-        t = 0.0
-        i = 0
-        while True:
-            t += rng.expovariate(lam / 100.0)
-            if t > horizon:
-                break
-            req = generate_vdc_request(workload, t, f"{seed}/req/{i}")
-            req = replace(req, id=f"r{i}")
-            arrivals.append(SimEvent(time=t, seq=i, kind="arrival", request=req))
-            i += 1
-
     heap: list[tuple[float, int, int, SimEvent]] = []
     order = 0
-    for ev in arrivals:
+    for i, req in enumerate(poisson_arrivals(workload, lam, seed)):
+        ev = SimEvent(time=req.arrival_time, seq=i, kind="arrival", request=req)
         heapq.heappush(heap, (ev.time, 0, order, ev))
         order += 1
     for ev in extra_events:

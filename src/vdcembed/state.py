@@ -2,27 +2,18 @@
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 from .errors import (
     AuditError,
     CommitRejectedError,
-    FormatError,
     InvalidParameterError,
     PathLookupError,
     UnknownElementError,
 )
-from .paths import PathTable
-from .topology import (
-    ResourceVector,
-    SubstrateNetwork,
-    VdcRequest,
-    dump_requests,
-    dump_substrate,
-    load_requests,
-    load_substrate,
-    sum_vectors,
-)
+from .paths import PathTable, admissible
+from .topology import ResourceVector, SubstrateNetwork, VdcRequest, sum_vectors
 
 MODE_STRICT = "strict"
 MODE_ALLOW_CAPACITY = "allow-capacity-violations"
@@ -121,18 +112,10 @@ class EmbeddingState:
 
     # -- feasibility --------------------------------------------------------
 
-    def check_assignment(
-        self, req: VdcRequest, a: Assignment, mode: str = MODE_STRICT
-    ) -> list[Violation]:
-        """Check one proposed assignment against this state.
-
-        Structural breaches are hard findings in both modes. Capacity breaches
-        are reported with quantified overflow amounts; in strict mode any
-        finding blocks a commit, in allow-capacity-violations mode the caller
-        may carry capacity findings forward as a violation ledger.
-        """
-        if mode not in (MODE_STRICT, MODE_ALLOW_CAPACITY):
-            raise InvalidParameterError(f"unknown check mode {mode!r}")
+    def _structural_findings(self, req: VdcRequest, a: Assignment) -> list[Violation]:
+        """Every finding of check_assignment that does not depend on residuals:
+        unknown ids raise, the rest (unmapped elements, collisions, tiers,
+        paths, latency, locality, failed hosts, links or path nodes) is listed."""
         out: list[Violation] = []
 
         for vm_id, pm in a.vm_map.items():
@@ -175,7 +158,7 @@ class EmbeddingState:
             if vs.is_edge and self.net.switches[ps].tier != "edge":
                 out.append(Violation("edge-tier", vs_id, True, detail=f"on {ps}"))
 
-        down_links: set[str] = set()
+        down_on_paths: set[str] = set()
         for vl_id, (pa, pb, n) in a.vlink_map.items():
             vl = req.vlinks[vl_id]
             img_a = a.host_of(vl.a)
@@ -185,7 +168,8 @@ class EmbeddingState:
             except PathLookupError:
                 out.append(Violation("unknown-path", vl_id, True, detail=f"({pa},{pb},{n})"))
                 continue
-            down_links.update(eid for eid in rec.edges if eid in self.down)
+            down_on_paths.update(eid for eid in rec.edges if eid in self.down)
+            down_on_paths.update(nid for nid in rec.nodes[1:-1] if nid in self.down)
             if (img_a, img_b) != (pa, pb):
                 out.append(
                     Violation(
@@ -214,8 +198,23 @@ class EmbeddingState:
         for element in list(a.vm_map.values()) + list(a.vswitch_map.values()):
             if element in self.down:
                 out.append(Violation("element-down", element, True))
-        for lid in sorted(down_links):
-            out.append(Violation("element-down", lid, True))
+        for eid in sorted(down_on_paths):
+            out.append(Violation("element-down", eid, True))
+        return out
+
+    def check_assignment(
+        self, req: VdcRequest, a: Assignment, mode: str = MODE_STRICT
+    ) -> list[Violation]:
+        """Check one proposed assignment against this state.
+
+        Structural breaches are hard findings in both modes. Capacity breaches
+        are reported with quantified overflow amounts; in strict mode any
+        finding blocks a commit, in allow-capacity-violations mode the caller
+        may carry capacity findings forward as a violation ledger.
+        """
+        if mode not in (MODE_STRICT, MODE_ALLOW_CAPACITY):
+            raise InvalidParameterError(f"unknown check mode {mode!r}")
+        out = self._structural_findings(req, a)
 
         srv, sw, ln = self._usage_of(req, a)
         for pm, load in srv.items():
@@ -246,6 +245,28 @@ class EmbeddingState:
                     )
                 )
         return out
+
+    def free_path(
+        self, pa, pb, bandwidth, latency_bound=None, credit=(), extra=None, avoid=None
+    ) -> int | None:
+        """Index of the first admissible pa->pb path with `bandwidth` free on
+        every link, or None.
+
+        Links in credit (the path being replaced) count `bandwidth` as free
+        again, extra maps link ids to load already planned on top of the
+        residuals, and paths through the link `avoid` are skipped.
+        """
+        extra = extra or {}
+        for n, rec in enumerate(self.table.get(pa, pb)):
+            if avoid in rec.edges or not admissible(rec, self.down, latency_bound):
+                continue
+            if all(
+                self.residual_links[e] + (bandwidth if e in credit else 0) - extra.get(e, 0)
+                >= bandwidth
+                for e in rec.edges
+            ):
+                return n
+        return None
 
     # -- mutation -------------------------------------------------------------
 
@@ -281,6 +302,30 @@ class EmbeddingState:
         self.version += 1
         return a
 
+    def apply(self, releases, commits):
+        """Release every listed request id, then commit every (request,
+        assignment) pair.
+
+        Releasing first lets a jointly feasible set of moves apply in any
+        order, two requests swapping servers included. A rejected commit
+        raises CommitRejectedError with the earlier steps kept.
+        """
+        for rid in releases:
+            self.release(rid)
+        for req, a in commits:
+            self.commit(req, a)
+
+    def copy(self) -> "EmbeddingState":
+        """An independent state sharing the read-only substrate and path table."""
+        clone = copy.copy(self)
+        clone.active = dict(self.active)
+        clone.requests = dict(self.requests)
+        clone.residual_servers = dict(self.residual_servers)
+        clone.residual_switches = dict(self.residual_switches)
+        clone.residual_links = dict(self.residual_links)
+        clone.down = set(self.down)
+        return clone
+
     def mark_down(self, element_ids) -> None:
         """Strip failed elements from the usable substrate."""
         for eid in element_ids:
@@ -306,10 +351,12 @@ class EmbeddingState:
         return srv, sw, ln
 
     def audit(self):
-        """Re-derive residuals from scratch and re-check every active assignment.
+        """Prove the state consistent in time linear in the active requests.
 
-        Raises AuditError on any mismatch or violation; used by simulation
-        self-checks and tests.
+        Residuals folded from scratch must equal the stored ones and be
+        nonnegative, which proves the actives fit jointly; each active
+        assignment must also pass the structural checks. Raises AuditError;
+        used by simulation self-checks and tests.
         """
         srv, sw, ln = self._residuals_from_scratch()
         if srv != self.residual_servers:
@@ -324,89 +371,6 @@ class EmbeddingState:
         if min(sw.values(), default=0) < 0 or min(ln.values(), default=0) < 0:
             raise AuditError("negative switch/link residual")
         for rid, a in self.active.items():
-            probe = EmbeddingState(self.net, self.table)
-            probe.down = set(self.down)
-            for other_id, other in self.active.items():
-                if other_id != rid:
-                    probe.commit(self.requests[other_id], other)
-            bad = probe.check_assignment(self.requests[rid], a, MODE_STRICT)
+            bad = self._structural_findings(self.requests[rid], a)
             if bad:
                 raise AuditError(f"active request {rid} fails re-check: {bad[0]}")
-
-    def snapshot_version(self) -> int:
-        return self.version
-
-
-def write_snapshot(state: EmbeddingState) -> str:
-    """Dump substrate, active requests, and assign records as one text blob."""
-    parts = ["snapshot 1", dump_substrate(state.net).rstrip("\n")]
-    parts.append(dump_requests(state.requests.values()).rstrip("\n"))
-    for rid in state.active:
-        a = state.active[rid]
-        for vm_id, pm in a.vm_map.items():
-            parts.append(f"assign vm {rid} {vm_id} {pm}")
-        for vs_id, ps in a.vswitch_map.items():
-            parts.append(f"assign vswitch {rid} {vs_id} {ps}")
-        for vl_id, (pa, pb, n) in a.vlink_map.items():
-            parts.append(f"assign vlink {rid} {vl_id} {pa} {pb} {n}")
-    for eid in sorted(state.down):
-        parts.append(f"down {eid}")
-    return "\n".join(parts) + "\n"
-
-
-def read_snapshot(text: str, table_factory) -> EmbeddingState:
-    """Rebuild a state from a snapshot dump.
-
-    table_factory(net) supplies the path table (it is derived data, not
-    serialized). Assignments are re-committed, so a corrupt snapshot fails
-    loudly instead of silently desynchronizing residuals.
-    """
-    lines = text.splitlines()
-    if not lines or lines[0].split() != ["snapshot", "1"]:
-        raise FormatError("bad snapshot header")
-    sub_lines, req_lines, assign_lines, down_lines = [], [], [], []
-    for raw in lines[1:]:
-        if not raw.strip():
-            continue
-        kind = raw.split(None, 1)[0]
-        if kind in ("substrate", "server", "switch", "link"):
-            sub_lines.append(raw)
-        elif kind in ("requests", "request", "vm", "vswitch", "vlink", "meta"):
-            req_lines.append(raw)
-        elif kind == "assign":
-            assign_lines.append(raw)
-        elif kind == "down":
-            down_lines.append(raw)
-        else:
-            raise FormatError(f"unknown snapshot record: {raw!r}")
-
-    net = load_substrate("\n".join(sub_lines))
-    requests = load_requests("\n".join(req_lines)) if len(req_lines) > 1 else []
-    state = EmbeddingState(net, table_factory(net))
-
-    by_request: dict[str, dict[str, dict]] = {}
-    for raw in assign_lines:
-        parts = raw.split()
-        kind, rid = parts[1], parts[2]
-        slot = by_request.setdefault(rid, {"vm": {}, "vswitch": {}, "vlink": {}})
-        if kind == "vm":
-            slot["vm"][parts[3]] = parts[4]
-        elif kind == "vswitch":
-            slot["vswitch"][parts[3]] = parts[4]
-        elif kind == "vlink":
-            slot["vlink"][parts[3]] = (parts[4], parts[5], int(parts[6]))
-        else:
-            raise FormatError(f"bad assign record: {raw!r}")
-
-    req_by_id = {r.id: r for r in requests}
-    for rid, slot in by_request.items():
-        if rid not in req_by_id:
-            raise FormatError(f"assign records for unknown request {rid}")
-        state.commit(
-            req_by_id[rid],
-            Assignment(rid, slot["vm"], slot["vswitch"], slot["vlink"]),
-        )
-    if down_lines:
-        state.mark_down(raw.split()[1] for raw in down_lines)
-    state.version = 0
-    return state

@@ -5,7 +5,7 @@ from __future__ import annotations
 import heapq
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import ConfigError, FormatError, InvalidParameterError
 
@@ -286,9 +286,9 @@ _WORKLOAD_RANGE_KEYS = {
 }
 
 
-def parse_workload_config(text: str) -> WorkloadConfig:
-    """Parse a flat key=value workload config; unknown keys are errors."""
-    values = {}
+def config_items(text: str):
+    """Yield (line number, key, value) per `key=value` line of a flat config
+    file; blank lines and lines starting with `#` are skipped."""
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -296,30 +296,46 @@ def parse_workload_config(text: str) -> WorkloadConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
         key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        if key in _WORKLOAD_RANGE_KEYS:
-            parts = val.split(":")
-            try:
-                if len(parts) == 1:
-                    lo = hi = int(parts[0])
-                elif len(parts) == 2:
-                    lo, hi = int(parts[0]), int(parts[1])
-                else:
+        yield lineno, key.strip(), val.strip()
+
+
+def parse_workload_config(text: str) -> WorkloadConfig:
+    """Parse a flat key=value workload config; unknown keys are errors."""
+    values = {}
+    for lineno, key, val in config_items(text):
+        try:
+            if key in _WORKLOAD_RANGE_KEYS:
+                bounds = [int(v) for v in val.split(":")]
+                if len(bounds) > 2:
                     raise ValueError
-            except ValueError:
-                raise ConfigError(f"line {lineno}: bad range {val!r} for {key}") from None
-            values[key] = (lo, hi)
-        elif key == "arrival_rate":
-            values[key] = float(val)
-        elif key == "horizon":
-            values[key] = float(val)
-        elif key == "seed":
-            values[key] = int(val)
-        else:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+                values[key] = (bounds[0], bounds[-1])
+            elif key in ("arrival_rate", "horizon"):
+                values[key] = float(val)
+            elif key == "seed":
+                values[key] = int(val)
+            else:
+                raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        except ValueError:
+            raise ConfigError(f"line {lineno}: bad value {val!r} for {key}") from None
     cfg = WorkloadConfig(**values)
     cfg.validate()
     return cfg
+
+
+def poisson_arrivals(cfg: WorkloadConfig, lam: float, seed) -> list[VdcRequest]:
+    """Requests arriving as a Poisson process of `lam` per 100 time units up
+    to the horizon; request i is drawn from its own stream and named r<i>."""
+    requests = []
+    if lam > 0:
+        rng = random.Random(f"{seed}/arrivals")
+        t = 0.0
+        while True:
+            t += rng.expovariate(lam / 100.0)
+            if t > cfg.horizon:
+                break
+            i = len(requests)
+            requests.append(replace(generate_vdc_request(cfg, t, f"{seed}/req/{i}"), id=f"r{i}"))
+    return requests
 
 
 def build_fat_tree(

@@ -27,26 +27,27 @@ def fresh_state(net):
 
 
 def apply_plan(state, plan):
-    for rid in plan.releases:
-        state.release(rid)
-    for req, a in plan.commits:
-        state.commit(req, a)
+    state.apply(plan.releases, plan.commits)
+
+
+def vars_of_kind(model, kind):
+    return [i for i, v in enumerate(model.vars) if v.kind == kind]
 
 
 class TestBuildMip:
     def test_variable_counts_single_star_on_k2(self, k2_state):
         req = star_request("r0", n_vms=1)
         model = build_mip(k2_state, [req])
-        assert len(model.vars_of_kind(KIND_Z)) == 1
-        assert len(model.vars_of_kind(KIND_W)) == 2  # every server
-        assert len(model.vars_of_kind(KIND_X)) == 2  # edge switches only
-        assert len(model.vars_of_kind(KIND_Y)) == 2  # one per rack adjacency
+        assert len(vars_of_kind(model, KIND_Z)) == 1
+        assert len(vars_of_kind(model, KIND_W)) == 2  # every server
+        assert len(vars_of_kind(model, KIND_X)) == 2  # edge switches only
+        assert len(vars_of_kind(model, KIND_Y)) == 2  # one per rack adjacency
         assert model.num_constraints > 0
 
     def test_zero_latency_bound_forces_unembedded(self, k2_state):
         req = chain_request("r0", n_vswitches=2, vms_per_switch=1, latency_bound=0)
         model = build_mip(k2_state, [req])
-        assert model.vars_of_kind(KIND_Y) == []
+        assert vars_of_kind(model, KIND_Y) == []
         sol = solve_exact(model)
         assert sol.optimal
         assert sol.embedded["r0"] is None
@@ -55,7 +56,7 @@ class TestBuildMip:
     def test_pinning_constraint_verbatim(self, k2_state):
         req = star_request("r0", locality={"vm0": frozenset({"s1"})})
         model = build_mip(k2_state, [req])
-        w_vars = model.vars_of_kind(KIND_W)
+        w_vars = vars_of_kind(model, KIND_W)
         assert len(w_vars) == 1
         assert model.vars[w_vars[0]].host_a == "s1"
         # the placement row degenerates to w - z = 0

@@ -17,6 +17,15 @@ horizon=120
 seed=9
 """
 
+REQUEST = """\
+requests 1
+request r0
+vm vm0 1 256
+vswitch vs0 edge 10
+vlink vl0 vs0 vm0 5
+meta 0.0 10.0 -
+"""
+
 POLICY = """\
 f=2
 batch_width=3
@@ -126,6 +135,22 @@ class TestRun:
             assert code == 0
             assert (workdir / f"out_{mode}" / "acceptance.csv").exists()
 
+    @pytest.mark.parametrize("lambdas", ["1.5:2", "a,b", "1:2:3"])
+    def test_bad_lambdas_exit_one(self, workdir, capsys, lambdas):
+        main(["gen-topology", "--k", "2", "--out", "dc2.txt"])
+        code = main(
+            [
+                "run",
+                "--substrate", "dc2.txt",
+                "--workload", "workload.cfg",
+                "--lambdas", lambdas,
+                "--out", "res",
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "--lambdas" in err and "Traceback" not in err
+
     def test_env_override_for_out(self, workdir, monkeypatch):
         main(["gen-topology", "--k", "2", "--out", "dc2.txt"])
         (workdir / "tiny.cfg").write_text(
@@ -169,6 +194,9 @@ class TestSolve:
         assert "1 embedded of 1" in out
         sol_text = (workdir / "sol.txt").read_text()
         assert "embedded r0 1" in sol_text
+        # the written file is read back by validate with the same codec
+        args = ["--substrate", "dc2.txt", "--requests", "reqs.txt", "--assignment", "sol.txt"]
+        assert main(["validate"] + args) == 0
 
     def test_infeasible_is_valid_answer(self, workdir, capsys):
         main(["gen-topology", "--k", "2", "--out", "dc2.txt"])
@@ -246,3 +274,26 @@ class TestValidate:
     def test_missing_file(self, workdir, capsys):
         assert main(["validate", "--substrate", "ghost.txt"]) == 1
         assert "ghost.txt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "assign vm r1",
+            "assign vm r0 vm0",
+            "assign vlink r0 vl0 e0_0 s0",
+            "assign vlink r0 vl0 e0_0 s0 x",
+            "assign vm r0 vm0 s0 extra",
+            "assign disk r0 d0 s0",
+            "embedded r0",
+            "embedded r0 yes",
+            "assign",
+        ],
+    )
+    def test_malformed_assignment_line_exits_one(self, workdir, capsys, line):
+        main(["gen-topology", "--k", "2", "--out", "dc2.txt"])
+        (workdir / "reqs.txt").write_text(REQUEST)
+        (workdir / "asg.txt").write_text(f"assignments 1\nembedded r0 1\n{line}\n")
+        args = ["--substrate", "dc2.txt", "--requests", "reqs.txt", "--assignment", "asg.txt"]
+        assert main(["validate"] + args) == 1
+        err = capsys.readouterr().err
+        assert "assignment" in err or "path index" in err

@@ -6,7 +6,7 @@ import pytest
 
 from oracles import simple_paths_dfs, random_switch_graph
 from vdcembed.errors import InvalidParameterError, PathLookupError
-from vdcembed.paths import dump_paths, enumerate_paths, path_edge_indicator
+from vdcembed.paths import enumerate_paths
 from vdcembed.topology import Link, ResourceVector, SubstrateNetwork, Switch
 
 
@@ -77,7 +77,8 @@ class TestEnumerate:
     def test_index_stability(self, k4_net):
         t1 = enumerate_paths(k4_net)
         t2 = enumerate_paths(k4_net)
-        assert dump_paths(t1) == dump_paths(t2)
+        assert t1.paths == t2.paths
+        assert list(t1.paths) == list(t2.paths)
 
     def test_cached_delay_and_bottleneck(self, k4_net, k4_table):
         for recs in k4_table.paths.values():
@@ -89,13 +90,13 @@ class TestEnumerate:
 class TestIndicator:
     def test_line_membership(self):
         table = enumerate_paths(line_net(), 4, pair_filter=lambda a, b: True)
-        assert path_edge_indicator(table, ("a", "c"), 0, "ab")
-        assert path_edge_indicator(table, ("a", "c"), 0, "bc")
-        assert not path_edge_indicator(table, ("a", "c"), 0, "zz")
+        assert "ab" in table.path("a", "c", 0).edges
+        assert "bc" in table.path("a", "c", 0).edges
+        assert "zz" not in table.path("a", "c", 0).edges
 
     def test_unknown_lookups(self):
         table = enumerate_paths(line_net(), 4, pair_filter=lambda a, b: True)
         with pytest.raises(PathLookupError):
-            path_edge_indicator(table, ("a", "c"), 5, "ab")
+            table.path("a", "c", 5)
         with pytest.raises(PathLookupError):
-            path_edge_indicator(table, ("a", "z"), 0, "ab")
+            table.path("a", "z", 0)

@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from conftest import star_request
+from conftest import make_rack_net, star_request
 from vdcembed.errors import ConfigError
 from vdcembed.metrics import aggregate, serialize_trace
+from vdcembed.online_search import OnlineResult, SwapMove
 from vdcembed.paths import enumerate_paths
 from vdcembed.scheduler import (
     MODE_BATCH,
@@ -228,6 +229,62 @@ class TestSimulationSteps:
         assert all(m.get("old") == "s0" and m.get("new") == "s1" for m in vm_moves)
         vlink_moves = [r for r in migrations if r.get("kind") == "vlink"]
         assert len(vlink_moves) == 2
+        sim.state.audit()
+
+    def rack_sim(self, n_servers, cores):
+        net = make_rack_net(n_servers, cores=cores)
+        return Simulation(net, enumerate_paths(net), PolicyConfig())
+
+    def place(self, sim, req, hosts):
+        """Commit a star request with vm<i> on hosts[i] as an accepted incumbent."""
+        vm_map = {f"vm{i}": h for i, h in enumerate(hosts)}
+        vl_map = {f"vl{i}": ("e0", h, 0) for i, h in enumerate(hosts)}
+        sim.state.commit(req, Assignment(req.id, vm_map, {"vs0": "e0"}, vl_map))
+        sim.status[req.id] = "accepted"
+        sim.accept_order.append(req.id)
+
+    def test_swap_cycle_applies_cleanly(self):
+        sim = self.rack_sim(2, cores=4)
+        x = star_request("x", cores=3, duration=90.0)
+        y = star_request("y", cores=3, duration=90.0)
+        self.place(sim, x, ["s0"])
+        self.place(sim, y, ["s1"])
+        new = star_request("new", cores=1)
+        moves = (
+            SwapMove("vm-swap", "x", "vm0", "s0", "s1", "new"),
+            SwapMove("vm-swap", "y", "vm0", "s1", "s0", "new"),
+        )
+        updates = {
+            "x": Assignment("x", {"vm0": "s1"}, {"vs0": "e0"}, {"vl0": ("e0", "s1", 0)}),
+            "y": Assignment("y", {"vm0": "s0"}, {"vs0": "e0"}, {"vl0": ("e0", "s0", 0)}),
+        }
+        a = Assignment("new", {"vm0": "s0"}, {"vs0": "e0"}, {"vl0": ("e0", "s0", 0)})
+        sim._apply_online(new, OnlineResult(a, moves, updates), 1.0)
+        assert sim.state.active == {**updates, "new": a}
+        assert list(sim.state.active) == ["x", "y", "new"]
+        moved = [(r.get("request"), r.get("new")) for r in sim.records if r.kind == "migration"]
+        assert moved == [("x", "s1"), ("y", "s0")]
+        sim.state.audit()
+
+    def test_displaced_vm_honours_locality(self):
+        sim = self.rack_sim(3, cores=8)
+        req = star_request("r0", n_vms=2, duration=90.0, locality={"vm0": frozenset({"s0", "s2"})})
+        self.place(sim, req, ["s0", "s1"])
+        sim.process(SimEvent(1.0, 0, "failure", elements=("s0",)))
+        assert sim.state.active["r0"].vm_map == {"vm0": "s2", "vm1": "s1"}
+        outcome = next(r for r in sim.records if r.kind == "displaced")
+        assert outcome.get("outcome") == "repaired"
+        sim.state.audit()
+
+    def test_displaced_vm_sees_unmoved_siblings_once(self):
+        # s1 has exactly the room vm0 needs once vm1's usage is counted once
+        sim = self.rack_sim(2, cores=4)
+        req = star_request("r0", n_vms=2, cores=2, duration=90.0)
+        self.place(sim, req, ["s0", "s1"])
+        sim.process(SimEvent(1.0, 0, "failure", elements=("s0",)))
+        assert sim.state.active["r0"].vm_map == {"vm0": "s1", "vm1": "s1"}
+        outcome = next(r for r in sim.records if r.kind == "displaced")
+        assert outcome.get("outcome") == "repaired"
         sim.state.audit()
 
     def test_scale_up_in_place_then_relocation(self):

@@ -1,4 +1,4 @@
-"""Embedding state: feasibility checks, commit/release, residuals, snapshots."""
+"""Embedding state: feasibility checks, commit/release, residuals, audit."""
 
 import random
 
@@ -6,15 +6,13 @@ import pytest
 
 from conftest import make_rack_net, star_request, chain_request
 from oracles import recheck_embedding
-from vdcembed.errors import CommitRejectedError, UnknownElementError
+from vdcembed.errors import AuditError, CommitRejectedError, UnknownElementError
 from vdcembed.paths import enumerate_paths
 from vdcembed.state import (
     Assignment,
     EmbeddingState,
     MODE_ALLOW_CAPACITY,
     MODE_STRICT,
-    read_snapshot,
-    write_snapshot,
 )
 from vdcembed.topology import ResourceVector
 
@@ -91,6 +89,25 @@ class TestCheckAssignment:
                 if not strict:
                     state.commit(req, a)
                     placed.append((req, a))
+
+
+    def test_path_through_down_switch_is_element_down(self, k4_state):
+        req = chain_request("r0", n_vswitches=2, vms_per_switch=1)
+        a = Assignment(
+            "r0",
+            {"vm0": "s0", "vm1": "s14"},
+            {"vs0": "e0_0", "vs1": "e3_1"},
+            {
+                "vl0": ("e0_0", "e3_1", 0),  # e0_0-a0_0-c0_0-a3_0-e3_1
+                "vl1": ("e0_0", "s0", 0),
+                "vl2": ("e3_1", "s14", 0),
+            },
+        )
+        k4_state.mark_down(["c0_0"])
+        found = k4_state.check_assignment(req, a, MODE_STRICT)
+        assert [(v.rule, v.element) for v in found] == [("element-down", "c0_0")]
+        with pytest.raises(CommitRejectedError):
+            k4_state.commit(req, a)
 
 
 class TestCommitRelease:
@@ -178,14 +195,79 @@ class TestConservation:
             state.audit()  # fold-from-scratch residuals must match exactly
 
 
-class TestSnapshot:
-    def test_round_trip(self, k2_net, k2_table):
-        state = EmbeddingState(k2_net, k2_table)
-        req = star_request("r0", n_vms=2)
-        a = assign_star(k2_net, k2_table, req, "e0_0", "s0")
-        state.commit(req, a)
-        text = write_snapshot(state)
-        again = read_snapshot(text, lambda net: enumerate_paths(net))
-        assert again.residual_servers == state.residual_servers
-        assert again.residual_links == state.residual_links
-        assert write_snapshot(again) == text
+class TestAudit:
+    def test_structural_break_detected(self, k4_state):
+        req = chain_request("r0", n_vswitches=2, vms_per_switch=1)
+        a = Assignment(
+            "r0",
+            {"vm0": "s0", "vm1": "s14"},
+            {"vs0": "e0_0", "vs1": "e3_1"},
+            {"vl0": ("e0_0", "e3_1", 0), "vl1": ("e0_0", "s0", 0), "vl2": ("e3_1", "s14", 0)},
+        )
+        k4_state.commit(req, a)
+        k4_state.audit()
+        k4_state.mark_down(["c0_0"])  # an intermediate node of vl0's path
+        with pytest.raises(AuditError, match="r0"):
+            k4_state.audit()
+
+    def test_residual_drift_detected(self, k2_state):
+        req = star_request("r0", n_vms=1)
+        k2_state.commit(req, assign_star(k2_state.net, k2_state.table, req, "e0_0", "s0"))
+        k2_state.residual_links["l0"] += 1
+        with pytest.raises(AuditError, match="drifted"):
+            k2_state.audit()
+
+
+class TestApplyAndCopy:
+    def test_swap_cycle_applies_in_any_order(self):
+        net = make_rack_net(2, cores=4)
+        table = enumerate_paths(net)
+        state = EmbeddingState(net, table)
+        x = star_request("x", cores=3)
+        y = star_request("y", cores=3)
+        state.commit(x, assign_star(net, table, x, "e0", "s0"))
+        state.commit(y, assign_star(net, table, y, "e0", "s1"))
+        order = list(state.active)
+        state.apply(
+            ["x", "y"],
+            [
+                (x, assign_star(net, table, x, "e0", "s1")),
+                (y, assign_star(net, table, y, "e0", "s0")),
+            ],
+        )
+        assert state.active["x"].vm_map["vm0"] == "s1"
+        assert state.active["y"].vm_map["vm0"] == "s0"
+        assert list(state.active) == order
+        state.audit()
+
+    def test_copy_is_independent(self, k2_state):
+        req = star_request("r0", n_vms=1)
+        k2_state.commit(req, assign_star(k2_state.net, k2_state.table, req, "e0_0", "s0"))
+        clone = k2_state.copy()
+        clone.release("r0")
+        clone.mark_down(["s1"])
+        assert "r0" in k2_state.active and "r0" not in clone.active
+        assert k2_state.residual_servers != clone.residual_servers
+        assert k2_state.down == set()
+        clone.audit()
+        k2_state.audit()
+
+
+class TestFreePath:
+    def test_credit_extra_avoid_and_down(self, k4_state):
+        # four e0_0 -> e3_1 paths; 0 and 1 share a0_0 and a3_0
+        table = k4_state.table
+        recs = table.get("e0_0", "e3_1")
+        first_link = recs[0].edges[0]  # e0_0-a0_0, on paths 0 and 1
+        assert k4_state.free_path("e0_0", "e3_1", 1000) == 0
+        assert k4_state.free_path("e0_0", "e3_1", 1000, avoid=first_link) == 2
+        assert k4_state.free_path("e0_0", "e3_1", 600, extra={first_link: 500}) == 2
+        assert (
+            k4_state.free_path(
+                "e0_0", "e3_1", 600, credit=recs[0].edges, extra={first_link: 500}
+            )
+            == 0
+        )
+        k4_state.mark_down(["c0_0"])
+        assert k4_state.free_path("e0_0", "e3_1", 10) == 1
+        assert k4_state.free_path("e0_0", "e3_1", 10, latency_bound=3) is None

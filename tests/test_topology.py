@@ -17,6 +17,7 @@ from vdcembed.topology import (
     load_requests,
     load_substrate,
     parse_workload_config,
+    poisson_arrivals,
     validate_request,
     validate_substrate,
 )
@@ -191,6 +192,20 @@ class TestWorkloadConfig:
     def test_single_value_range(self):
         cfg = parse_workload_config("vm_count=6\n")
         assert cfg.vm_count == (6, 6)
+
+    def test_bad_numbers_rejected(self):
+        for text in ("horizon=soon\n", "seed=1.5\n", "vm_count=1:2:3\n", "vm_count=\n"):
+            with pytest.raises(ConfigError):
+                parse_workload_config(text)
+
+    def test_poisson_arrivals(self):
+        cfg = WorkloadConfig(vm_count=(2, 4), vswitch_count=(2, 3), horizon=300)
+        reqs = poisson_arrivals(cfg, 5, seed=7)
+        assert reqs == poisson_arrivals(cfg, 5, seed=7)
+        assert [r.id for r in reqs] == [f"r{i}" for i in range(len(reqs))]
+        times = [r.arrival_time for r in reqs]
+        assert times == sorted(times) and 0 < times[0] and times[-1] <= 300
+        assert poisson_arrivals(cfg, 0, seed=7) == []
 
 
 class TestTextFormats:
