@@ -182,13 +182,9 @@ def build_mip(
     rhs_sw: dict[str, int] = dict(snapshot.residual_switches)
     rhs_ln: dict[str, int] = dict(snapshot.residual_links)
     for rid in remappable:
-        u_srv, u_sw, u_ln = snapshot._usage_of(snapshot.requests[rid], snapshot.active[rid])
-        for pm, load in u_srv.items():
-            rhs_srv[pm] = rhs_srv[pm] + load
-        for ps, load in u_sw.items():
-            rhs_sw[ps] += load
-        for lid, load in u_ln.items():
-            rhs_ln[lid] += load
+        snapshot.add_usage(
+            (rhs_srv, rhs_sw, rhs_ln), snapshot.requests[rid], snapshot.active[rid], 1
+        )
 
     # objective scaling: S = diameter * max-remappable-vm-memory * numerator(f)
     diameter = net.diameter()
@@ -645,6 +641,7 @@ def solve_exact(model: MipModel, budget: SolveBudget | None = None) -> BatchSolu
             embedded[req.id] = Assignment(req.id, slot["vm"], slot["vs"], slot["vl"])
 
     migrations: list[MigrationMove] = []
+    hops = model.net.hop_distance
     for rid, old in model.remappable.items():
         new = embedded.get(rid)
         if new is None:
@@ -653,24 +650,18 @@ def solve_exact(model: MipModel, budget: SolveBudget | None = None) -> BatchSolu
             new_pm = new.vm_map[vm_id]
             if new_pm != old_pm:
                 migrations.append(
-                    MigrationMove("vm", rid, vm_id, old_pm, new_pm, _hops(model, old_pm, new_pm))
+                    MigrationMove("vm", rid, vm_id, old_pm, new_pm, hops(old_pm, new_pm))
                 )
         for vs_id, old_ps in old.vswitch_map.items():
             new_ps = new.vswitch_map[vs_id]
             if new_ps != old_ps:
                 migrations.append(
-                    MigrationMove(
-                        "vswitch", rid, vs_id, old_ps, new_ps, _hops(model, old_ps, new_ps)
-                    )
+                    MigrationMove("vswitch", rid, vs_id, old_ps, new_ps, hops(old_ps, new_ps))
                 )
 
     objective = Fraction(best_scaled, model.obj_scale)
     status = "optimal" if exhausted else "incumbent"
     return BatchSolution(model, embedded, objective, migrations, nodes, wall, exhausted, status)
-
-
-def _hops(model: MipModel, a: str, b: str) -> int:
-    return model.net.hop_distance(a, b)
 
 
 @dataclass

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import metrics as metrics_mod
 from .batch_solver import SolveBudget, build_mip, solve_exact
-from .errors import ConfigError, FormatError, VdcembedError
+from .errors import ConfigError, FormatError, UnknownElementError, VdcembedError
 from .paths import enumerate_paths
 from .scheduler import RUN_MODES, PolicyConfig, parse_policy_config, run_simulation
 from .state import Assignment, EmbeddingState
@@ -230,7 +230,11 @@ def cmd_validate(args) -> int:
         for rid, a in assignments.items():
             if rid not in by_id:
                 continue
-            violations = state.check_assignment(by_id[rid], a, "allow-capacity-violations")
+            try:
+                violations = state.check_assignment(by_id[rid], a)
+            except UnknownElementError as err:
+                problems.append(f"{rid}: [unknown-element] {err}")
+                continue
             if violations:
                 problems.extend(f"{rid}: {v}" for v in violations)
             else:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import CommitRejectedError
 from .paths import admissible
-from .state import Assignment, EmbeddingState, MODE_ALLOW_CAPACITY, MODE_STRICT, Violation
+from .state import Assignment, EmbeddingState, Violation
 from .topology import ResourceVector, VdcRequest
 
 logger = logging.getLogger(__name__)
@@ -28,7 +28,6 @@ class TempMapping:
 
     assignment: Assignment
     ledger: tuple[Violation, ...]
-    swap_budget: int
 
     @property
     def clean(self) -> bool:
@@ -100,8 +99,9 @@ def compute_fragments(state: EmbeddingState):
     """Connected components of the substrate restricted to elements with
     strictly positive residual on every capacity dimension they carry.
 
-    Returns a list of (node id set, link id set, residual triple) ordered by
-    descending free capacity then smallest member id.
+    Returns a list of (node id set, link id set, free ResourceVector) ordered
+    by descending free cores, memory, bandwidth and switch memory, then
+    smallest member id.
     """
     net = state.net
     alive_nodes = set()
@@ -146,13 +146,15 @@ def compute_fragments(state: EmbeddingState):
             else:
                 switch_mem += state.residual_switches[nid]
         bw = sum(state.residual_links[lid] for lid in links)
-        fragments.append((nodes, links, (servers, switch_mem, bw)))
+        fragments.append(
+            (nodes, links, servers + ResourceVector(switch_memory=switch_mem, bandwidth=bw))
+        )
     fragments.sort(
         key=lambda f: (
-            -f[2][0].cpu_cores,
-            -f[2][0].memory_mb,
-            -f[2][2],
-            -f[2][1],
+            -f[2].cpu_cores,
+            -f[2].memory_mb,
+            -f[2].bandwidth,
+            -f[2].switch_memory,
             min(f[0]),
         )
     )
@@ -372,12 +374,11 @@ def greedy_temp_map(
             path_load[eid] = path_load.get(eid, 0) + vl.bandwidth
 
     assignment = Assignment(req.id, vm_map, vswitch_map, vlink_map)
-    findings = state.check_assignment(req, assignment, MODE_ALLOW_CAPACITY)
+    findings = state.check_assignment(req, assignment)
     structural = [v for v in findings if v.structural]
     if structural:
         return StructuralFailure(f"unexpected structural finding: {structural[0]}")
-    ledger = tuple(v for v in findings if not v.structural)
-    return TempMapping(assignment, ledger, swap_budget=len(ledger))
+    return TempMapping(assignment, tuple(findings))
 
 
 def _reroute_vlink(probe, req, a, vl_id, avoid_link, extra_load):
@@ -453,18 +454,13 @@ def swap_repair(
     violation total is reported.
     """
     probe = state.copy()
-    assignment_box = [temp.assignment]
+    assignment = temp.assignment
     moves: list[SwapMove] = []
     incumbent_updates: dict[str, Assignment] = {}
     best_remaining = _violation_total(state, temp.ledger)
 
     for _ in range(max(max_swaps, 0) + 1):
-        assignment = assignment_box[0]
-        findings = [
-            v
-            for v in probe.check_assignment(req, assignment, MODE_ALLOW_CAPACITY)
-            if not v.structural
-        ]
+        findings = [v for v in probe.check_assignment(req, assignment) if not v.structural]
         remaining = _violation_total(probe, findings)
         best_remaining = min(best_remaining, remaining)
         if not findings:
@@ -478,27 +474,38 @@ def swap_repair(
 
         srv_extra, sw_extra, ln_extra = probe._usage_of(req, assignment)
         findings.sort(key=lambda v: (_violation_total(probe, [v]), v.element))
-        progressed = False
         for violation in findings:
             host = violation.element
             need = violation.overflow
             if host in probe.net.servers:
-                move = _repair_server(
-                    probe, req, host, need, srv_extra, ln_extra, moves, incumbent_updates
-                )
+                options = _repair_server(probe, req, host, need, srv_extra, ln_extra)
             elif host in probe.net.switches:
-                move = _repair_switch(
-                    probe, req, host, need, sw_extra, ln_extra, moves, incumbent_updates
-                )
+                options = _repair_switch(probe, req, host, need, sw_extra, ln_extra)
             else:
-                move = _repair_link(
-                    probe, req, assignment_box, host, need, ln_extra, moves, incumbent_updates
-                )
-            if move:
-                progressed = True
+                options = _repair_link(probe, req, assignment, host, need, ln_extra)
+            # the incoming request's own re-routes need no incumbent swapped in
+            step = next(
+                (
+                    (new, move)
+                    for new, move in options
+                    if move.moved_request == req.id or _swap_in(probe, new)
+                ),
+                None,
+            )
+            if step is not None:
                 break
-        if not progressed:
+        else:
             return RepairFailure("no incumbent relocation clears the overflow", best_remaining)
+        new, move = step
+        moves.append(move)
+        if move.moved_request == req.id:
+            assignment = new
+        else:
+            incumbent_updates[move.moved_request] = new
+        logger.debug(
+            "swap: %s %s/%s %s -> %s",
+            move.kind, move.moved_request, move.moved_element, move.old_host, move.new_host,
+        )
     return RepairFailure("swap budget exhausted", best_remaining)
 
 
@@ -514,8 +521,9 @@ def _incumbents_on(probe, kind, host, exclude_request):
     return out
 
 
-def _swap_in(probe, rid, new_assignment) -> bool:
+def _swap_in(probe, new_assignment) -> bool:
     """Replace one incumbent's assignment on the probe; restore on rejection."""
+    rid = new_assignment.request_id
     req_obj = probe.requests[rid]
     old = probe.release(rid)
     try:
@@ -526,8 +534,9 @@ def _swap_in(probe, rid, new_assignment) -> bool:
         return False
 
 
-def _repair_server(probe, req, host, need, srv_extra, ln_extra, moves, incumbent_updates):
-    """Move the cheapest sufficient incumbent VM off an overflowing server."""
+def _repair_server(probe, req, host, need, srv_extra, ln_extra):
+    """Yield (assignment, move) relocations of incumbent VMs off an
+    overflowing server, cheapest sufficient incumbent first."""
     candidates = []
     for rid, vm_id in _incumbents_on(probe, "vm", host, req.id):
         demand = probe.requests[rid].vms[vm_id].demand
@@ -540,20 +549,14 @@ def _repair_server(probe, req, host, need, srv_extra, ln_extra, moves, incumbent
         relocated = _relocate_vm(
             probe, probe.requests[rid], probe.active[rid], vm_id, srv_extra, ln_extra
         )
-        if relocated is None:
-            continue
-        new_assignment, target = relocated
-        if not _swap_in(probe, rid, new_assignment):
-            continue
-        moves.append(SwapMove("vm-swap", rid, vm_id, host, target, req.id))
-        incumbent_updates[rid] = new_assignment
-        logger.debug("swap: vm %s/%s %s -> %s", rid, vm_id, host, target)
-        return True
-    return False
+        if relocated is not None:
+            new_assignment, target = relocated
+            yield new_assignment, SwapMove("vm-swap", rid, vm_id, host, target, req.id)
 
 
-def _repair_switch(probe, req, host, need, sw_extra, ln_extra, moves, incumbent_updates):
-    """Move the cheapest sufficient incumbent vSwitch off an overflowing switch."""
+def _repair_switch(probe, req, host, need, sw_extra, ln_extra):
+    """Yield (assignment, move) relocations of incumbent vSwitches off an
+    overflowing switch, cheapest sufficient incumbent first."""
     candidates = []
     for rid, vs_id in _incumbents_on(probe, "vswitch", host, req.id):
         vs = probe.requests[rid].vswitches[vs_id]
@@ -562,13 +565,8 @@ def _repair_switch(probe, req, host, need, sw_extra, ln_extra, moves, incumbent_
     candidates.sort()
     for _, _, rid, vs_id in candidates:
         new_assignment, target = _relocate_vswitch(probe, rid, vs_id, host, sw_extra, ln_extra)
-        if new_assignment is None or not _swap_in(probe, rid, new_assignment):
-            continue
-        moves.append(SwapMove("vswitch-swap", rid, vs_id, host, target, req.id))
-        incumbent_updates[rid] = new_assignment
-        logger.debug("swap: vswitch %s/%s %s -> %s", rid, vs_id, host, target)
-        return True
-    return False
+        if new_assignment is not None:
+            yield new_assignment, SwapMove("vswitch-swap", rid, vs_id, host, target, req.id)
 
 
 def _relocate_vswitch(probe, rid, vs_id, forbidden, sw_extra, ln_extra):
@@ -616,9 +614,10 @@ def _relocate_vswitch(probe, rid, vs_id, forbidden, sw_extra, ln_extra):
     return None, None
 
 
-def _repair_link(probe, req, assignment_box, host, need, ln_extra, moves, incumbent_updates):
-    """Re-route the smallest sufficient incumbent vlink off a congested link,
-    or failing that, re-route the incoming request's own tentative vlink."""
+def _repair_link(probe, req, assignment, host, need, ln_extra):
+    """Yield (assignment, move) re-routes of incumbent vlinks off a congested
+    link, smallest sufficient first, then of the incoming request's own
+    tentative vlinks, largest first."""
     candidates = []
     for rid, a in probe.active.items():
         if rid == req.id:
@@ -634,15 +633,9 @@ def _repair_link(probe, req, assignment_box, host, need, ln_extra, moves, incumb
         new_assignment = _reroute_vlink(
             probe, probe.requests[rid], probe.active[rid], vl_id, host, ln_extra
         )
-        if new_assignment is None or not _swap_in(probe, rid, new_assignment):
-            continue
-        moves.append(SwapMove("vlink-reroute", rid, vl_id, host, host, req.id))
-        incumbent_updates[rid] = new_assignment
-        logger.debug("swap: vlink %s/%s rerouted off %s", rid, vl_id, host)
-        return True
+        if new_assignment is not None:
+            yield new_assignment, SwapMove("vlink-reroute", rid, vl_id, host, host, req.id)
 
-    # fall back to moving the tentative mapping's own vlink off this link
-    assignment = assignment_box[0]
     own = []
     for vl_id, key in assignment.vlink_map.items():
         if host in probe.table.path(*key).edges:
@@ -651,21 +644,10 @@ def _repair_link(probe, req, assignment_box, host, need, ln_extra, moves, incumb
     for _, vl_id in own:
         rerouted = _reroute_vlink(probe, req, assignment, vl_id, host, ln_extra)
         if rerouted is not None:
-            assignment_box[0] = rerouted
-            moves.append(SwapMove("vlink-reroute", req.id, vl_id, host, host, req.id))
-            logger.debug("swap: own vlink %s rerouted off %s", vl_id, host)
-            return True
-    return False
+            yield rerouted, SwapMove("vlink-reroute", req.id, vl_id, host, host, req.id)
 
 
-@dataclass
-class OnlinePolicy:
-    swap_ceiling: int = 8
-
-
-def try_online_embed(
-    state: EmbeddingState, req: VdcRequest, policy: OnlinePolicy | None = None
-):
+def try_online_embed(state: EmbeddingState, req: VdcRequest, swap_ceiling: int = 8):
     """Greedy-then-repair online embedding against a read-only state.
 
     Fragments with enough free capacity are tried first (largest first); a
@@ -673,34 +655,21 @@ def try_online_embed(
     mapped greedily and repaired within the swap budget. Failure leaves the
     state untouched.
     """
-    policy = policy or OnlinePolicy()
-    srv_need, sw_need, bw_need = req.demand_totals()
-    agg = state.residual_vectors()
-    if not (
-        srv_need.le(agg.servers)
-        and sw_need <= agg.switch_memory
-        and bw_need <= agg.bandwidth
-    ):
+    need = req.demand_totals()
+    if not need.le(state.residual_vectors()):
         return RepairFailure("aggregate residual below request demand", 0.0)
 
-    for nodes, links, (frag_srv, frag_sw, frag_bw) in compute_fragments(state):
-        if not (srv_need.le(frag_srv) and sw_need <= frag_sw and bw_need <= frag_bw):
+    # a clean greedy mapping already passed check_assignment on this state
+    for nodes, links, free in compute_fragments(state):
+        if not need.le(free):
             continue
         temp = greedy_temp_map(state, req, allowed=(nodes, links))
-        if (
-            isinstance(temp, TempMapping)
-            and temp.clean
-            and not state.check_assignment(req, temp.assignment, MODE_STRICT)
-        ):
+        if isinstance(temp, TempMapping) and temp.clean:
             return OnlineResult(temp.assignment, (), {})
 
     temp = greedy_temp_map(state, req)
     if isinstance(temp, StructuralFailure):
         return temp
     if temp.clean:
-        violations = state.check_assignment(req, temp.assignment, MODE_STRICT)
-        if violations:
-            return RepairFailure(f"clean mapping failed strict check: {violations[0]}", 0.0)
         return OnlineResult(temp.assignment, (), {})
-    budget = min(len(temp.ledger), policy.swap_ceiling)
-    return swap_repair(state, req, temp, budget)
+    return swap_repair(state, req, temp, min(len(temp.ledger), swap_ceiling))

@@ -18,13 +18,7 @@ from fractions import Fraction
 from .batch_solver import SolveBudget, build_mip, extract_assignments, solve_exact
 from .errors import CommitRejectedError, ConfigError, InvalidParameterError
 from .metrics import TraceRecord
-from .online_search import (
-    OnlinePolicy,
-    OnlineResult,
-    _relocate_vm,
-    compute_fragments,
-    try_online_embed,
-)
+from .online_search import OnlineResult, _relocate_vm, compute_fragments, try_online_embed
 from .paths import PathTable, admissible, enumerate_paths
 from .state import EmbeddingState
 from .topology import (
@@ -48,37 +42,18 @@ RUN_MODES = (RUN_HYBRID, RUN_BATCH_ONLY, RUN_ONLINE_ONLY)
 
 
 @dataclass(frozen=True)
-class DemandTriple:
-    """Aggregate demand or residual split into server/switch/link parts."""
-
-    servers: ResourceVector
-    switch_memory: int
-    bandwidth: int
-
-    def covers(self, other: "DemandTriple") -> bool:
-        return (
-            other.servers.le(self.servers)
-            and other.switch_memory <= self.switch_memory
-            and other.bandwidth <= self.bandwidth
-        )
-
-
-@dataclass(frozen=True)
 class Thresholds:
-    smallest: DemandTriple
-    largest: DemandTriple
+    """Total demands of the smallest and largest pending request."""
 
-
-def request_triple(req: VdcRequest) -> DemandTriple:
-    srv, swm, bw = req.demand_totals()
-    return DemandTriple(srv, swm, bw)
+    smallest: ResourceVector
+    largest: ResourceVector
 
 
 def request_size(req: VdcRequest) -> float:
     """Scalar size used for priority and smallest/largest ranking:
     total VM cores plus total bandwidth demand in Gbps."""
-    srv, _, bw = req.demand_totals()
-    return srv.cpu_cores + bw / 1000.0
+    total = req.demand_totals()
+    return total.cpu_cores + total.bandwidth / 1000.0
 
 
 @dataclass
@@ -120,24 +95,23 @@ class PendingQueue:
 
 
 def compute_thresholds(queue: PendingQueue) -> Thresholds | None:
-    """Demand triples of the smallest and largest pending request, or None
+    """Total demands of the smallest and largest pending request, or None
     (the no-pending signal) on an empty queue."""
     if not len(queue):
         return None
     by_size = sorted(queue.entries.values(), key=lambda e: (e.size, e.request.id))
     return Thresholds(
-        smallest=request_triple(by_size[0].request),
-        largest=request_triple(by_size[-1].request),
+        smallest=by_size[0].request.demand_totals(),
+        largest=by_size[-1].request.demand_totals(),
     )
 
 
-def select_mode(residuals, thresholds: Thresholds) -> str:
+def select_mode(residuals: ResourceVector, thresholds: Thresholds) -> str:
     """Batch when residuals cover the largest pending request on every
     component; online when they cover at least the smallest; defer otherwise."""
-    res = DemandTriple(residuals.servers, residuals.switch_memory, residuals.bandwidth)
-    if res.covers(thresholds.largest):
+    if thresholds.largest.le(residuals):
         return MODE_BATCH
-    if res.covers(thresholds.smallest):
+    if thresholds.smallest.le(residuals):
         return MODE_ONLINE
     return MODE_DEFER
 
@@ -257,7 +231,7 @@ class Simulation:
     def _sample_utilization(self, now: float):
         agg = self.state.residual_vectors()
         cap = self._capacity
-        cpu = 1.0 - agg.servers.cpu_cores / cap.servers.cpu_cores
+        cpu = 1.0 - agg.cpu_cores / cap.cpu_cores
         sw = 1.0 - agg.switch_memory / cap.switch_memory
         bw = 1.0 - agg.bandwidth / cap.bandwidth
         self.emit("util", now, cpu=f"{cpu:.6f}", switch=f"{sw:.6f}", bw=f"{bw:.6f}")
@@ -316,11 +290,11 @@ class Simulation:
             return "more-edge-vswitches-than-edge-switches"
         if len(req.vswitches) > len(net.switches) - len(down & set(net.switches)):
             return "more-vswitches-than-switches"
-        total_srv = sum_vectors(s.capacity for s in net.servers.values() if s.id not in down)
-        total_swm = sum(s.capacity.switch_memory for s in net.switches.values() if s.id not in down)
-        total_bw = sum(l.bandwidth for l in net.links.values() if l.id not in down)
-        srv, swm, bw = req.demand_totals()
-        if not srv.le(total_srv) or swm > total_swm or bw > total_bw:
+        alive = (n for n in (*net.servers.values(), *net.switches.values()) if n.id not in down)
+        total = sum_vectors(n.capacity for n in alive) + ResourceVector(
+            bandwidth=sum(l.bandwidth for l in net.links.values() if l.id not in down)
+        )
+        if not req.demand_totals().le(total):
             return "demand-exceeds-substrate"
         biggest_server = max(
             (net.servers[s].capacity for s in net.servers if s not in self.state.down),
@@ -353,10 +327,9 @@ class Simulation:
                     self._record_migration(now, "vlink", rid, move.moved_element, "-", "-")
 
     def _online_pass(self, now: float) -> bool:
-        policy = OnlinePolicy(swap_ceiling=self.policy.swap_ceiling)
         for entry in self.queue.ordered():
             req = entry.request
-            result = try_online_embed(self.state, req, policy)
+            result = try_online_embed(self.state, req, self.policy.swap_ceiling)
             if isinstance(result, OnlineResult):
                 self._apply_online(req, result, now)
                 self._accept(req, now, via=MODE_ONLINE)
@@ -366,18 +339,12 @@ class Simulation:
         return False
 
     def _batch_candidates(self) -> list[VdcRequest]:
-        agg = self.state.residual_vectors()
-        budget = DemandTriple(agg.servers, agg.switch_memory, agg.bandwidth)
-        spent = DemandTriple(ResourceVector(), 0, 0)
+        budget = self.state.residual_vectors()
+        spent = ResourceVector()
         out = []
         for entry in self.queue.ordered():
-            need = request_triple(entry.request)
-            merged = DemandTriple(
-                spent.servers + need.servers,
-                spent.switch_memory + need.switch_memory,
-                spent.bandwidth + need.bandwidth,
-            )
-            if not budget.covers(merged):
+            merged = spent + entry.request.demand_totals()
+            if not merged.le(budget):
                 break
             out.append(entry.request)
             spent = merged
@@ -440,11 +407,9 @@ class Simulation:
     def _fragmented_above(self, thresholds: Thresholds) -> bool:
         """True when no single fragment covers the largest pending request
         even though the aggregate does (the compaction trigger)."""
-        for _, _, (srv, swm, bw) in compute_fragments(self.state):
-            frag = DemandTriple(srv, swm, bw)
-            if frag.covers(thresholds.largest):
-                return False
-        return True
+        return not any(
+            thresholds.largest.le(free) for _, _, free in compute_fragments(self.state)
+        )
 
     def _effective_mode(self, thresholds: Thresholds) -> str:
         agg = self.state.residual_vectors()
@@ -455,14 +420,11 @@ class Simulation:
             return MODE_BATCH if mode == MODE_BATCH else MODE_DEFER
         if (
             mode == MODE_BATCH
-            and len(self.queue) < self.batch_min_pending()
+            and len(self.queue) < max(1, self.policy.batch_min_pending)
             and not self._fragmented_above(thresholds)
         ):
             return MODE_ONLINE
         return mode
-
-    def batch_min_pending(self) -> int:
-        return max(1, self.policy.batch_min_pending)
 
     def _drain(self, now: float):
         rounds = 2 * len(self.queue) + 4  # hard stop against requeue ping-pong
@@ -607,21 +569,23 @@ class Simulation:
             return
         except CommitRejectedError:
             pass
-        # pin unchanged elements, let the scaled VMs move within their racks
+        # pin unchanged elements, let the scaled VMs move within their racks;
+        # every pin stays inside the request's own locality
         scaled_ids = {vm_id for vm_id, _ in deltas}
         locality = {}
         for vm_id in scaled.vms:
-            if vm_id in scaled_ids:
-                rack = state.net.edge_switch_of(a.vm_map[vm_id])
-                locality[vm_id] = frozenset(state.net.servers_under(rack))
-            else:
-                locality[vm_id] = frozenset({a.vm_map[vm_id]})
+            host = a.vm_map[vm_id]
+            pins = frozenset(
+                state.net.servers_under(state.net.edge_switch_of(host))
+                if vm_id in scaled_ids
+                else {host}
+            )
+            allowed = (req.locality or {}).get(vm_id)
+            locality[vm_id] = pins if allowed is None else pins & allowed
         pinned = replace(scaled, locality=locality)
-        result = try_online_embed(state, pinned, OnlinePolicy(self.policy.swap_ceiling))
+        result = try_online_embed(state, pinned, self.policy.swap_ceiling)
         if isinstance(result, OnlineResult):
-            self._apply_online(pinned, result, now)
-            # store without the synthetic pins so later checks use real constraints
-            state.requests[request_id] = scaled
+            self._apply_online(scaled, result, now)
             for vm_id in scaled_ids:
                 if result.assignment.vm_map[vm_id] != a.vm_map[vm_id]:
                     self._record_migration(

@@ -5,18 +5,9 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 
-from .errors import (
-    AuditError,
-    CommitRejectedError,
-    InvalidParameterError,
-    PathLookupError,
-    UnknownElementError,
-)
+from .errors import AuditError, CommitRejectedError, PathLookupError, UnknownElementError
 from .paths import PathTable, admissible
 from .topology import ResourceVector, SubstrateNetwork, VdcRequest, sum_vectors
-
-MODE_STRICT = "strict"
-MODE_ALLOW_CAPACITY = "allow-capacity-violations"
 
 
 @dataclass(frozen=True)
@@ -52,15 +43,6 @@ class Assignment:
         if element_id in self.vm_map:
             return self.vm_map[element_id]
         return self.vswitch_map.get(element_id)
-
-
-@dataclass(frozen=True)
-class AggregateResiduals:
-    """Substrate-wide free capacity: (servers, switch memory, bandwidth)."""
-
-    servers: ResourceVector
-    switch_memory: int
-    bandwidth: int
 
 
 class EmbeddingState:
@@ -101,14 +83,32 @@ class EmbeddingState:
                 ln[eid] = ln.get(eid, 0) + bw
         return srv, sw, ln
 
-    def residual_vectors(self) -> AggregateResiduals:
-        """Componentwise sums of per-element residuals (down elements excluded)."""
-        servers = sum_vectors(
-            rv for sid, rv in self.residual_servers.items() if sid not in self.down
+    def add_usage(self, residuals, req: VdcRequest, a: Assignment, sign: int):
+        """Add sign (+1 or -1) times one assignment's per-element usage to
+        residuals, a (servers, switches, links) triple of dicts."""
+        srv, sw, ln = residuals
+        u_srv, u_sw, u_ln = self._usage_of(req, a)
+        for pm, load in u_srv.items():
+            srv[pm] = srv[pm] + load if sign > 0 else srv[pm] - load
+        for ps, load in u_sw.items():
+            sw[ps] += sign * load
+        for lid, load in u_ln.items():
+            ln[lid] += sign * load
+
+    def _residuals(self):
+        """The stored (servers, switches, links) residual dicts."""
+        return self.residual_servers, self.residual_switches, self.residual_links
+
+    def residual_vectors(self) -> ResourceVector:
+        """Componentwise sum of per-element residuals (down elements excluded)."""
+
+        def alive(residuals):
+            return (v for eid, v in residuals.items() if eid not in self.down)
+
+        return sum_vectors(alive(self.residual_servers)) + ResourceVector(
+            switch_memory=sum(alive(self.residual_switches)),
+            bandwidth=sum(alive(self.residual_links)),
         )
-        switch_mem = sum(v for sid, v in self.residual_switches.items() if sid not in self.down)
-        bw = sum(v for lid, v in self.residual_links.items() if lid not in self.down)
-        return AggregateResiduals(servers, switch_mem, bw)
 
     # -- feasibility --------------------------------------------------------
 
@@ -202,18 +202,14 @@ class EmbeddingState:
             out.append(Violation("element-down", eid, True))
         return out
 
-    def check_assignment(
-        self, req: VdcRequest, a: Assignment, mode: str = MODE_STRICT
-    ) -> list[Violation]:
+    def check_assignment(self, req: VdcRequest, a: Assignment) -> list[Violation]:
         """Check one proposed assignment against this state.
 
-        Structural breaches are hard findings in both modes. Capacity breaches
-        are reported with quantified overflow amounts; in strict mode any
-        finding blocks a commit, in allow-capacity-violations mode the caller
-        may carry capacity findings forward as a violation ledger.
+        Structural breaches and capacity breaches, the latter with quantified
+        overflow amounts, are listed; any finding blocks a commit, while the
+        online embedder carries capacity findings forward as a violation
+        ledger to repair.
         """
-        if mode not in (MODE_STRICT, MODE_ALLOW_CAPACITY):
-            raise InvalidParameterError(f"unknown check mode {mode!r}")
         out = self._structural_findings(req, a)
 
         srv, sw, ln = self._usage_of(req, a)
@@ -272,16 +268,10 @@ class EmbeddingState:
 
     def commit(self, req: VdcRequest, a: Assignment):
         """Admit an assignment; strict violations reject it and leave state unchanged."""
-        violations = self.check_assignment(req, a, MODE_STRICT)
+        violations = self.check_assignment(req, a)
         if violations:
             raise CommitRejectedError(violations)
-        srv, sw, ln = self._usage_of(req, a)
-        for pm, load in srv.items():
-            self.residual_servers[pm] = self.residual_servers[pm] - load
-        for ps, load in sw.items():
-            self.residual_switches[ps] -= load
-        for lid, load in ln.items():
-            self.residual_links[lid] -= load
+        self.add_usage(self._residuals(), req, a, -1)
         self.active[req.id] = a
         self.requests[req.id] = req
         self.version += 1
@@ -292,13 +282,7 @@ class EmbeddingState:
             raise UnknownElementError(f"request {request_id} is not active")
         a = self.active.pop(request_id)
         req = self.requests.pop(request_id)
-        srv, sw, ln = self._usage_of(req, a)
-        for pm, load in srv.items():
-            self.residual_servers[pm] = self.residual_servers[pm] + load
-        for ps, load in sw.items():
-            self.residual_switches[ps] += load
-        for lid, load in ln.items():
-            self.residual_links[lid] += load
+        self.add_usage(self._residuals(), req, a, 1)
         self.version += 1
         return a
 
@@ -337,18 +321,14 @@ class EmbeddingState:
     # -- consistency --------------------------------------------------------
 
     def _residuals_from_scratch(self):
-        srv = {s.id: s.capacity for s in self.net.servers.values()}
-        sw = {s.id: s.capacity.switch_memory for s in self.net.switches.values()}
-        ln = {l.id: l.bandwidth for l in self.net.links.values()}
+        residuals = (
+            {s.id: s.capacity for s in self.net.servers.values()},
+            {s.id: s.capacity.switch_memory for s in self.net.switches.values()},
+            {l.id: l.bandwidth for l in self.net.links.values()},
+        )
         for rid, a in self.active.items():
-            u_srv, u_sw, u_ln = self._usage_of(self.requests[rid], a)
-            for pm, load in u_srv.items():
-                srv[pm] = srv[pm] - load
-            for ps, load in u_sw.items():
-                sw[ps] -= load
-            for lid, load in u_ln.items():
-                ln[lid] -= load
-        return srv, sw, ln
+            self.add_usage(residuals, self.requests[rid], a, -1)
+        return residuals
 
     def audit(self):
         """Prove the state consistent in time linear in the active requests.

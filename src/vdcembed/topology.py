@@ -22,8 +22,8 @@ REQUESTS_FORMAT_VERSION = 1
 class ResourceVector:
     """Per-element resource amounts; dimensions that do not apply stay zero.
 
-    Comparison is componentwise only (le/ge); there is deliberately no
-    total order on vectors.
+    Comparison is componentwise only (le); there is deliberately no total
+    order on vectors.
     """
 
     cpu_cores: int = 0
@@ -55,10 +55,6 @@ class ResourceVector:
             and self.switch_memory <= other.switch_memory
             and self.bandwidth <= other.bandwidth
         )
-
-    def ge(self, other: "ResourceVector") -> bool:
-        """Componentwise self >= other."""
-        return other.le(self)
 
     @property
     def nonnegative(self) -> bool:
@@ -233,12 +229,14 @@ class VdcRequest:
                 return vl.a
         raise FormatError(f"request {self.id}: vm {vm_id} has no attaching vlink")
 
-    def demand_totals(self) -> tuple[ResourceVector, int, int]:
-        """(server demand, switch memory demand, bandwidth demand) totals."""
-        srv = sum_vectors(vm.demand for vm in self.vms.values())
-        swm = sum(vs.demand.switch_memory for vs in self.vswitches.values())
-        bw = sum(vl.bandwidth for vl in self.vlinks.values())
-        return srv, swm, bw
+    def demand_totals(self) -> ResourceVector:
+        """Total VM cores and memory, vSwitch memory and vlink bandwidth."""
+        return ResourceVector(
+            sum(vm.demand.cpu_cores for vm in self.vms.values()),
+            sum(vm.demand.memory_mb for vm in self.vms.values()),
+            sum(vs.demand.switch_memory for vs in self.vswitches.values()),
+            sum(vl.bandwidth for vl in self.vlinks.values()),
+        )
 
 
 @dataclass(frozen=True)
@@ -288,10 +286,10 @@ _WORKLOAD_RANGE_KEYS = {
 
 def config_items(text: str):
     """Yield (line number, key, value) per `key=value` line of a flat config
-    file; blank lines and lines starting with `#` are skipped."""
+    file; `#` starts a comment, and lines left blank are skipped."""
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.partition("#")[0].strip()
+        if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
@@ -635,9 +633,12 @@ def load_substrate(text: str) -> SubstrateNetwork:
     head = lines[0].split()
     if len(head) != 3 or head[0] != "substrate":
         raise FormatError(f"bad substrate header: {lines[0]!r}")
-    if int(head[1]) != SUBSTRATE_FORMAT_VERSION:
+    try:
+        version, k = int(head[1]), int(head[2])
+    except ValueError:
+        raise FormatError(f"bad substrate header: {lines[0]!r}") from None
+    if version != SUBSTRATE_FORMAT_VERSION:
         raise FormatError(f"unsupported substrate format version {head[1]}")
-    k = int(head[2])
     servers, switches, links = {}, {}, {}
     for raw in lines[1:]:
         parts = raw.split()
@@ -655,6 +656,10 @@ def load_substrate(text: str) -> SubstrateNetwork:
                 raise FormatError(f"unknown substrate record {parts[0]!r}")
         except (ValueError, IndexError):
             raise FormatError(f"bad substrate line: {raw!r}") from None
+    for link in links.values():
+        for end in (link.a, link.b):
+            if end not in servers and end not in switches:
+                raise FormatError(f"link {link.id} names undeclared node {end!r}")
     return SubstrateNetwork(servers=servers, switches=switches, links=links, k_arity=k)
 
 
@@ -683,7 +688,7 @@ def load_requests(text: str) -> list[VdcRequest]:
     if not lines:
         raise FormatError("empty requests file")
     head = lines[0].split()
-    if len(head) != 2 or head[0] != "requests" or int(head[1]) != REQUESTS_FORMAT_VERSION:
+    if len(head) != 2 or head[0] != "requests" or head[1] != str(REQUESTS_FORMAT_VERSION):
         raise FormatError(f"bad requests header: {lines[0]!r}")
 
     requests: list[VdcRequest] = []

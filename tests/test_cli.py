@@ -297,3 +297,30 @@ class TestValidate:
         assert main(["validate"] + args) == 1
         err = capsys.readouterr().err
         assert "assignment" in err or "path index" in err
+
+    def test_unknown_element_is_a_finding(self, workdir, capsys):
+        main(["gen-topology", "--k", "2", "--out", "dc2.txt"])
+        (workdir / "reqs.txt").write_text(REQUEST)
+        (workdir / "asg.txt").write_text("assignments 1\nembedded r0 1\nassign vm r0 vmX s0\n")
+        args = ["--substrate", "dc2.txt", "--requests", "reqs.txt", "--assignment", "asg.txt"]
+        assert main(["validate"] + args) == 2
+        assert "r0: [unknown-element] vm vmX not in request r0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "substrate, requests",
+        [
+            ("substrate 1 0\nswitch e0 edge 100\nlink l0 e0 sX 1000 1\n", None),
+            ("substrate x 0\n", None),
+            ("substrate 1 x\n", None),
+            ("substrate 1 0\nswitch e0 edge 100\n", "requests x\n"),
+        ],
+        ids=["undeclared-link-end", "bad-version", "bad-arity", "bad-requests-version"],
+    )
+    def test_malformed_file_exits_one(self, workdir, capsys, substrate, requests):
+        (workdir / "dc.txt").write_text(substrate)
+        args = ["validate", "--substrate", "dc.txt"]
+        if requests is not None:
+            (workdir / "reqs.txt").write_text(requests)
+            args += ["--requests", "reqs.txt"]
+        assert main(args) == 1
+        assert capsys.readouterr().err.startswith("error: ")

@@ -5,7 +5,6 @@ import random
 from conftest import chain_request, make_rack_net, star_request
 from vdcembed.batch_solver import build_mip, solve_exact
 from vdcembed.online_search import (
-    OnlinePolicy,
     OnlineResult,
     RepairFailure,
     StructuralFailure,
@@ -119,10 +118,10 @@ class TestSwapRepair:
         )
         ledger = tuple(
             v
-            for v in state.check_assignment(incoming, temp_assignment, "allow-capacity-violations")
+            for v in state.check_assignment(incoming, temp_assignment)
             if not v.structural
         )
-        temp = TempMapping(temp_assignment, ledger, swap_budget=len(ledger))
+        temp = TempMapping(temp_assignment, ledger)
         assert len(ledger) == 1
         result = swap_repair(state, incoming, temp, max_swaps=2)
         assert isinstance(result, OnlineResult)
@@ -176,14 +175,13 @@ class TestTryOnlineEmbed:
 
     def test_moves_bounded_by_policy(self, k4_net, k4_table):
         rng = random.Random(4242)
-        policy = OnlinePolicy(swap_ceiling=3)
         state = EmbeddingState(k4_net, k4_table)
         cfg = WorkloadConfig(vm_count=(2, 8), vswitch_count=(2, 3))
         placed = 0
         for i in range(60):
             req = generate_vdc_request(cfg, 0.0, rng.randrange(10**9))
             object.__setattr__(req, "id", f"r{i}")
-            result = try_online_embed(state, req, policy)
+            result = try_online_embed(state, req, swap_ceiling=3)
             if isinstance(result, OnlineResult):
                 assert len(result.migrations) <= 3
                 apply_online(state, req, result)
@@ -215,9 +213,9 @@ class TestFragments:
         state = EmbeddingState(k4_net, k4_table)
         frags = compute_fragments(state)
         assert len(frags) == 1  # empty substrate is one fragment
-        nodes, links, (srv, swm, bw) = frags[0]
-        assert srv == ResourceVector(cpu_cores=128, memory_mb=262144)
-        assert swm == 2000
+        nodes, links, free = frags[0]
+        assert free == state.residual_vectors()
+        assert (free.cpu_cores, free.memory_mb, free.switch_memory) == (128, 262144, 2000)
 
     def test_fragment_ordering_deterministic(self, k4_state):
         a = compute_fragments(k4_state)

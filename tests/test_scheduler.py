@@ -44,8 +44,8 @@ class TestThresholds:
         q.add(pend(star_request("small", n_vms=5, cores=2), seq=0))
         q.add(pend(star_request("large", n_vms=20, cores=2), seq=1))
         thr = compute_thresholds(q)
-        assert thr.smallest.servers.cpu_cores == 10
-        assert thr.largest.servers.cpu_cores == 40
+        assert thr.smallest.cpu_cores == 10
+        assert thr.largest.cpu_cores == 40
 
     def test_empty_queue_signals_idle(self):
         assert compute_thresholds(PendingQueue()) is None
@@ -53,9 +53,7 @@ class TestThresholds:
 
 class TestSelectMode:
     def residuals(self, cpu, mem=10**6, swm=10**6, bw=10**6):
-        from vdcembed.state import AggregateResiduals
-
-        return AggregateResiduals(ResourceVector(cpu_cores=cpu, memory_mb=mem), swm, bw)
+        return ResourceVector(cpu, mem, swm, bw)
 
     def thresholds(self, small_cpu, large_cpu):
         q = PendingQueue()
@@ -76,47 +74,33 @@ class TestSelectMode:
         q.add(pend(small, 0))
         q.add(pend(big, 1))
         thr = compute_thresholds(q)
-        from vdcembed.state import AggregateResiduals
-
-        exact_t1 = AggregateResiduals(
-            thr.smallest.servers, thr.smallest.switch_memory, thr.smallest.bandwidth
-        )
-        assert select_mode(exact_t1, thr) == MODE_ONLINE
+        assert select_mode(thr.smallest, thr) == MODE_ONLINE
 
     def test_matches_branch_conditions_on_fuzz(self):
         rng = random.Random(808)
+        from vdcembed.scheduler import Thresholds
+
+        def covers(res, need):
+            return (
+                res.cpu_cores >= need.cpu_cores
+                and res.memory_mb >= need.memory_mb
+                and res.switch_memory >= need.switch_memory
+                and res.bandwidth >= need.bandwidth
+            )
+
+        def vector():
+            return ResourceVector(*(rng.randint(0, 50) for _ in range(4)))
+
         for _ in range(400):
-            def triple():
-                from vdcembed.scheduler import DemandTriple
-
-                return DemandTriple(
-                    ResourceVector(
-                        cpu_cores=rng.randint(0, 50), memory_mb=rng.randint(0, 50)
-                    ),
-                    rng.randint(0, 50),
-                    rng.randint(0, 50),
-                )
-
             small, large = sorted(
-                [triple(), triple()],
-                key=lambda t: (
-                    t.servers.cpu_cores + t.servers.memory_mb + t.switch_memory + t.bandwidth
-                ),
+                [vector(), vector()],
+                key=lambda t: t.cpu_cores + t.memory_mb + t.switch_memory + t.bandwidth,
             )
-            from vdcembed.scheduler import Thresholds
-            from vdcembed.state import AggregateResiduals
-
-            thr = Thresholds(small, large)
-            res_triple = triple()
-            res = AggregateResiduals(
-                res_triple.servers, res_triple.switch_memory, res_triple.bandwidth
-            )
-            got = select_mode(res, thr)
-            ge_large = res_triple.covers(large)
-            ge_small = res_triple.covers(small)
-            if ge_large:
+            res = vector()
+            got = select_mode(res, Thresholds(small, large))
+            if covers(res, large):
                 assert got == MODE_BATCH
-            elif ge_small:
+            elif covers(res, small):
                 assert got == MODE_ONLINE
             else:
                 assert got == MODE_DEFER
@@ -321,6 +305,27 @@ class TestSimulationSteps:
         assert sim.state.active["r0"].vm_map["vm0"] == "s1"
         assert sim.state.requests["r0"].vms["vm0"].demand.cpu_cores == 6
         assert sim.state.requests["r0"].locality is None  # pins were synthetic
+        sim.state.audit()
+
+    def test_scale_up_relocation_keeps_locality(self):
+        # vm0 may live on s0 or s2 only; s0 lacks the extra core, s2 is full
+        sim = self.rack_sim(3, cores=8)
+        locality = {"vm0": frozenset({"s0", "s2"})}
+        req = star_request("r0", cores=4, duration=90.0, locality=locality)
+        self.place(sim, req, ["s0"])
+        self.place(sim, star_request("fill", cores=4, duration=90.0), ["s0"])
+        self.place(sim, star_request("full", cores=8, duration=90.0), ["s2"])
+        sim.process(
+            SimEvent(
+                1.0, 0, "scale_up", request_id="r0",
+                deltas=(("vm0", ResourceVector(cpu_cores=1)),),
+            )
+        )
+        outcome = next(r for r in reversed(sim.records) if r.kind == "scale_up")
+        assert outcome.get("outcome") == "relocated"
+        assert sim.state.active["r0"].vm_map["vm0"] in locality["vm0"]
+        assert sim.state.requests["r0"].locality == locality
+        assert sim.state.requests["r0"].vms["vm0"].demand.cpu_cores == 5
         sim.state.audit()
 
     def test_clock_rejects_past_events(self):

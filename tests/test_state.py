@@ -8,12 +8,7 @@ from conftest import make_rack_net, star_request, chain_request
 from oracles import recheck_embedding
 from vdcembed.errors import AuditError, CommitRejectedError, UnknownElementError
 from vdcembed.paths import enumerate_paths
-from vdcembed.state import (
-    Assignment,
-    EmbeddingState,
-    MODE_ALLOW_CAPACITY,
-    MODE_STRICT,
-)
+from vdcembed.state import Assignment, EmbeddingState
 from vdcembed.topology import ResourceVector
 
 
@@ -43,7 +38,7 @@ class TestCheckAssignment:
                 "vl2": ("e0_0", "s0", 0),
             },
         )
-        rules = [v.rule for v in k2_state.check_assignment(req, a, MODE_ALLOW_CAPACITY)]
+        rules = [v.rule for v in k2_state.check_assignment(req, a)]
         assert "vswitch-collision" in rules
 
     def test_capacity_overflow_quantified(self):
@@ -52,7 +47,7 @@ class TestCheckAssignment:
         state = EmbeddingState(net, table)
         req = star_request("r0", n_vms=2, cores=2)
         a = assign_star(net, table, req, "e0", "s0")
-        found = state.check_assignment(req, a, MODE_ALLOW_CAPACITY)
+        found = state.check_assignment(req, a)
         assert len(found) == 1
         v = found[0]
         assert v.rule == "server-capacity" and not v.structural
@@ -81,7 +76,7 @@ class TestCheckAssignment:
                 edge = rng.choice(edge_ids)
                 server = k2_net.servers_under(edge)[0]
                 a = assign_star(k2_net, k2_table, req, edge, server)
-                strict = state.check_assignment(req, a, MODE_STRICT)
+                strict = state.check_assignment(req, a)
                 independent = recheck_embedding(
                     k2_net, k2_table, [(r, x) for r, x in placed] + [(req, a)]
                 )
@@ -104,7 +99,7 @@ class TestCheckAssignment:
             },
         )
         k4_state.mark_down(["c0_0"])
-        found = k4_state.check_assignment(req, a, MODE_STRICT)
+        found = k4_state.check_assignment(req, a)
         assert [(v.rule, v.element) for v in found] == [("element-down", "c0_0")]
         with pytest.raises(CommitRejectedError):
             k4_state.commit(req, a)
@@ -155,11 +150,10 @@ class TestCommitRelease:
 
 class TestResidualVectors:
     def test_empty_k4_totals(self, k4_state):
-        agg = k4_state.residual_vectors()
-        assert agg.servers == ResourceVector(cpu_cores=128, memory_mb=262144)
-        assert agg.switch_memory == 2000
-        # 16 core-agg at 10000 plus 32 lower-tier links at 1000
-        assert agg.bandwidth == 16 * 10000 + 32 * 1000
+        # 16 core-agg links at 10000 plus 32 lower-tier links at 1000
+        assert k4_state.residual_vectors() == ResourceVector(
+            cpu_cores=128, memory_mb=262144, switch_memory=2000, bandwidth=16 * 10000 + 32 * 1000
+        )
 
     def test_commit_decreases_by_demand_sum(self, k4_state):
         req = star_request("r0", n_vms=3, cores=2, mem=300)
@@ -167,8 +161,11 @@ class TestResidualVectors:
         before = k4_state.residual_vectors()
         k4_state.commit(req, a)
         after = k4_state.residual_vectors()
-        assert before.servers - after.servers == ResourceVector(cpu_cores=6, memory_mb=900)
-        assert before.switch_memory - after.switch_memory == 10
+        # each of the three vlinks crosses one server link
+        bw = sum(vl.bandwidth for vl in req.vlinks.values())
+        assert before - after == ResourceVector(
+            cpu_cores=6, memory_mb=900, switch_memory=10, bandwidth=bw
+        )
 
 
 class TestConservation:

@@ -198,6 +198,35 @@ class TestWorkloadConfig:
             with pytest.raises(ConfigError):
                 parse_workload_config(text)
 
+    def test_readme_examples_parse(self):
+        from vdcembed.scheduler import PolicyConfig, parse_policy_config
+
+        workload = """\
+vm_count=40:100
+vm_cores=1:2
+vm_memory_mb=256:512
+vswitch_count=5:20
+vswitch_memory=10:25
+vlink_bandwidth=5:200
+duration=10:90
+arrival_rate=5        # requests per 100 time units, 0..10
+horizon=1000
+seed=0
+"""
+        policy = """\
+f=2                   # switch-move penalty divisor (rational, e.g. 1/2)
+swap_ceiling=8        # online repair budget cap
+batch_width=8         # max requests per batch solve
+patience=50           # pending requests expire after this many time units
+batch_min_pending=2   # below this, hybrid handles singletons online
+solver_node_limit=20000
+solver_wall_ms=0      # 0 disables the wall clock safety valve
+remap_limit=0         # actives a batch may re-place; 0 = all
+vm_move_weighting=true
+"""
+        assert parse_workload_config(workload) == WorkloadConfig()
+        assert parse_policy_config(policy) == PolicyConfig()
+
     def test_poisson_arrivals(self):
         cfg = WorkloadConfig(vm_count=(2, 4), vswitch_count=(2, 3), horizon=300)
         reqs = poisson_arrivals(cfg, 5, seed=7)
