@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidParameterError, StaleSnapshotError
-from .paths import PathTable, admissible
+from .paths import admissible
 from .state import Assignment, EmbeddingState
 from .topology import ResourceVector, VdcRequest
 
@@ -35,14 +35,6 @@ class VarInfo:
     host_a: str = ""
     host_b: str = ""
     path_n: int = -1
-
-    @property
-    def name(self) -> str:
-        if self.kind == KIND_Z:
-            return f"z({self.request_id})"
-        if self.kind == KIND_Y:
-            return f"y({self.request_id},{self.element_id},{self.host_a},{self.host_b},{self.path_n})"
-        return f"{self.kind}({self.request_id},{self.element_id},{self.host_a})"
 
 
 @dataclass
@@ -68,17 +60,20 @@ class MigrationMove:
 
 
 class MipModel:
-    """Binary variables, linear rows, and an exact scaled-integer objective."""
+    """Binary variables, linear rows, and an exact scaled-integer objective.
+
+    Rows are kept both ways: `row_vars`/`row_coefs` per row, and `var_rows`
+    with the (row, coefficient) pairs of each variable in row order.
+    """
 
     def __init__(self, state_version: int):
         self.state_version = state_version
         self.vars: list[VarInfo] = []
-        self.var_index: dict[tuple, int] = {}
+        self.var_rows: list[list[tuple[int, int]]] = []
         self.row_vars: list[list[int]] = []
         self.row_coefs: list[list[int]] = []
         self.row_rhs: list[int] = []
         self.row_eq: list[bool] = []
-        self.row_label: list[str] = []
         self.obj_coef: list[int] = []  # scaled by obj_scale
         self.obj_scale: int = 1
         self.requests: list[VdcRequest] = []
@@ -86,24 +81,25 @@ class MipModel:
         self.remappable: dict[str, Assignment] = {}
         self.penalized: list[list[list[int]]] = []  # per request: per element: var idxs
         self.branch_order: list[int] = []
-        self.switch_penalty_divisor = Fraction(2)
         self.net = None  # set by build_mip; used for hop distances
 
     # -- construction helpers -------------------------------------------------
 
-    def _new_var(self, info: VarInfo, key: tuple) -> int:
+    def _new_var(self, info: VarInfo, obj: int = 0) -> int:
         idx = len(self.vars)
         self.vars.append(info)
-        self.var_index[key] = idx
-        self.obj_coef.append(0)
+        self.var_rows.append([])
+        self.obj_coef.append(obj)
         return idx
 
-    def _new_row(self, vars_, coefs, rhs: int, eq: bool, label: str):
-        self.row_vars.append(list(vars_))
-        self.row_coefs.append(list(coefs))
+    def _new_row(self, vars_: list[int], coefs: list[int], rhs: int, eq: bool = False):
+        row = len(self.row_rhs)
+        for v, c in zip(vars_, coefs):
+            self.var_rows[v].append((row, c))
+        self.row_vars.append(vars_)
+        self.row_coefs.append(coefs)
         self.row_rhs.append(rhs)
         self.row_eq.append(eq)
-        self.row_label.append(label)
 
     @property
     def num_vars(self) -> int:
@@ -113,34 +109,11 @@ class MipModel:
     def num_constraints(self) -> int:
         return len(self.row_rhs)
 
-    def objective_value(self, one_vars) -> Fraction:
-        scaled = sum(self.obj_coef[v] for v in one_vars)
-        return Fraction(scaled, self.obj_scale)
-
-    def export_text(self) -> str:
-        """Objective plus one constraint row per line, for external cross-checks."""
-        terms = []
-        for i, c in enumerate(self.obj_coef):
-            if c:
-                frac = Fraction(c, self.obj_scale)
-                terms.append(f"{'+' if frac > 0 else '-'}{abs(frac)} {self.vars[i].name}")
-        lines = ["maximize: " + " ".join(terms)]
-        for r in range(self.num_constraints):
-            row = " ".join(
-                f"{'+' if c > 0 else '-'}{abs(c)} {self.vars[v].name}"
-                for v, c in zip(self.row_vars[r], self.row_coefs[r])
-            )
-            sense = "=" if self.row_eq[r] else "<="
-            lines.append(f"{self.row_label[r]}: {row} {sense} {self.row_rhs[r]}")
-        lines.append("binary: " + " ".join(v.name for v in self.vars))
-        return "\n".join(lines) + "\n"
-
 
 def build_mip(
     snapshot: EmbeddingState,
     candidates: list[VdcRequest],
     remappable: list[str] | None = None,
-    table: PathTable | None = None,
     switch_penalty_divisor: Fraction | float | int = Fraction(2),
     vm_move_weighting: bool = True,
     migration_aware: bool = True,
@@ -160,7 +133,6 @@ def build_mip(
     f = Fraction(switch_penalty_divisor)
     if f <= 0:
         raise InvalidParameterError(f"switch penalty divisor must be > 0, got {f}")
-    table = table if table is not None else snapshot.table
     net = snapshot.net
     down = snapshot.down
     remappable = list(remappable or [])
@@ -170,7 +142,6 @@ def build_mip(
 
     model = MipModel(snapshot.version)
     model.net = net
-    model.switch_penalty_divisor = f
     model.remappable = {rid: snapshot.active[rid] for rid in remappable}
     # actives branch first so the initial dive keeps them put and only then
     # slots the new candidates into the remaining room
@@ -200,176 +171,117 @@ def build_mip(
     switches_alive = [s for s in net.switches if s not in down]
     edge_alive = [s for s in switches_alive if net.switches[s].tier == "edge"]
 
-    def ordered_hosts(pool: list[str], current: str | None) -> list[str]:
-        if not migration_aware or current is None or current not in pool:
-            return sorted(pool)
-        return [current] + sorted(h for h in pool if h != current)
-
+    # capacity-row terms, gathered as the variables are made
+    server_terms: dict[str, list[tuple[int, ResourceVector]]] = {}  # server -> (var, demand)
+    switch_terms: dict[str, list[tuple[int, ResourceVector]]] = {}  # switch -> (var, demand)
     link_rows: dict[str, list[tuple[int, int]]] = {}  # link id -> (var, bw)
+
+    def place(req_id, kind, elem_id, pool, cur, move_cost, demand, terms):
+        """One placement var per host in pool plus the element's placement row
+        (sum = z of the request being encoded); returns [(host, var)].
+
+        cur is the element's current host when its request is remappable.
+        When migration-aware, cur comes first and a move costs hops * move_cost.
+        """
+        priced = migration_aware and cur is not None
+        hosts = sorted(pool)
+        if priced and cur in hosts:
+            hosts.remove(cur)
+            hosts.insert(0, cur)
+        cands = []
+        for host in hosts:
+            obj = -net.hop_distance(cur, host) * move_cost if priced else 0
+            vi = model._new_var(VarInfo(kind, req_id, elem_id, host), obj)
+            terms.setdefault(host, []).append((vi, demand))
+            cands.append((host, vi))
+        vis = [vi for _, vi in cands]
+        model._new_row(vis + [model.z_of_request[-1]], [1] * len(vis) + [-1], 0, True)
+        model.branch_order.extend(vis)
+        if priced:
+            model.penalized[-1].append(vis)
+        return cands
 
     for req in requests:
         old = model.remappable.get(req.id)
-        zi = model._new_var(VarInfo(KIND_Z, req.id), (KIND_Z, req.id))
+        zi = model._new_var(VarInfo(KIND_Z, req.id), scale)
         model.z_of_request.append(zi)
-        model.obj_coef[zi] = scale
-        order_block = [zi]
-        penalized_elements: list[list[int]] = []
+        model.branch_order.append(zi)
+        model.penalized.append([])
 
-        x_cands: dict[str, list[tuple[str, int]]] = {}
+        cands: dict[str, list[tuple[str, int]]] = {}  # element id -> [(host, var)]
+        per_switch: dict[str, list[int]] = {}
         for vs_id, vs in req.vswitches.items():
-            pool = edge_alive if vs.is_edge else switches_alive
-            cur = old.vswitch_map.get(vs_id) if old else None
-            cands = []
-            for host in ordered_hosts(pool, cur):
-                vi = model._new_var(
-                    VarInfo(KIND_X, req.id, vs_id, host), (KIND_X, req.id, vs_id, host)
-                )
-                cands.append((host, vi))
-                if old is not None and migration_aware:
-                    hops = net.hop_distance(cur, host)
-                    if hops:
-                        # vswitch move: hops/(diameter*f) scaled by S
-                        model.obj_coef[vi] = -hops * f.denominator * max_mem
-            x_cands[vs_id] = cands
-            model._new_row(
-                [vi for _, vi in cands] + [zi],
-                [1] * len(cands) + [-1],
-                0,
-                True,
-                f"place_vswitch[{req.id}/{vs_id}]",
+            # vswitch move: hops/(diameter*f) scaled by S
+            cands[vs_id] = place(
+                req.id, KIND_X, vs_id,
+                edge_alive if vs.is_edge else switches_alive,
+                old.vswitch_map.get(vs_id) if old else None,
+                f.denominator * max_mem, vs.demand, switch_terms,
             )
-            order_block.extend(vi for _, vi in cands)
-            if old is not None and migration_aware:
-                penalized_elements.append([vi for _, vi in cands])
-
-        w_cands: dict[str, list[tuple[str, int]]] = {}
+            for host, vi in cands[vs_id]:
+                per_switch.setdefault(host, []).append(vi)
         for vm_id, vm in req.vms.items():
             pool = servers_alive
             if req.locality and vm_id in req.locality:
                 pool = [s for s in pool if s in req.locality[vm_id]]
-            cur = old.vm_map.get(vm_id) if old else None
-            cands = []
-            for host in ordered_hosts(pool, cur):
-                vi = model._new_var(
-                    VarInfo(KIND_W, req.id, vm_id, host), (KIND_W, req.id, vm_id, host)
-                )
-                cands.append((host, vi))
-                if old is not None and migration_aware:
-                    hops = net.hop_distance(cur, host)
-                    if hops:
-                        weight = vm.demand.memory_mb if vm_move_weighting else max_mem
-                        # vm move: (mem/maxmem)*(hops/diameter) scaled by S
-                        model.obj_coef[vi] = -weight * hops * f.numerator
-            w_cands[vm_id] = cands
-            model._new_row(
-                [vi for _, vi in cands] + [zi],
-                [1] * len(cands) + [-1],
-                0,
-                True,
-                f"place_vm[{req.id}/{vm_id}]",
+            # vm move: (mem/maxmem)*(hops/diameter) scaled by S
+            weight = vm.demand.memory_mb if vm_move_weighting else max_mem
+            cands[vm_id] = place(
+                req.id, KIND_W, vm_id, pool,
+                old.vm_map.get(vm_id) if old else None,
+                weight * f.numerator, vm.demand, server_terms,
             )
-            order_block.extend(vi for _, vi in cands)
-            if old is not None and migration_aware:
-                penalized_elements.append([vi for _, vi in cands])
 
         # one vswitch of a request per physical switch
-        per_switch: dict[str, list[int]] = {}
-        for vs_id, cands in x_cands.items():
-            for host, vi in cands:
-                per_switch.setdefault(host, []).append(vi)
         for host in sorted(per_switch):
             vis = per_switch[host]
             if len(vis) > 1:
-                model._new_row(vis, [1] * len(vis), 1, False, f"switch_once[{req.id}/{host}]")
+                model._new_row(vis, [1] * len(vis), 1)
 
         for vl_id, vl in req.vlinks.items():
             bw = vl.bandwidth
-            end_kind = (
-                "vm" if vl.a in req.vms else "vs",
-                "vm" if vl.b in req.vms else "vs",
-            )
-            cands_a = w_cands[vl.a] if end_kind[0] == "vm" else x_cands[vl.a]
-            cands_b = w_cands[vl.b] if end_kind[1] == "vm" else x_cands[vl.b]
+            to_vm = vl.a in req.vms or vl.b in req.vms
             y_all: list[int] = []
-            for host_a, va in cands_a:
-                for host_b, vb in cands_b:
+            for host_a, va in cands[vl.a]:
+                for host_b, vb in cands[vl.b]:
                     if host_a == host_b:
                         continue
-                    recs = table.get(host_a, host_b)
-                    if "vm" in end_kind:
+                    recs = snapshot.table.get(host_a, host_b)
+                    if to_vm:
                         # switch-vm links ride the single physical edge below the switch
                         recs = [r for r in recs[:1] if len(r.edges) == 1]
                     pair_y: list[int] = []
                     for n, rec in enumerate(recs):
                         if not admissible(rec, down, req.latency_bound):
                             continue
-                        yi = model._new_var(
-                            VarInfo(KIND_Y, req.id, vl_id, host_a, host_b, n),
-                            (KIND_Y, req.id, vl_id, host_a, host_b, n),
-                        )
+                        yi = model._new_var(VarInfo(KIND_Y, req.id, vl_id, host_a, host_b, n))
                         pair_y.append(yi)
                         for eid in rec.edges:
                             link_rows.setdefault(eid, []).append((yi, bw))
                     if pair_y:
                         y_all.extend(pair_y)
-                        tag = f"{req.id}/{vl_id}/{host_a}/{host_b}"
-                        model._new_row(
-                            pair_y + [va], [1] * len(pair_y) + [-1], 0, False, f"link_a[{tag}]"
-                        )
-                        model._new_row(
-                            pair_y + [vb], [1] * len(pair_y) + [-1], 0, False, f"link_b[{tag}]"
-                        )
-                        model._new_row(
-                            [va, vb] + pair_y,
-                            [1, 1] + [-1] * len(pair_y),
-                            1,
-                            False,
-                            f"link_c[{tag}]",
-                        )
-            model._new_row(
-                y_all + [zi],
-                [1] * len(y_all) + [-1],
-                0,
-                True,
-                f"route_vlink[{req.id}/{vl_id}]",
-            )
-            order_block.extend(y_all)
-
-        model.penalized.append(penalized_elements)
-        model.branch_order.extend(order_block)
+                        ones = [1] * len(pair_y)
+                        model._new_row(pair_y + [va], ones + [-1], 0)
+                        model._new_row(pair_y + [vb], ones + [-1], 0)
+                        model._new_row([va, vb] + pair_y, [1, 1] + [-1] * len(pair_y), 1)
+            model._new_row(y_all + [zi], [1] * len(y_all) + [-1], 0, True)
+            model.branch_order.extend(y_all)
 
     # capacity rows
     for sid in servers_alive:
-        rhs = rhs_srv[sid]
-        for attr, take in (("cpu", lambda d: d.cpu_cores), ("mem", lambda d: d.memory_mb)):
-            vis, coefs = [], []
-            for req in requests:
-                for vm_id, vm in req.vms.items():
-                    vi = model.var_index.get((KIND_W, req.id, vm_id, sid))
-                    if vi is not None:
-                        vis.append(vi)
-                        coefs.append(take(vm.demand))
-            if vis:
-                bound = rhs.cpu_cores if attr == "cpu" else rhs.memory_mb
-                model._new_row(vis, coefs, bound, False, f"server_{attr}[{sid}]")
+        terms = server_terms.get(sid)
+        if terms:
+            vis = [vi for vi, _ in terms]
+            model._new_row(vis, [d.cpu_cores for _, d in terms], rhs_srv[sid].cpu_cores)
+            model._new_row(vis, [d.memory_mb for _, d in terms], rhs_srv[sid].memory_mb)
     for sid in switches_alive:
-        vis, coefs = [], []
-        for req in requests:
-            for vs_id, vs in req.vswitches.items():
-                vi = model.var_index.get((KIND_X, req.id, vs_id, sid))
-                if vi is not None:
-                    vis.append(vi)
-                    coefs.append(vs.demand.switch_memory)
-        if vis:
-            model._new_row(vis, coefs, rhs_sw[sid], False, f"switch_mem[{sid}]")
+        terms = switch_terms.get(sid)
+        if terms:
+            model._new_row(
+                [vi for vi, _ in terms], [d.switch_memory for _, d in terms], rhs_sw[sid]
+            )
     for lid, entries in sorted(link_rows.items()):
-        model._new_row(
-            [vi for vi, _ in entries],
-            [bw for _, bw in entries],
-            rhs_ln[lid],
-            False,
-            f"link_bw[{lid}]",
-        )
+        model._new_row([vi for vi, _ in entries], [bw for _, bw in entries], rhs_ln[lid])
     return model
 
 
@@ -409,25 +321,12 @@ class _Search:
 
     def __init__(self, model: MipModel):
         self.m = model
-        n = model.num_vars
-        self.values = [-1] * n
-        self.var_rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        self.row_lo = []
-        self.row_hi = []
-        self.row_maxabs = []
-        for r in range(model.num_constraints):
-            lo = hi = 0
-            maxabs = 0
-            for v, c in zip(model.row_vars[r], model.row_coefs[r]):
-                self.var_rows[v].append((r, c))
-                if c > 0:
-                    hi += c
-                else:
-                    lo += c
-                maxabs = max(maxabs, abs(c))
-            self.row_lo.append(lo)
-            self.row_hi.append(hi)
-            self.row_maxabs.append(maxabs)
+        self.values = [-1] * model.num_vars
+        self.var_rows = model.var_rows
+        # [lo, hi] reachable by each row's sum with every variable still free
+        self.row_lo = [sum(c for c in coefs if c < 0) for coefs in model.row_coefs]
+        self.row_hi = [sum(c for c in coefs if c > 0) for coefs in model.row_coefs]
+        self.row_maxabs = [max(map(abs, coefs)) for coefs in model.row_coefs]
         self.trail: list[int] = []
         self.obj_acc = 0
 

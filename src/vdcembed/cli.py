@@ -129,16 +129,17 @@ def cmd_run(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    try:
+        f = Fraction(args.f)
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"--f: expected a rational number, got {args.f!r}") from None
     net = load_substrate(_read(args.substrate))
     requests = load_requests(_read(args.requests))
     if not requests:
         print("0 embedded (empty request set)")
         return EXIT_OK
-    table = enumerate_paths(net)
-    state = EmbeddingState(net, table)
-    model = build_mip(
-        state, requests, switch_penalty_divisor=Fraction(args.f), table=table
-    )
+    state = EmbeddingState(net, enumerate_paths(net))
+    model = build_mip(state, requests, switch_penalty_divisor=f)
     sol = solve_exact(model, SolveBudget(args.node_limit, args.wall_ms))
     if args.verbose:
         for line in sol.stats_lines():

@@ -160,18 +160,32 @@ class PolicyConfig:
         return hashlib.sha1(blob.encode()).hexdigest()[:12]
 
 
+# the integer policy keys and the least value each accepts
+_POLICY_INT_MIN = {
+    "swap_ceiling": 0,
+    "batch_width": 1,
+    "batch_min_pending": 0,
+    "solver_node_limit": 0,
+    "solver_wall_ms": 0,
+    "remap_limit": 0,
+}
+
+
 def parse_policy_config(text: str) -> PolicyConfig:
-    """Flat key=value policy file; unknown keys are errors."""
+    """Flat key=value policy file; unknown keys and out-of-range values are errors."""
     values = {}
     for lineno, key, val in config_items(text):
         try:
             if key == "f":
                 values["switch_penalty_divisor"] = Fraction(val)
-            elif key in ("swap_ceiling", "batch_width", "batch_min_pending",
-                         "solver_node_limit", "solver_wall_ms", "remap_limit"):
+            elif key in _POLICY_INT_MIN:
                 values[key] = int(val)
+                if values[key] < _POLICY_INT_MIN[key]:
+                    raise ConfigError(f"line {lineno}: {key} must be >= {_POLICY_INT_MIN[key]}")
             elif key == "patience":
                 values[key] = float(val)
+                if not values[key] > 0:  # also rejects nan
+                    raise ConfigError(f"line {lineno}: patience must be positive")
             elif key == "vm_move_weighting":
                 if val not in ("true", "false"):
                     raise ValueError(val)
@@ -183,8 +197,6 @@ def parse_policy_config(text: str) -> PolicyConfig:
     policy = PolicyConfig(**values)
     if policy.switch_penalty_divisor <= 0:
         raise ConfigError("f must be positive")
-    if policy.patience <= 0:
-        raise ConfigError("patience must be positive")
     return policy
 
 

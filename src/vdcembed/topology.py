@@ -643,6 +643,11 @@ def load_substrate(text: str) -> SubstrateNetwork:
     for raw in lines[1:]:
         parts = raw.split()
         try:
+            # servers and switches share one id space
+            if parts[0] in ("server", "switch") and (parts[1] in servers or parts[1] in switches):
+                raise FormatError(f"duplicate node id {parts[1]!r}")
+            if parts[0] == "link" and parts[1] in links:
+                raise FormatError(f"duplicate link id {parts[1]!r}")
             if parts[0] == "server":
                 _, sid, cores, mem = parts
                 servers[sid] = Server(sid, ResourceVector(cpu_cores=int(cores), memory_mb=int(mem)))
@@ -692,6 +697,7 @@ def load_requests(text: str) -> list[VdcRequest]:
         raise FormatError(f"bad requests header: {lines[0]!r}")
 
     requests: list[VdcRequest] = []
+    request_ids: set[str] = set()
     cur_id = None
     vms: dict[str, Vm] = {}
     vswitches: dict[str, VSwitch] = {}
@@ -728,7 +734,17 @@ def load_requests(text: str) -> list[VdcRequest]:
             if parts[0] == "request":
                 if cur_id is not None:
                     raise FormatError(f"request {cur_id!r} missing meta line")
+                if parts[1] in request_ids:
+                    raise FormatError(f"duplicate request id {parts[1]!r}")
                 cur_id = parts[1]
+                request_ids.add(cur_id)
+            elif parts[0] in ("vm", "vswitch", "vlink") and cur_id is None:
+                raise FormatError(f"{parts[0]} line outside a request block")
+            elif parts[0] in ("vm", "vswitch", "vlink") and (
+                parts[1] in vms or parts[1] in vswitches or parts[1] in vlinks
+            ):
+                # vms, vswitches and vlinks of a request share one id space
+                raise FormatError(f"duplicate element id {parts[1]!r} in request {cur_id!r}")
             elif parts[0] == "vm":
                 vms[parts[1]] = Vm(
                     parts[1], ResourceVector(cpu_cores=int(parts[2]), memory_mb=int(parts[3]))

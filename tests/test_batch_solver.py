@@ -1,6 +1,7 @@
 """Batch solver: model shape, exactness against exhaustive enumeration, plans."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from vdcembed.batch_solver import (
 from vdcembed.errors import InvalidParameterError, StaleSnapshotError
 from vdcembed.paths import enumerate_paths
 from vdcembed.state import EmbeddingState
+from vdcembed.topology import WorkloadConfig, build_fat_tree, generate_vdc_request
 
 
 def fresh_state(net):
@@ -60,9 +62,15 @@ class TestBuildMip:
         assert len(w_vars) == 1
         assert model.vars[w_vars[0]].host_a == "s1"
         # the placement row degenerates to w - z = 0
-        row = model.row_label.index("place_vm[r0/vm0]")
-        assert sorted(model.row_coefs[row]) == [-1, 1]
-        assert model.row_rhs[row] == 0 and model.row_eq[row]
+        rows = [
+            r for r in range(model.num_constraints)
+            if model.row_eq[r] and w_vars[0] in model.row_vars[r]
+        ]
+        assert len(rows) == 1
+        row = rows[0]
+        assert model.row_vars[row] == [w_vars[0], model.z_of_request[0]]
+        assert model.row_coefs[row] == [1, -1]
+        assert model.row_rhs[row] == 0
         sol = solve_exact(model)
         assert sol.embedded["r0"].vm_map["vm0"] == "s1"
 
@@ -74,33 +82,47 @@ class TestBuildMip:
         with pytest.raises(InvalidParameterError):
             build_mip(k2_state, [star_request("r0")], switch_penalty_divisor=0)
 
-    def test_export_round_trip_evaluation(self, k2_state):
-        req = star_request("r0", n_vms=2)
-        model = build_mip(k2_state, [req])
-        text = model.export_text()
-        lines = text.strip().splitlines()
-        assert lines[0].startswith("maximize: ")
-        assert lines[-1].startswith("binary: ")
-        # every constraint line parses and the solved point satisfies it
+    @pytest.mark.parametrize("remap", [False, True], ids=["fresh", "remap"])
+    def test_rows_hold_at_solved_point(self, k2_state, remap):
+        remappable = []
+        if remap:
+            r0 = star_request("r0", n_vms=2, cores=2, mem=4096)
+            apply_plan(k2_state, extract_assignments(solve_exact(build_mip(k2_state, [r0])), k2_state))
+            remappable = ["r0"]
+        req = star_request("r1", n_vms=2, cores=3)
+        model = build_mip(k2_state, [req], remappable=remappable)
         sol = solve_exact(model)
-        ones = {
-            model.vars[i].name
-            for i in range(model.num_vars)
-            if _var_value(model, sol, i) == 1
-        }
-        for line in lines[1:-1]:
-            label, _, body = line.partition(": ")
-            tokens = body.split()
-            sense_idx = next(i for i, t in enumerate(tokens) if t in ("<=", "="))
-            rhs = int(tokens[sense_idx + 1])
-            total = Fraction(0)
-            for coef_tok, name in zip(tokens[:sense_idx:2], tokens[1:sense_idx:2]):
-                if name in ones:
-                    total += Fraction(coef_tok)
-            if tokens[sense_idx] == "=":
-                assert total == rhs, label
+        assert sol.optimal
+        x = [_var_value(model, sol, i) for i in range(model.num_vars)]
+        for r in range(model.num_constraints):
+            total = sum(c * x[v] for v, c in zip(model.row_vars[r], model.row_coefs[r]))
+            if model.row_eq[r]:
+                assert total == model.row_rhs[r], r
             else:
-                assert total <= rhs, label
+                assert total <= model.row_rhs[r], r
+        scaled = sum(c * xi for c, xi in zip(model.obj_coef, x))
+        assert sol.objective == Fraction(scaled, model.obj_scale)
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_var_rows_is_transpose_of_rows(self, k):
+        rng = random.Random(500 + k)
+        net = build_fat_tree(k)
+        state = fresh_state(net)
+        cfg = WorkloadConfig(vm_count=(1, 4), vswitch_count=(1, 3))
+        reqs = [
+            replace(generate_vdc_request(cfg, 0.0, f"vr/{k}/{i}"), id=f"r{i}") for i in range(6)
+        ]
+        for req in reqs[:3]:
+            apply_plan(state, extract_assignments(solve_exact(build_mip(state, [req])), state))
+        assert state.active
+        state.mark_down([rng.choice(sorted(net.servers)), rng.choice(sorted(net.links))])
+        model = build_mip(state, reqs[3:], remappable=sorted(state.active))
+        assert model.penalized and any(model.penalized)
+        transpose = [[] for _ in range(model.num_vars)]
+        for r in range(model.num_constraints):
+            for v, c in zip(model.row_vars[r], model.row_coefs[r]):
+                transpose[v].append((r, c))
+        assert model.var_rows == transpose
 
 
 def _var_value(model, sol, idx):

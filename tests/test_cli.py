@@ -235,6 +235,14 @@ class TestSolve:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("f", ["abc", "1/0"])
+    def test_bad_divisor_exits_one(self, workdir, capsys, f):
+        main(["gen-topology", "--k", "2", "--out", "dc2.txt"])
+        self.write_requests(workdir, REQUEST)
+        args = ["solve", "--substrate", "dc2.txt", "--requests", "reqs.txt", "--f", f]
+        assert main(args) == 1
+        assert capsys.readouterr().err.startswith("error: --f: ")
+
 
 class TestValidate:
     def test_valid_inputs(self, workdir, capsys):
@@ -313,8 +321,35 @@ class TestValidate:
             ("substrate x 0\n", None),
             ("substrate 1 x\n", None),
             ("substrate 1 0\nswitch e0 edge 100\n", "requests x\n"),
+            ("substrate 1 0\nserver s0 8 1024\nserver s0 8 1024\n", None),
+            ("substrate 1 0\nswitch s0 edge 100\nserver s0 8 1024\n", None),
+            (
+                "substrate 1 0\nswitch e0 edge 100\nserver s0 8 1024\n"
+                "link l0 e0 s0 1000 1\nlink l0 e0 s0 1000 1\n",
+                None,
+            ),
+            (
+                "substrate 1 0\nswitch e0 edge 100\n",
+                "requests 1\nvm vm0 1 256\nrequest r0\nvswitch vs0 edge 10\n"
+                "vlink vl0 vs0 vm0 5\nmeta 0 10 -\n",
+            ),
+            ("substrate 1 0\nswitch e0 edge 100\n", REQUEST + REQUEST.split("\n", 1)[1]),
+            (
+                "substrate 1 0\nswitch e0 edge 100\n",
+                "requests 1\nrequest r0\nvm vm0 1 256\nvm vm0 2 256\nvswitch vs0 edge 10\n"
+                "vlink vl0 vs0 vm0 5\nmeta 0 10 -\n",
+            ),
+            (
+                "substrate 1 0\nswitch e0 edge 100\n",
+                "requests 1\nrequest r0\nvm vm0 1 256\nvswitch vs0 edge 10\n"
+                "vlink vm0 vs0 vm0 5\nmeta 0 10 -\n",
+            ),
         ],
-        ids=["undeclared-link-end", "bad-version", "bad-arity", "bad-requests-version"],
+        ids=[
+            "undeclared-link-end", "bad-version", "bad-arity", "bad-requests-version",
+            "duplicate-server", "server-reuses-switch-id", "duplicate-link",
+            "vm-before-request", "duplicate-request", "duplicate-vm", "vlink-reuses-vm-id",
+        ],
     )
     def test_malformed_file_exits_one(self, workdir, capsys, substrate, requests):
         (workdir / "dc.txt").write_text(substrate)

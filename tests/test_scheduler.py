@@ -477,6 +477,28 @@ class TestPolicyConfig:
         with pytest.raises(ConfigError):
             parse_policy_config("patience=-1\n")
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "patience=0",
+            "patience=nan",
+            "batch_width=0",
+            "swap_ceiling=-1",
+            "solver_node_limit=-1",
+            "solver_wall_ms=-1",
+            "remap_limit=-1",
+            "batch_min_pending=-1",
+        ],
+    )
+    def test_out_of_range_rejected(self, line):
+        with pytest.raises(ConfigError):
+            parse_policy_config(line + "\n")
+
+    def test_unbounded_patience_and_zero_limits_allowed(self):
+        text = "patience=inf\nswap_ceiling=0\nsolver_wall_ms=0\nremap_limit=0\n"
+        pol = parse_policy_config(text)
+        assert pol.patience == float("inf") and pol.swap_ceiling == 0
+
     def test_hash_stable(self):
         assert PolicyConfig().policy_hash() == PolicyConfig().policy_hash()
         assert PolicyConfig().policy_hash() != PolicyConfig(batch_width=2).policy_hash()
