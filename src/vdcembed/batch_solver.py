@@ -11,13 +11,15 @@ by incremental row-interval propagation with trail-based undo.
 from __future__ import annotations
 
 import time
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 from .errors import InvalidParameterError, StaleSnapshotError
 from .paths import admissible
 from .state import Assignment, EmbeddingState
-from .topology import ResourceVector, VdcRequest
+from .topology import DIMENSIONS, ResourceVector, VdcRequest
 
 KIND_Z = "z"
 KIND_X = "x"
@@ -56,7 +58,6 @@ class MigrationMove:
     element_id: str
     old_host: str
     new_host: str
-    hops: int
 
 
 class MipModel:
@@ -81,7 +82,6 @@ class MipModel:
         self.remappable: dict[str, Assignment] = {}
         self.penalized: list[list[list[int]]] = []  # per request: per element: var idxs
         self.branch_order: list[int] = []
-        self.net = None  # set by build_mip; used for hop distances
 
     # -- construction helpers -------------------------------------------------
 
@@ -141,7 +141,6 @@ def build_mip(
             raise InvalidParameterError(f"remappable request {rid} is not active")
 
     model = MipModel(snapshot.version)
-    model.net = net
     model.remappable = {rid: snapshot.active[rid] for rid in remappable}
     # actives branch first so the initial dive keeps them put and only then
     # slots the new candidates into the remaining room
@@ -149,13 +148,9 @@ def build_mip(
     model.requests = requests
 
     # rhs: residuals plus credited-back usage of remappable actives
-    rhs_srv: dict[str, ResourceVector] = dict(snapshot.residual_servers)
-    rhs_sw: dict[str, int] = dict(snapshot.residual_switches)
-    rhs_ln: dict[str, int] = dict(snapshot.residual_links)
+    rhs: dict[str, ResourceVector] = dict(snapshot.residual)
     for rid in remappable:
-        snapshot.add_usage(
-            (rhs_srv, rhs_sw, rhs_ln), snapshot.requests[rid], snapshot.active[rid], 1
-        )
+        snapshot.add_usage(rhs, snapshot.requests[rid], snapshot.active[rid], 1)
 
     # objective scaling: S = diameter * max-remappable-vm-memory * numerator(f)
     diameter = net.diameter()
@@ -171,12 +166,10 @@ def build_mip(
     switches_alive = [s for s in net.switches if s not in down]
     edge_alive = [s for s in switches_alive if net.switches[s].tier == "edge"]
 
-    # capacity-row terms, gathered as the variables are made
-    server_terms: dict[str, list[tuple[int, ResourceVector]]] = {}  # server -> (var, demand)
-    switch_terms: dict[str, list[tuple[int, ResourceVector]]] = {}  # switch -> (var, demand)
-    link_rows: dict[str, list[tuple[int, int]]] = {}  # link id -> (var, bw)
+    # capacity-row terms, gathered as the variables are made: element -> (vars, demands)
+    terms: dict[str, tuple[list[int], list[ResourceVector]]] = defaultdict(lambda: ([], []))
 
-    def place(req_id, kind, elem_id, pool, cur, move_cost, demand, terms):
+    def place(req_id, kind, elem_id, pool, cur, move_cost, demand):
         """One placement var per host in pool plus the element's placement row
         (sum = z of the request being encoded); returns [(host, var)].
 
@@ -192,7 +185,9 @@ def build_mip(
         for host in hosts:
             obj = -net.hop_distance(cur, host) * move_cost if priced else 0
             vi = model._new_var(VarInfo(kind, req_id, elem_id, host), obj)
-            terms.setdefault(host, []).append((vi, demand))
+            host_vars, host_demands = terms[host]
+            host_vars.append(vi)
+            host_demands.append(demand)
             cands.append((host, vi))
         vis = [vi for _, vi in cands]
         model._new_row(vis + [model.z_of_request[-1]], [1] * len(vis) + [-1], 0, True)
@@ -216,7 +211,7 @@ def build_mip(
                 req.id, KIND_X, vs_id,
                 edge_alive if vs.is_edge else switches_alive,
                 old.vswitch_map.get(vs_id) if old else None,
-                f.denominator * max_mem, vs.demand, switch_terms,
+                f.denominator * max_mem, vs.demand,
             )
             for host, vi in cands[vs_id]:
                 per_switch.setdefault(host, []).append(vi)
@@ -229,7 +224,7 @@ def build_mip(
             cands[vm_id] = place(
                 req.id, KIND_W, vm_id, pool,
                 old.vm_map.get(vm_id) if old else None,
-                weight * f.numerator, vm.demand, server_terms,
+                weight * f.numerator, vm.demand,
             )
 
         # one vswitch of a request per physical switch
@@ -239,7 +234,7 @@ def build_mip(
                 model._new_row(vis, [1] * len(vis), 1)
 
         for vl_id, vl in req.vlinks.items():
-            bw = vl.bandwidth
+            load = ResourceVector(bandwidth=vl.bandwidth)
             to_vm = vl.a in req.vms or vl.b in req.vms
             y_all: list[int] = []
             for host_a, va in cands[vl.a]:
@@ -257,7 +252,9 @@ def build_mip(
                         yi = model._new_var(VarInfo(KIND_Y, req.id, vl_id, host_a, host_b, n))
                         pair_y.append(yi)
                         for eid in rec.edges:
-                            link_rows.setdefault(eid, []).append((yi, bw))
+                            link_vars, link_demands = terms[eid]
+                            link_vars.append(yi)
+                            link_demands.append(load)
                     if pair_y:
                         y_all.extend(pair_y)
                         ones = [1] * len(pair_y)
@@ -267,21 +264,14 @@ def build_mip(
             model._new_row(y_all + [zi], [1] * len(y_all) + [-1], 0, True)
             model.branch_order.extend(y_all)
 
-    # capacity rows
-    for sid in servers_alive:
-        terms = server_terms.get(sid)
-        if terms:
-            vis = [vi for vi, _ in terms]
-            model._new_row(vis, [d.cpu_cores for _, d in terms], rhs_srv[sid].cpu_cores)
-            model._new_row(vis, [d.memory_mb for _, d in terms], rhs_srv[sid].memory_mb)
-    for sid in switches_alive:
-        terms = switch_terms.get(sid)
-        if terms:
-            model._new_row(
-                [vi for vi, _ in terms], [d.switch_memory for _, d in terms], rhs_sw[sid]
-            )
-    for lid, entries in sorted(link_rows.items()):
-        model._new_row([vi for vi, _ in entries], [bw for _, bw in entries], rhs_ln[lid])
+    # capacity rows: servers, switches, then links by id; one per dimension
+    links_used = sorted(eid for eid in terms if eid in net.links)
+    for eid in [*servers_alive, *switches_alive, *links_used]:
+        if eid in terms:
+            vis, demands = terms[eid]
+            for dim in DIMENSIONS[net.kind(eid)]:
+                coefs = list(map(attrgetter(dim), demands))
+                model._new_row(vis, coefs, getattr(rhs[eid], dim))
     return model
 
 
@@ -540,7 +530,6 @@ def solve_exact(model: MipModel, budget: SolveBudget | None = None) -> BatchSolu
             embedded[req.id] = Assignment(req.id, slot["vm"], slot["vs"], slot["vl"])
 
     migrations: list[MigrationMove] = []
-    hops = model.net.hop_distance
     for rid, old in model.remappable.items():
         new = embedded.get(rid)
         if new is None:
@@ -548,15 +537,11 @@ def solve_exact(model: MipModel, budget: SolveBudget | None = None) -> BatchSolu
         for vm_id, old_pm in old.vm_map.items():
             new_pm = new.vm_map[vm_id]
             if new_pm != old_pm:
-                migrations.append(
-                    MigrationMove("vm", rid, vm_id, old_pm, new_pm, hops(old_pm, new_pm))
-                )
+                migrations.append(MigrationMove("vm", rid, vm_id, old_pm, new_pm))
         for vs_id, old_ps in old.vswitch_map.items():
             new_ps = new.vswitch_map[vs_id]
             if new_ps != old_ps:
-                migrations.append(
-                    MigrationMove("vswitch", rid, vs_id, old_ps, new_ps, hops(old_ps, new_ps))
-                )
+                migrations.append(MigrationMove("vswitch", rid, vs_id, old_ps, new_ps))
 
     objective = Fraction(best_scaled, model.obj_scale)
     status = "optimal" if exhausted else "incumbent"

@@ -93,7 +93,16 @@ def _parse_lambdas(text: str) -> list[float]:
         raise ConfigError(f"--lambdas: expected 'low:high' or 'a,b,...', got {text!r}") from None
 
 
+def _nonnegative(args, *names):
+    """ConfigError when a numeric command-line option is below zero."""
+    for name in names:
+        if getattr(args, name) < 0:
+            flag = "--" + name.replace("_", "-")
+            raise ConfigError(f"{flag}: must be >= 0, got {getattr(args, name)}")
+
+
 def cmd_run(args) -> int:
+    _nonnegative(args, "audit_every")
     # parse every referenced file before any work starts
     net = load_substrate(_read(args.substrate))
     workload = parse_workload_config(_read(args.workload))
@@ -129,6 +138,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    _nonnegative(args, "node_limit", "wall_ms")
     try:
         f = Fraction(args.f)
     except (ValueError, ZeroDivisionError):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .errors import CommitRejectedError
 from .paths import admissible
 from .state import Assignment, EmbeddingState, Violation
-from .topology import ResourceVector, VdcRequest
+from .topology import DIMENSIONS, ZERO, ResourceVector, VdcRequest, sum_vectors
 
 logger = logging.getLogger(__name__)
 
@@ -63,10 +63,6 @@ class OnlineResult:
     moves: tuple[SwapMove, ...]
     incumbent_updates: dict[str, Assignment]
 
-    @property
-    def migrations(self) -> list[SwapMove]:
-        return [m for m in self.moves if m.kind in ("vm-swap", "vswitch-swap")]
-
 
 def _norm(load: ResourceVector, cap: ResourceVector) -> float:
     """Scalar size of a load relative to a capacity, for deterministic ranking."""
@@ -83,16 +79,8 @@ def _norm(load: ResourceVector, cap: ResourceVector) -> float:
 
 
 def _violation_total(state: EmbeddingState, ledger) -> float:
-    total = 0.0
-    for v in ledger:
-        if v.element in state.net.servers:
-            cap = state.net.servers[v.element].capacity
-        elif v.element in state.net.switches:
-            cap = state.net.switches[v.element].capacity
-        else:
-            cap = ResourceVector(bandwidth=state.net.links[v.element].bandwidth)
-        total += _norm(v.overflow, cap)
-    return total
+    capacity = state.net.capacity
+    return sum((_norm(v.overflow, capacity[v.element]) for v in ledger), 0.0)
 
 
 def compute_fragments(state: EmbeddingState):
@@ -104,24 +92,19 @@ def compute_fragments(state: EmbeddingState):
     smallest member id.
     """
     net = state.net
-    alive_nodes = set()
-    for sid, rv in state.residual_servers.items():
-        if sid not in state.down and rv.cpu_cores > 0 and rv.memory_mb > 0:
-            alive_nodes.add(sid)
-    for sid, mem in state.residual_switches.items():
-        if sid not in state.down and mem > 0:
-            alive_nodes.add(sid)
-    alive_links = {
-        lid
-        for lid, bw in state.residual_links.items()
-        if bw > 0
-        and lid not in state.down
-        and net.links[lid].a in alive_nodes
-        and net.links[lid].b in alive_nodes
-    }
+    down = state.down
+    alive = set()
+    for eid, rv in state.residual.items():
+        if eid in down:
+            continue
+        for dim in DIMENSIONS[net.kind(eid)]:
+            if getattr(rv, dim) <= 0:
+                break
+        else:
+            alive.add(eid)
     seen: set[str] = set()
     fragments = []
-    for start in sorted(alive_nodes):
+    for start in sorted(alive & net.adjacency.keys()):
         if start in seen:
             continue
         nodes = {start}
@@ -131,24 +114,15 @@ def compute_fragments(state: EmbeddingState):
         while frontier:
             cur = frontier.pop()
             for nxt, lid in net.adjacency[cur]:
-                if lid not in alive_links:
+                if lid not in alive or nxt not in alive:
                     continue
                 links.add(lid)
                 if nxt not in seen:
                     seen.add(nxt)
                     nodes.add(nxt)
                     frontier.append(nxt)
-        servers = ResourceVector()
-        switch_mem = 0
-        for nid in nodes:
-            if nid in net.servers:
-                servers = servers + state.residual_servers[nid]
-            else:
-                switch_mem += state.residual_switches[nid]
-        bw = sum(state.residual_links[lid] for lid in links)
-        fragments.append(
-            (nodes, links, servers + ResourceVector(switch_memory=switch_mem, bandwidth=bw))
-        )
+        free = sum_vectors(state.residual[eid] for eid in (*nodes, *links))
+        fragments.append((nodes, links, free))
     fragments.sort(
         key=lambda f: (
             -f[2].cpu_cores,
@@ -213,7 +187,7 @@ def greedy_temp_map(
     extra_link_load: dict[str, int] = {}
 
     def server_score(sid):
-        free = state.residual_servers[sid] - extra_server_load.get(sid, ResourceVector())
+        free = state.residual[sid] - extra_server_load.get(sid, ResourceVector())
         cap = net.servers[sid].capacity
         return _norm(free, cap)
 
@@ -240,16 +214,14 @@ def greedy_temp_map(
             vlink = _vm_link_of(req, vm_id)
             best = None
             for sid in pool:
-                base_free = state.residual_servers[sid] - extra_server_load.get(
-                    sid, ResourceVector()
-                )
+                base_free = state.residual[sid] - extra_server_load.get(sid, ResourceVector())
                 free = base_free - local_load.get(sid, ResourceVector())
                 over = demand.overflow_over(free)
                 score = _norm(over, net.servers[sid].capacity)
                 lid = net.link_between(rack_switch, sid)
                 if vlink is not None and lid is not None:
                     link_free = (
-                        state.residual_links[lid]
+                        state.residual[lid].bandwidth
                         - extra_link_load.get(lid, 0)
                         - local_link.get(lid, 0)
                     )
@@ -284,7 +256,7 @@ def greedy_temp_map(
             if overflow is None:
                 continue
             rack_free = sum(server_score(s) for s in net.servers_under(rack) if node_ok(s))
-            mem_free = state.residual_switches[rack]
+            mem_free = state.residual[rack].switch_memory
             vs_demand = req.vswitches[vs_id].demand.switch_memory
             mem_over = max(0, vs_demand - mem_free) / net.switches[rack].capacity.switch_memory
             scored.append((overflow + mem_over, -rack_free, rack))
@@ -306,7 +278,7 @@ def greedy_temp_map(
             best = min(
                 candidates,
                 key=lambda s: (
-                    max(0, vs.demand.switch_memory - state.residual_switches[s]),
+                    max(0, vs.demand.switch_memory - state.residual[s].switch_memory),
                     s,
                 ),
             )
@@ -330,7 +302,7 @@ def greedy_temp_map(
             return StructuralFailure(f"no switch left for {vs_id}")
         scored = []
         for sid in candidates:
-            mem_free = state.residual_switches[sid]
+            mem_free = state.residual[sid].switch_memory
             over = max(0, vs.demand.switch_memory - mem_free)
             over_norm = over / net.switches[sid].capacity.switch_memory
             hop_sum = sum(
@@ -361,7 +333,7 @@ def greedy_temp_map(
                 continue
             over = 0.0
             for eid in rec.edges:
-                free = state.residual_links[eid] - path_load.get(eid, 0)
+                free = state.residual[eid].bandwidth - path_load.get(eid, 0)
                 over += max(0, vl.bandwidth - free) / net.links[eid].bandwidth
             key = (over, n)
             if best is None or key < best[0]:
@@ -381,10 +353,10 @@ def greedy_temp_map(
     return TempMapping(assignment, tuple(findings))
 
 
-def _reroute_vlink(probe, req, a, vl_id, avoid_link, extra_load):
+def _reroute_vlink(probe, req, a, vl_id, avoid_link, extra):
     """Assignment a with vlink vl_id moved to a path that skips a congested
-    link, or None. extra_load maps link id -> planned additional bandwidth
-    (the incoming request's tentative usage).
+    link, or None. extra is the usage map planned on top of the probe's
+    residuals (the incoming request's tentative usage).
     """
     pa, pb, old_n = a.vlink_map[vl_id]
     n = probe.free_path(
@@ -393,7 +365,7 @@ def _reroute_vlink(probe, req, a, vl_id, avoid_link, extra_load):
         req.vlinks[vl_id].bandwidth,
         req.latency_bound,
         credit=probe.table.path(pa, pb, old_n).edges,
-        extra=extra_load,
+        extra=extra,
         avoid=avoid_link,
     )
     if n is None:
@@ -401,13 +373,13 @@ def _reroute_vlink(probe, req, a, vl_id, avoid_link, extra_load):
     return Assignment(a.request_id, a.vm_map, a.vswitch_map, {**a.vlink_map, vl_id: (pa, pb, n)})
 
 
-def _relocate_vm(probe, req, a, vm_id, extra_srv, extra_lnk):
+def _relocate_vm(probe, req, a, vm_id, extra):
     """Assignment a with one VM moved to another server of its rack, nearest
     first, plus that server; None when no server has room.
 
     The parent vSwitch stays put, so only servers under the same edge switch
-    qualify; locality and the server link's bandwidth are honoured. extra_*
-    carry loads planned on top of the probe's residuals.
+    qualify; locality and the server link's bandwidth are honoured. extra is
+    the usage map planned on top of the probe's residuals.
     """
     old_server = a.vm_map[vm_id]
     rack = probe.net.edge_switch_of(old_server)
@@ -419,12 +391,12 @@ def _relocate_vm(probe, req, a, vm_id, extra_srv, extra_lnk):
             continue
         if req.locality and vm_id in req.locality and sid not in req.locality[vm_id]:
             continue
-        free = probe.residual_servers[sid] - extra_srv.get(sid, ResourceVector())
+        free = probe.residual[sid] - extra.get(sid, ZERO)
         if not demand.le(free):
             continue
         lid = probe.net.link_between(rack, sid)
         if vlink is not None and lid is not None:
-            link_free = probe.residual_links[lid] - extra_lnk.get(lid, 0)
+            link_free = probe.residual[lid].bandwidth - extra.get(lid, ZERO).bandwidth
             if vlink.bandwidth > link_free or lid in probe.down:
                 continue
         options.append((probe.net.hop_distance(old_server, sid), sid, lid))
@@ -472,17 +444,17 @@ def swap_repair(
         if len(moves) >= max_swaps:
             return RepairFailure("swap budget exhausted", best_remaining)
 
-        srv_extra, sw_extra, ln_extra = probe._usage_of(req, assignment)
+        extra = probe.usage(req, assignment)
         findings.sort(key=lambda v: (_violation_total(probe, [v]), v.element))
         for violation in findings:
             host = violation.element
             need = violation.overflow
             if host in probe.net.servers:
-                options = _repair_server(probe, req, host, need, srv_extra, ln_extra)
+                options = _repair_server(probe, req, host, need, extra)
             elif host in probe.net.switches:
-                options = _repair_switch(probe, req, host, need, sw_extra, ln_extra)
+                options = _repair_switch(probe, req, host, need, extra)
             else:
-                options = _repair_link(probe, req, assignment, host, need, ln_extra)
+                options = _repair_link(probe, req, assignment, host, need, extra)
             # the incoming request's own re-routes need no incumbent swapped in
             step = next(
                 (
@@ -534,7 +506,7 @@ def _swap_in(probe, new_assignment) -> bool:
         return False
 
 
-def _repair_server(probe, req, host, need, srv_extra, ln_extra):
+def _repair_server(probe, req, host, need, extra):
     """Yield (assignment, move) relocations of incumbent VMs off an
     overflowing server, cheapest sufficient incumbent first."""
     candidates = []
@@ -546,15 +518,13 @@ def _repair_server(probe, req, host, need, srv_extra, ln_extra):
         candidates.append((not covers, size if covers else -size, rid, vm_id))
     candidates.sort()
     for _, _, rid, vm_id in candidates:
-        relocated = _relocate_vm(
-            probe, probe.requests[rid], probe.active[rid], vm_id, srv_extra, ln_extra
-        )
+        relocated = _relocate_vm(probe, probe.requests[rid], probe.active[rid], vm_id, extra)
         if relocated is not None:
             new_assignment, target = relocated
             yield new_assignment, SwapMove("vm-swap", rid, vm_id, host, target, req.id)
 
 
-def _repair_switch(probe, req, host, need, sw_extra, ln_extra):
+def _repair_switch(probe, req, host, need, extra):
     """Yield (assignment, move) relocations of incumbent vSwitches off an
     overflowing switch, cheapest sufficient incumbent first."""
     candidates = []
@@ -564,12 +534,12 @@ def _repair_switch(probe, req, host, need, sw_extra, ln_extra):
         candidates.append((not covers, vs.demand.switch_memory, rid, vs_id))
     candidates.sort()
     for _, _, rid, vs_id in candidates:
-        new_assignment, target = _relocate_vswitch(probe, rid, vs_id, host, sw_extra, ln_extra)
+        new_assignment, target = _relocate_vswitch(probe, rid, vs_id, host, extra)
         if new_assignment is not None:
             yield new_assignment, SwapMove("vswitch-swap", rid, vs_id, host, target, req.id)
 
 
-def _relocate_vswitch(probe, rid, vs_id, forbidden, sw_extra, ln_extra):
+def _relocate_vswitch(probe, rid, vs_id, forbidden, extra):
     """New home for an internal incumbent vSwitch, nearest first; edge
     vSwitch moves would drag their whole VM group along and are not attempted."""
     inc_req = probe.requests[rid]
@@ -583,8 +553,7 @@ def _relocate_vswitch(probe, rid, vs_id, forbidden, sw_extra, ln_extra):
     for sid in sorted(probe.net.switches):
         if sid == forbidden or sid in used or sid in probe.down:
             continue
-        free = probe.residual_switches[sid] - sw_extra.get(sid, 0)
-        if vs.demand.switch_memory > free:
+        if not vs.demand.le(probe.residual[sid] - extra.get(sid, ZERO)):
             continue
         options.append((probe.net.hop_distance(old_host, sid), sid))
     options.sort()
@@ -592,7 +561,7 @@ def _relocate_vswitch(probe, rid, vs_id, forbidden, sw_extra, ln_extra):
         new_vswitch_map = dict(a.vswitch_map)
         new_vswitch_map[vs_id] = sid
         new_vlink_map = dict(a.vlink_map)
-        planned = dict(ln_extra)
+        planned = dict(extra)
         for vl in inc_req.vlinks.values():
             if vs_id not in (vl.a, vl.b):
                 continue
@@ -607,14 +576,15 @@ def _relocate_vswitch(probe, rid, vs_id, forbidden, sw_extra, ln_extra):
             if n is None:
                 break
             new_vlink_map[vl.id] = (pa, pb, n)
+            load = ResourceVector(bandwidth=vl.bandwidth)
             for eid in probe.table.path(pa, pb, n).edges:
-                planned[eid] = planned.get(eid, 0) + vl.bandwidth
+                planned[eid] = planned.get(eid, ZERO) + load
         else:
             return Assignment(rid, a.vm_map, new_vswitch_map, new_vlink_map), sid
     return None, None
 
 
-def _repair_link(probe, req, assignment, host, need, ln_extra):
+def _repair_link(probe, req, assignment, host, need, extra):
     """Yield (assignment, move) re-routes of incumbent vlinks off a congested
     link, smallest sufficient first, then of the incoming request's own
     tentative vlinks, largest first."""
@@ -631,7 +601,7 @@ def _repair_link(probe, req, assignment, host, need, ln_extra):
     candidates.sort()
     for _, _, rid, vl_id in candidates:
         new_assignment = _reroute_vlink(
-            probe, probe.requests[rid], probe.active[rid], vl_id, host, ln_extra
+            probe, probe.requests[rid], probe.active[rid], vl_id, host, extra
         )
         if new_assignment is not None:
             yield new_assignment, SwapMove("vlink-reroute", rid, vl_id, host, host, req.id)
@@ -642,7 +612,7 @@ def _repair_link(probe, req, assignment, host, need, ln_extra):
             own.append((req.vlinks[vl_id].bandwidth, vl_id))
     own.sort(reverse=True)
     for _, vl_id in own:
-        rerouted = _reroute_vlink(probe, req, assignment, vl_id, host, ln_extra)
+        rerouted = _reroute_vlink(probe, req, assignment, vl_id, host, extra)
         if rerouted is not None:
             yield rerouted, SwapMove("vlink-reroute", req.id, vl_id, host, host, req.id)
 

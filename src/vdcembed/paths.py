@@ -12,12 +12,11 @@ DEFAULT_MAX_HOPS = 4
 
 @dataclass(frozen=True)
 class PathRecord:
-    """One simple path: node sequence, edge ids, cached delay and bottleneck."""
+    """One simple path: node sequence, edge ids and cached delay."""
 
     nodes: tuple[str, ...]
     edges: tuple[str, ...]
     delay: int
-    bottleneck: int
 
     def __len__(self):
         return len(self.edges)
@@ -95,21 +94,20 @@ def enumerate_paths(
     nodes = sorted(net.adjacency)
     for src in nodes:
         # one bounded DFS per source; record a path whenever the head is admitted
-        stack = [(src, [src], [], 0, None)]
+        stack = [(src, [src], [], 0)]
         while stack:
-            cur, node_seq, edge_seq, delay, bottleneck = stack.pop()
+            cur, node_seq, edge_seq, delay = stack.pop()
             if cur != src and admit(src, cur):
                 bucket.setdefault((src, cur), []).append(
-                    PathRecord(tuple(node_seq), tuple(edge_seq), delay, bottleneck)
+                    PathRecord(tuple(node_seq), tuple(edge_seq), delay)
                 )
             if len(edge_seq) >= max_len:
                 continue
             for nxt, lid in net.adjacency[cur]:
                 if nxt in node_seq:
                     continue
-                link = link_by_id[lid]
-                nb = link.bandwidth if bottleneck is None else min(bottleneck, link.bandwidth)
-                stack.append((nxt, node_seq + [nxt], edge_seq + [lid], delay + link.delay, nb))
+                hop_delay = link_by_id[lid].delay
+                stack.append((nxt, node_seq + [nxt], edge_seq + [lid], delay + hop_delay))
 
     for pair, recs in bucket.items():
         recs.sort(key=lambda r: (len(r.edges), r.edges))

@@ -302,10 +302,7 @@ class Simulation:
             return "more-edge-vswitches-than-edge-switches"
         if len(req.vswitches) > len(net.switches) - len(down & set(net.switches)):
             return "more-vswitches-than-switches"
-        alive = (n for n in (*net.servers.values(), *net.switches.values()) if n.id not in down)
-        total = sum_vectors(n.capacity for n in alive) + ResourceVector(
-            bandwidth=sum(l.bandwidth for l in net.links.values() if l.id not in down)
-        )
+        total = sum_vectors(cap for eid, cap in net.capacity.items() if eid not in down)
         if not req.demand_totals().le(total):
             return "demand-exceeds-substrate"
         biggest_server = max(
@@ -531,8 +528,7 @@ class Simulation:
         for vm_id, host in a.vm_map.items():
             if host not in down:
                 continue
-            srv, _, ln = state._usage_of(req, a)
-            relocated = _relocate_vm(state, req, a, vm_id, srv, ln)
+            relocated = _relocate_vm(state, req, a, vm_id, state.usage(req, a))
             if relocated is None:
                 return None
             new_a, target = relocated
@@ -547,9 +543,9 @@ class Simulation:
             old = state.table.path(pa, pb, old_n)
             if admissible(old, down, None):
                 continue
-            _, _, ln = state._usage_of(req, a)
             vl = req.vlinks[vl_id]
-            n = state.free_path(pa, pb, vl.bandwidth, req.latency_bound, old.edges, ln)
+            usage = state.usage(req, a)
+            n = state.free_path(pa, pb, vl.bandwidth, req.latency_bound, old.edges, usage)
             if n is None:
                 return None
             a = replace(a, vlink_map={**a.vlink_map, vl_id: (pa, pb, n)})

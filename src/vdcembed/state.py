@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .errors import AuditError, CommitRejectedError, PathLookupError, UnknownElementError
 from .paths import PathTable, admissible
-from .topology import ResourceVector, SubstrateNetwork, VdcRequest, sum_vectors
+from .topology import ZERO, ResourceVector, SubstrateNetwork, VdcRequest, sum_vectors
 
 
 @dataclass(frozen=True)
@@ -53,62 +53,40 @@ class EmbeddingState:
         self.table = table
         self.active: dict[str, Assignment] = {}
         self.requests: dict[str, VdcRequest] = {}
-        self.residual_servers: dict[str, ResourceVector] = {
-            s.id: s.capacity for s in net.servers.values()
-        }
-        self.residual_switches: dict[str, int] = {
-            s.id: s.capacity.switch_memory for s in net.switches.values()
-        }
-        self.residual_links: dict[str, int] = {l.id: l.bandwidth for l in net.links.values()}
+        # server, switch and link ids alike -> free capacity
+        self.residual: dict[str, ResourceVector] = dict(net.capacity)
         self.down: set[str] = set()
         self.version = 0
 
     # -- usage accounting ---------------------------------------------------
 
-    def _usage_of(self, req: VdcRequest, a: Assignment):
-        """Per-element loads one assignment adds: (servers, switches, links)."""
-        srv: dict[str, ResourceVector] = {}
-        sw: dict[str, int] = {}
-        ln: dict[str, int] = {}
-        for vm_id, pm in a.vm_map.items():
-            srv[pm] = srv.get(pm, ResourceVector()) + req.vms[vm_id].demand
-        for vs_id, ps in a.vswitch_map.items():
-            sw[ps] = sw.get(ps, 0) + req.vswitches[vs_id].demand.switch_memory
+    def usage(self, req: VdcRequest, a: Assignment) -> dict[str, ResourceVector]:
+        """Per-element load one assignment adds, keyed by server, switch and
+        link id; servers come first, then switches, then links."""
+        loads = [(pm, req.vms[vm_id].demand) for vm_id, pm in a.vm_map.items()]
+        loads += [(ps, req.vswitches[vs_id].demand) for vs_id, ps in a.vswitch_map.items()]
         for vl_id, (pa, pb, n) in a.vlink_map.items():
             recs = self.table.get(pa, pb)
             if not 0 <= n < len(recs):
                 continue  # reported as unknown-path by check_assignment
-            bw = req.vlinks[vl_id].bandwidth
-            for eid in recs[n].edges:
-                ln[eid] = ln.get(eid, 0) + bw
-        return srv, sw, ln
+            load = ResourceVector(bandwidth=req.vlinks[vl_id].bandwidth)
+            loads += [(eid, load) for eid in recs[n].edges]
+        out: dict[str, ResourceVector] = {}
+        for eid, load in loads:
+            prev = out.get(eid)
+            out[eid] = load if prev is None else prev + load
+        return out
 
-    def add_usage(self, residuals, req: VdcRequest, a: Assignment, sign: int):
-        """Add sign (+1 or -1) times one assignment's per-element usage to
-        residuals, a (servers, switches, links) triple of dicts."""
-        srv, sw, ln = residuals
-        u_srv, u_sw, u_ln = self._usage_of(req, a)
-        for pm, load in u_srv.items():
-            srv[pm] = srv[pm] + load if sign > 0 else srv[pm] - load
-        for ps, load in u_sw.items():
-            sw[ps] += sign * load
-        for lid, load in u_ln.items():
-            ln[lid] += sign * load
-
-    def _residuals(self):
-        """The stored (servers, switches, links) residual dicts."""
-        return self.residual_servers, self.residual_switches, self.residual_links
+    def add_usage(self, residual, req: VdcRequest, a: Assignment, sign: int):
+        """Add sign (+1 or -1) times one assignment's per-element usage to a
+        residual map."""
+        for eid, load in self.usage(req, a).items():
+            residual[eid] = residual[eid] + load if sign > 0 else residual[eid] - load
 
     def residual_vectors(self) -> ResourceVector:
         """Componentwise sum of per-element residuals (down elements excluded)."""
-
-        def alive(residuals):
-            return (v for eid, v in residuals.items() if eid not in self.down)
-
-        return sum_vectors(alive(self.residual_servers)) + ResourceVector(
-            switch_memory=sum(alive(self.residual_switches)),
-            bandwidth=sum(alive(self.residual_links)),
-        )
+        down = self.down
+        return sum_vectors(v for eid, v in self.residual.items() if eid not in down)
 
     # -- feasibility --------------------------------------------------------
 
@@ -212,34 +190,11 @@ class EmbeddingState:
         """
         out = self._structural_findings(req, a)
 
-        srv, sw, ln = self._usage_of(req, a)
-        for pm, load in srv.items():
-            limit = self.residual_servers[pm] if pm not in self.down else ResourceVector()
-            over = load.overflow_over(limit)
-            if not over.is_zero:
-                out.append(Violation("server-capacity", pm, False, overflow=over))
-        for ps, load in sw.items():
-            limit = self.residual_switches[ps] if ps not in self.down else 0
-            if load > limit:
-                out.append(
-                    Violation(
-                        "switch-capacity",
-                        ps,
-                        False,
-                        overflow=ResourceVector(switch_memory=load - limit),
-                    )
-                )
-        for lid, load in ln.items():
-            limit = self.residual_links[lid] if lid not in self.down else 0
-            if load > limit:
-                out.append(
-                    Violation(
-                        "link-capacity",
-                        lid,
-                        False,
-                        overflow=ResourceVector(bandwidth=load - limit),
-                    )
-                )
+        for eid, load in self.usage(req, a).items():
+            limit = self.residual[eid] if eid not in self.down else ZERO
+            if not load.le(limit):
+                rule = f"{self.net.kind(eid)}-capacity"
+                out.append(Violation(rule, eid, False, overflow=load.overflow_over(limit)))
         return out
 
     def free_path(
@@ -249,7 +204,7 @@ class EmbeddingState:
         every link, or None.
 
         Links in credit (the path being replaced) count `bandwidth` as free
-        again, extra maps link ids to load already planned on top of the
+        again, extra is a usage map of load already planned on top of the
         residuals, and paths through the link `avoid` are skipped.
         """
         extra = extra or {}
@@ -257,7 +212,9 @@ class EmbeddingState:
             if avoid in rec.edges or not admissible(rec, self.down, latency_bound):
                 continue
             if all(
-                self.residual_links[e] + (bandwidth if e in credit else 0) - extra.get(e, 0)
+                self.residual[e].bandwidth
+                + (bandwidth if e in credit else 0)
+                - extra.get(e, ZERO).bandwidth
                 >= bandwidth
                 for e in rec.edges
             ):
@@ -271,7 +228,7 @@ class EmbeddingState:
         violations = self.check_assignment(req, a)
         if violations:
             raise CommitRejectedError(violations)
-        self.add_usage(self._residuals(), req, a, -1)
+        self.add_usage(self.residual, req, a, -1)
         self.active[req.id] = a
         self.requests[req.id] = req
         self.version += 1
@@ -282,7 +239,7 @@ class EmbeddingState:
             raise UnknownElementError(f"request {request_id} is not active")
         a = self.active.pop(request_id)
         req = self.requests.pop(request_id)
-        self.add_usage(self._residuals(), req, a, 1)
+        self.add_usage(self.residual, req, a, 1)
         self.version += 1
         return a
 
@@ -304,31 +261,19 @@ class EmbeddingState:
         clone = copy.copy(self)
         clone.active = dict(self.active)
         clone.requests = dict(self.requests)
-        clone.residual_servers = dict(self.residual_servers)
-        clone.residual_switches = dict(self.residual_switches)
-        clone.residual_links = dict(self.residual_links)
+        clone.residual = dict(self.residual)
         clone.down = set(self.down)
         return clone
 
     def mark_down(self, element_ids) -> None:
         """Strip failed elements from the usable substrate."""
         for eid in element_ids:
-            if not (self.net.has_node(eid) or eid in self.net.links):
+            if eid not in self.net.capacity:
                 raise UnknownElementError(f"unknown substrate element {eid}")
             self.down.add(eid)
         self.version += 1
 
     # -- consistency --------------------------------------------------------
-
-    def _residuals_from_scratch(self):
-        residuals = (
-            {s.id: s.capacity for s in self.net.servers.values()},
-            {s.id: s.capacity.switch_memory for s in self.net.switches.values()},
-            {l.id: l.bandwidth for l in self.net.links.values()},
-        )
-        for rid, a in self.active.items():
-            self.add_usage(residuals, self.requests[rid], a, -1)
-        return residuals
 
     def audit(self):
         """Prove the state consistent in time linear in the active requests.
@@ -338,18 +283,14 @@ class EmbeddingState:
         assignment must also pass the structural checks. Raises AuditError;
         used by simulation self-checks and tests.
         """
-        srv, sw, ln = self._residuals_from_scratch()
-        if srv != self.residual_servers:
-            raise AuditError("server residuals drifted from fold-from-scratch values")
-        if sw != self.residual_switches:
-            raise AuditError("switch residuals drifted from fold-from-scratch values")
-        if ln != self.residual_links:
-            raise AuditError("link residuals drifted from fold-from-scratch values")
-        for rv in srv.values():
+        scratch = dict(self.net.capacity)
+        for rid, a in self.active.items():
+            self.add_usage(scratch, self.requests[rid], a, -1)
+        if scratch != self.residual:
+            raise AuditError("residuals drifted from fold-from-scratch values")
+        for eid, rv in scratch.items():
             if not rv.nonnegative:
-                raise AuditError(f"negative server residual: {rv}")
-        if min(sw.values(), default=0) < 0 or min(ln.values(), default=0) < 0:
-            raise AuditError("negative switch/link residual")
+                raise AuditError(f"negative residual on {eid}: {rv}")
         for rid, a in self.active.items():
             bad = self._structural_findings(self.requests[rid], a)
             if bad:

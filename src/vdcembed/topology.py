@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from collections import deque
 from dataclasses import dataclass, replace
@@ -80,11 +81,27 @@ class ResourceVector:
         return self == ResourceVector()
 
 
+ZERO = ResourceVector()
+
+
 def sum_vectors(vectors) -> ResourceVector:
-    total = ResourceVector()
+    """Componentwise sum, accumulated per component rather than one vector
+    per addition (it runs over every substrate element)."""
+    cores = memory = switch_memory = bandwidth = 0
     for v in vectors:
-        total = total + v
-    return total
+        cores += v.cpu_cores
+        memory += v.memory_mb
+        switch_memory += v.switch_memory
+        bandwidth += v.bandwidth
+    return ResourceVector(cores, memory, switch_memory, bandwidth)
+
+
+# the capacity dimensions each kind of substrate element carries
+DIMENSIONS = {
+    "server": ("cpu_cores", "memory_mb"),
+    "switch": ("switch_memory",),
+    "link": ("bandwidth",),
+}
 
 
 @dataclass(frozen=True)
@@ -113,6 +130,8 @@ class Link:
 class SubstrateNetwork:
     """Physical data center: servers, tiered switches, capacitated links.
 
+    Servers, switches and links share one id space; `capacity` maps every
+    element id to its capacity vector (a link's is its bandwidth).
     k_arity records the fat-tree parameter used at construction time; 0
     marks a hand-built network (structural count checks are skipped).
     """
@@ -133,11 +152,22 @@ class SubstrateNetwork:
             adj[link.a].append((link.b, link.id))
             adj[link.b].append((link.a, link.id))
         self.adjacency = adj
+        self.capacity: dict[str, ResourceVector] = {
+            **{s.id: s.capacity for s in self.servers.values()},
+            **{s.id: s.capacity for s in self.switches.values()},
+            **{l.id: ResourceVector(bandwidth=l.bandwidth) for l in self.links.values()},
+        }
         self._hop_cache: dict[str, dict[str, int]] = {}
         self._diameter: int | None = None
 
     def has_node(self, node_id: str) -> bool:
         return node_id in self.servers or node_id in self.switches
+
+    def kind(self, element_id: str) -> str:
+        """The element's kind, a key of DIMENSIONS: server, switch or link."""
+        if element_id in self.servers:
+            return "server"
+        return "switch" if element_id in self.switches else "link"
 
     def edge_switch_of(self, server_id: str) -> str | None:
         """The edge-tier switch adjacent to a server, if exactly one exists."""
@@ -643,11 +673,11 @@ def load_substrate(text: str) -> SubstrateNetwork:
     for raw in lines[1:]:
         parts = raw.split()
         try:
-            # servers and switches share one id space
-            if parts[0] in ("server", "switch") and (parts[1] in servers or parts[1] in switches):
-                raise FormatError(f"duplicate node id {parts[1]!r}")
-            if parts[0] == "link" and parts[1] in links:
-                raise FormatError(f"duplicate link id {parts[1]!r}")
+            # servers, switches and links share one id space
+            if parts[0] in ("server", "switch", "link") and (
+                parts[1] in servers or parts[1] in switches or parts[1] in links
+            ):
+                raise FormatError(f"duplicate element id {parts[1]!r}")
             if parts[0] == "server":
                 _, sid, cores, mem = parts
                 servers[sid] = Server(sid, ResourceVector(cpu_cores=int(cores), memory_mb=int(mem)))
@@ -707,6 +737,8 @@ def load_requests(text: str) -> list[VdcRequest]:
         nonlocal cur_id, vms, vswitches, vlinks
         arrival = float(meta_parts[1])
         duration = float(meta_parts[2])
+        if math.isnan(arrival) or math.isnan(duration):
+            raise FormatError(f"request {cur_id!r}: nan arrival or duration")
         latency = None if meta_parts[3] == "-" else int(meta_parts[3])
         locality = None
         if len(meta_parts) > 4:

@@ -151,6 +151,13 @@ class TestRun:
         assert code == 1
         assert "--lambdas" in err and "Traceback" not in err
 
+    def test_negative_audit_every_exits_one(self, workdir, capsys):
+        main(["gen-topology", "--k", "2", "--out", "dc2.txt"])
+        args = ["run", "--substrate", "dc2.txt", "--workload", "workload.cfg", "--out", "res"]
+        assert main(args + ["--audit-every", "-1"]) == 1
+        assert capsys.readouterr().err.startswith("error: --audit-every: ")
+        assert not (workdir / "res").exists()
+
     def test_env_override_for_out(self, workdir, monkeypatch):
         main(["gen-topology", "--k", "2", "--out", "dc2.txt"])
         (workdir / "tiny.cfg").write_text(
@@ -243,6 +250,14 @@ class TestSolve:
         assert main(args) == 1
         assert capsys.readouterr().err.startswith("error: --f: ")
 
+    @pytest.mark.parametrize("flag", ["--node-limit", "--wall-ms"])
+    def test_negative_budget_exits_one(self, workdir, capsys, flag):
+        main(["gen-topology", "--k", "2", "--out", "dc2.txt"])
+        self.write_requests(workdir, REQUEST)
+        args = ["solve", "--substrate", "dc2.txt", "--requests", "reqs.txt", flag, "-1"]
+        assert main(args) == 1
+        assert capsys.readouterr().err.startswith(f"error: {flag}: ")
+
 
 class TestValidate:
     def test_valid_inputs(self, workdir, capsys):
@@ -329,6 +344,11 @@ class TestValidate:
                 None,
             ),
             (
+                "substrate 1 0\nswitch e0 edge 100\nserver s0 8 1024\nserver s1 8 1024\n"
+                "link s1 e0 s0 1000 1\n",
+                None,
+            ),
+            (
                 "substrate 1 0\nswitch e0 edge 100\n",
                 "requests 1\nvm vm0 1 256\nrequest r0\nvswitch vs0 edge 10\n"
                 "vlink vl0 vs0 vm0 5\nmeta 0 10 -\n",
@@ -344,11 +364,14 @@ class TestValidate:
                 "requests 1\nrequest r0\nvm vm0 1 256\nvswitch vs0 edge 10\n"
                 "vlink vm0 vs0 vm0 5\nmeta 0 10 -\n",
             ),
+            ("substrate 1 0\nswitch e0 edge 100\n", REQUEST.replace("meta 0.0 ", "meta nan ")),
+            ("substrate 1 0\nswitch e0 edge 100\n", REQUEST.replace(" 10.0 -", " nan -")),
         ],
         ids=[
             "undeclared-link-end", "bad-version", "bad-arity", "bad-requests-version",
             "duplicate-server", "server-reuses-switch-id", "duplicate-link",
-            "vm-before-request", "duplicate-request", "duplicate-vm", "vlink-reuses-vm-id",
+            "link-reuses-server-id", "vm-before-request", "duplicate-request", "duplicate-vm",
+            "vlink-reuses-vm-id", "nan-arrival", "nan-duration",
         ],
     )
     def test_malformed_file_exits_one(self, workdir, capsys, substrate, requests):

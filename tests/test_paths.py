@@ -28,7 +28,6 @@ class TestEnumerate:
         assert len(recs) == 1
         assert recs[0].edges == ("ab", "bc")
         assert recs[0].delay == 5
-        assert recs[0].bottleneck == 50
 
     def test_k4_interpod_edge_pair_has_four_paths(self, k4_net, k4_table):
         recs = k4_table.get("e0_0", "e1_0")
@@ -80,11 +79,10 @@ class TestEnumerate:
         assert t1.paths == t2.paths
         assert list(t1.paths) == list(t2.paths)
 
-    def test_cached_delay_and_bottleneck(self, k4_net, k4_table):
+    def test_cached_delay(self, k4_net, k4_table):
         for recs in k4_table.paths.values():
             for rec in recs:
                 assert rec.delay == sum(k4_net.links[e].delay for e in rec.edges)
-                assert rec.bottleneck == min(k4_net.links[e].bandwidth for e in rec.edges)
 
 
 class TestIndicator:

@@ -53,6 +53,19 @@ class TestCheckAssignment:
         assert v.rule == "server-capacity" and not v.structural
         assert v.overflow == ResourceVector(cpu_cores=1, memory_mb=0)
 
+    def test_overflow_on_every_kind_listed_in_order(self):
+        net = make_rack_net(n_servers=1, cores=3, switch_mem=5, link_bw=50)
+        table = enumerate_paths(net)
+        state = EmbeddingState(net, table)
+        req = star_request("r0", n_vms=2, cores=2, vswitch_mem=10, vlink_bw=30)
+        a = assign_star(net, table, req, "e0", "s0")
+        found = [(v.rule, v.element, v.overflow) for v in state.check_assignment(req, a)]
+        assert found == [
+            ("server-capacity", "s0", ResourceVector(cpu_cores=1)),
+            ("switch-capacity", "e0", ResourceVector(switch_memory=5)),
+            ("link-capacity", "l0", ResourceVector(bandwidth=10)),
+        ]
+
     def test_dangling_reference_raises(self, k2_state):
         req = star_request("r0")
         a = Assignment("r0", {"vm0": "nosuch"}, {"vs0": "e0_0"}, {"vl0": ("e0_0", "s0", 0)})
@@ -107,22 +120,13 @@ class TestCheckAssignment:
 
 class TestCommitRelease:
     def test_commit_release_identity(self, k2_state):
-        before = (
-            dict(k2_state.residual_servers),
-            dict(k2_state.residual_switches),
-            dict(k2_state.residual_links),
-        )
+        before = dict(k2_state.residual)
         req = star_request("r0", n_vms=2)
         a = assign_star(k2_state.net, k2_state.table, req, "e0_0", "s0")
         k2_state.commit(req, a)
-        assert k2_state.residual_servers != before[0]
+        assert k2_state.residual != before
         k2_state.release("r0")
-        after = (
-            dict(k2_state.residual_servers),
-            dict(k2_state.residual_switches),
-            dict(k2_state.residual_links),
-        )
-        assert after == before
+        assert k2_state.residual == before
 
     def test_overcommit_rejected_and_unchanged(self):
         net = make_rack_net(n_servers=1, cores=4, link_bw=50)
@@ -130,18 +134,18 @@ class TestCommitRelease:
         state = EmbeddingState(net, table)
         req = star_request("r0", n_vms=1, vlink_bw=100)
         a = assign_star(net, table, req, "e0", "s0")
-        before = dict(state.residual_links)
+        before = dict(state.residual)
         with pytest.raises(CommitRejectedError) as err:
             state.commit(req, a)
         assert any(v.rule == "link-capacity" for v in err.value.violations)
-        assert state.residual_links == before
+        assert state.residual == before
         assert state.active == {}
 
     def test_residual_after_single_vm(self, k2_state):
         req = star_request("r0", n_vms=1, cores=1, mem=256)
         a = assign_star(k2_state.net, k2_state.table, req, "e0_0", "s0")
         k2_state.commit(req, a)
-        assert k2_state.residual_servers["s0"] == ResourceVector(cpu_cores=7, memory_mb=16128)
+        assert k2_state.residual["s0"] == ResourceVector(cpu_cores=7, memory_mb=16128)
 
     def test_release_unknown(self, k2_state):
         with pytest.raises(UnknownElementError):
@@ -207,10 +211,19 @@ class TestAudit:
         with pytest.raises(AuditError, match="r0"):
             k4_state.audit()
 
-    def test_residual_drift_detected(self, k2_state):
+    @pytest.mark.parametrize(
+        "element, delta",
+        [
+            ("s0", ResourceVector(cpu_cores=1)),
+            ("e0_0", ResourceVector(switch_memory=1)),
+            ("l0", ResourceVector(bandwidth=1)),
+        ],
+        ids=["server", "switch", "link"],
+    )
+    def test_residual_drift_detected(self, k2_state, element, delta):
         req = star_request("r0", n_vms=1)
         k2_state.commit(req, assign_star(k2_state.net, k2_state.table, req, "e0_0", "s0"))
-        k2_state.residual_links["l0"] += 1
+        k2_state.residual[element] += delta
         with pytest.raises(AuditError, match="drifted"):
             k2_state.audit()
 
@@ -244,7 +257,7 @@ class TestApplyAndCopy:
         clone.release("r0")
         clone.mark_down(["s1"])
         assert "r0" in k2_state.active and "r0" not in clone.active
-        assert k2_state.residual_servers != clone.residual_servers
+        assert k2_state.residual != clone.residual
         assert k2_state.down == set()
         clone.audit()
         k2_state.audit()
@@ -258,13 +271,9 @@ class TestFreePath:
         first_link = recs[0].edges[0]  # e0_0-a0_0, on paths 0 and 1
         assert k4_state.free_path("e0_0", "e3_1", 1000) == 0
         assert k4_state.free_path("e0_0", "e3_1", 1000, avoid=first_link) == 2
-        assert k4_state.free_path("e0_0", "e3_1", 600, extra={first_link: 500}) == 2
-        assert (
-            k4_state.free_path(
-                "e0_0", "e3_1", 600, credit=recs[0].edges, extra={first_link: 500}
-            )
-            == 0
-        )
+        extra = {first_link: ResourceVector(bandwidth=500)}
+        assert k4_state.free_path("e0_0", "e3_1", 600, extra=extra) == 2
+        assert k4_state.free_path("e0_0", "e3_1", 600, credit=recs[0].edges, extra=extra) == 0
         k4_state.mark_down(["c0_0"])
         assert k4_state.free_path("e0_0", "e3_1", 10) == 1
         assert k4_state.free_path("e0_0", "e3_1", 10, latency_bound=3) is None
