@@ -51,15 +51,6 @@ class SolveBudget:
     wall_ms: int = 0  # 0 disables the clock check
 
 
-@dataclass(frozen=True)
-class MigrationMove:
-    kind: str  # vm | vswitch
-    request_id: str
-    element_id: str
-    old_host: str
-    new_host: str
-
-
 class MipModel:
     """Binary variables, linear rows, and an exact scaled-integer objective.
 
@@ -282,7 +273,6 @@ class BatchSolution:
     model: MipModel
     embedded: dict[str, Assignment | None]
     objective: Fraction | None
-    migrations: list[MigrationMove]
     nodes: int
     wall_ms: float
     optimal: bool
@@ -504,7 +494,7 @@ def solve_exact(model: MipModel, budget: SolveBudget | None = None) -> BatchSolu
     wall = (time.perf_counter() - start) * 1000.0
 
     if best_values is None:
-        return BatchSolution(model, {}, None, [], nodes, wall, False, "no-solution")
+        return BatchSolution(model, {}, None, nodes, wall, False, "no-solution")
 
     embedded: dict[str, Assignment | None] = {}
     for req in model.requests:
@@ -529,23 +519,9 @@ def solve_exact(model: MipModel, budget: SolveBudget | None = None) -> BatchSolu
         if slot["z"]:
             embedded[req.id] = Assignment(req.id, slot["vm"], slot["vs"], slot["vl"])
 
-    migrations: list[MigrationMove] = []
-    for rid, old in model.remappable.items():
-        new = embedded.get(rid)
-        if new is None:
-            continue
-        for vm_id, old_pm in old.vm_map.items():
-            new_pm = new.vm_map[vm_id]
-            if new_pm != old_pm:
-                migrations.append(MigrationMove("vm", rid, vm_id, old_pm, new_pm))
-        for vs_id, old_ps in old.vswitch_map.items():
-            new_ps = new.vswitch_map[vs_id]
-            if new_ps != old_ps:
-                migrations.append(MigrationMove("vswitch", rid, vs_id, old_ps, new_ps))
-
     objective = Fraction(best_scaled, model.obj_scale)
     status = "optimal" if exhausted else "incumbent"
-    return BatchSolution(model, embedded, objective, migrations, nodes, wall, exhausted, status)
+    return BatchSolution(model, embedded, objective, nodes, wall, exhausted, status)
 
 
 @dataclass
@@ -555,7 +531,6 @@ class CommitPlan:
     releases: list[str]
     commits: list[tuple[VdcRequest, Assignment]]
     requeue: list[str]  # remappable actives the solution un-embedded
-    migrations: list[MigrationMove]
 
 
 def extract_assignments(sol: BatchSolution, state: EmbeddingState) -> CommitPlan:
@@ -582,4 +557,4 @@ def extract_assignments(sol: BatchSolution, state: EmbeddingState) -> CommitPlan
         a = sol.embedded.get(req.id)
         if a is not None:
             commits.append((req, a))
-    return CommitPlan(releases, commits, requeue, list(sol.migrations))
+    return CommitPlan(releases, commits, requeue)

@@ -69,6 +69,9 @@ def cmd_gen_topology(args) -> int:
         bandwidth_profile=(args.bw_core_agg, args.bw_agg_edge, args.bw_edge_server),
         delay_profile=(args.delay_core_agg, args.delay_agg_edge, args.delay_edge_server),
     )
+    findings = validate_substrate(net)
+    if findings:
+        raise ConfigError("; ".join(str(f) for f in findings))
     _write(args.out, dump_substrate(net))
     print(f"wrote {args.out}: {len(net.servers)} servers, {len(net.switches)} switches")
     return EXIT_OK

@@ -5,13 +5,13 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from .errors import FormatError, IncompleteTraceError
+from .errors import IncompleteTraceError
 
 
 @dataclass(frozen=True)
 class TraceRecord:
     """One structured trace line; values are kept in canonical string form so
-    serialize/parse is an exact round trip."""
+    a serialized line reads back exactly."""
 
     time: float
     seq: int
@@ -39,27 +39,6 @@ def resequence(records) -> list[TraceRecord]:
     return [
         TraceRecord(r.time, i, r.kind, r.fields) for i, r in enumerate(records)
     ]
-
-
-def parse_trace(text: str) -> list[TraceRecord]:
-    records = []
-    for raw in text.splitlines():
-        if not raw.strip():
-            continue
-        parts = raw.split()
-        if len(parts) < 3:
-            raise FormatError(f"bad trace line: {raw!r}")
-        try:
-            t = float(parts[0])
-            seq = int(parts[1])
-        except ValueError:
-            raise FormatError(f"bad trace line: {raw!r}") from None
-        fields = []
-        for token in parts[3:]:
-            k, _, v = token.partition("=")
-            fields.append((k, v))
-        records.append(TraceRecord(t, seq, parts[2], tuple(fields)))
-    return records
 
 
 @dataclass
@@ -184,27 +163,3 @@ def write_csv(report: MetricsReport, destination: str) -> list[str]:
         return paths
     except OSError as err:
         raise OSError(f"cannot write metrics under {destination!r}: {err}") from err
-
-
-def read_acceptance_csv(text: str) -> list[tuple[float, int, int, float | None]]:
-    lines = text.strip().splitlines()
-    if not lines or lines[0] != ACCEPTANCE_HEADER:
-        raise FormatError("bad acceptance.csv header")
-    out = []
-    for raw in lines[1:]:
-        lam, arrivals, accepted, rate = raw.split(",")
-        out.append(
-            (float(lam), int(arrivals), int(accepted), float(rate) if rate else None)
-        )
-    return out
-
-
-def read_migrations_csv(text: str) -> list[tuple[float, int, int, float | None]]:
-    lines = text.strip().splitlines()
-    if not lines or lines[0] != MIGRATIONS_HEADER:
-        raise FormatError("bad migrations.csv header")
-    out = []
-    for raw in lines[1:]:
-        lam, migs, placed, pct = raw.split(",")
-        out.append((float(lam), int(migs), int(placed), float(pct) if pct else None))
-    return out

@@ -43,7 +43,6 @@ class SwapMove:
     moved_element: str
     old_host: str
     new_host: str
-    displaced_by: str  # request id whose placement needed the room
 
 
 @dataclass(frozen=True)
@@ -494,7 +493,8 @@ def _incumbents_on(probe, kind, host, exclude_request):
 
 
 def _swap_in(probe, new_assignment) -> bool:
-    """Replace one incumbent's assignment on the probe; restore on rejection."""
+    """Replace one incumbent's assignment on the probe; on rejection put the
+    old one back and return False."""
     rid = new_assignment.request_id
     req_obj = probe.requests[rid]
     old = probe.release(rid)
@@ -502,7 +502,11 @@ def _swap_in(probe, new_assignment) -> bool:
         probe.commit(req_obj, new_assignment)
         return True
     except CommitRejectedError:
-        probe.commit(req_obj, old)
+        # unchecked: the old placement held these resources a moment ago, but
+        # it may touch an element marked down since, which commit would refuse
+        probe.add_usage(probe.residual, req_obj, old, -1)
+        probe.active[rid] = old
+        probe.requests[rid] = req_obj
         return False
 
 
@@ -521,7 +525,7 @@ def _repair_server(probe, req, host, need, extra):
         relocated = _relocate_vm(probe, probe.requests[rid], probe.active[rid], vm_id, extra)
         if relocated is not None:
             new_assignment, target = relocated
-            yield new_assignment, SwapMove("vm-swap", rid, vm_id, host, target, req.id)
+            yield new_assignment, SwapMove("vm-swap", rid, vm_id, host, target)
 
 
 def _repair_switch(probe, req, host, need, extra):
@@ -536,7 +540,7 @@ def _repair_switch(probe, req, host, need, extra):
     for _, _, rid, vs_id in candidates:
         new_assignment, target = _relocate_vswitch(probe, rid, vs_id, host, extra)
         if new_assignment is not None:
-            yield new_assignment, SwapMove("vswitch-swap", rid, vs_id, host, target, req.id)
+            yield new_assignment, SwapMove("vswitch-swap", rid, vs_id, host, target)
 
 
 def _relocate_vswitch(probe, rid, vs_id, forbidden, extra):
@@ -604,7 +608,7 @@ def _repair_link(probe, req, assignment, host, need, extra):
             probe, probe.requests[rid], probe.active[rid], vl_id, host, extra
         )
         if new_assignment is not None:
-            yield new_assignment, SwapMove("vlink-reroute", rid, vl_id, host, host, req.id)
+            yield new_assignment, SwapMove("vlink-reroute", rid, vl_id, host, host)
 
     own = []
     for vl_id, key in assignment.vlink_map.items():
@@ -614,7 +618,7 @@ def _repair_link(probe, req, assignment, host, need, extra):
     for _, vl_id in own:
         rerouted = _reroute_vlink(probe, req, assignment, vl_id, host, extra)
         if rerouted is not None:
-            yield rerouted, SwapMove("vlink-reroute", req.id, vl_id, host, host, req.id)
+            yield rerouted, SwapMove("vlink-reroute", req.id, vl_id, host, host)
 
 
 def try_online_embed(state: EmbeddingState, req: VdcRequest, swap_ceiling: int = 8):

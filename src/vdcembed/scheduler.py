@@ -16,11 +16,11 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .batch_solver import SolveBudget, build_mip, extract_assignments, solve_exact
-from .errors import CommitRejectedError, ConfigError, InvalidParameterError
+from .errors import ConfigError, InvalidParameterError
 from .metrics import TraceRecord
 from .online_search import OnlineResult, _relocate_vm, compute_fragments, try_online_embed
 from .paths import PathTable, admissible, enumerate_paths
-from .state import EmbeddingState
+from .state import Assignment, EmbeddingState
 from .topology import (
     ResourceVector,
     SubstrateNetwork,
@@ -265,11 +265,6 @@ class Simulation:
         else:
             self.emit("reembed", now, request=req.id, via=via)
 
-    def _record_migration(self, now: float, kind: str, rid: str, element: str, old, new):
-        self.emit(
-            "migration", now, kind=kind, request=rid, element=element, old=old, new=new
-        )
-
     def _requeue(self, req: VdcRequest, now: float):
         """Send an incumbent that lost its placement back to the queue."""
         self.queue.add(
@@ -317,23 +312,27 @@ class Simulation:
 
     # -- embedding passes -------------------------------------------------------
 
+    def _carry_out(self, releases, commits, now: float):
+        """Apply one decision to the live state: release the listed request
+        ids, then commit the (request, assignment) pairs. Every committed
+        request that was active before is a re-placement, and each of its
+        elements whose placement changed gets one migration record."""
+        before = {rid: self.state.active[rid] for rid in releases}
+        self.state.apply(releases, commits)
+        for req, a in commits:
+            if req.id in before:
+                for kind, element, old, new in before[req.id].moves_to(a):
+                    self.emit(
+                        "migration", now, kind=kind, request=req.id, element=element,
+                        old=old, new=new,
+                    )
+
     def _apply_online(self, req: VdcRequest, result: OnlineResult, now: float):
         updates = result.incumbent_updates
         commits = [(self.state.requests[rid], a) for rid, a in updates.items()]
-        self.state.apply(updates, commits + [(req, result.assignment)])
-        for rid in updates:
-            for move in result.moves:
-                if move.moved_request == rid and move.kind in ("vm-swap", "vswitch-swap"):
-                    self._record_migration(
-                        now,
-                        "vm" if move.kind == "vm-swap" else "vswitch",
-                        rid,
-                        move.moved_element,
-                        move.old_host,
-                        move.new_host,
-                    )
-                elif move.moved_request == rid:
-                    self._record_migration(now, "vlink", rid, move.moved_element, "-", "-")
+        # a scaled-up request is active and is re-placed along with the incumbents
+        releases = [req.id, *updates] if req.id in self.state.active else list(updates)
+        self._carry_out(releases, commits + [(req, result.assignment)], now)
 
     def _online_pass(self, now: float) -> bool:
         for entry in self.queue.ordered():
@@ -388,11 +387,7 @@ class Simulation:
             return False
         plan = extract_assignments(sol, self.state)
         by_id = {req.id: req for req in model.requests}
-        self.state.apply(plan.releases, plan.commits)
-        for move in plan.migrations:
-            self._record_migration(
-                now, move.kind, move.request_id, move.element_id, move.old_host, move.new_host
-            )
+        self._carry_out(plan.releases, plan.commits, now)
         accepted = 0
         for req in candidates:
             if sol.embedded.get(req.id) is not None:
@@ -489,13 +484,13 @@ class Simulation:
         displaced = [rid for rid in state.active if self._touches_down(rid)]
         for rid in displaced:
             req = state.requests[rid]
-            repaired = self._repair_displaced(req, state.release(rid))
+            repaired = self._repair_displaced(req)
             if repaired is None:
+                self._carry_out([rid], [], now)
                 self._requeue(req, now)
                 self.emit("displaced", now, request=rid, outcome="requeued")
                 continue
-            for kind, element, old, new in repaired:
-                self._record_migration(now, kind, rid, element, old, new)
+            self._carry_out([rid], [(req, repaired)], now)
             self.emit("displaced", now, request=rid, outcome="repaired")
         self._drain(now)
 
@@ -511,50 +506,38 @@ class Simulation:
             for key in a.vlink_map.values()
         )
 
-    def _repair_displaced(self, req: VdcRequest, a) -> list | None:
-        """Re-commit a released request with only the elements on failed
-        hardware moved; returns the (kind, element, old, new) moves, or None
-        (nothing committed) when that is impossible.
+    def _repair_displaced(self, req: VdcRequest) -> Assignment | None:
+        """A new placement for an active request hit by a failure with only
+        the elements on failed hardware moved, or None when that is impossible.
 
         A VM on a failed server moves within its rack, a vlink over a failed
-        link or switch takes the first admissible path with room. Planned
-        loads are the request's own usage, so unmoved VMs count once.
+        link or switch takes the first admissible path with room. Plans on a
+        copy of the state with the request released; planned loads are the
+        request's own usage, so unmoved VMs count once.
         """
-        state = self.state
-        down = state.down
+        probe = self.state.copy()
+        a = probe.release(req.id)
+        down = probe.down
         if any(host in down for host in a.vswitch_map.values()):
             return None  # switch loss relocates the vswitch; fall back to requeue
-        moved: list[tuple[str, str, str, str]] = []
         for vm_id, host in a.vm_map.items():
             if host not in down:
                 continue
-            relocated = _relocate_vm(state, req, a, vm_id, state.usage(req, a))
+            relocated = _relocate_vm(probe, req, a, vm_id, probe.usage(req, a))
             if relocated is None:
                 return None
-            new_a, target = relocated
-            moved.append(("vm", vm_id, host, target))
-            moved.extend(
-                ("vlink", vl_id, "-", "-")
-                for vl_id, key in new_a.vlink_map.items()
-                if key != a.vlink_map[vl_id]
-            )
-            a = new_a
+            a = relocated[0]
         for vl_id, (pa, pb, old_n) in a.vlink_map.items():
-            old = state.table.path(pa, pb, old_n)
+            old = probe.table.path(pa, pb, old_n)
             if admissible(old, down, None):
                 continue
             vl = req.vlinks[vl_id]
-            usage = state.usage(req, a)
-            n = state.free_path(pa, pb, vl.bandwidth, req.latency_bound, old.edges, usage)
+            usage = probe.usage(req, a)
+            n = probe.free_path(pa, pb, vl.bandwidth, req.latency_bound, old.edges, usage)
             if n is None:
                 return None
             a = replace(a, vlink_map={**a.vlink_map, vl_id: (pa, pb, n)})
-            moved.append(("vlink", vl_id, "-", "-"))
-        try:
-            state.commit(req, a)
-        except CommitRejectedError:
-            return None
-        return moved
+        return None if probe.check_assignment(req, a) else a
 
     def handle_scale_up(self, request_id: str, deltas, now: float):
         if request_id not in self.state.active:
@@ -569,14 +552,12 @@ class Simulation:
                 return
             new_vms[vm_id] = replace(new_vms[vm_id], demand=new_vms[vm_id].demand + extra)
         scaled = replace(req, vms=new_vms)
-        a = state.active[request_id]
-        state.release(request_id)
-        try:
-            state.commit(scaled, a)
+        probe = state.copy()
+        a = probe.release(request_id)
+        if not probe.check_assignment(scaled, a):
+            self._carry_out([request_id], [(scaled, a)], now)
             self.emit("scale_up", now, request=request_id, outcome="in-place")
             return
-        except CommitRejectedError:
-            pass
         # pin unchanged elements, let the scaled VMs move within their racks;
         # every pin stays inside the request's own locality
         scaled_ids = {vm_id for vm_id, _ in deltas}
@@ -591,18 +572,11 @@ class Simulation:
             allowed = (req.locality or {}).get(vm_id)
             locality[vm_id] = pins if allowed is None else pins & allowed
         pinned = replace(scaled, locality=locality)
-        result = try_online_embed(state, pinned, self.policy.swap_ceiling)
+        result = try_online_embed(probe, pinned, self.policy.swap_ceiling)
         if isinstance(result, OnlineResult):
             self._apply_online(scaled, result, now)
-            for vm_id in scaled_ids:
-                if result.assignment.vm_map[vm_id] != a.vm_map[vm_id]:
-                    self._record_migration(
-                        now, "vm", request_id, vm_id,
-                        a.vm_map[vm_id], result.assignment.vm_map[vm_id],
-                    )
             self.emit("scale_up", now, request=request_id, outcome="relocated")
         else:
-            state.commit(req, a)  # reinstate the unscaled request
             self.emit("scale_up", now, request=request_id, outcome="rejected")
 
     # -- event loop --------------------------------------------------------------

@@ -44,6 +44,22 @@ class Assignment:
             return self.vm_map[element_id]
         return self.vswitch_map.get(element_id)
 
+    def moves_to(self, new: "Assignment") -> list[tuple[str, str, str, str]]:
+        """(kind, element, old, new) for every element of the same request
+        placed differently in new: VMs, then vSwitches, then vlinks whose
+        path changed; a vlink's old and new read "-"."""
+        maps = (
+            ("vm", self.vm_map, new.vm_map),
+            ("vswitch", self.vswitch_map, new.vswitch_map),
+            ("vlink", self.vlink_map, new.vlink_map),
+        )
+        return [
+            (kind, e, "-", "-") if kind == "vlink" else (kind, e, was[e], now[e])
+            for kind, was, now in maps
+            for e in was
+            if now[e] != was[e]
+        ]
+
 
 class EmbeddingState:
     """Single-writer record of all active assignments plus residual resources."""

@@ -76,10 +76,6 @@ class ResourceVector:
             max(0, d.bandwidth),
         )
 
-    @property
-    def is_zero(self) -> bool:
-        return self == ResourceVector()
-
 
 ZERO = ResourceVector()
 
@@ -133,7 +129,8 @@ class SubstrateNetwork:
     Servers, switches and links share one id space; `capacity` maps every
     element id to its capacity vector (a link's is its bandwidth).
     k_arity records the fat-tree parameter used at construction time; 0
-    marks a hand-built network (structural count checks are skipped).
+    marks a hand-built network (structural count checks are skipped). A
+    link naming an undeclared node raises InvalidParameterError.
     """
 
     servers: dict[str, Server]
@@ -149,6 +146,9 @@ class SubstrateNetwork:
             n: [] for n in list(self.servers) + list(self.switches)
         }
         for link in self.links.values():
+            for end in (link.a, link.b):
+                if end not in adj:
+                    raise InvalidParameterError(f"link {link.id} names undeclared node {end!r}")
             adj[link.a].append((link.b, link.id))
             adj[link.b].append((link.a, link.id))
         self.adjacency = adj
@@ -159,9 +159,6 @@ class SubstrateNetwork:
         }
         self._hop_cache: dict[str, dict[str, int]] = {}
         self._diameter: int | None = None
-
-    def has_node(self, node_id: str) -> bool:
-        return node_id in self.servers or node_id in self.switches
 
     def kind(self, element_id: str) -> str:
         """The element's kind, a key of DIMENSIONS: server, switch or link."""
@@ -542,9 +539,6 @@ def validate_substrate(net: SubstrateNetwork) -> list[Finding]:
             findings.append(Finding("link-bandwidth-positive", link.id))
         if link.delay < 0:
             findings.append(Finding("link-delay-negative", link.id))
-        for end in (link.a, link.b):
-            if not net.has_node(end):
-                findings.append(Finding("link-endpoint-unknown", link.id, end))
 
     for srv_id in net.servers:
         edge_neighbors = [
@@ -691,11 +685,10 @@ def load_substrate(text: str) -> SubstrateNetwork:
                 raise FormatError(f"unknown substrate record {parts[0]!r}")
         except (ValueError, IndexError):
             raise FormatError(f"bad substrate line: {raw!r}") from None
-    for link in links.values():
-        for end in (link.a, link.b):
-            if end not in servers and end not in switches:
-                raise FormatError(f"link {link.id} names undeclared node {end!r}")
-    return SubstrateNetwork(servers=servers, switches=switches, links=links, k_arity=k)
+    try:
+        return SubstrateNetwork(servers=servers, switches=switches, links=links, k_arity=k)
+    except InvalidParameterError as err:  # a link to an undeclared node
+        raise FormatError(str(err)) from None
 
 
 def dump_requests(requests) -> str:

@@ -33,6 +33,13 @@ from vdcembed.topology import (
 )
 
 
+def read_csv(text, header):
+    """The rows of one metrics CSV as lists of fields, after checking its header."""
+    lines = text.strip().splitlines()
+    assert lines[0] == header
+    return [raw.split(",") for raw in lines[1:]]
+
+
 def make_rack_net(n_servers=2, cores=8, mem=16384, switch_mem=100, link_bw=1000):
     """One edge switch with n servers under it; the smallest viable substrate."""
     switches = {"e0": Switch("e0", "edge", ResourceVector(switch_memory=switch_mem))}

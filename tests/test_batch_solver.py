@@ -267,7 +267,7 @@ class TestMigrationAwareness:
         r1 = star_request("r1", cores=2)
         sol = solve_exact(build_mip(state, [r1], remappable=["r0"]))
         assert sol.objective == 2  # both embedded, nobody moved
-        assert sol.migrations == []
+        assert old.moves_to(sol.embedded["r0"]) == []
         assert sol.embedded["r0"] == old
 
     def test_migration_unlocks_placement_and_is_priced(self):
@@ -298,23 +298,19 @@ class TestMigrationAwareness:
         r1 = star_request("r1", n_vms=1, cores=4)
         sol = solve_exact(build_mip(state, [r1], remappable=["r0"]))
         assert sol.embedded["r1"] is not None
-        assert len(sol.migrations) == 1
-        move = sol.migrations[0]
-        assert move.kind == "vm"
-        assert move.element_id == "vm0"  # the light one moves
-        # objective identity: embedded count minus priced moves
-        expect = Fraction(2)
-        diameter = net.diameter()
-        for mv in sol.migrations:
-            weight = Fraction(
-                state.requests["r0"].vms[mv.element_id].demand.memory_mb,
-                max(
-                    vm.demand.memory_mb for vm in state.requests["r0"].vms.values()
-                ),
-            )
-            hops = hop_distance_bfs(net, mv.old_host, mv.new_host)
-            expect -= weight * Fraction(hops, diameter)
-        assert sol.objective == expect
+        moves = state.active["r0"].moves_to(sol.embedded["r0"])
+        hosts = [m for m in moves if m[0] != "vlink"]
+        assert len(hosts) == 1
+        kind, element, old_host, new_host = hosts[0]
+        assert (kind, element) == ("vm", "vm0")  # the light one moves
+        assert moves[1:] == [("vlink", "vl0", "-", "-")]  # its uplink follows
+        # objective identity: embedded count minus the priced move
+        weight = Fraction(
+            state.requests["r0"].vms[element].demand.memory_mb,
+            max(vm.demand.memory_mb for vm in state.requests["r0"].vms.values()),
+        )
+        hops = hop_distance_bfs(net, old_host, new_host)
+        assert sol.objective == 2 - weight * Fraction(hops, net.diameter())
 
     def test_matches_oracle_with_migration_context(self, k2_net, k2_table):
         rng = random.Random(3999)

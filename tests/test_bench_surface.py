@@ -12,8 +12,8 @@ import pytest
 
 from vdcembed.metrics import resequence, serialize_trace
 from vdcembed.paths import PathTable, enumerate_paths
-from vdcembed.scheduler import PolicyConfig, run_simulation
-from vdcembed.topology import build_fat_tree
+from vdcembed.scheduler import PolicyConfig, SimEvent, run_simulation
+from vdcembed.topology import ResourceVector, WorkloadConfig, build_fat_tree
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -76,3 +76,33 @@ def test_first_simulation_trace_unchanged(perfbench_modules, name):
     )
     text = serialize_trace(resequence(records))
     assert hashlib.sha256(text.encode()).hexdigest() == FIRST_TRACE_SHA256[name]
+
+
+# Neither workload's pinned trace holds a migration record, so this short
+# batch-only run on k=4 pins the paths that emit them: batch re-placements,
+# a failure (one displaced request repaired, one requeued) and a scale-up
+# that moves an incumbent; sha256 of its trace, under the same rule as above
+MIGRATION_TRACE_SHA256 = "9a883657553cd17c5df20e461e7328f67c2954b880959e063eaade9de22eb760"
+
+
+def test_migration_trace_unchanged(k4_net, k4_table):
+    events = (
+        SimEvent(30.0, 0, "failure", elements=("s0",)),
+        SimEvent(
+            40.0, 1, "scale_up", request_id="r1", deltas=(("vm0", ResourceVector(cpu_cores=2)),)
+        ),
+    )
+    cfg = WorkloadConfig(
+        vm_count=(4, 10), vswitch_count=(2, 4), arrival_rate=5, horizon=60.0, seed=5
+    )
+    policy = PolicyConfig(batch_width=3, solver_node_limit=500, remap_limit=4)
+    records = run_simulation(
+        k4_net, cfg, policy, run_mode="batch-only", table=k4_table, extra_events=events,
+        audit_every=1,
+    )
+    kinds = {r.get("kind") for r in records if r.kind == "migration"}
+    assert kinds == {"vm", "vswitch", "vlink"}
+    assert {r.get("outcome") for r in records if r.kind == "displaced"} == {"repaired", "requeued"}
+    assert [r.get("outcome") for r in records if r.kind == "scale_up"] == ["relocated"]
+    text = serialize_trace(records)
+    assert hashlib.sha256(text.encode()).hexdigest() == MIGRATION_TRACE_SHA256

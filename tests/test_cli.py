@@ -4,8 +4,9 @@ import os
 
 import pytest
 
+from conftest import read_csv
 from vdcembed.cli import main
-from vdcembed.metrics import read_acceptance_csv
+from vdcembed.metrics import ACCEPTANCE_HEADER
 from vdcembed.topology import load_requests, load_substrate
 
 
@@ -52,6 +53,24 @@ class TestGenTopology:
     def test_odd_k_exits_one(self, workdir, capsys):
         assert main(["gen-topology", "--k", "3", "--out", "dc.txt"]) == 1
         assert "even" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, rules",
+        [
+            (["--cpu-cores", "-1"], ["server-capacity-positive"]),
+            (["--memory-mb", "0"], ["server-capacity-positive"]),
+            (["--switch-memory", "0"], ["switch-capacity-positive"]),
+            (
+                ["--bw-edge-server", "0", "--delay-core-agg", "-3"],
+                ["link-bandwidth-positive", "link-delay-negative"],
+            ),
+        ],
+    )
+    def test_bad_capacity_flags_exit_one(self, workdir, capsys, flags, rules):
+        assert main(["gen-topology", "--k", "2", "--out", "dc.txt", *flags]) == 1
+        err = capsys.readouterr().err
+        assert all(rule in err for rule in rules)
+        assert not (workdir / "dc.txt").exists()
 
     def test_rerun_identical(self, workdir, capsys):
         assert main(["gen-topology", "--k", "6", "--out", "dc.txt"]) == 0
@@ -115,8 +134,8 @@ class TestRun:
             ]
         )
         assert code == 0
-        rows = read_acceptance_csv((workdir / "sweep" / "acceptance.csv").read_text())
-        assert [r[0] for r in rows] == [float(v) for v in range(1, 11)]
+        rows = read_csv((workdir / "sweep" / "acceptance.csv").read_text(), ACCEPTANCE_HEADER)
+        assert [float(r[0]) for r in rows] == [float(v) for v in range(1, 11)]
 
     def test_baseline_modes(self, workdir):
         main(["gen-topology", "--k", "4", "--out", "dc.txt"])

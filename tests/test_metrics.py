@@ -4,19 +4,28 @@ import random
 
 import pytest
 
+from conftest import read_csv
 from vdcembed.errors import IncompleteTraceError
 from vdcembed.metrics import (
     ACCEPTANCE_HEADER,
+    MIGRATIONS_HEADER,
     MetricsReport,
     RateRow,
     TraceRecord,
     aggregate,
-    parse_trace,
-    read_acceptance_csv,
-    read_migrations_csv,
     serialize_trace,
     write_csv,
 )
+
+
+def parse_trace(text):
+    """Records read back from serialize_trace's lines: time, seq, kind, key=value fields."""
+    records = []
+    for line in text.splitlines():
+        time, seq, kind, *fields = line.split()
+        pairs = tuple(tuple(field.split("=", 1)) for field in fields)
+        records.append(TraceRecord(float(time), int(seq), kind, pairs))
+    return records
 
 
 def rec(time, seq, kind, /, **fields):
@@ -86,10 +95,10 @@ class TestSerialization:
     def test_csv_round_trip(self, tmp_path):
         report = aggregate(toy_trace())
         write_csv(report, str(tmp_path))
-        acc = read_acceptance_csv((tmp_path / "acceptance.csv").read_text())
-        assert acc == [(2.0, 10, 7, 0.7)]
-        mig = read_migrations_csv((tmp_path / "migrations.csv").read_text())
-        assert mig == [(2.0, 1, 28, round(1 / 28, 4))]
+        acc = read_csv((tmp_path / "acceptance.csv").read_text(), ACCEPTANCE_HEADER)
+        assert acc == [["2", "10", "7", "0.7000"]]
+        mig = read_csv((tmp_path / "migrations.csv").read_text(), MIGRATIONS_HEADER)
+        assert mig == [["2", "1", "28", f"{1 / 28:.4f}"]]
         util_lines = (tmp_path / "utilization.csv").read_text().strip().splitlines()
         assert util_lines[0] == "time,cpu_util,switch_util,bw_util"
         assert util_lines[1] == "6.000000,0.2500,0.1000,0.0500"
@@ -101,9 +110,8 @@ class TestSerialization:
     def test_zero_arrival_row_has_empty_rate(self, tmp_path):
         report = MetricsReport(rows=[RateRow(lam=3.0)])
         write_csv(report, str(tmp_path))
-        lines = (tmp_path / "acceptance.csv").read_text().strip().splitlines()
-        assert lines[1] == "3,0,0,"
-        assert read_acceptance_csv((tmp_path / "acceptance.csv").read_text())[0][3] is None
+        rows = read_csv((tmp_path / "acceptance.csv").read_text(), ACCEPTANCE_HEADER)
+        assert rows == [["3", "0", "0", ""]]
 
     def test_unwritable_destination(self):
         report = MetricsReport()

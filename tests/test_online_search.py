@@ -16,7 +16,15 @@ from vdcembed.online_search import (
 )
 from vdcembed.paths import enumerate_paths
 from vdcembed.state import Assignment, EmbeddingState
-from vdcembed.topology import ResourceVector, WorkloadConfig, generate_vdc_request
+from vdcembed.topology import (
+    ResourceVector,
+    VdcRequest,
+    VLink,
+    Vm,
+    VSwitch,
+    WorkloadConfig,
+    generate_vdc_request,
+)
 
 
 def fresh_state(net):
@@ -130,6 +138,41 @@ class TestSwapRepair:
         assert move.kind == "vm-swap"
         assert (move.old_host, move.new_host) == ("s0", "s1")
         assert result.incumbent_updates["inc"].vm_map["vm0"] == "s1"
+
+    def test_incumbent_on_failed_link_restored_when_its_move_is_refused(self, k4_net, k4_table):
+        # the incumbent's vSwitch-vSwitch vlink crosses a link that fails while
+        # it is still active; moving its VM keeps that vlink, so the move is
+        # refused and the old placement, failed link included, is put back
+        state = EmbeddingState(k4_net, k4_table)
+        inc = VdcRequest(
+            "inc",
+            vms={"vm0": Vm("vm0", ResourceVector(cpu_cores=4, memory_mb=256))},
+            vswitches={
+                "vs0": VSwitch("vs0", True, ResourceVector(switch_memory=10)),
+                "vs1": VSwitch("vs1", False, ResourceVector(switch_memory=10)),
+            },
+            vlinks={"vl0": VLink("vl0", "vs0", "vs1", 10), "vl1": VLink("vl1", "vs0", "vm0", 10)},
+            arrival_time=0.0,
+            duration=10.0,
+        )
+        hop = next(n for n, r in enumerate(k4_table.get("e0_0", "a0_0")) if len(r.edges) == 1)
+        state.commit(
+            inc,
+            Assignment(
+                "inc",
+                {"vm0": "s0"},
+                {"vs0": "e0_0", "vs1": "a0_0"},
+                {"vl0": ("e0_0", "a0_0", hop), "vl1": ("e0_0", "s0", 0)},
+            ),
+        )
+        state.mark_down([k4_net.link_between("e0_0", "a0_0")])
+        before = (dict(state.active), dict(state.residual))
+        incoming = star_request("new", cores=6)
+        a = Assignment("new", {"vm0": "s0"}, {"vs0": "e0_0"}, {"vl0": ("e0_0", "s0", 0)})
+        temp = TempMapping(a, tuple(state.check_assignment(incoming, a)))
+        result = swap_repair(state, incoming, temp, max_swaps=2)
+        assert isinstance(result, RepairFailure)
+        assert (state.active, state.residual) == before
 
     def test_dead_end_fails_within_budget(self):
         # single server, incumbent fills it, nowhere to move

@@ -235,8 +235,8 @@ class TestSimulationSteps:
         self.place(sim, y, ["s1"])
         new = star_request("new", cores=1)
         moves = (
-            SwapMove("vm-swap", "x", "vm0", "s0", "s1", "new"),
-            SwapMove("vm-swap", "y", "vm0", "s1", "s0", "new"),
+            SwapMove("vm-swap", "x", "vm0", "s0", "s1"),
+            SwapMove("vm-swap", "y", "vm0", "s1", "s0"),
         )
         updates = {
             "x": Assignment("x", {"vm0": "s1"}, {"vs0": "e0"}, {"vl0": ("e0", "s1", 0)}),
@@ -246,8 +246,37 @@ class TestSimulationSteps:
         sim._apply_online(new, OnlineResult(a, moves, updates), 1.0)
         assert sim.state.active == {**updates, "new": a}
         assert list(sim.state.active) == ["x", "y", "new"]
-        moved = [(r.get("request"), r.get("new")) for r in sim.records if r.kind == "migration"]
-        assert moved == [("x", "s1"), ("y", "s0")]
+        moved = [
+            tuple(r.get(f) for f in ("request", "kind", "element", "old", "new"))
+            for r in sim.records
+            if r.kind == "migration"
+        ]
+        assert moved == [
+            ("x", "vm", "vm0", "s0", "s1"),
+            ("x", "vlink", "vl0", "-", "-"),
+            ("y", "vm", "vm0", "s1", "s0"),
+            ("y", "vlink", "vl0", "-", "-"),
+        ]
+        sim.state.audit()
+
+    def test_incumbent_moved_twice_recorded_once(self):
+        sim = self.rack_sim(3, cores=8)
+        x = star_request("x", cores=4, duration=90.0)
+        self.place(sim, x, ["s0"])
+        new = star_request("new", cores=4)
+        moves = (
+            SwapMove("vm-swap", "x", "vm0", "s0", "s1"),
+            SwapMove("vm-swap", "x", "vm0", "s1", "s2"),
+        )
+        final = Assignment("x", {"vm0": "s2"}, {"vs0": "e0"}, {"vl0": ("e0", "s2", 0)})
+        a = Assignment("new", {"vm0": "s0"}, {"vs0": "e0"}, {"vl0": ("e0", "s0", 0)})
+        sim._apply_online(new, OnlineResult(a, moves, {"x": final}), 1.0)
+        moved = [
+            tuple(r.get(f) for f in ("request", "kind", "element", "old", "new"))
+            for r in sim.records
+            if r.kind == "migration"
+        ]
+        assert moved == [("x", "vm", "vm0", "s0", "s2"), ("x", "vlink", "vl0", "-", "-")]
         sim.state.audit()
 
     def test_displaced_vm_honours_locality(self):
@@ -306,6 +335,22 @@ class TestSimulationSteps:
         assert sim.state.requests["r0"].vms["vm0"].demand.cpu_cores == 6
         assert sim.state.requests["r0"].locality is None  # pins were synthetic
         sim.state.audit()
+
+    def test_rejected_scale_up_leaves_state_untouched(self):
+        # s0 lacks the extra core and the rack sibling s1 is full
+        sim = self.rack_sim(2, cores=8)
+        self.place(sim, star_request("r0", cores=4, duration=90.0), ["s0"])
+        self.place(sim, star_request("fill", cores=4, duration=90.0), ["s0"])
+        self.place(sim, star_request("full", cores=8, duration=90.0), ["s1"])
+        state = sim.state
+        active, requests = list(state.active.items()), list(state.requests.items())
+        residual, version = dict(state.residual), state.version
+        sim.handle_scale_up("r0", (("vm0", ResourceVector(cpu_cores=1)),), 1.0)
+        assert sim.records[-1].get("outcome") == "rejected"
+        assert list(state.active.items()) == active
+        assert list(state.requests.items()) == requests
+        assert state.residual == residual
+        assert state.version == version
 
     def test_scale_up_relocation_keeps_locality(self):
         # vm0 may live on s0 or s2 only; s0 lacks the extra core, s2 is full

@@ -263,6 +263,38 @@ class TestApplyAndCopy:
         k2_state.audit()
 
 
+class TestMovesTo:
+    def test_vm_vswitch_and_vlink_changes_in_kind_order(self):
+        old = Assignment(
+            "r",
+            {"vm0": "s0", "vm1": "s1"},
+            {"vs0": "e0", "vs1": "a0"},
+            {"vl0": ("e0", "s0", 0), "vl1": ("e0", "s1", 0), "vl2": ("e0", "a0", 0)},
+        )
+        new = Assignment(
+            "r",
+            {"vm0": "s2", "vm1": "s1"},
+            {"vs0": "e0", "vs1": "a1"},
+            {"vl0": ("e0", "s2", 0), "vl1": ("e0", "s1", 0), "vl2": ("e0", "a1", 1)},
+        )
+        assert old.moves_to(new) == [
+            ("vm", "vm0", "s0", "s2"),
+            ("vswitch", "vs1", "a0", "a1"),
+            ("vlink", "vl0", "-", "-"),
+            ("vlink", "vl2", "-", "-"),
+        ]
+        assert old.moves_to(old) == []
+
+    def test_vm_moved_away_and_back_gives_no_record(self):
+        def on(server):
+            return Assignment("r", {"vm0": server}, {"vs0": "e0"}, {"vl0": ("e0", server, 0)})
+
+        first, away, back = on("s0"), on("s1"), on("s0")
+        assert first.moves_to(away) == [("vm", "vm0", "s0", "s1"), ("vlink", "vl0", "-", "-")]
+        assert away.moves_to(back) == [("vm", "vm0", "s1", "s0"), ("vlink", "vl0", "-", "-")]
+        assert first.moves_to(back) == []
+
+
 class TestFreePath:
     def test_credit_extra_avoid_and_down(self, k4_state):
         # four e0_0 -> e3_1 paths; 0 and 1 share a0_0 and a3_0

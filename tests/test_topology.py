@@ -104,6 +104,12 @@ class TestValidateSubstrate:
         findings = validate_substrate(net2)
         assert [f.rule for f in findings] == ["link-bandwidth-positive"]
 
+    def test_link_to_undeclared_node_rejected(self):
+        switches = {"e0": Switch("e0", "edge", ResourceVector(switch_memory=100))}
+        links = {"l0": Link("l0", "e0", "s9", 1000, 1)}
+        with pytest.raises(InvalidParameterError, match="undeclared node 's9'"):
+            SubstrateNetwork(servers={}, switches=switches, links=links)
+
     def test_disconnected_flagged(self):
         switches = {
             "e0": Switch("e0", "edge", ResourceVector(switch_memory=100)),
