@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import CommitRejectedError
 from .paths import admissible
@@ -53,7 +54,6 @@ class StructuralFailure:
 @dataclass(frozen=True)
 class RepairFailure:
     reason: str
-    remaining_violation: float
 
 
 @dataclass(frozen=True)
@@ -141,13 +141,6 @@ def _vm_groups(req: VdcRequest) -> dict[str, list[str]]:
     return groups
 
 
-def _vm_link_of(req: VdcRequest, vm_id: str):
-    for vl in req.vlinks.values():
-        if vm_id in (vl.a, vl.b):
-            return vl
-    return None
-
-
 def greedy_temp_map(
     state: EmbeddingState, req: VdcRequest, allowed: tuple[set, set] | None = None
 ) -> TempMapping | StructuralFailure:
@@ -190,13 +183,15 @@ def greedy_temp_map(
         cap = net.servers[sid].capacity
         return _norm(free, cap)
 
-    def place_group(vm_ids, rack_switch, commit):
-        """Greedy in-rack placement; returns overflow scalar or None if impossible."""
+    def place_group(vm_ids, rack_switch):
+        """Greedy in-rack placement: (overflow scalar, VM -> server, server
+        loads, uplink loads), the loads including those planned before, or
+        None if impossible."""
         servers = [s for s in sorted(net.servers_under(rack_switch)) if node_ok(s)]
         if not servers:
             return None
-        local_load: dict[str, ResourceVector] = {}
-        local_link: dict[str, int] = {}
+        server_load = dict(extra_server_load)
+        link_load = dict(extra_link_load)
         placement = {}
         total_overflow = 0.0
         order = sorted(
@@ -210,20 +205,15 @@ def greedy_temp_map(
                 pool = [s for s in servers if s in req.locality[vm_id]]
                 if not pool:
                     return None
-            vlink = _vm_link_of(req, vm_id)
+            vlink = req.uplinks[vm_id]
             best = None
             for sid in pool:
-                base_free = state.residual[sid] - extra_server_load.get(sid, ResourceVector())
-                free = base_free - local_load.get(sid, ResourceVector())
+                free = state.residual[sid] - server_load.get(sid, ResourceVector())
                 over = demand.overflow_over(free)
                 score = _norm(over, net.servers[sid].capacity)
                 lid = net.link_between(rack_switch, sid)
-                if vlink is not None and lid is not None:
-                    link_free = (
-                        state.residual[lid].bandwidth
-                        - extra_link_load.get(lid, 0)
-                        - local_link.get(lid, 0)
-                    )
+                if lid is not None:
+                    link_free = state.residual[lid].bandwidth - link_load.get(lid, 0)
                     bw_over = max(0, vlink.bandwidth - link_free)
                     score += bw_over / net.links[lid].bandwidth
                 free_after = free - demand
@@ -232,38 +222,29 @@ def greedy_temp_map(
                     best = (key, sid, lid)
             key, sid, lid = best
             placement[vm_id] = sid
-            local_load[sid] = local_load.get(sid, ResourceVector()) + demand
-            if vlink is not None and lid is not None:
-                local_link[lid] = local_link.get(lid, 0) + vlink.bandwidth
+            server_load[sid] = server_load.get(sid, ResourceVector()) + demand
+            if lid is not None:
+                link_load[lid] = link_load.get(lid, 0) + vlink.bandwidth
             total_overflow += key[0]
-        if commit:
-            for vm_id, sid in placement.items():
-                vm_map[vm_id] = sid
-            for sid, load in local_load.items():
-                extra_server_load[sid] = (
-                    extra_server_load.get(sid, ResourceVector()) + load
-                )
-            for lid, bw in local_link.items():
-                extra_link_load[lid] = extra_link_load.get(lid, 0) + bw
-        return total_overflow
+        return total_overflow, placement, server_load, link_load
 
     for vs_id in group_order:
         candidates = [s for s in edge_switches if s not in used_switches]
         scored = []
         for rack in candidates:
-            overflow = place_group(groups[vs_id], rack, commit=False)
-            if overflow is None:
+            plan = place_group(groups[vs_id], rack)
+            if plan is None:
                 continue
             rack_free = sum(server_score(s) for s in net.servers_under(rack) if node_ok(s))
             mem_free = state.residual[rack].switch_memory
             vs_demand = req.vswitches[vs_id].demand.switch_memory
             mem_over = max(0, vs_demand - mem_free) / net.switches[rack].capacity.switch_memory
-            scored.append((overflow + mem_over, -rack_free, rack))
+            scored.append((plan[0] + mem_over, -rack_free, rack, plan))
         if not scored:
             return StructuralFailure(f"no rack can host vm group of {vs_id}")
-        scored.sort()
-        rack = scored[0][2]
-        place_group(groups[vs_id], rack, commit=True)
+        # racks are distinct, so min never compares two plans
+        _, _, rack, (_, placement, extra_server_load, extra_link_load) = min(scored)
+        vm_map.update(placement)
         vswitch_map[vs_id] = rack
         used_switches.add(rack)
 
@@ -352,10 +333,10 @@ def greedy_temp_map(
     return TempMapping(assignment, tuple(findings))
 
 
-def _reroute_vlink(probe, req, a, vl_id, avoid_link, extra):
-    """Assignment a with vlink vl_id moved to a path that skips a congested
-    link, or None. extra is the usage map planned on top of the probe's
-    residuals (the incoming request's tentative usage).
+def _reroute_vlink(probe, req, a, vl_id, extra, avoid=None):
+    """Assignment a with vlink vl_id moved to the first admissible path with
+    room that skips the link avoid, or None. extra is the usage map planned
+    on top of the probe's residuals.
     """
     pa, pb, old_n = a.vlink_map[vl_id]
     n = probe.free_path(
@@ -365,7 +346,7 @@ def _reroute_vlink(probe, req, a, vl_id, avoid_link, extra):
         req.latency_bound,
         credit=probe.table.path(pa, pb, old_n).edges,
         extra=extra,
-        avoid=avoid_link,
+        avoid=avoid,
     )
     if n is None:
         return None
@@ -374,7 +355,7 @@ def _reroute_vlink(probe, req, a, vl_id, avoid_link, extra):
 
 def _relocate_vm(probe, req, a, vm_id, extra):
     """Assignment a with one VM moved to another server of its rack, nearest
-    first, plus that server; None when no server has room.
+    first; None when no server has room.
 
     The parent vSwitch stays put, so only servers under the same edge switch
     qualify; locality and the server link's bandwidth are honoured. extra is
@@ -383,7 +364,7 @@ def _relocate_vm(probe, req, a, vm_id, extra):
     old_server = a.vm_map[vm_id]
     rack = probe.net.edge_switch_of(old_server)
     demand = req.vms[vm_id].demand
-    vlink = _vm_link_of(req, vm_id)
+    vlink = req.uplinks.get(vm_id)
     options = []
     for sid in sorted(probe.net.servers_under(rack)):
         if sid == old_server or sid in probe.down:
@@ -398,11 +379,10 @@ def _relocate_vm(probe, req, a, vm_id, extra):
             link_free = probe.residual[lid].bandwidth - extra.get(lid, ZERO).bandwidth
             if vlink.bandwidth > link_free or lid in probe.down:
                 continue
-        options.append((probe.net.hop_distance(old_server, sid), sid, lid))
+        options.append((probe.net.hop_distance(old_server, sid), sid))
     if not options:
         return None
-    options.sort()
-    _, sid, lid = options[0]
+    _, sid = min(options)
     new_vm_map = dict(a.vm_map)
     new_vm_map[vm_id] = sid
     new_vlink_map = dict(a.vlink_map)
@@ -411,7 +391,7 @@ def _relocate_vm(probe, req, a, vm_id, extra):
         new_pa = sid if pa == old_server else pa
         new_pb = sid if pb == old_server else pb
         new_vlink_map[vlink.id] = (new_pa, new_pb, 0)
-    return Assignment(a.request_id, new_vm_map, a.vswitch_map, new_vlink_map), sid
+    return Assignment(a.request_id, new_vm_map, a.vswitch_map, new_vlink_map)
 
 
 def swap_repair(
@@ -421,27 +401,23 @@ def swap_repair(
 
     Works on a scratch copy; on success returns (assignment, moves,
     incumbent_updates) that are jointly strictly feasible against the input
-    state. On failure the input state is untouched and the best remaining
-    violation total is reported.
+    state. On failure the input state is untouched.
     """
     probe = state.copy()
     assignment = temp.assignment
     moves: list[SwapMove] = []
     incumbent_updates: dict[str, Assignment] = {}
-    best_remaining = _violation_total(state, temp.ledger)
 
     for _ in range(max(max_swaps, 0) + 1):
         findings = [v for v in probe.check_assignment(req, assignment) if not v.structural]
-        remaining = _violation_total(probe, findings)
-        best_remaining = min(best_remaining, remaining)
         if not findings:
             try:
                 probe.commit(req, assignment)
             except CommitRejectedError as err:
-                return RepairFailure(f"final feasibility check failed: {err}", remaining)
+                return RepairFailure(f"final feasibility check failed: {err}")
             return OnlineResult(assignment, tuple(moves), incumbent_updates)
         if len(moves) >= max_swaps:
-            return RepairFailure("swap budget exhausted", best_remaining)
+            return RepairFailure("swap budget exhausted")
 
         extra = probe.usage(req, assignment)
         findings.sort(key=lambda v: (_violation_total(probe, [v]), v.element))
@@ -466,7 +442,7 @@ def swap_repair(
             if step is not None:
                 break
         else:
-            return RepairFailure("no incumbent relocation clears the overflow", best_remaining)
+            return RepairFailure("no incumbent relocation clears the overflow")
         new, move = step
         moves.append(move)
         if move.moved_request == req.id:
@@ -477,7 +453,7 @@ def swap_repair(
             "swap: %s %s/%s %s -> %s",
             move.kind, move.moved_request, move.moved_element, move.old_host, move.new_host,
         )
-    return RepairFailure("swap budget exhausted", best_remaining)
+    return RepairFailure("swap budget exhausted")
 
 
 def _incumbents_on(probe, kind, host, exclude_request):
@@ -510,52 +486,50 @@ def _swap_in(probe, new_assignment) -> bool:
         return False
 
 
+def _relocations(probe, candidates, relocate, kind, host, extra):
+    """Yield (assignment, move) for each (covers, size, request id, element)
+    candidate that relocate can move off host: the cheapest sufficient one
+    first, else the largest partial relief, ties by request and element."""
+    candidates.sort(key=lambda c: (not c[0], c[1] if c[0] else -c[1], c[2], c[3]))
+    for _, _, rid, element in candidates:
+        new = relocate(probe, probe.requests[rid], probe.active[rid], element, extra)
+        if new is not None:
+            # a vlink has no host of its own; its move names the congested link
+            yield new, SwapMove(kind, rid, element, host, new.host_of(element) or host)
+
+
 def _repair_server(probe, req, host, need, extra):
-    """Yield (assignment, move) relocations of incumbent VMs off an
-    overflowing server, cheapest sufficient incumbent first."""
+    """Candidate relocations of incumbent VMs off an overflowing server."""
     candidates = []
     for rid, vm_id in _incumbents_on(probe, "vm", host, req.id):
         demand = probe.requests[rid].vms[vm_id].demand
         covers = demand.cpu_cores >= need.cpu_cores and demand.memory_mb >= need.memory_mb
         size = _norm(demand, probe.net.servers[host].capacity)
-        # cheapest sufficient incumbent first; else the largest partial relief
-        candidates.append((not covers, size if covers else -size, rid, vm_id))
-    candidates.sort()
-    for _, _, rid, vm_id in candidates:
-        relocated = _relocate_vm(probe, probe.requests[rid], probe.active[rid], vm_id, extra)
-        if relocated is not None:
-            new_assignment, target = relocated
-            yield new_assignment, SwapMove("vm-swap", rid, vm_id, host, target)
+        candidates.append((covers, size, rid, vm_id))
+    return _relocations(probe, candidates, _relocate_vm, "vm-swap", host, extra)
 
 
 def _repair_switch(probe, req, host, need, extra):
-    """Yield (assignment, move) relocations of incumbent vSwitches off an
-    overflowing switch, cheapest sufficient incumbent first."""
+    """Candidate relocations of incumbent vSwitches off an overflowing switch."""
     candidates = []
     for rid, vs_id in _incumbents_on(probe, "vswitch", host, req.id):
-        vs = probe.requests[rid].vswitches[vs_id]
-        covers = vs.demand.switch_memory >= need.switch_memory
-        candidates.append((not covers, vs.demand.switch_memory, rid, vs_id))
-    candidates.sort()
-    for _, _, rid, vs_id in candidates:
-        new_assignment, target = _relocate_vswitch(probe, rid, vs_id, host, extra)
-        if new_assignment is not None:
-            yield new_assignment, SwapMove("vswitch-swap", rid, vs_id, host, target)
+        size = probe.requests[rid].vswitches[vs_id].demand.switch_memory
+        candidates.append((size >= need.switch_memory, size, rid, vs_id))
+    return _relocations(probe, candidates, _relocate_vswitch, "vswitch-swap", host, extra)
 
 
-def _relocate_vswitch(probe, rid, vs_id, forbidden, extra):
-    """New home for an internal incumbent vSwitch, nearest first; edge
-    vSwitch moves would drag their whole VM group along and are not attempted."""
-    inc_req = probe.requests[rid]
-    a = probe.active[rid]
-    vs = inc_req.vswitches[vs_id]
+def _relocate_vswitch(probe, req, a, vs_id, extra):
+    """Assignment a with one internal vSwitch moved to the nearest switch
+    with room, its vlinks re-routed, or None; edge vSwitch moves would drag
+    their whole VM group along and are not attempted."""
+    vs = req.vswitches[vs_id]
     if vs.is_edge:
-        return None, None
+        return None
     old_host = a.vswitch_map[vs_id]
     used = set(a.vswitch_map.values())
     options = []
     for sid in sorted(probe.net.switches):
-        if sid == forbidden or sid in used or sid in probe.down:
+        if sid in used or sid in probe.down:
             continue
         if not vs.demand.le(probe.residual[sid] - extra.get(sid, ZERO)):
             continue
@@ -566,7 +540,7 @@ def _relocate_vswitch(probe, rid, vs_id, forbidden, extra):
         new_vswitch_map[vs_id] = sid
         new_vlink_map = dict(a.vlink_map)
         planned = dict(extra)
-        for vl in inc_req.vlinks.values():
+        for vl in req.vlinks.values():
             if vs_id not in (vl.a, vl.b):
                 continue
             other = vl.b if vl.a == vs_id else vl.a
@@ -575,7 +549,7 @@ def _relocate_vswitch(probe, rid, vs_id, forbidden, extra):
             pb = sid if vl.b == vs_id else other_img
             old_edges = probe.table.path(*a.vlink_map[vl.id]).edges
             n = probe.free_path(
-                pa, pb, vl.bandwidth, inc_req.latency_bound, credit=old_edges, extra=planned
+                pa, pb, vl.bandwidth, req.latency_bound, credit=old_edges, extra=planned
             )
             if n is None:
                 break
@@ -584,14 +558,14 @@ def _relocate_vswitch(probe, rid, vs_id, forbidden, extra):
             for eid in probe.table.path(pa, pb, n).edges:
                 planned[eid] = planned.get(eid, ZERO) + load
         else:
-            return Assignment(rid, a.vm_map, new_vswitch_map, new_vlink_map), sid
-    return None, None
+            return Assignment(a.request_id, a.vm_map, new_vswitch_map, new_vlink_map)
+    return None
 
 
 def _repair_link(probe, req, assignment, host, need, extra):
     """Yield (assignment, move) re-routes of incumbent vlinks off a congested
-    link, smallest sufficient first, then of the incoming request's own
-    tentative vlinks, largest first."""
+    link, then of the incoming request's own tentative vlinks, largest
+    first."""
     candidates = []
     for rid, a in probe.active.items():
         if rid == req.id:
@@ -600,15 +574,9 @@ def _repair_link(probe, req, assignment, host, need, extra):
             recs = probe.table.get(key[0], key[1])
             if host in recs[key[2]].edges:
                 bw = probe.requests[rid].vlinks[vl_id].bandwidth
-                covers = bw >= need.bandwidth
-                candidates.append((not covers, bw if covers else -bw, rid, vl_id))
-    candidates.sort()
-    for _, _, rid, vl_id in candidates:
-        new_assignment = _reroute_vlink(
-            probe, probe.requests[rid], probe.active[rid], vl_id, host, extra
-        )
-        if new_assignment is not None:
-            yield new_assignment, SwapMove("vlink-reroute", rid, vl_id, host, host)
+                candidates.append((bw >= need.bandwidth, bw, rid, vl_id))
+    reroute = partial(_reroute_vlink, avoid=host)
+    yield from _relocations(probe, candidates, reroute, "vlink-reroute", host, extra)
 
     own = []
     for vl_id, key in assignment.vlink_map.items():
@@ -616,7 +584,7 @@ def _repair_link(probe, req, assignment, host, need, extra):
             own.append((req.vlinks[vl_id].bandwidth, vl_id))
     own.sort(reverse=True)
     for _, vl_id in own:
-        rerouted = _reroute_vlink(probe, req, assignment, vl_id, host, extra)
+        rerouted = _reroute_vlink(probe, req, assignment, vl_id, extra, avoid=host)
         if rerouted is not None:
             yield rerouted, SwapMove("vlink-reroute", req.id, vl_id, host, host)
 
@@ -631,7 +599,7 @@ def try_online_embed(state: EmbeddingState, req: VdcRequest, swap_ceiling: int =
     """
     need = req.demand_totals()
     if not need.le(state.residual_vectors()):
-        return RepairFailure("aggregate residual below request demand", 0.0)
+        return RepairFailure("aggregate residual below request demand")
 
     # a clean greedy mapping already passed check_assignment on this state
     for nodes, links, free in compute_fragments(state):

@@ -12,13 +12,19 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
 from .batch_solver import SolveBudget, build_mip, extract_assignments, solve_exact
 from .errors import ConfigError, InvalidParameterError
 from .metrics import TraceRecord
-from .online_search import OnlineResult, _relocate_vm, compute_fragments, try_online_embed
+from .online_search import (
+    OnlineResult,
+    _relocate_vm,
+    _reroute_vlink,
+    compute_fragments,
+    try_online_embed,
+)
 from .paths import PathTable, admissible, enumerate_paths
 from .state import Assignment, EmbeddingState
 from .topology import (
@@ -39,6 +45,9 @@ RUN_HYBRID = "hybrid"
 RUN_BATCH_ONLY = "batch-only"
 RUN_ONLINE_ONLY = "online-only"
 RUN_MODES = (RUN_HYBRID, RUN_BATCH_ONLY, RUN_ONLINE_ONLY)
+
+# order of queued events at equal times; within a rank, the order queued
+RANK_DEPARTURE, RANK_ARRIVAL, RANK_OTHER = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -118,7 +127,9 @@ def select_mode(residuals: ResourceVector, thresholds: Thresholds) -> str:
 
 @dataclass(frozen=True)
 class SimEvent:
-    """One exogenous event; processed in (time, seq) order."""
+    """One event. A simulation runs queued events in time order, ties by
+    rank (RANK_DEPARTURE first) and then in the order queued; seq is a
+    label that no ordering reads."""
 
     time: float
     seq: int
@@ -144,19 +155,9 @@ class PolicyConfig:
     vm_move_weighting: bool = True
 
     def policy_hash(self) -> str:
-        blob = repr(
-            (
-                str(self.switch_penalty_divisor),
-                self.swap_ceiling,
-                self.batch_width,
-                self.patience,
-                self.batch_min_pending,
-                self.solver_node_limit,
-                self.solver_wall_ms,
-                self.remap_limit,
-                self.vm_move_weighting,
-            )
-        )
+        # every field in declaration order, the leading Fraction as text
+        first, *rest = (getattr(self, f.name) for f in fields(self))
+        blob = repr((str(first), *rest))
         return hashlib.sha1(blob.encode()).hexdigest()[:12]
 
 
@@ -223,7 +224,9 @@ class Simulation:
         self.clock = 0.0
         self.status: dict[str, str] = {}  # pending | accepted | rejected | expired
         self.accept_order: list[str] = []
-        self.departures: list[tuple[float, int, str]] = []
+        # (time, rank, order queued, event)
+        self.events: list[tuple[float, int, int, SimEvent]] = []
+        self.queued = 0
         self.events_processed = 0
         self._capacity = self.state.residual_vectors()
 
@@ -250,8 +253,14 @@ class Simulation:
 
     # -- bookkeeping ----------------------------------------------------------
 
+    def schedule(self, event: SimEvent, rank: int):
+        """Queue an event for run_simulation's loop."""
+        heapq.heappush(self.events, (event.time, rank, self.queued, event))
+        self.queued += 1
+
     def _schedule_departure(self, req: VdcRequest, now: float):
-        heapq.heappush(self.departures, (now + req.duration, self.seq, req.id))
+        departure = SimEvent(now + req.duration, self.seq, "departure", request_id=req.id)
+        self.schedule(departure, RANK_DEPARTURE)
 
     def _accept(self, req: VdcRequest, now: float, via: str):
         self.queue.remove(req.id)
@@ -521,22 +530,15 @@ class Simulation:
         if any(host in down for host in a.vswitch_map.values()):
             return None  # switch loss relocates the vswitch; fall back to requeue
         for vm_id, host in a.vm_map.items():
-            if host not in down:
-                continue
-            relocated = _relocate_vm(probe, req, a, vm_id, probe.usage(req, a))
-            if relocated is None:
-                return None
-            a = relocated[0]
-        for vl_id, (pa, pb, old_n) in a.vlink_map.items():
-            old = probe.table.path(pa, pb, old_n)
-            if admissible(old, down, None):
-                continue
-            vl = req.vlinks[vl_id]
-            usage = probe.usage(req, a)
-            n = probe.free_path(pa, pb, vl.bandwidth, req.latency_bound, old.edges, usage)
-            if n is None:
-                return None
-            a = replace(a, vlink_map={**a.vlink_map, vl_id: (pa, pb, n)})
+            if host in down:
+                a = _relocate_vm(probe, req, a, vm_id, probe.usage(req, a))
+                if a is None:
+                    return None
+        for vl_id, key in a.vlink_map.items():
+            if not admissible(probe.table.path(*key), down, None):
+                a = _reroute_vlink(probe, req, a, vl_id, probe.usage(req, a))
+                if a is None:
+                    return None
         return None if probe.check_assignment(req, a) else a
 
     def handle_scale_up(self, request_id: str, deltas, now: float):
@@ -591,6 +593,8 @@ class Simulation:
             )
         if event.kind == "arrival" and event.request is None:
             raise InvalidParameterError("arrival event carries no request")
+        if event.kind == "arrival" and event.request.id in self.status:
+            raise InvalidParameterError(f"request id {event.request.id!r} arrived before")
         self.clock = event.time
         if event.kind == "arrival":
             self.handle_arrival(event.request, event.time)
@@ -635,28 +639,12 @@ def run_simulation(
         mode=run_mode,
     )
 
-    heap: list[tuple[float, int, int, SimEvent]] = []
-    order = 0
     for i, req in enumerate(poisson_arrivals(workload, lam, seed)):
-        ev = SimEvent(time=req.arrival_time, seq=i, kind="arrival", request=req)
-        heapq.heappush(heap, (ev.time, 0, order, ev))
-        order += 1
+        sim.schedule(SimEvent(req.arrival_time, i, "arrival", request=req), RANK_ARRIVAL)
     for ev in extra_events:
-        if ev.time <= horizon:
-            heapq.heappush(heap, (ev.time, 1, order, ev))
-            order += 1
-
-    while heap or sim.departures:
-        next_dep = sim.departures[0] if sim.departures else None
-        next_ev = heap[0] if heap else None
-        if next_ev is None or (next_dep is not None and next_dep[0] <= next_ev[0]):
-            dep_time, _, rid = heapq.heappop(sim.departures)
-            if dep_time > horizon:
-                continue
-            sim.process(SimEvent(time=dep_time, seq=0, kind="departure", request_id=rid))
-        else:
-            _, _, _, ev = heapq.heappop(heap)
-            sim.process(ev)
+        sim.schedule(ev, RANK_OTHER)
+    while sim.events and sim.events[0][0] <= horizon:
+        sim.process(heapq.heappop(sim.events)[-1])
 
     sim.emit("run_end", horizon, events=sim.events_processed)
     return sim.records

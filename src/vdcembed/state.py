@@ -5,7 +5,13 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 
-from .errors import AuditError, CommitRejectedError, PathLookupError, UnknownElementError
+from .errors import (
+    AuditError,
+    CommitRejectedError,
+    InvalidParameterError,
+    PathLookupError,
+    UnknownElementError,
+)
 from .paths import PathTable, admissible
 from .topology import ZERO, ResourceVector, SubstrateNetwork, VdcRequest, sum_vectors
 
@@ -241,6 +247,8 @@ class EmbeddingState:
 
     def commit(self, req: VdcRequest, a: Assignment):
         """Admit an assignment; strict violations reject it and leave state unchanged."""
+        if req.id in self.active:
+            raise InvalidParameterError(f"request {req.id} is already active")
         violations = self.check_assignment(req, a)
         if violations:
             raise CommitRejectedError(violations)

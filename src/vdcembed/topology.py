@@ -7,6 +7,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .errors import ConfigError, FormatError, InvalidParameterError
 
@@ -247,14 +248,21 @@ class VdcRequest:
     latency_bound: int | None = None
     locality: dict[str, frozenset[str]] | None = None
 
+    @cached_property
+    def uplinks(self) -> dict[str, VLink]:
+        """VM id -> the vlink it hangs off; the first attaching vlink wins."""
+        out: dict[str, VLink] = {}
+        for vl in self.vlinks.values():
+            for end in self.vms.keys() & {vl.a, vl.b}:
+                out.setdefault(end, vl)
+        return out
+
     def vm_parent(self, vm_id: str) -> str:
         """The unique vSwitch a VM hangs off (VMs have degree one)."""
-        for vl in self.vlinks.values():
-            if vl.a == vm_id:
-                return vl.b
-            if vl.b == vm_id:
-                return vl.a
-        raise FormatError(f"request {self.id}: vm {vm_id} has no attaching vlink")
+        vl = self.uplinks.get(vm_id)
+        if vl is None:
+            raise FormatError(f"request {self.id}: vm {vm_id} has no attaching vlink")
+        return vl.b if vl.a == vm_id else vl.a
 
     def demand_totals(self) -> ResourceVector:
         """Total VM cores and memory, vSwitch memory and vlink bandwidth."""

@@ -174,6 +174,27 @@ class TestSwapRepair:
         assert isinstance(result, RepairFailure)
         assert (state.active, state.residual) == before
 
+    def test_switch_overflow_moves_largest_partial_relief_first(self, k4_net, k4_table):
+        # neither incumbent vSwitch alone clears the 40-unit overflow on a0_0,
+        # so the larger one moves first, as for servers and links
+        state = EmbeddingState(k4_net, k4_table)
+
+        def internal(rid, mem):
+            vsw = {"vs0": VSwitch("vs0", False, ResourceVector(switch_memory=mem))}
+            return VdcRequest(rid, {}, vsw, {}, 0.0, 10.0)
+
+        for rid, mem in (("small", 20), ("big", 30)):
+            state.commit(internal(rid, mem), Assignment(rid, {}, {"vs0": "a0_0"}, {}))
+        incoming = internal("new", 90)
+        a = Assignment("new", {}, {"vs0": "a0_0"}, {})
+        temp = TempMapping(a, tuple(state.check_assignment(incoming, a)))
+        result = swap_repair(state, incoming, temp, max_swaps=2)
+        assert isinstance(result, OnlineResult)
+        assert [(m.kind, m.moved_request) for m in result.moves] == [
+            ("vswitch-swap", "big"),
+            ("vswitch-swap", "small"),
+        ]
+
     def test_dead_end_fails_within_budget(self):
         # single server, incumbent fills it, nowhere to move
         net = make_rack_net(n_servers=1, cores=8)
@@ -187,8 +208,7 @@ class TestSwapRepair:
         temp = greedy_temp_map(state, incoming)
         assert isinstance(temp, TempMapping) and not temp.clean
         result = swap_repair(state, incoming, temp, max_swaps=3)
-        assert isinstance(result, RepairFailure)
-        assert result.remaining_violation > 0
+        assert result == RepairFailure("no incumbent relocation clears the overflow")
 
 
 class TestTryOnlineEmbed:

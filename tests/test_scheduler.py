@@ -390,6 +390,18 @@ class TestSimulationSteps:
             sim.process(SimEvent(9.0, 1, "eclipse"))
         assert sim.clock == 5.0
 
+    def test_repeated_arrival_id_rejected_before_clock_moves(self):
+        sim = self.make_sim()
+        sim.process(SimEvent(5.0, 0, "arrival", request=star_request("r0")))
+        assert sim.status["r0"] == "accepted"
+        from vdcembed.errors import InvalidParameterError
+
+        with pytest.raises(InvalidParameterError):
+            sim.process(SimEvent(9.0, 1, "arrival", request=star_request("r0", cores=2)))
+        assert sim.clock == 5.0
+        assert [r.kind for r in sim.records].count("accept") == 1
+        assert sim.state.requests["r0"].vms["vm0"].demand.cpu_cores == 1
+
     def test_pending_expires_into_rejection(self):
         from conftest import make_rack_net
 

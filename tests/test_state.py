@@ -6,7 +6,12 @@ import pytest
 
 from conftest import make_rack_net, star_request, chain_request
 from oracles import recheck_embedding
-from vdcembed.errors import AuditError, CommitRejectedError, UnknownElementError
+from vdcembed.errors import (
+    AuditError,
+    CommitRejectedError,
+    InvalidParameterError,
+    UnknownElementError,
+)
 from vdcembed.paths import enumerate_paths
 from vdcembed.state import Assignment, EmbeddingState
 from vdcembed.topology import ResourceVector
@@ -146,6 +151,16 @@ class TestCommitRelease:
         a = assign_star(k2_state.net, k2_state.table, req, "e0_0", "s0")
         k2_state.commit(req, a)
         assert k2_state.residual["s0"] == ResourceVector(cpu_cores=7, memory_mb=16128)
+
+    def test_commit_of_an_active_id_rejected_and_unchanged(self, k2_state):
+        req = star_request("r0", n_vms=1)
+        a = assign_star(k2_state.net, k2_state.table, req, "e0_0", "s0")
+        k2_state.commit(req, a)
+        before = dict(k2_state.residual)
+        with pytest.raises(InvalidParameterError):
+            k2_state.commit(req, a)
+        assert k2_state.residual == before
+        k2_state.audit()
 
     def test_release_unknown(self, k2_state):
         with pytest.raises(UnknownElementError):
