@@ -14,7 +14,6 @@ import time
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter
 
 from .errors import InvalidParameterError, StaleSnapshotError
 from .paths import admissible
@@ -72,6 +71,7 @@ class MipModel:
         self.z_of_request: list[int] = []
         self.remappable: dict[str, Assignment] = {}
         self.penalized: list[list[list[int]]] = []  # per request: per element: var idxs
+        self.uplinks: dict[int, tuple[str, tuple[str, str, int]]] = {}  # w -> (vlink, path key)
         self.branch_order: list[int] = []
 
     # -- construction helpers -------------------------------------------------
@@ -157,8 +157,8 @@ def build_mip(
     switches_alive = [s for s in net.switches if s not in down]
     edge_alive = [s for s in switches_alive if net.switches[s].tier == "edge"]
 
-    # capacity-row terms, gathered as the variables are made: element -> (vars, demands)
-    terms: dict[str, tuple[list[int], list[ResourceVector]]] = defaultdict(lambda: ([], []))
+    # capacity-row terms, gathered as the variables are made: element -> [(var, demand)]
+    terms: dict[str, list[tuple[int, ResourceVector]]] = defaultdict(list)
 
     def place(req_id, kind, elem_id, pool, cur, move_cost, demand):
         """One placement var per host in pool plus the element's placement row
@@ -176,9 +176,7 @@ def build_mip(
         for host in hosts:
             obj = -net.hop_distance(cur, host) * move_cost if priced else 0
             vi = model._new_var(VarInfo(kind, req_id, elem_id, host), obj)
-            host_vars, host_demands = terms[host]
-            host_vars.append(vi)
-            host_demands.append(demand)
+            terms[host].append((vi, demand))
             cands.append((host, vi))
         vis = [vi for _, vi in cands]
         model._new_row(vis + [model.z_of_request[-1]], [1] * len(vis) + [-1], 0, True)
@@ -207,16 +205,30 @@ def build_mip(
             for host, vi in cands[vs_id]:
                 per_switch.setdefault(host, []).append(vi)
         for vm_id, vm in req.vms.items():
-            pool = servers_alive
-            if req.locality and vm_id in req.locality:
-                pool = [s for s in pool if s in req.locality[vm_id]]
+            # w for each server under a host of the parent whose uplink
+            # qualifies: server -> (uplink key, the parent's x on its rack)
+            allowed = (req.locality or {}).get(vm_id, net.servers)
+            ties = {
+                s: (key, xi)
+                for edge, xi in cands[req.vm_parent(vm_id)]
+                for s in net.servers_under(edge)
+                if s in allowed and (key := snapshot.uplink(req, vm_id, s))
+            }
             # vm move: (mem/maxmem)*(hops/diameter) scaled by S
             weight = vm.demand.memory_mb if vm_move_weighting else max_mem
             cands[vm_id] = place(
-                req.id, KIND_W, vm_id, pool,
+                req.id, KIND_W, vm_id, ties,
                 old.vm_map.get(vm_id) if old else None,
                 weight * f.numerator, vm.demand,
             )
+            # w carries the uplink's bandwidth, and its tie row w - x <= 0
+            vl = req.uplinks[vm_id]
+            for host, wi in cands[vm_id]:
+                key, xi = ties[host]
+                model.uplinks[wi] = (vl.id, key)
+                model._new_row([wi, xi], [1, -1], 0)
+                lid = snapshot.table.path(*key).edges[0]
+                terms[lid].append((wi, ResourceVector(bandwidth=vl.bandwidth)))
 
         # one vswitch of a request per physical switch
         for host in sorted(per_switch):
@@ -225,27 +237,22 @@ def build_mip(
                 model._new_row(vis, [1] * len(vis), 1)
 
         for vl_id, vl in req.vlinks.items():
+            if vl.a in req.vms or vl.b in req.vms:
+                continue  # an uplink, carried by its VM's w
             load = ResourceVector(bandwidth=vl.bandwidth)
-            to_vm = vl.a in req.vms or vl.b in req.vms
             y_all: list[int] = []
             for host_a, va in cands[vl.a]:
                 for host_b, vb in cands[vl.b]:
                     if host_a == host_b:
                         continue
-                    recs = snapshot.table.get(host_a, host_b)
-                    if to_vm:
-                        # switch-vm links ride the single physical edge below the switch
-                        recs = [r for r in recs[:1] if len(r.edges) == 1]
                     pair_y: list[int] = []
-                    for n, rec in enumerate(recs):
+                    for n, rec in enumerate(snapshot.table.get(host_a, host_b)):
                         if not admissible(rec, down, req.latency_bound):
                             continue
                         yi = model._new_var(VarInfo(KIND_Y, req.id, vl_id, host_a, host_b, n))
                         pair_y.append(yi)
                         for eid in rec.edges:
-                            link_vars, link_demands = terms[eid]
-                            link_vars.append(yi)
-                            link_demands.append(load)
+                            terms[eid].append((yi, load))
                     if pair_y:
                         y_all.extend(pair_y)
                         ones = [1] * len(pair_y)
@@ -259,9 +266,9 @@ def build_mip(
     links_used = sorted(eid for eid in terms if eid in net.links)
     for eid in [*servers_alive, *switches_alive, *links_used]:
         if eid in terms:
-            vis, demands = terms[eid]
+            vis = [vi for vi, _ in terms[eid]]
             for dim in DIMENSIONS[net.kind(eid)]:
-                coefs = list(map(attrgetter(dim), demands))
+                coefs = [getattr(demand, dim) for _, demand in terms[eid]]
                 model._new_row(vis, coefs, getattr(rhs[eid], dim))
     return model
 
@@ -510,6 +517,8 @@ def solve_exact(model: MipModel, budget: SolveBudget | None = None) -> BatchSolu
             slot["z"] = True
         elif info.kind == KIND_W:
             slot["vm"][info.element_id] = info.host_a
+            vl_id, key = model.uplinks[i]
+            slot["vl"][vl_id] = key
         elif info.kind == KIND_X:
             slot["vs"][info.element_id] = info.host_a
         elif info.kind == KIND_Y:
@@ -517,7 +526,8 @@ def solve_exact(model: MipModel, budget: SolveBudget | None = None) -> BatchSolu
     for req in model.requests:
         slot = by_request[req.id]
         if slot["z"]:
-            embedded[req.id] = Assignment(req.id, slot["vm"], slot["vs"], slot["vl"])
+            vlink_map = {vl_id: slot["vl"][vl_id] for vl_id in req.vlinks}
+            embedded[req.id] = Assignment(req.id, slot["vm"], slot["vs"], vlink_map)
 
     objective = Fraction(best_scaled, model.obj_scale)
     status = "optimal" if exhausted else "incumbent"

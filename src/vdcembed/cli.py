@@ -22,6 +22,7 @@ from .state import Assignment, EmbeddingState
 from .topology import (
     ResourceVector,
     build_fat_tree,
+    check_rate,
     dump_requests,
     dump_substrate,
     load_requests,
@@ -90,10 +91,12 @@ def _parse_lambdas(text: str) -> list[float]:
     try:
         if ":" in text:
             lo, hi = text.split(":")
-            return [float(v) for v in range(int(lo), int(hi) + 1)]
-        return [float(tok) for tok in text.split(",") if tok]
+            lambdas = [float(v) for v in range(int(lo), int(hi) + 1)]
+        else:
+            lambdas = [float(tok) for tok in text.split(",") if tok]
     except ValueError:
         raise ConfigError(f"--lambdas: expected 'low:high' or 'a,b,...', got {text!r}") from None
+    return [check_rate("--lambdas", lam) for lam in lambdas]
 
 
 def _nonnegative(args, *names):
@@ -151,6 +154,9 @@ def cmd_solve(args) -> int:
     if not requests:
         print("0 embedded (empty request set)")
         return EXIT_OK
+    findings = [f for req in requests for f in validate_request(req, net)]
+    if findings:
+        return _report_findings(findings)
     state = EmbeddingState(net, enumerate_paths(net))
     model = build_mip(state, requests, switch_penalty_divisor=f)
     sol = solve_exact(model, SolveBudget(args.node_limit, args.wall_ms))
@@ -255,12 +261,17 @@ def cmd_validate(args) -> int:
                 state.commit(by_id[rid], a)
 
     if problems:
-        for p in problems:
-            print(p, file=sys.stderr)
-        print(f"{len(problems)} finding(s)", file=sys.stderr)
-        return EXIT_INVALID
+        return _report_findings(problems)
     print("ok")
     return EXIT_OK
+
+
+def _report_findings(findings) -> int:
+    """Print each finding and their count to stderr; the validation exit code."""
+    for finding in findings:
+        print(finding, file=sys.stderr)
+    print(f"{len(findings)} finding(s)", file=sys.stderr)
+    return EXIT_INVALID
 
 
 def build_parser() -> _Parser:

@@ -171,6 +171,11 @@ def greedy_temp_map(
     edge_switches = sorted(
         s for s in net.switches if net.switches[s].tier == "edge" and node_ok(s)
     )
+    # each server whose uplink qualifies -> its uplink edge (alike for every VM)
+    uplink_edge = {
+        s: table.path(*key).edges[0] for vm in list(req.vms)[:1] for s in net.servers
+        if node_ok(s) and (key := state.uplink(req, vm, s))
+    }
 
     vm_map: dict[str, str] = {}
     vswitch_map: dict[str, str] = {}
@@ -187,7 +192,7 @@ def greedy_temp_map(
         """Greedy in-rack placement: (overflow scalar, VM -> server, server
         loads, uplink loads), the loads including those planned before, or
         None if impossible."""
-        servers = [s for s in sorted(net.servers_under(rack_switch)) if node_ok(s)]
+        servers = [s for s in sorted(net.servers_under(rack_switch)) if s in uplink_edge]
         if not servers:
             return None
         server_load = dict(extra_server_load)
@@ -211,11 +216,9 @@ def greedy_temp_map(
                 free = state.residual[sid] - server_load.get(sid, ResourceVector())
                 over = demand.overflow_over(free)
                 score = _norm(over, net.servers[sid].capacity)
-                lid = net.link_between(rack_switch, sid)
-                if lid is not None:
-                    link_free = state.residual[lid].bandwidth - link_load.get(lid, 0)
-                    bw_over = max(0, vlink.bandwidth - link_free)
-                    score += bw_over / net.links[lid].bandwidth
+                lid = uplink_edge[sid]
+                link_free = state.residual[lid].bandwidth - link_load.get(lid, 0)
+                score += max(0, vlink.bandwidth - link_free) / net.links[lid].bandwidth
                 free_after = free - demand
                 key = (score, -_norm(free_after, net.servers[sid].capacity), sid)
                 if best is None or key < best[0]:
@@ -223,8 +226,7 @@ def greedy_temp_map(
             key, sid, lid = best
             placement[vm_id] = sid
             server_load[sid] = server_load.get(sid, ResourceVector()) + demand
-            if lid is not None:
-                link_load[lid] = link_load.get(lid, 0) + vlink.bandwidth
+            link_load[lid] = link_load.get(lid, 0) + vlink.bandwidth
             total_overflow += key[0]
         return total_overflow, placement, server_load, link_load
 
@@ -235,7 +237,7 @@ def greedy_temp_map(
             plan = place_group(groups[vs_id], rack)
             if plan is None:
                 continue
-            rack_free = sum(server_score(s) for s in net.servers_under(rack) if node_ok(s))
+            rack_free = sum(server_score(s) for s in net.servers_under(rack) if s in uplink_edge)
             mem_free = state.residual[rack].switch_memory
             vs_demand = req.vswitches[vs_id].demand.switch_memory
             mem_over = max(0, vs_demand - mem_free) / net.switches[rack].capacity.switch_memory
@@ -296,17 +298,16 @@ def greedy_temp_map(
         used_switches.add(scored[0][2])
 
     vlink_map: dict[str, tuple[str, str, int]] = {}
-    path_load: dict[str, int] = dict(extra_link_load)
+    path_load: dict[str, int] = {}  # no switch-switch path crosses a server
     for vl_id in sorted(req.vlinks):
         vl = req.vlinks[vl_id]
-        img_a = vm_map.get(vl.a) or vswitch_map.get(vl.a)
-        img_b = vm_map.get(vl.b) or vswitch_map.get(vl.b)
-        recs = table.get(img_a, img_b)
-        is_vm_link = vl.a in req.vms or vl.b in req.vms
+        vm_id = vl.a if vl.a in req.vms else vl.b
+        if vm_id in req.vms:
+            vlink_map[vl_id] = state.uplink(req, vm_id, vm_map[vm_id])
+            continue
+        img_a, img_b = vswitch_map[vl.a], vswitch_map[vl.b]
         best = None
-        for n, rec in enumerate(recs):
-            if is_vm_link and len(rec.edges) != 1:
-                continue
+        for n, rec in enumerate(table.get(img_a, img_b)):
             if not admissible(rec, state.down, req.latency_bound):
                 continue
             if allowed_links is not None and any(e not in allowed_links for e in rec.edges):
@@ -362,36 +363,26 @@ def _relocate_vm(probe, req, a, vm_id, extra):
     the usage map planned on top of the probe's residuals.
     """
     old_server = a.vm_map[vm_id]
-    rack = probe.net.edge_switch_of(old_server)
     demand = req.vms[vm_id].demand
-    vlink = req.uplinks.get(vm_id)
+    vlink = req.uplinks[vm_id]
     options = []
-    for sid in sorted(probe.net.servers_under(rack)):
-        if sid == old_server or sid in probe.down:
+    for sid in sorted(probe.net.servers_under(probe.net.edge_switch_of(old_server))):
+        key = probe.uplink(req, vm_id, sid)
+        if sid == old_server or key is None:
             continue
         if req.locality and vm_id in req.locality and sid not in req.locality[vm_id]:
             continue
         free = probe.residual[sid] - extra.get(sid, ZERO)
-        if not demand.le(free):
-            continue
-        lid = probe.net.link_between(rack, sid)
-        if vlink is not None and lid is not None:
-            link_free = probe.residual[lid].bandwidth - extra.get(lid, ZERO).bandwidth
-            if vlink.bandwidth > link_free or lid in probe.down:
-                continue
-        options.append((probe.net.hop_distance(old_server, sid), sid))
+        lid = probe.table.path(*key).edges[0]
+        link_free = probe.residual[lid].bandwidth - extra.get(lid, ZERO).bandwidth
+        if demand.le(free) and vlink.bandwidth <= link_free:
+            options.append((probe.net.hop_distance(old_server, sid), sid, key))
     if not options:
         return None
-    _, sid = min(options)
-    new_vm_map = dict(a.vm_map)
-    new_vm_map[vm_id] = sid
-    new_vlink_map = dict(a.vlink_map)
-    if vlink is not None:
-        pa, pb, _ = a.vlink_map[vlink.id]
-        new_pa = sid if pa == old_server else pa
-        new_pb = sid if pb == old_server else pb
-        new_vlink_map[vlink.id] = (new_pa, new_pb, 0)
-    return Assignment(a.request_id, new_vm_map, a.vswitch_map, new_vlink_map)
+    _, sid, key = min(options)
+    return Assignment(
+        a.request_id, {**a.vm_map, vm_id: sid}, a.vswitch_map, {**a.vlink_map, vlink.id: key}
+    )
 
 
 def swap_repair(

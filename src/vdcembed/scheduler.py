@@ -35,6 +35,7 @@ from .topology import (
     config_items,
     poisson_arrivals,
     sum_vectors,
+    validate_request,
 )
 
 MODE_BATCH = "batch"
@@ -519,10 +520,10 @@ class Simulation:
         """A new placement for an active request hit by a failure with only
         the elements on failed hardware moved, or None when that is impossible.
 
-        A VM on a failed server moves within its rack, a vlink over a failed
-        link or switch takes the first admissible path with room. Plans on a
-        copy of the state with the request released; planned loads are the
-        request's own usage, so unmoved VMs count once.
+        A VM whose server or uplink failed moves within its rack, a vlink
+        over a failed link or switch takes the first admissible path with
+        room. Plans on a copy of the state with the request released; planned
+        loads are the request's own usage, so unmoved VMs count once.
         """
         probe = self.state.copy()
         a = probe.release(req.id)
@@ -530,7 +531,7 @@ class Simulation:
         if any(host in down for host in a.vswitch_map.values()):
             return None  # switch loss relocates the vswitch; fall back to requeue
         for vm_id, host in a.vm_map.items():
-            if host in down:
+            if probe.uplink(req, vm_id, host) is None:
                 a = _relocate_vm(probe, req, a, vm_id, probe.usage(req, a))
                 if a is None:
                     return None
@@ -591,10 +592,14 @@ class Simulation:
             raise InvalidParameterError(
                 f"event at {event.time} behind clock {self.clock}"
             )
-        if event.kind == "arrival" and event.request is None:
-            raise InvalidParameterError("arrival event carries no request")
-        if event.kind == "arrival" and event.request.id in self.status:
-            raise InvalidParameterError(f"request id {event.request.id!r} arrived before")
+        if event.kind == "arrival":
+            if event.request is None:
+                raise InvalidParameterError("arrival event carries no request")
+            if event.request.id in self.status:
+                raise InvalidParameterError(f"request id {event.request.id!r} arrived before")
+            findings = validate_request(event.request, self.state.net)
+            if findings:
+                raise InvalidParameterError(f"request {event.request.id!r}: {findings[0]}")
         self.clock = event.time
         if event.kind == "arrival":
             self.handle_arrival(event.request, event.time)

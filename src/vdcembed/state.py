@@ -37,7 +37,7 @@ class Assignment:
     """Where one request's elements live on the substrate.
 
     vlink_map values are (node_a_image, node_b_image, path_index) keys into
-    the path table; switch-VM links use the single-edge adjacency entry.
+    the path table; a VM's uplink takes the key `EmbeddingState.uplink` gives.
     """
 
     request_id: str
@@ -218,6 +218,15 @@ class EmbeddingState:
                 rule = f"{self.net.kind(eid)}-capacity"
                 out.append(Violation(rule, eid, False, overflow=load.overflow_over(limit)))
         return out
+
+    def uplink(self, req: VdcRequest, vm_id: str, server: str) -> tuple[str, str, int] | None:
+        """Path key of a VM's uplink when the VM sits on server: path 0 of
+        (server's edge switch, server) in the vlink's own direction. None when
+        server does not qualify: that edge is down or over the latency bound."""
+        edge = self.net.edge_switch_of(server)
+        pa, pb = (server, edge) if req.uplinks[vm_id].a == vm_id else (edge, server)
+        recs = self.table.get(pa, pb)
+        return (pa, pb, 0) if recs and admissible(recs[0], self.down, req.latency_bound) else None
 
     def free_path(
         self, pa, pb, bandwidth, latency_bound=None, credit=(), extra=None, avoid=None

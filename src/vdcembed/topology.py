@@ -302,10 +302,17 @@ class WorkloadConfig:
             lo, hi = getattr(self, name)
             if lo < 1 or lo > hi:
                 raise ConfigError(f"{name}: need 1 <= low <= high, got {lo}:{hi}")
-        if not 0 <= self.arrival_rate <= 10:
-            raise ConfigError(f"arrival_rate out of range [0, 10]: {self.arrival_rate}")
-        if self.horizon < 0:
-            raise ConfigError(f"horizon must be >= 0: {self.horizon}")
+        check_rate("arrival_rate", self.arrival_rate)
+        if not 0 <= self.horizon < math.inf:  # also rejects nan
+            raise ConfigError(f"horizon must be finite and >= 0: {self.horizon}")
+
+
+def check_rate(name: str, rate: float) -> float:
+    """rate, when it is an arrival rate the generator accepts: finite and in
+    [0, 10] requests per 100 time units; ConfigError otherwise."""
+    if not 0 <= rate <= 10:  # also rejects nan
+        raise ConfigError(f"{name} out of range [0, 10]: {rate}")
+    return rate
 
 
 _WORKLOAD_RANGE_KEYS = {

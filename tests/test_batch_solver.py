@@ -14,6 +14,7 @@ from vdcembed.batch_solver import (
     KIND_Y,
     KIND_Z,
     SolveBudget,
+    _Search,
     build_mip,
     extract_assignments,
     solve_exact,
@@ -21,11 +22,31 @@ from vdcembed.batch_solver import (
 from vdcembed.errors import InvalidParameterError, StaleSnapshotError
 from vdcembed.paths import enumerate_paths
 from vdcembed.state import EmbeddingState
-from vdcembed.topology import WorkloadConfig, build_fat_tree, generate_vdc_request
+from vdcembed.topology import (
+    ResourceVector,
+    SubstrateNetwork,
+    WorkloadConfig,
+    build_fat_tree,
+    generate_vdc_request,
+)
 
 
 def fresh_state(net):
     return EmbeddingState(net, enumerate_paths(net))
+
+
+def tight_k4(racks=("e0_0",)):
+    """k=4 with 4-core servers where only the edge switches in racks have the
+    memory to host a vSwitch, so requests contend for their servers; the
+    topology, and so the path table, is that of build_fat_tree(4)."""
+    net = build_fat_tree(4, server_capacity=ResourceVector(cpu_cores=4, memory_mb=8192))
+    switches = {
+        sid: replace(sw, capacity=ResourceVector(switch_memory=2))
+        if sw.tier == "edge" and sid not in racks
+        else sw
+        for sid, sw in net.switches.items()
+    }
+    return SubstrateNetwork(net.servers, switches, net.links, k_arity=4)
 
 
 def apply_plan(state, plan):
@@ -43,8 +64,19 @@ class TestBuildMip:
         assert len(vars_of_kind(model, KIND_Z)) == 1
         assert len(vars_of_kind(model, KIND_W)) == 2  # every server
         assert len(vars_of_kind(model, KIND_X)) == 2  # edge switches only
-        assert len(vars_of_kind(model, KIND_Y)) == 2  # one per rack adjacency
-        assert model.num_constraints > 0
+        assert vars_of_kind(model, KIND_Y) == []  # the uplink rides w
+        # one tie row per w: w[vm, s] - x[vs0, edge(s)] <= 0
+        x_of = {model.vars[i].host_a: i for i in vars_of_kind(model, KIND_X)}
+        for wi in vars_of_kind(model, KIND_W):
+            ties = [r for r, _ in model.var_rows[wi] if len(model.row_vars[r]) == 2
+                    and not model.row_eq[r]]
+            assert len(ties) == 1
+            edge = k2_state.net.edge_switch_of(model.vars[wi].host_a)
+            assert model.row_vars[ties[0]] == [wi, x_of[edge]]
+            assert model.row_coefs[ties[0]] == [1, -1] and model.row_rhs[ties[0]] == 0
+        # rows: placement of z's elements (2), ties (2), capacity rows:
+        # 2 servers x 2 dimensions, 2 switches, 2 server links
+        assert model.num_constraints == 2 + 2 + 4 + 2 + 2
 
     def test_zero_latency_bound_forces_unembedded(self, k2_state):
         req = chain_request("r0", n_vswitches=2, vms_per_switch=1, latency_bound=0)
@@ -102,6 +134,30 @@ class TestBuildMip:
                 assert total <= model.row_rhs[r], r
         scaled = sum(c * xi for c, xi in zip(model.obj_coef, x))
         assert sol.objective == Fraction(scaled, model.obj_scale)
+
+    def test_tie_rows_fix_off_rack_servers(self, k4_state):
+        model = build_mip(k4_state, [star_request("r0", n_vms=2)])
+        w_vars = vars_of_kind(model, KIND_W)
+        assert len(w_vars) == 32  # 2 VMs x 16 servers
+        x_e00 = next(
+            i for i in vars_of_kind(model, KIND_X) if model.vars[i].host_a == "e0_0"
+        )
+        search = _Search(model)
+        assert search.decide(model.z_of_request[0], 1)
+        assert search.decide(x_e00, 1)
+        rack = set(k4_state.net.servers_under("e0_0"))
+        off_rack = [i for i in w_vars if model.vars[i].host_a not in rack]
+        assert len(off_rack) == 28
+        assert all(search.values[i] == 0 for i in off_rack)
+        assert all(search.values[i] == -1 for i in w_vars if i not in off_rack)
+
+    def test_no_w_where_the_uplink_fails_the_rule(self, k4_state):
+        k4_state.mark_down(["l2"])  # e0_0 - s0
+        model = build_mip(k4_state, [star_request("r0"), star_request("r1", latency_bound=0)])
+        hosts = {(model.vars[i].request_id, model.vars[i].host_a) for i in vars_of_kind(model, KIND_W)}
+        assert ("r0", "s0") not in hosts and len(hosts) == 15
+        sol = solve_exact(model)
+        assert sol.embedded["r0"] is not None and sol.embedded["r1"] is None
 
     @pytest.mark.parametrize("k", [2, 4])
     def test_var_rows_is_transpose_of_rows(self, k):
@@ -193,20 +249,46 @@ class TestSolveExact:
             latency_bound=rng.choice([None, None, 4, 2]),
         )
 
-    def test_matches_enumeration_oracle(self, k2_net, k2_table):
+    def _random_k4_stars(self, rng):
+        """Two stars of one or two VMs, or three of one: few enough joint
+        options for the oracle on k=4."""
+        n_vms = rng.choice([[1, 1, 1], [1, 2], [2, 2], [2, 1]])
+        return [
+            star_request(
+                f"r{i}",
+                n_vms=n,
+                cores=rng.randint(1, 4),
+                mem=rng.choice([256, 6000]),
+                vswitch_mem=rng.randint(5, 60),
+                vlink_bw=rng.choice([10, 400, 800]),
+            )
+            for i, n in enumerate(n_vms)
+        ]
+
+    def test_matches_enumeration_oracle(self, k2_net, k2_table, k4_table):
         rng = random.Random(20240)
-        for trial in range(40):
-            state = EmbeddingState(k2_net, k2_table)
-            reqs = [self._random_tiny_request(rng, f"r{i}") for i in range(rng.randint(1, 3))]
-            model = build_mip(state, reqs)
-            sol = solve_exact(model)
-            assert sol.optimal, f"trial {trial} not exhausted"
-            expect = best_joint_objective(k2_net, k2_table, reqs)
-            assert sol.objective == expect, f"trial {trial}"
-            plan = extract_assignments(sol, state)
-            apply_plan(state, plan)
-            placed = [(state.requests[r], state.active[r]) for r in state.active]
-            assert recheck_embedding(k2_net, k2_table, placed) == []
+        # k=2 with mixed shapes, then stars on a tight k=4, where the tie rows
+        # rule out every w off the parent's rack
+        k4_net = tight_k4()
+        inputs = [
+            (k2_net, k2_table, [
+                [self._random_tiny_request(rng, f"r{i}") for i in range(rng.randint(1, 3))]
+                for _ in range(40)
+            ]),
+            (k4_net, k4_table, [self._random_k4_stars(rng) for _ in range(10)]),
+        ]
+        for net, table, trials in inputs:
+            for trial, reqs in enumerate(trials):
+                state = EmbeddingState(net, table)
+                model = build_mip(state, reqs)
+                sol = solve_exact(model)
+                assert sol.optimal, f"trial {trial} not exhausted"
+                expect = best_joint_objective(net, table, reqs)
+                assert sol.objective == expect, f"trial {trial}"
+                plan = extract_assignments(sol, state)
+                apply_plan(state, plan)
+                placed = [(state.requests[r], state.active[r]) for r in state.active]
+                assert recheck_embedding(net, table, placed) == []
 
     def test_monotone_in_candidates(self, k2_net, k2_table):
         rng = random.Random(77)
@@ -366,3 +448,62 @@ class TestMigrationAwareness:
         )
         with pytest.raises(StaleSnapshotError):
             extract_assignments(sol, k2_state)
+
+
+def highs_objective(model):
+    """The scaled optimum of a MipModel as solved by scipy's HiGHS MILP."""
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    sparse = pytest.importorskip("scipy.sparse")
+    import numpy as np
+
+    rows, cols, coefs = [], [], []
+    for r, (vs, cs) in enumerate(zip(model.row_vars, model.row_coefs)):
+        rows += [r] * len(vs)
+        cols += vs
+        coefs += cs
+    a = sparse.csr_array((coefs, (rows, cols)), shape=(model.num_constraints, model.num_vars))
+    ub = np.array(model.row_rhs, dtype=float)
+    lb = np.where(model.row_eq, ub, -np.inf)
+    res = scipy_optimize.milp(
+        -np.array(model.obj_coef, dtype=float),
+        constraints=scipy_optimize.LinearConstraint(a, lb, ub),
+        integrality=np.ones(model.num_vars),
+        bounds=scipy_optimize.Bounds(0, 1),
+        options={"mip_rel_gap": 0},
+    )
+    assert res.success, res.message
+    return round(-res.fun)
+
+
+class TestSecondOracle:
+    def test_objective_matches_highs(self, k4_table):
+        """Models of a few hundred vars on a tight k=4, beyond brute force:
+        remappable actives, a failed server and link, latency bounds and
+        locality; solve_exact and HiGHS must agree on the optimum."""
+        pytest.importorskip("scipy")
+        rng = random.Random(8080)
+        net = tight_k4(racks=("e0_0", "e0_1", "e1_0"))
+        servers = sorted(net.servers)
+        sizes = []
+        for trial in range(8):
+            state = EmbeddingState(net, k4_table)
+            actives = [
+                star_request(f"a{i}", n_vms=rng.randint(1, 2), cores=rng.randint(1, 3),
+                             vswitch_mem=rng.randint(5, 30), vlink_bw=rng.choice([10, 300]))
+                for i in range(2)
+            ]
+            apply_plan(state, extract_assignments(solve_exact(build_mip(state, actives)), state))
+            assert state.active, f"trial {trial}"
+            state.mark_down([rng.choice(servers[2:]), rng.choice(sorted(net.links))])
+            candidates = [
+                chain_request("c0", cores=rng.randint(1, 3), vswitch_mem=rng.randint(5, 40),
+                              vlink_bw=rng.choice([10, 400]), latency_bound=rng.choice([2, 4])),
+                star_request("c1", n_vms=2, cores=rng.randint(2, 4), vlink_bw=rng.choice([10, 600]),
+                             locality={"vm0": frozenset(rng.sample(servers, 8))}),
+            ]
+            model = build_mip(state, candidates, remappable=sorted(state.active))
+            sizes.append(model.num_vars)
+            sol = solve_exact(model)
+            assert sol.optimal, f"trial {trial} not exhausted"
+            assert sol.objective * model.obj_scale == highs_objective(model), f"trial {trial}"
+        assert min(sizes) > 100

@@ -20,7 +20,7 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 # sha256 of the trace of each workload's first simulation at seed 1; a change
 # that alters decisions on purpose updates these and says so in CHANGES.md
 FIRST_TRACE_SHA256 = {
-    "batch-k4": "18fbf3b2570abba489bacbe29f821c8a00c7e427f400461c21f036407e491cbf",
+    "batch-k4": "75403dc21ca93580a2da65d47defc0829e5faeb65728d4048de47dc6c64064a3",
     "online-k8": "e7626e2813449005d42bbdf90e6f407c46571b2d32dae951afdce1382682e53b",
 }
 

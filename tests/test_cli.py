@@ -93,6 +93,19 @@ class TestGenWorkload:
         assert main(["gen-workload", "--config", "zero.cfg", "--out", "z.req"]) == 0
         assert load_requests((workdir / "z.req").read_text()) == []
 
+    @pytest.mark.parametrize("horizon", ["inf", "nan", "-1"])
+    def test_unbounded_horizon_exits_one_before_drawing(
+        self, workdir, capsys, monkeypatch, horizon
+    ):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("arrival stream started")
+
+        monkeypatch.setattr("vdcembed.cli.poisson_arrivals", no_draw)
+        (workdir / "endless.cfg").write_text(f"horizon={horizon}\narrival_rate=5\n")
+        assert main(["gen-workload", "--config", "endless.cfg", "--out", "e.req"]) == 1
+        assert capsys.readouterr().err.startswith("error: horizon must be finite")
+        assert not (workdir / "e.req").exists()
+
     def test_missing_config(self, workdir, capsys):
         assert main(["gen-workload", "--config", "nope.cfg", "--out", "x.req"]) == 1
         assert "nope.cfg" in capsys.readouterr().err
@@ -170,6 +183,19 @@ class TestRun:
         assert code == 1
         assert "--lambdas" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("lambdas", ["inf", "nan", "1,-2", "1:100"])
+    def test_out_of_range_lambdas_exit_one_before_running(
+        self, workdir, capsys, monkeypatch, lambdas
+    ):
+        def no_run(*args, **kwargs):
+            raise AssertionError("simulation started")
+
+        monkeypatch.setattr("vdcembed.cli.run_simulation", no_run)
+        main(["gen-topology", "--k", "2", "--out", "dc2.txt"])
+        args = ["run", "--substrate", "dc2.txt", "--workload", "workload.cfg", "--out", "res"]
+        assert main(args + ["--lambdas", lambdas]) == 1
+        assert capsys.readouterr().err.startswith("error: --lambdas out of range [0, 10]")
+
     def test_negative_audit_every_exits_one(self, workdir, capsys):
         main(["gen-topology", "--k", "2", "--out", "dc2.txt"])
         args = ["run", "--substrate", "dc2.txt", "--workload", "workload.cfg", "--out", "res"]
@@ -223,6 +249,33 @@ class TestSolve:
         # the written file is read back by validate with the same codec
         args = ["--substrate", "dc2.txt", "--requests", "reqs.txt", "--assignment", "sol.txt"]
         assert main(["validate"] + args) == 0
+
+    def test_invalid_request_exits_two_before_solving(self, workdir, capsys):
+        main(["gen-topology", "--k", "2", "--out", "dc2.txt"])
+        # vm0 hangs off the internal vSwitch vs1
+        self.write_requests(
+            workdir,
+            "requests 1\n"
+            "request r0\n"
+            "vm vm0 1 256\n"
+            "vm vm1 1 256\n"
+            "vswitch vs0 edge 10\n"
+            "vswitch vs1 internal 10\n"
+            "vswitch vs2 edge 10\n"
+            "vlink vl0 vs0 vs1 5\n"
+            "vlink vl1 vs1 vs2 5\n"
+            "vlink vl2 vs1 vm0 5\n"
+            "vlink vl3 vs2 vm1 5\n"
+            "meta 0.0 10.0 -\n",
+        )
+        code = main(["solve", "--substrate", "dc2.txt", "--requests", "reqs.txt", "--out", "s.txt"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "[vm-parent-edge] vm0: vs1" in captured.err
+        assert "embedded" not in captured.out
+        assert not (workdir / "s.txt").exists()
+        # validate flags the same file alike
+        assert main(["validate", "--substrate", "dc2.txt", "--requests", "reqs.txt"]) == 2
 
     def test_infeasible_is_valid_answer(self, workdir, capsys):
         main(["gen-topology", "--k", "2", "--out", "dc2.txt"])

@@ -96,6 +96,14 @@ class TestGreedy:
             assert k4_state.table.path(*key).delay <= 2
 
 
+    def test_avoids_a_server_whose_uplink_is_down(self, k4_state):
+        k4_state.mark_down(["l2"])  # e0_0 - s0
+        temp = greedy_temp_map(k4_state, star_request("r0"))
+        assert isinstance(temp, TempMapping) and temp.clean
+        assert temp.assignment.vm_map["vm0"] != "s0"
+        assert k4_state.check_assignment(star_request("r0"), temp.assignment) == []
+
+
 class TestSwapRepair:
     def test_clean_temp_returned_unchanged(self, k4_state):
         req = star_request("r0")

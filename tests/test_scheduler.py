@@ -1,10 +1,11 @@
 """Thresholds, mode selection, event handling, and full simulation runs."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
-from conftest import make_rack_net, star_request
+from conftest import chain_request, make_rack_net, star_request
 from vdcembed.errors import ConfigError
 from vdcembed.metrics import aggregate, serialize_trace
 from vdcembed.online_search import OnlineResult, SwapMove
@@ -25,7 +26,7 @@ from vdcembed.scheduler import (
     select_mode,
 )
 from vdcembed.state import Assignment
-from vdcembed.topology import ResourceVector, WorkloadConfig, build_fat_tree
+from vdcembed.topology import ResourceVector, VLink, WorkloadConfig, build_fat_tree
 
 
 def pend(req, seq=0, expiry=100.0):
@@ -372,6 +373,37 @@ class TestSimulationSteps:
         assert sim.state.requests["r0"].locality == locality
         assert sim.state.requests["r0"].vms["vm0"].demand.cpu_cores == 5
         sim.state.audit()
+
+    def test_vm_moves_within_its_rack_when_its_uplink_fails(self):
+        sim = self.make_sim(mode="online-only")
+        sim.process(SimEvent(0.0, 0, "arrival", request=star_request("r0", duration=90.0)))
+        a = sim.state.active["r0"]
+        assert (a.vm_map, a.vswitch_map) == ({"vm0": "s0"}, {"vs0": "e0_0"})
+        sim.process(SimEvent(1.0, 1, "failure", elements=("l2",)))  # e0_0 - s0
+        outcome = next(r for r in sim.records if r.kind == "displaced")
+        assert outcome.get("outcome") == "repaired"
+        assert "reembed" not in [r.kind for r in sim.records]
+        assert sim.state.active["r0"].vswitch_map == {"vs0": "e0_0"}
+        moved = [
+            tuple(r.get(f) for f in ("kind", "element", "old", "new"))
+            for r in sim.records
+            if r.kind == "migration"
+        ]
+        assert moved == [("vm", "vm0", "s0", "s1"), ("vlink", "vl0", "-", "-")]
+        sim.state.audit()
+
+    def test_invalid_request_rejected_before_clock_moves(self):
+        sim = self.make_sim()
+        sim.process(SimEvent(5.0, 0, "arrival", request=star_request("r0")))
+        # vm0 hangs off an internal vSwitch
+        bad = chain_request("bad", n_vswitches=3)
+        bad = replace(bad, vlinks={**bad.vlinks, "vl2": VLink("vl2", "vs1", "vm0", 10)})
+        from vdcembed.errors import InvalidParameterError
+
+        with pytest.raises(InvalidParameterError, match="vm-parent-edge"):
+            sim.process(SimEvent(9.0, 1, "arrival", request=bad))
+        assert sim.clock == 5.0
+        assert "bad" not in sim.status
 
     def test_clock_rejects_past_events(self):
         sim = self.make_sim()

@@ -195,6 +195,11 @@ class TestWorkloadConfig:
         with pytest.raises(ConfigError):
             parse_workload_config("arrival_rate=99\n")
 
+    @pytest.mark.parametrize("value", ["inf", "nan", "-inf", "-1"])
+    def test_horizon_must_be_finite(self, value):
+        with pytest.raises(ConfigError, match="horizon must be finite"):
+            parse_workload_config(f"horizon={value}\n")
+
     def test_single_value_range(self):
         cfg = parse_workload_config("vm_count=6\n")
         assert cfg.vm_count == (6, 6)
