@@ -2,10 +2,12 @@
 
 The model places a set of requests (optionally re-deciding already-active
 ones) with an objective of embedded-request count minus normalized migration
-distances. Products of placement variables are linearized with the standard
-binary product relaxation, so the model stays a pure 0/1 program and the
-search needs no LP machinery: bounds are combinatorial, feasibility is kept
-by incremental row-interval propagation with trail-based undo.
+distances. Its variables are the embed flags and the vSwitch and VM
+placements; a VM's uplink rides its placement variable. vSwitch-vSwitch
+vlinks have no variables: the search routes them at its leaves, within each
+link's room. The search needs no LP machinery: bounds are combinatorial,
+feasibility is kept by incremental row-interval propagation with trail-based
+undo.
 """
 
 from __future__ import annotations
@@ -18,12 +20,11 @@ from fractions import Fraction
 from .errors import InvalidParameterError, StaleSnapshotError
 from .paths import admissible
 from .state import Assignment, EmbeddingState
-from .topology import DIMENSIONS, ResourceVector, VdcRequest
+from .topology import DIMENSIONS, ResourceVector, VdcRequest, VLink
 
 KIND_Z = "z"
 KIND_X = "x"
 KIND_W = "w"
-KIND_Y = "y"
 
 
 @dataclass(frozen=True)
@@ -33,14 +34,12 @@ class VarInfo:
     kind: str
     request_id: str
     element_id: str = ""
-    host_a: str = ""
-    host_b: str = ""
-    path_n: int = -1
+    host: str = ""
 
 
 @dataclass
 class SolveBudget:
-    """Search limits; node_limit bounds decisions, wall_ms is a safety valve.
+    """Search limits; node_limit bounds decisions and paths tried, wall_ms is a safety valve.
 
     Determinism is guaranteed for node-limited solves; a binding wall-clock
     limit can stop at run-dependent points.
@@ -57,8 +56,11 @@ class MipModel:
     with the (row, coefficient) pairs of each variable in row order.
     """
 
-    def __init__(self, state_version: int):
-        self.state_version = state_version
+    def __init__(self, snapshot: EmbeddingState):
+        self.state_version = snapshot.version
+        self.table = snapshot.table  # with down and room: routing at the search's leaves
+        self.down = frozenset(snapshot.down)
+        self.room: dict[str, int] = {}  # link -> bandwidth right-hand side
         self.vars: list[VarInfo] = []
         self.var_rows: list[list[tuple[int, int]]] = []
         self.row_vars: list[list[int]] = []
@@ -71,7 +73,7 @@ class MipModel:
         self.z_of_request: list[int] = []
         self.remappable: dict[str, Assignment] = {}
         self.penalized: list[list[list[int]]] = []  # per request: per element: var idxs
-        self.uplinks: dict[int, tuple[str, tuple[str, str, int]]] = {}  # w -> (vlink, path key)
+        self.uplinks: dict[int, tuple[VLink, tuple[str, str, int]]] = {}  # w -> (vlink, path key)
         self.branch_order: list[int] = []
 
     # -- construction helpers -------------------------------------------------
@@ -131,7 +133,7 @@ def build_mip(
         if rid not in snapshot.active:
             raise InvalidParameterError(f"remappable request {rid} is not active")
 
-    model = MipModel(snapshot.version)
+    model = MipModel(snapshot)
     model.remappable = {rid: snapshot.active[rid] for rid in remappable}
     # actives branch first so the initial dive keeps them put and only then
     # slots the new candidates into the remaining room
@@ -225,7 +227,7 @@ def build_mip(
             vl = req.uplinks[vm_id]
             for host, wi in cands[vm_id]:
                 key, xi = ties[host]
-                model.uplinks[wi] = (vl.id, key)
+                model.uplinks[wi] = (vl, key)
                 model._new_row([wi, xi], [1, -1], 0)
                 lid = snapshot.table.path(*key).edges[0]
                 terms[lid].append((wi, ResourceVector(bandwidth=vl.bandwidth)))
@@ -236,33 +238,8 @@ def build_mip(
             if len(vis) > 1:
                 model._new_row(vis, [1] * len(vis), 1)
 
-        for vl_id, vl in req.vlinks.items():
-            if vl.a in req.vms or vl.b in req.vms:
-                continue  # an uplink, carried by its VM's w
-            load = ResourceVector(bandwidth=vl.bandwidth)
-            y_all: list[int] = []
-            for host_a, va in cands[vl.a]:
-                for host_b, vb in cands[vl.b]:
-                    if host_a == host_b:
-                        continue
-                    pair_y: list[int] = []
-                    for n, rec in enumerate(snapshot.table.get(host_a, host_b)):
-                        if not admissible(rec, down, req.latency_bound):
-                            continue
-                        yi = model._new_var(VarInfo(KIND_Y, req.id, vl_id, host_a, host_b, n))
-                        pair_y.append(yi)
-                        for eid in rec.edges:
-                            terms[eid].append((yi, load))
-                    if pair_y:
-                        y_all.extend(pair_y)
-                        ones = [1] * len(pair_y)
-                        model._new_row(pair_y + [va], ones + [-1], 0)
-                        model._new_row(pair_y + [vb], ones + [-1], 0)
-                        model._new_row([va, vb] + pair_y, [1, 1] + [-1] * len(pair_y), 1)
-            model._new_row(y_all + [zi], [1] * len(y_all) + [-1], 0, True)
-            model.branch_order.extend(y_all)
-
     # capacity rows: servers, switches, then links by id; one per dimension
+    model.room = {lid: rhs[lid].bandwidth for lid in net.links}
     links_used = sorted(eid for eid in terms if eid in net.links)
     for eid in [*servers_alive, *switches_alive, *links_used]:
         if eid in terms:
@@ -316,6 +293,7 @@ class _Search:
         self.row_maxabs = [max(map(abs, coefs)) for coefs in model.row_coefs]
         self.trail: list[int] = []
         self.obj_acc = 0
+        self.nodes = 0  # decisions and paths tried
 
     def _fix(self, v: int, val: int) -> bool:
         values = self.values
@@ -406,6 +384,68 @@ class _Search:
                 else:
                     lo[r] += c
 
+    def leaf(self, out_of_budget) -> dict[str, Assignment | None] | None:
+        """Every request's assignment at a leaf, or None when its vlinks admit
+        no routing or the budget runs out.
+
+        The embedded requests' vSwitch-vSwitch vlinks, in request then vlink
+        order, each take the first admissible path in table order that fits
+        the links' room net of the leaf's uplinks, backtracking over earlier
+        vlinks. Each path tried is a node.
+        """
+        m = self.m
+        image: dict[tuple[str, str], object] = {}  # (request, element) -> host or path key
+        room = dict(m.room)
+        for i, val in enumerate(self.values):
+            info = m.vars[i]
+            if val == 1 and info.kind != KIND_Z:
+                image[info.request_id, info.element_id] = info.host
+            if val == 1 and info.kind == KIND_W:
+                vl, key = m.uplinks[i]
+                image[info.request_id, vl.id] = key
+                room[m.table.path(*key).edges[0]] -= vl.bandwidth
+        # the embedded requests' vlinks that no w placed: the vSwitch-vSwitch ones
+        legs = [(req, vl) for req, z in zip(m.requests, m.z_of_request) if self.values[z]
+                for vl in req.vlinks.values() if (req.id, vl.id) not in image]
+
+        tried = [0] * len(legs)  # per leg: table paths tried since the leg was last reached
+        k = 0
+        while k < len(legs):
+            req, vl = legs[k]
+            a, b = image[req.id, vl.a], image[req.id, vl.b]
+            paths = m.table.get(a, b)
+            if tried[k] == len(paths):  # no path fits: move the leg before on
+                if k == 0:
+                    return None
+                tried[k] = 0
+                k -= 1
+                req, vl = legs[k]
+                for e in m.table.path(*image[req.id, vl.id]).edges:
+                    room[e] += vl.bandwidth
+                continue
+            rec = paths[tried[k]]
+            tried[k] += 1
+            if not admissible(rec, m.down, req.latency_bound):
+                continue
+            if out_of_budget():
+                return None
+            self.nodes += 1
+            if all(room[e] >= vl.bandwidth for e in rec.edges):
+                for e in rec.edges:
+                    room[e] -= vl.bandwidth
+                image[req.id, vl.id] = (a, b, tried[k] - 1)
+                k += 1
+        return {
+            req.id: Assignment(
+                req.id,
+                {e: image[req.id, e] for e in req.vms},
+                {e: image[req.id, e] for e in req.vswitches},
+                {e: image[req.id, e] for e in req.vlinks},
+            )
+            if self.values[z] else None
+            for req, z in zip(m.requests, m.z_of_request)
+        }
+
     def upper_bound(self) -> int:
         """Scaled objective bound for any completion of the current fixing."""
         ub = self.obj_acc
@@ -439,10 +479,13 @@ class _Search:
 def solve_exact(model: MipModel, budget: SolveBudget | None = None) -> BatchSolution:
     """Depth-first branch-and-bound; provably optimal when the search finishes.
 
-    Variable order is static (per request: embed flag, then vSwitch, VM, and
-    path variables, each with its preferred host first), value 1 is tried
-    before 0, and bounds no better than the incumbent are pruned, so the
-    search is deterministic for a given model and node budget.
+    Variable order is static (per request: embed flag, then vSwitch and VM
+    variables, each with its preferred host first), value 1 is tried before
+    0, and bounds no better than the incumbent are pruned. At each leaf that
+    beats the incumbent the embedded requests' vSwitch-vSwitch vlinks are
+    routed (`_Search.leaf`); a leaf with no routing is infeasible. Each
+    decision and each path tried counts as one node, so the search is
+    deterministic for a given model and node budget.
     """
     budget = budget or SolveBudget()
     start = time.perf_counter()
@@ -450,10 +493,12 @@ def solve_exact(model: MipModel, budget: SolveBudget | None = None) -> BatchSolu
     order = model.branch_order
     values = search.values
 
-    best_values: list[int] | None = None
-    best_scaled: int | None = None
-    nodes = 0
-    exhausted = True
+    best: tuple[int, dict[str, Assignment | None]] | None = None  # (scaled objective, maps)
+
+    def out_of_budget() -> bool:
+        return search.nodes >= budget.node_limit or (
+            budget.wall_ms > 0 and (time.perf_counter() - start) * 1000.0 > budget.wall_ms
+        )
 
     def find_free(p: int) -> int:
         while p < len(order) and values[order[p]] != -1:
@@ -461,77 +506,32 @@ def solve_exact(model: MipModel, budget: SolveBudget | None = None) -> BatchSolu
         return p
 
     # frames: [order position, values left to try, trail mark before the decision]
-    stack: list[list] = []
-    p0 = find_free(0)
-    if p0 == len(order):
-        best_scaled = search.obj_acc
-        best_values = list(values)
-    else:
-        stack.append([p0, [1, 0], len(search.trail)])
-
+    stack: list[list] = [[0, [1, 0], 0]]
     while stack:
-        if nodes >= budget.node_limit:
-            exhausted = False
+        if out_of_budget():
             break
-        if budget.wall_ms and nodes % 128 == 0:
-            if (time.perf_counter() - start) * 1000.0 > budget.wall_ms:
-                exhausted = False
-                break
-        frame = stack[-1]
-        pos, vals, mark = frame
+        pos, vals, mark = stack[-1]
         search.undo_to(mark)
-        if not vals:
-            stack.pop()
-            continue
-        if best_scaled is not None and search.upper_bound() <= best_scaled:
+        if not vals or (best is not None and search.upper_bound() <= best[0]):
             stack.pop()
             continue
         val = vals.pop(0)
-        nodes += 1
+        search.nodes += 1
         if search.decide(order[pos], val):
             nxt = find_free(pos + 1)
-            if nxt == len(order):
-                scaled = search.obj_acc
-                if best_scaled is None or scaled > best_scaled:
-                    best_scaled = scaled
-                    best_values = list(values)
-            else:
+            if nxt < len(order):
                 stack.append([nxt, [1, 0], len(search.trail)])
+            elif best is None or search.obj_acc > best[0]:
+                embedded = search.leaf(out_of_budget)
+                if embedded is not None:
+                    best = (search.obj_acc, embedded)
 
     wall = (time.perf_counter() - start) * 1000.0
-
-    if best_values is None:
-        return BatchSolution(model, {}, None, nodes, wall, False, "no-solution")
-
-    embedded: dict[str, Assignment | None] = {}
-    for req in model.requests:
-        embedded[req.id] = None
-    one_vars = [i for i, v in enumerate(best_values) if v == 1]
-    by_request: dict[str, dict] = {
-        req.id: {"vm": {}, "vs": {}, "vl": {}, "z": False} for req in model.requests
-    }
-    for i in one_vars:
-        info = model.vars[i]
-        slot = by_request[info.request_id]
-        if info.kind == KIND_Z:
-            slot["z"] = True
-        elif info.kind == KIND_W:
-            slot["vm"][info.element_id] = info.host_a
-            vl_id, key = model.uplinks[i]
-            slot["vl"][vl_id] = key
-        elif info.kind == KIND_X:
-            slot["vs"][info.element_id] = info.host_a
-        elif info.kind == KIND_Y:
-            slot["vl"][info.element_id] = (info.host_a, info.host_b, info.path_n)
-    for req in model.requests:
-        slot = by_request[req.id]
-        if slot["z"]:
-            vlink_map = {vl_id: slot["vl"][vl_id] for vl_id in req.vlinks}
-            embedded[req.id] = Assignment(req.id, slot["vm"], slot["vs"], vlink_map)
-
-    objective = Fraction(best_scaled, model.obj_scale)
-    status = "optimal" if exhausted else "incumbent"
-    return BatchSolution(model, embedded, objective, nodes, wall, exhausted, status)
+    if best is None:
+        return BatchSolution(model, {}, None, search.nodes, wall, False, "no-solution")
+    status = "incumbent" if stack else "optimal"
+    objective = Fraction(best[0], model.obj_scale)
+    return BatchSolution(model, best[1], objective, search.nodes, wall, not stack, status)
 
 
 @dataclass

@@ -116,6 +116,9 @@ def cmd_run(args) -> int:
     out_dir = os.environ.get(OUT_DIR_ENV, args.out)
     seed = args.seed if args.seed is not None else workload.seed
     lambdas = _parse_lambdas(args.lambdas) if args.lambdas else [workload.arrival_rate]
+    findings = validate_substrate(net)
+    if findings:
+        return _report_findings(findings)
 
     table = enumerate_paths(net)
     records = []
@@ -151,12 +154,12 @@ def cmd_solve(args) -> int:
         raise ConfigError(f"--f: expected a rational number, got {args.f!r}") from None
     net = load_substrate(_read(args.substrate))
     requests = load_requests(_read(args.requests))
+    findings = validate_substrate(net) + [f for req in requests for f in validate_request(req, net)]
+    if findings:
+        return _report_findings(findings)
     if not requests:
         print("0 embedded (empty request set)")
         return EXIT_OK
-    findings = [f for req in requests for f in validate_request(req, net)]
-    if findings:
-        return _report_findings(findings)
     state = EmbeddingState(net, enumerate_paths(net))
     model = build_mip(state, requests, switch_penalty_divisor=f)
     sol = solve_exact(model, SolveBudget(args.node_limit, args.wall_ms))
@@ -240,13 +243,17 @@ def cmd_validate(args) -> int:
         if not args.requests:
             print("--assignment requires --requests", file=sys.stderr)
             return EXIT_USAGE
-        _, assignments = _parse_assignment_file(_read(args.assignment))
+        embedded, assignments = _parse_assignment_file(_read(args.assignment))
         table = enumerate_paths(net)
         state = EmbeddingState(net, table)
         by_id = {req.id: req for req in requests}
-        for rid in assignments:
+        # the requests flagged 1 are exactly those with assign records
+        for rid in dict.fromkeys([*embedded, *assignments]):
             if rid not in by_id:
                 problems.append(f"[unknown-request] {rid}")
+            elif embedded.get(rid, False) != (rid in assignments):
+                why = "not flagged 1 but has" if rid in assignments else "flagged 1 but has no"
+                problems.append(f"{rid}: [embedded-flag] {why} assign records")
         for rid, a in assignments.items():
             if rid not in by_id:
                 continue

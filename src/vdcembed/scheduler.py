@@ -310,13 +310,9 @@ class Simulation:
         total = sum_vectors(cap for eid, cap in net.capacity.items() if eid not in down)
         if not req.demand_totals().le(total):
             return "demand-exceeds-substrate"
-        biggest_server = max(
-            (net.servers[s].capacity for s in net.servers if s not in self.state.down),
-            key=lambda rv: (rv.cpu_cores, rv.memory_mb),
-            default=ResourceVector(),
-        )
+        servers_up = [net.capacity[s] for s in net.servers if s not in down]
         for vm in req.vms.values():
-            if not vm.demand.le(biggest_server):
+            if not any(vm.demand.le(cap) for cap in servers_up):
                 return "vm-exceeds-any-server"
         return None
 

@@ -1,7 +1,7 @@
 """Acceptance criteria, one test per criterion; each records a PASS/FAIL line.
 
 Run with plain `pytest`; the criterion verdicts are printed in the terminal
-summary. The arrival-rate sweep (criteria 2-4) takes a couple of minutes.
+summary. The arrival-rate sweep (criteria 2-4) takes about ten seconds.
 """
 
 import random

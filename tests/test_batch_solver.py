@@ -11,7 +11,6 @@ from oracles import best_joint_objective, hop_distance_bfs, recheck_embedding
 from vdcembed.batch_solver import (
     KIND_W,
     KIND_X,
-    KIND_Y,
     KIND_Z,
     SolveBudget,
     _Search,
@@ -20,7 +19,7 @@ from vdcembed.batch_solver import (
     solve_exact,
 )
 from vdcembed.errors import InvalidParameterError, StaleSnapshotError
-from vdcembed.paths import enumerate_paths
+from vdcembed.paths import admissible, enumerate_paths
 from vdcembed.state import EmbeddingState
 from vdcembed.topology import (
     ResourceVector,
@@ -64,14 +63,13 @@ class TestBuildMip:
         assert len(vars_of_kind(model, KIND_Z)) == 1
         assert len(vars_of_kind(model, KIND_W)) == 2  # every server
         assert len(vars_of_kind(model, KIND_X)) == 2  # edge switches only
-        assert vars_of_kind(model, KIND_Y) == []  # the uplink rides w
         # one tie row per w: w[vm, s] - x[vs0, edge(s)] <= 0
-        x_of = {model.vars[i].host_a: i for i in vars_of_kind(model, KIND_X)}
+        x_of = {model.vars[i].host: i for i in vars_of_kind(model, KIND_X)}
         for wi in vars_of_kind(model, KIND_W):
             ties = [r for r, _ in model.var_rows[wi] if len(model.row_vars[r]) == 2
                     and not model.row_eq[r]]
             assert len(ties) == 1
-            edge = k2_state.net.edge_switch_of(model.vars[wi].host_a)
+            edge = k2_state.net.edge_switch_of(model.vars[wi].host)
             assert model.row_vars[ties[0]] == [wi, x_of[edge]]
             assert model.row_coefs[ties[0]] == [1, -1] and model.row_rhs[ties[0]] == 0
         # rows: placement of z's elements (2), ties (2), capacity rows:
@@ -81,7 +79,6 @@ class TestBuildMip:
     def test_zero_latency_bound_forces_unembedded(self, k2_state):
         req = chain_request("r0", n_vswitches=2, vms_per_switch=1, latency_bound=0)
         model = build_mip(k2_state, [req])
-        assert vars_of_kind(model, KIND_Y) == []
         sol = solve_exact(model)
         assert sol.optimal
         assert sol.embedded["r0"] is None
@@ -92,7 +89,7 @@ class TestBuildMip:
         model = build_mip(k2_state, [req])
         w_vars = vars_of_kind(model, KIND_W)
         assert len(w_vars) == 1
-        assert model.vars[w_vars[0]].host_a == "s1"
+        assert model.vars[w_vars[0]].host == "s1"
         # the placement row degenerates to w - z = 0
         rows = [
             r for r in range(model.num_constraints)
@@ -140,13 +137,13 @@ class TestBuildMip:
         w_vars = vars_of_kind(model, KIND_W)
         assert len(w_vars) == 32  # 2 VMs x 16 servers
         x_e00 = next(
-            i for i in vars_of_kind(model, KIND_X) if model.vars[i].host_a == "e0_0"
+            i for i in vars_of_kind(model, KIND_X) if model.vars[i].host == "e0_0"
         )
         search = _Search(model)
         assert search.decide(model.z_of_request[0], 1)
         assert search.decide(x_e00, 1)
         rack = set(k4_state.net.servers_under("e0_0"))
-        off_rack = [i for i in w_vars if model.vars[i].host_a not in rack]
+        off_rack = [i for i in w_vars if model.vars[i].host not in rack]
         assert len(off_rack) == 28
         assert all(search.values[i] == 0 for i in off_rack)
         assert all(search.values[i] == -1 for i in w_vars if i not in off_rack)
@@ -154,7 +151,7 @@ class TestBuildMip:
     def test_no_w_where_the_uplink_fails_the_rule(self, k4_state):
         k4_state.mark_down(["l2"])  # e0_0 - s0
         model = build_mip(k4_state, [star_request("r0"), star_request("r1", latency_bound=0)])
-        hosts = {(model.vars[i].request_id, model.vars[i].host_a) for i in vars_of_kind(model, KIND_W)}
+        hosts = {(model.vars[i].request_id, model.vars[i].host) for i in vars_of_kind(model, KIND_W)}
         assert ("r0", "s0") not in hosts and len(hosts) == 15
         sol = solve_exact(model)
         assert sol.embedded["r0"] is not None and sol.embedded["r1"] is None
@@ -189,10 +186,8 @@ def _var_value(model, sol, idx):
     if a is None:
         return 0
     if info.kind == KIND_W:
-        return 1 if a.vm_map.get(info.element_id) == info.host_a else 0
-    if info.kind == KIND_X:
-        return 1 if a.vswitch_map.get(info.element_id) == info.host_a else 0
-    return 1 if a.vlink_map.get(info.element_id) == (info.host_a, info.host_b, info.path_n) else 0
+        return 1 if a.vm_map.get(info.element_id) == info.host else 0
+    return 1 if a.vswitch_map.get(info.element_id) == info.host else 0
 
 
 class TestSolveExact:
@@ -303,39 +298,59 @@ class TestSolveExact:
                     assert sol.objective >= prev
                 prev = sol.objective
 
-    def test_linearization_fidelity(self, k2_state):
-        reqs = [chain_request("r0", n_vswitches=2, vms_per_switch=1)]
-        model = build_mip(k2_state, reqs)
+
+class TestLeafRouting:
+    """vSwitch-vSwitch vlinks are routed at the search's leaves."""
+
+    def two_chains(self, k4_table, thin):
+        """Chains r0 (400) then r1 (700) whose vSwitches can only sit on
+        e0_0 and e0_1. With thin, the links of path 1 of (e0_0, e0_1) carry
+        500: r0 on path 0 leaves r1 no room on either path."""
+        tight = tight_k4(racks=("e0_0", "e0_1"))
+        thin_links = set(k4_table.get("e0_0", "e0_1")[1].edges) if thin else set()
+        links = {
+            lid: replace(link, bandwidth=500) if lid in thin_links else link
+            for lid, link in tight.links.items()
+        }
+        net = SubstrateNetwork(tight.servers, tight.switches, links, k_arity=4)
+        state = EmbeddingState(net, k4_table)
+        reqs = [chain_request("r0", vlink_bw=400), chain_request("r1", vlink_bw=700)]
+        return state, build_mip(state, reqs)
+
+    def test_backtracks_over_earlier_vlinks(self, k4_table):
+        state, model = self.two_chains(k4_table, thin=True)
         sol = solve_exact(model)
-        a = sol.embedded["r0"]
-        assert a is not None
-        req = reqs[0]
-        # for every vlink and candidate host pair, sum_n y == product of the
-        # endpoint indicators when recomputed nonlinearly from the solution
-        for i in range(model.num_vars):
-            info = model.vars[i]
-            if info.kind != KIND_Y:
-                continue
-            vl = req.vlinks[info.element_id]
-            end_a = (
-                1 if a.host_of(vl.a) == info.host_a else 0
-            )
-            end_b = 1 if a.host_of(vl.b) == info.host_b else 0
-            y_val = _var_value(model, sol, i)
-            if y_val == 1:
-                assert end_a * end_b == 1
-        for vl_id, vl in req.vlinks.items():
-            pair_sums = {}
-            for i in range(model.num_vars):
-                info = model.vars[i]
-                if info.kind == KIND_Y and info.element_id == vl_id:
-                    key = (info.host_a, info.host_b)
-                    pair_sums[key] = pair_sums.get(key, 0) + _var_value(model, sol, i)
-            for (ha, hb), total in pair_sums.items():
-                product = (1 if a.host_of(vl.a) == ha else 0) * (
-                    1 if a.host_of(vl.b) == hb else 0
-                )
-                assert total == product, (vl_id, ha, hb)
+        assert sol.optimal and sol.objective == 2
+        # r0 gave up path 0 so that r1 fits there
+        assert sol.embedded["r0"].vlink_map["vl0"] == ("e0_0", "e0_1", 1)
+        assert sol.embedded["r1"].vlink_map["vl0"] == ("e0_0", "e0_1", 0)
+        apply_plan(state, extract_assignments(sol, state))
+        placed = [(state.requests[r], state.active[r]) for r in state.active]
+        assert recheck_embedding(state.net, k4_table, placed) == []
+
+    def test_budget_runs_out_mid_leaf(self, k4_table):
+        _, wide = self.two_chains(k4_table, thin=False)
+        _, model = self.two_chains(k4_table, thin=True)
+        # the first leaf is the same in both; its routing tries 3 paths in
+        # the wide model (r0 0, r1 0, r1 1) and 5 in the thin one
+        # (r0 0, r1 0, r1 1, r0 1, r1 0)
+        first_leaf = solve_exact(wide).nodes - 3
+        assert solve_exact(model).nodes == first_leaf + 5
+        for limit in range(first_leaf + 5):
+            sol = solve_exact(model, SolveBudget(node_limit=limit))
+            assert sol.status == "no-solution" and sol.nodes == limit, limit
+        sol = solve_exact(model, SolveBudget(node_limit=first_leaf + 5))
+        assert sol.status == "incumbent" and sol.objective == 2
+
+    def test_binding_wall_clock_stops_the_search(self):
+        # no switch-switch link can carry r1's vlink, so every leaf that
+        # embeds r1 tries its paths and fails: about 180k nodes in all
+        net = build_fat_tree(4, bandwidth_profile=(300, 300, 1000))
+        state = fresh_state(net)
+        model = build_mip(state, [star_request("r0"), chain_request("r1", vms_per_switch=3, vlink_bw=400)])
+        sol = solve_exact(model, SolveBudget(node_limit=10**9, wall_ms=20))
+        assert sol.status in ("incumbent", "no-solution")
+        assert sol.wall_ms < 1000
 
 
 class TestMigrationAwareness:
@@ -450,24 +465,71 @@ class TestMigrationAwareness:
             extract_assignments(sol, k2_state)
 
 
-def highs_objective(model):
-    """The scaled optimum of a MipModel as solved by scipy's HiGHS MILP."""
+def highs_objective(model, switch_link_rows=True):
+    """The scaled optimum of the full batch program, solved by scipy's HiGHS MILP.
+
+    The model routes vSwitch-vSwitch vlinks in its search, so this adds the
+    program's path variables as a reference: one column y per such vlink,
+    endpoint host pair and admissible path; per pair, sum(y) <= x_a,
+    sum(y) <= x_b and x_a + x_b - sum(y) <= 1; per vlink, sum(y) = z; and
+    per switch-switch link a path crosses, its bandwidth row with the link's
+    room as right-hand side (on a fat tree such a path crosses no server
+    link, the only links with rows in the model). switch_link_rows=False
+    drops those bandwidth rows: the optimum without switch-switch capacities.
+    """
     scipy_optimize = pytest.importorskip("scipy.optimize")
     sparse = pytest.importorskip("scipy.sparse")
     import numpy as np
 
-    rows, cols, coefs = [], [], []
-    for r, (vs, cs) in enumerate(zip(model.row_vars, model.row_coefs)):
-        rows += [r] * len(vs)
-        cols += vs
+    rows = [list(row) for row in zip(model.row_vars, model.row_coefs, model.row_rhs, model.row_eq)]
+    hosts = {}  # (request, vSwitch) -> [(host, x)]
+    for i, info in enumerate(model.vars):
+        if info.kind == KIND_X:
+            hosts.setdefault((info.request_id, info.element_id), []).append((info.host, i))
+    uplink_links = {model.table.path(*key).edges[0] for _, key in model.uplinks.values()}
+    cols = model.num_vars
+    link_terms = {}  # switch-switch link -> ([y], [bandwidth])
+    for req, zi in zip(model.requests, model.z_of_request):
+        for vl in req.vlinks.values():
+            if vl.a in req.vms or vl.b in req.vms:
+                continue
+            y_all = []
+            for host_a, xa in hosts[req.id, vl.a]:
+                for host_b, xb in hosts[req.id, vl.b]:
+                    pair = []
+                    for rec in model.table.get(host_a, host_b):
+                        if admissible(rec, model.down, req.latency_bound):
+                            pair.append(cols)
+                            for e in rec.edges:
+                                assert e not in uplink_links
+                                ys, bws = link_terms.setdefault(e, ([], []))
+                                ys.append(cols)
+                                bws.append(vl.bandwidth)
+                            cols += 1
+                    if pair:
+                        ones = [1] * len(pair)
+                        rows.append([pair + [xa], ones + [-1], 0, False])
+                        rows.append([pair + [xb], ones + [-1], 0, False])
+                        rows.append([[xa, xb] + pair, [1, 1] + [-1] * len(pair), 1, False])
+                        y_all += pair
+            rows.append([y_all + [zi], [1] * len(y_all) + [-1], 0, True])
+    if switch_link_rows:
+        rows += [[ys, bws, model.room[e], False] for e, (ys, bws) in link_terms.items()]
+
+    r_idx, c_idx, coefs = [], [], []
+    for r, (vs, cs, _, _) in enumerate(rows):
+        r_idx += [r] * len(vs)
+        c_idx += vs
         coefs += cs
-    a = sparse.csr_array((coefs, (rows, cols)), shape=(model.num_constraints, model.num_vars))
-    ub = np.array(model.row_rhs, dtype=float)
-    lb = np.where(model.row_eq, ub, -np.inf)
+    a = sparse.csr_array((coefs, (r_idx, c_idx)), shape=(len(rows), cols))
+    ub = np.array([row[2] for row in rows], dtype=float)
+    lb = np.where([row[3] for row in rows], ub, -np.inf)
+    obj = np.zeros(cols)
+    obj[: model.num_vars] = model.obj_coef
     res = scipy_optimize.milp(
-        -np.array(model.obj_coef, dtype=float),
+        -obj,
         constraints=scipy_optimize.LinearConstraint(a, lb, ub),
-        integrality=np.ones(model.num_vars),
+        integrality=np.ones(cols),
         bounds=scipy_optimize.Bounds(0, 1),
         options={"mip_rel_gap": 0},
     )
@@ -478,14 +540,23 @@ def highs_objective(model):
 class TestSecondOracle:
     def test_objective_matches_highs(self, k4_table):
         """Models of a few hundred vars on a tight k=4, beyond brute force:
-        remappable actives, a failed server and link, latency bounds and
-        locality; solve_exact and HiGHS must agree on the optimum."""
+        remappable actives, a failed server and link, latency bounds,
+        locality and thin switch-switch links; solve_exact and HiGHS must
+        agree on the optimum of the full program, and in some trial the
+        switch-switch capacities must decide it."""
         pytest.importorskip("scipy")
         rng = random.Random(8080)
-        net = tight_k4(racks=("e0_0", "e0_1", "e1_0"))
-        servers = sorted(net.servers)
-        sizes = []
+        tight = tight_k4(racks=("e0_0", "e0_1", "e1_0"))
+        servers = sorted(tight.servers)
+        sizes, binding = [], 0
         for trial in range(8):
+            # every switch-switch link carries 300 or 1000
+            links = {
+                lid: replace(link, bandwidth=rng.choice([300, 1000]))
+                if link.a in tight.switches and link.b in tight.switches else link
+                for lid, link in tight.links.items()
+            }
+            net = SubstrateNetwork(tight.servers, tight.switches, links, k_arity=4)
             state = EmbeddingState(net, k4_table)
             actives = [
                 star_request(f"a{i}", n_vms=rng.randint(1, 2), cores=rng.randint(1, 3),
@@ -496,9 +567,11 @@ class TestSecondOracle:
             assert state.active, f"trial {trial}"
             state.mark_down([rng.choice(servers[2:]), rng.choice(sorted(net.links))])
             candidates = [
-                chain_request("c0", cores=rng.randint(1, 3), vswitch_mem=rng.randint(5, 40),
-                              vlink_bw=rng.choice([10, 400]), latency_bound=rng.choice([2, 4])),
-                star_request("c1", n_vms=2, cores=rng.randint(2, 4), vlink_bw=rng.choice([10, 600]),
+                chain_request(f"c{i}", cores=rng.randint(1, 2), vswitch_mem=rng.randint(5, 30),
+                              vlink_bw=rng.choice([10, 400]), latency_bound=rng.choice([2, 4, None]))
+                for i in range(3)
+            ] + [
+                star_request("s0", n_vms=2, cores=rng.randint(2, 4), vlink_bw=rng.choice([10, 600]),
                              locality={"vm0": frozenset(rng.sample(servers, 8))}),
             ]
             model = build_mip(state, candidates, remappable=sorted(state.active))
@@ -506,4 +579,6 @@ class TestSecondOracle:
             sol = solve_exact(model)
             assert sol.optimal, f"trial {trial} not exhausted"
             assert sol.objective * model.obj_scale == highs_objective(model), f"trial {trial}"
+            binding += highs_objective(model, switch_link_rows=False) > highs_objective(model)
         assert min(sizes) > 100
+        assert binding > 0

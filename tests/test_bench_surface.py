@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from vdcembed import scheduler
+from vdcembed.batch_solver import solve_exact
 from vdcembed.metrics import resequence, serialize_trace
 from vdcembed.paths import PathTable, enumerate_paths
 from vdcembed.scheduler import PolicyConfig, SimEvent, run_simulation
@@ -57,13 +59,12 @@ def test_path_table_pairs_resolves():
     assert "pairs" in PathTable.__dict__
 
 
-@pytest.mark.parametrize("name", sorted(FIRST_TRACE_SHA256))
-def test_first_simulation_trace_unchanged(perfbench_modules, name):
-    _, workloads = perfbench_modules
+def first_simulation(workloads, name):
+    """The records of a workload's first simulation at seed 1."""
     wl = workloads.WORKLOADS[name]
     net = build_fat_tree(wl.k)
     seed = workloads.sub_seeds(1, wl)[0]
-    records = run_simulation(
+    return run_simulation(
         net,
         wl.config,
         workloads.SWEEP_POLICY,
@@ -74,8 +75,36 @@ def test_first_simulation_trace_unchanged(perfbench_modules, name):
         extra_events=workloads.simulation_events(wl, seed),
         audit_every=wl.audit_every,
     )
-    text = serialize_trace(resequence(records))
+
+
+@pytest.mark.parametrize("name", sorted(FIRST_TRACE_SHA256))
+def test_first_simulation_trace_unchanged(perfbench_modules, name):
+    _, workloads = perfbench_modules
+    text = serialize_trace(resequence(first_simulation(workloads, name)))
     assert hashlib.sha256(text.encode()).hexdigest() == FIRST_TRACE_SHA256[name]
+
+
+# (status, nodes) of each batch solve in batch-k4's first simulation at seed
+# 1: traces show decisions, not search cost; a change to the search that
+# alters these on purpose updates them and says so in CHANGES.md
+FIRST_BATCH_SOLVES = [
+    ("optimal", 13), ("optimal", 27), ("optimal", 32), ("optimal", 54), ("optimal", 77),
+    ("optimal", 100), ("optimal", 103), ("optimal", 130), ("optimal", 122), ("optimal", 125),
+]
+
+
+def test_first_simulation_search_cost_unchanged(perfbench_modules, monkeypatch):
+    _, workloads = perfbench_modules
+    solves = []
+
+    def recorded(model, budget=None):
+        sol = solve_exact(model, budget)
+        solves.append((sol.status, sol.nodes))
+        return sol
+
+    monkeypatch.setattr(scheduler, "solve_exact", recorded)
+    first_simulation(workloads, "batch-k4")
+    assert solves == FIRST_BATCH_SOLVES
 
 
 # Neither workload's pinned trace holds a migration record, so this short

@@ -331,6 +331,35 @@ class TestSolve:
         assert capsys.readouterr().err.startswith(f"error: {flag}: ")
 
 
+class TestFlaggedSubstrate:
+    """run and solve refuse a substrate that validate flags, before any work."""
+
+    @pytest.fixture
+    def islanded(self, workdir, capsys):
+        main(["gen-topology", "--k", "2", "--out", "dc2.txt"])
+        with open(workdir / "dc2.txt", "a") as fp:
+            fp.write("switch x0 edge 100\nserver x1 8 16384\nlink lx x0 x1 1000 1\n")
+        (workdir / "reqs.txt").write_text(REQUEST)
+        assert main(["validate", "--substrate", "dc2.txt"]) == 2
+        findings = capsys.readouterr().err
+        assert "[connectivity]" in findings
+        return findings
+
+    def test_run_exits_two(self, workdir, capsys, islanded):
+        args = ["run", "--substrate", "dc2.txt", "--workload", "workload.cfg", "--out", "res"]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err == islanded and captured.out == ""
+        assert not (workdir / "res").exists()
+
+    def test_solve_exits_two(self, workdir, capsys, islanded):
+        args = ["solve", "--substrate", "dc2.txt", "--requests", "reqs.txt", "--out", "s.txt"]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err == islanded and captured.out == ""
+        assert not (workdir / "s.txt").exists()
+
+
 class TestValidate:
     def test_valid_inputs(self, workdir, capsys):
         main(["gen-topology", "--k", "2", "--out", "dc2.txt"])
@@ -400,6 +429,28 @@ class TestValidate:
         args = ["--substrate", "dc2.txt", "--requests", "reqs.txt", "--assignment", "asg.txt"]
         assert main(["validate"] + args) == 2
         assert "r0: [unknown-element] vm vmX not in request r0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "lines, finding",
+        [
+            ("embedded r0 1\n", "r0: [embedded-flag] flagged 1 but has no assign records"),
+            (
+                "embedded r0 0\nassign vm r0 vm0 s0\nassign vswitch r0 vs0 e0_0\n"
+                "assign vlink r0 vl0 e0_0 s0 0\n",
+                "r0: [embedded-flag] not flagged 1 but has assign records",
+            ),
+            ("embedded r0 0\nembedded r9 1\n", "[unknown-request] r9"),
+        ],
+        ids=["flag-without-records", "records-without-flag", "unknown-request"],
+    )
+    def test_embedded_flags_match_records(self, workdir, capsys, lines, finding):
+        main(["gen-topology", "--k", "2", "--out", "dc2.txt"])
+        (workdir / "reqs.txt").write_text(REQUEST)
+        (workdir / "asg.txt").write_text("assignments 1\n" + lines)
+        args = ["--substrate", "dc2.txt", "--requests", "reqs.txt", "--assignment", "asg.txt"]
+        assert main(["validate"] + args) == 2
+        err = capsys.readouterr().err
+        assert finding in err and "1 finding(s)" in err
 
     @pytest.mark.parametrize(
         "substrate, requests",

@@ -26,7 +26,14 @@ from vdcembed.scheduler import (
     select_mode,
 )
 from vdcembed.state import Assignment
-from vdcembed.topology import ResourceVector, VLink, WorkloadConfig, build_fat_tree
+from vdcembed.topology import (
+    ResourceVector,
+    SubstrateNetwork,
+    VLink,
+    WorkloadConfig,
+    build_fat_tree,
+    validate_substrate,
+)
 
 
 def pend(req, seq=0, expiry=100.0):
@@ -159,6 +166,22 @@ class TestSimulationSteps:
         impossible = star_request("big", n_vms=1, cores=9)
         sim.process(SimEvent(0.0, 0, "arrival", request=impossible))
         assert sim.status["big"] == "rejected"
+
+    def test_vm_fitting_a_smaller_server_not_rejected(self):
+        # mixed sizes: no server has the most of every dimension, and the VM
+        # fits only the one with fewer cores
+        net = build_fat_tree(2)
+        sizes = {"s0": (8, 1024), "s1": (4, 16384)}
+        servers = {
+            sid: replace(srv, capacity=ResourceVector(cpu_cores=sizes[sid][0], memory_mb=sizes[sid][1]))
+            for sid, srv in net.servers.items()
+        }
+        net = SubstrateNetwork(servers, net.switches, net.links, k_arity=2)
+        assert validate_substrate(net) == []
+        sim = Simulation(net, enumerate_paths(net), PolicyConfig())
+        sim.process(SimEvent(0.0, 0, "arrival", request=star_request("r0", cores=2, mem=8000)))
+        assert sim.status["r0"] == "accepted"
+        assert sim.state.active["r0"].vm_map == {"vm0": "s1"}
 
     def test_batch_leftover_remains_pending(self):
         # two pending, room for one: batch embeds one, the other stays queued
