@@ -16,6 +16,7 @@ import time
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .errors import InvalidParameterError, StaleSnapshotError
 from .paths import admissible
@@ -155,6 +156,19 @@ def build_mip(
     scale = diameter * max_mem * f.numerator
     model.obj_scale = scale
 
+    model.room = {lid: rhs[lid].bandwidth for lid in net.links}
+    switch_room = min(
+        (model.room[lid] for lid, link in net.links.items()
+         if link.a in net.switches and link.b in net.switches),
+        default=0,
+    )
+
+    @cache
+    def widest(a, b, bound):
+        """The most room an admissible a->b path has on all its links; -1 if none."""
+        paths = [rec for rec in snapshot.table.get(a, b) if admissible(rec, down, bound)]
+        return max((min(model.room[e] for e in rec.edges) for rec in paths), default=-1)
+
     servers_alive = [s for s in net.servers if s not in down]
     switches_alive = [s for s in net.switches if s not in down]
     edge_alive = [s for s in switches_alive if net.switches[s].tier == "edge"]
@@ -238,8 +252,22 @@ def build_mip(
             if len(vis) > 1:
                 model._new_row(vis, [1] * len(vis), 1)
 
+        # a vSwitch-vSwitch vlink's host pair that no admissible path with room
+        # joins is ruled out, and the leaf router still decides the rest. With
+        # nothing down, no latency bound and every switch-switch link's room
+        # at least the vlink's bandwidth, each pair the table joins has one.
+        bound = req.latency_bound
+        for vl in req.vlinks.values():
+            if vl.a in req.vms or vl.b in req.vms:
+                continue
+            if not down and bound is None and vl.bandwidth <= switch_room:
+                continue
+            for host_a, xa in cands[vl.a]:
+                for host_b, xb in cands[vl.b]:
+                    if host_a != host_b and widest(host_a, host_b, bound) < vl.bandwidth:
+                        model._new_row([xa, xb], [1, 1], 1)
+
     # capacity rows: servers, switches, then links by id; one per dimension
-    model.room = {lid: rhs[lid].bandwidth for lid in net.links}
     links_used = sorted(eid for eid in terms if eid in net.links)
     for eid in [*servers_alive, *switches_alive, *links_used]:
         if eid in terms:

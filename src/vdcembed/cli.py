@@ -96,6 +96,8 @@ def _parse_lambdas(text: str) -> list[float]:
             lambdas = [float(tok) for tok in text.split(",") if tok]
     except ValueError:
         raise ConfigError(f"--lambdas: expected 'low:high' or 'a,b,...', got {text!r}") from None
+    if not lambdas:
+        raise ConfigError(f"--lambdas: {text!r} names no rate")
     return [check_rate("--lambdas", lam) for lam in lambdas]
 
 
@@ -115,7 +117,7 @@ def cmd_run(args) -> int:
     policy = parse_policy_config(_read(args.policy)) if args.policy else PolicyConfig()
     out_dir = os.environ.get(OUT_DIR_ENV, args.out)
     seed = args.seed if args.seed is not None else workload.seed
-    lambdas = _parse_lambdas(args.lambdas) if args.lambdas else [workload.arrival_rate]
+    lambdas = [workload.arrival_rate] if args.lambdas is None else _parse_lambdas(args.lambdas)
     findings = validate_substrate(net)
     if findings:
         return _report_findings(findings)

@@ -171,32 +171,29 @@ def greedy_temp_map(
     edge_switches = sorted(
         s for s in net.switches if net.switches[s].tier == "edge" and node_ok(s)
     )
-    # each server whose uplink qualifies -> its uplink edge (alike for every VM)
-    uplink_edge = {
-        s: table.path(*key).edges[0] for vm in list(req.vms)[:1] for s in net.servers
-        if node_ok(s) and (key := state.uplink(req, vm, s))
-    }
+    # each usable rack -> its servers whose uplink qualifies, with that uplink
+    # edge (alike for every VM), and their summed free share
+    racks = {}
+    for vm in list(req.vms)[:1]:
+        for rack in edge_switches:
+            servers = [
+                (s, table.path(*key).edges[0]) for s in net.servers_under(rack)
+                if node_ok(s) and (key := state.uplink(req, vm, s))
+            ]
+            if servers:
+                share = sum(_norm(state.residual[s], net.servers[s].capacity) for s, _ in servers)
+                racks[rack] = servers, share
 
     vm_map: dict[str, str] = {}
     vswitch_map: dict[str, str] = {}
     used_switches: set[str] = set()
-    extra_server_load: dict[str, ResourceVector] = {}
-    extra_link_load: dict[str, int] = {}
 
-    def server_score(sid):
-        free = state.residual[sid] - extra_server_load.get(sid, ResourceVector())
-        cap = net.servers[sid].capacity
-        return _norm(free, cap)
-
-    def place_group(vm_ids, rack_switch):
-        """Greedy in-rack placement: (overflow scalar, VM -> server, server
-        loads, uplink loads), the loads including those planned before, or
-        None if impossible."""
-        servers = [s for s in sorted(net.servers_under(rack_switch)) if s in uplink_edge]
-        if not servers:
-            return None
-        server_load = dict(extra_server_load)
-        link_load = dict(extra_link_load)
+    def place_group(vm_ids, servers):
+        """Greedy placement on one rack's (server, uplink edge) pairs:
+        (overflow scalar, VM -> server), or None if impossible. A request's
+        groups take distinct racks, so the loads are local to this plan."""
+        server_load: dict[str, ResourceVector] = {}
+        link_load: dict[str, int] = {}
         placement = {}
         total_overflow = 0.0
         order = sorted(
@@ -207,45 +204,44 @@ def greedy_temp_map(
             demand = req.vms[vm_id].demand
             pool = servers
             if req.locality and vm_id in req.locality:
-                pool = [s for s in servers if s in req.locality[vm_id]]
+                pool = [(s, lid) for s, lid in servers if s in req.locality[vm_id]]
                 if not pool:
                     return None
             vlink = req.uplinks[vm_id]
             best = None
-            for sid in pool:
-                free = state.residual[sid] - server_load.get(sid, ResourceVector())
-                over = demand.overflow_over(free)
-                score = _norm(over, net.servers[sid].capacity)
-                lid = uplink_edge[sid]
+            for sid, lid in pool:
+                cap = net.servers[sid].capacity
+                free = state.residual[sid] - server_load.get(sid, ZERO)
+                score = _norm(demand.overflow_over(free), cap)
                 link_free = state.residual[lid].bandwidth - link_load.get(lid, 0)
                 score += max(0, vlink.bandwidth - link_free) / net.links[lid].bandwidth
-                free_after = free - demand
-                key = (score, -_norm(free_after, net.servers[sid].capacity), sid)
+                # keys end in the server id, so the scan order does not matter
+                key = (score, -_norm(free - demand, cap), sid)
                 if best is None or key < best[0]:
                     best = (key, sid, lid)
             key, sid, lid = best
             placement[vm_id] = sid
-            server_load[sid] = server_load.get(sid, ResourceVector()) + demand
+            server_load[sid] = server_load.get(sid, ZERO) + demand
             link_load[lid] = link_load.get(lid, 0) + vlink.bandwidth
             total_overflow += key[0]
-        return total_overflow, placement, server_load, link_load
+        return total_overflow, placement
 
     for vs_id in group_order:
-        candidates = [s for s in edge_switches if s not in used_switches]
         scored = []
-        for rack in candidates:
-            plan = place_group(groups[vs_id], rack)
+        for rack, (servers, share) in racks.items():
+            if rack in used_switches:
+                continue
+            plan = place_group(groups[vs_id], servers)
             if plan is None:
                 continue
-            rack_free = sum(server_score(s) for s in net.servers_under(rack) if s in uplink_edge)
             mem_free = state.residual[rack].switch_memory
             vs_demand = req.vswitches[vs_id].demand.switch_memory
             mem_over = max(0, vs_demand - mem_free) / net.switches[rack].capacity.switch_memory
-            scored.append((plan[0] + mem_over, -rack_free, rack, plan))
+            scored.append((plan[0] + mem_over, -share, rack, plan[1]))
         if not scored:
             return StructuralFailure(f"no rack can host vm group of {vs_id}")
-        # racks are distinct, so min never compares two plans
-        _, _, rack, (_, placement, extra_server_load, extra_link_load) = min(scored)
+        # racks are distinct, so min never compares two placements
+        _, _, rack, placement = min(scored)
         vm_map.update(placement)
         vswitch_map[vs_id] = rack
         used_switches.add(rack)

@@ -768,9 +768,12 @@ def load_requests(text: str) -> list[VdcRequest]:
         )
         cur_id, vms, vswitches, vlinks = None, {}, {}, {}
 
+    fields = {"request": 2, "vm": 4, "vswitch": 4, "vlink": 5}  # as dump_requests writes them
     for raw in lines[1:]:
         parts = raw.split()
         try:
+            if len(parts) != fields.get(parts[0], len(parts)):
+                raise ValueError(raw)
             if parts[0] == "request":
                 if cur_id is not None:
                     raise FormatError(f"request {cur_id!r} missing meta line")
@@ -790,6 +793,8 @@ def load_requests(text: str) -> list[VdcRequest]:
                     parts[1], ResourceVector(cpu_cores=int(parts[2]), memory_mb=int(parts[3]))
                 )
             elif parts[0] == "vswitch":
+                if parts[2] not in ("edge", "internal"):
+                    raise ValueError(parts[2])
                 vswitches[parts[1]] = VSwitch(
                     parts[1], parts[2] == "edge", ResourceVector(switch_memory=int(parts[3]))
                 )

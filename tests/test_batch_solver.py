@@ -465,7 +465,7 @@ class TestMigrationAwareness:
             extract_assignments(sol, k2_state)
 
 
-def highs_objective(model, switch_link_rows=True):
+def highs_objective(model):
     """The scaled optimum of the full batch program, solved by scipy's HiGHS MILP.
 
     The model routes vSwitch-vSwitch vlinks in its search, so this adds the
@@ -474,8 +474,7 @@ def highs_objective(model, switch_link_rows=True):
     sum(y) <= x_b and x_a + x_b - sum(y) <= 1; per vlink, sum(y) = z; and
     per switch-switch link a path crosses, its bandwidth row with the link's
     room as right-hand side (on a fat tree such a path crosses no server
-    link, the only links with rows in the model). switch_link_rows=False
-    drops those bandwidth rows: the optimum without switch-switch capacities.
+    link, the only links with rows in the model).
     """
     scipy_optimize = pytest.importorskip("scipy.optimize")
     sparse = pytest.importorskip("scipy.sparse")
@@ -513,8 +512,7 @@ def highs_objective(model, switch_link_rows=True):
                         rows.append([[xa, xb] + pair, [1, 1] + [-1] * len(pair), 1, False])
                         y_all += pair
             rows.append([y_all + [zi], [1] * len(y_all) + [-1], 0, True])
-    if switch_link_rows:
-        rows += [[ys, bws, model.room[e], False] for e, (ys, bws) in link_terms.items()]
+    rows += [[ys, bws, model.room[e], False] for e, (ys, bws) in link_terms.items()]
 
     r_idx, c_idx, coefs = [], [], []
     for r, (vs, cs, _, _) in enumerate(rows):
@@ -537,48 +535,75 @@ def highs_objective(model, switch_link_rows=True):
     return round(-res.fun)
 
 
-class TestSecondOracle:
-    def test_objective_matches_highs(self, k4_table):
-        """Models of a few hundred vars on a tight k=4, beyond brute force:
-        remappable actives, a failed server and link, latency bounds,
-        locality and thin switch-switch links; solve_exact and HiGHS must
-        agree on the optimum of the full program, and in some trial the
-        switch-switch capacities must decide it."""
-        pytest.importorskip("scipy")
-        rng = random.Random(8080)
-        tight = tight_k4(racks=("e0_0", "e0_1", "e1_0"))
-        servers = sorted(tight.servers)
-        sizes, binding = [], 0
-        for trial in range(8):
-            # every switch-switch link carries 300 or 1000
+def thin_link_models(k4_table, wide=False):
+    """The models of eight trials of a few hundred vars on a tight k=4,
+    beyond brute force: remappable actives, a failed server and link,
+    latency bounds, locality and thin (300 or 1000) switch-switch links.
+    With wide, each trial's model is rebuilt on the same state with every
+    switch-switch link widened to 10**6."""
+    rng = random.Random(8080)
+    tight = tight_k4(racks=("e0_0", "e0_1", "e1_0"))
+    servers = sorted(tight.servers)
+    for _ in range(8):
+        links = {
+            lid: replace(link, bandwidth=rng.choice([300, 1000]))
+            if link.a in tight.switches and link.b in tight.switches else link
+            for lid, link in tight.links.items()
+        }
+        net = SubstrateNetwork(tight.servers, tight.switches, links, k_arity=4)
+        state = EmbeddingState(net, k4_table)
+        actives = [
+            star_request(f"a{i}", n_vms=rng.randint(1, 2), cores=rng.randint(1, 3),
+                         vswitch_mem=rng.randint(5, 30), vlink_bw=rng.choice([10, 300]))
+            for i in range(2)
+        ]
+        apply_plan(state, extract_assignments(solve_exact(build_mip(state, actives)), state))
+        assert state.active
+        state.mark_down([rng.choice(servers[2:]), rng.choice(sorted(net.links))])
+        candidates = [
+            chain_request(f"c{i}", cores=rng.randint(1, 2), vswitch_mem=rng.randint(5, 30),
+                          vlink_bw=rng.choice([10, 400]), latency_bound=rng.choice([2, 4, None]))
+            for i in range(3)
+        ] + [
+            star_request("s0", n_vms=2, cores=rng.randint(2, 4), vlink_bw=rng.choice([10, 600]),
+                         locality={"vm0": frozenset(rng.sample(servers, 8))}),
+        ]
+        if wide:
             links = {
-                lid: replace(link, bandwidth=rng.choice([300, 1000]))
+                lid: replace(link, bandwidth=10**6)
                 if link.a in tight.switches and link.b in tight.switches else link
-                for lid, link in tight.links.items()
+                for lid, link in links.items()
             }
             net = SubstrateNetwork(tight.servers, tight.switches, links, k_arity=4)
-            state = EmbeddingState(net, k4_table)
-            actives = [
-                star_request(f"a{i}", n_vms=rng.randint(1, 2), cores=rng.randint(1, 3),
-                             vswitch_mem=rng.randint(5, 30), vlink_bw=rng.choice([10, 300]))
-                for i in range(2)
-            ]
-            apply_plan(state, extract_assignments(solve_exact(build_mip(state, actives)), state))
-            assert state.active, f"trial {trial}"
-            state.mark_down([rng.choice(servers[2:]), rng.choice(sorted(net.links))])
-            candidates = [
-                chain_request(f"c{i}", cores=rng.randint(1, 2), vswitch_mem=rng.randint(5, 30),
-                              vlink_bw=rng.choice([10, 400]), latency_bound=rng.choice([2, 4, None]))
-                for i in range(3)
-            ] + [
-                star_request("s0", n_vms=2, cores=rng.randint(2, 4), vlink_bw=rng.choice([10, 600]),
-                             locality={"vm0": frozenset(rng.sample(servers, 8))}),
-            ]
-            model = build_mip(state, candidates, remappable=sorted(state.active))
+            widened = EmbeddingState(net, k4_table)
+            for rid, a in state.active.items():
+                widened.commit(state.requests[rid], a)
+            widened.mark_down(state.down)
+            state = widened
+        yield build_mip(state, candidates, remappable=sorted(state.active))
+
+
+class TestSecondOracle:
+    def test_objective_matches_highs(self, k4_table):
+        """solve_exact and HiGHS agree on the optimum of the full program of
+        each thin-link trial, and in some trial widening the switch-switch
+        links changes the optimum."""
+        pytest.importorskip("scipy")
+        sizes, binding = [], 0
+        trials = zip(thin_link_models(k4_table), thin_link_models(k4_table, wide=True))
+        for trial, (model, wide) in enumerate(trials):
             sizes.append(model.num_vars)
             sol = solve_exact(model)
             assert sol.optimal, f"trial {trial} not exhausted"
-            assert sol.objective * model.obj_scale == highs_objective(model), f"trial {trial}"
-            binding += highs_objective(model, switch_link_rows=False) > highs_objective(model)
+            optimum = highs_objective(model)
+            assert sol.objective * model.obj_scale == optimum, f"trial {trial}"
+            binding += highs_objective(wide) > optimum
         assert min(sizes) > 100
         assert binding > 0
+
+    def test_pair_rows_keep_thin_link_search_small(self, k4_table):
+        """Host pairs that no path with room joins are ruled out in the
+        model, so the search does not re-place VMs below them: the eight
+        thin-link trials take under 20,000 nodes in all."""
+        nodes = [solve_exact(model).nodes for model in thin_link_models(k4_table)]
+        assert sum(nodes) < 20_000, nodes

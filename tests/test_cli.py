@@ -167,7 +167,7 @@ class TestRun:
             assert code == 0
             assert (workdir / f"out_{mode}" / "acceptance.csv").exists()
 
-    @pytest.mark.parametrize("lambdas", ["1.5:2", "a,b", "1:2:3"])
+    @pytest.mark.parametrize("lambdas", ["1.5:2", "a,b", "1:2:3", "3:1", ",", ""])
     def test_bad_lambdas_exit_one(self, workdir, capsys, lambdas):
         main(["gen-topology", "--k", "2", "--out", "dc2.txt"])
         code = main(
@@ -489,12 +489,17 @@ class TestValidate:
             ),
             ("substrate 1 0\nswitch e0 edge 100\n", REQUEST.replace("meta 0.0 ", "meta nan ")),
             ("substrate 1 0\nswitch e0 edge 100\n", REQUEST.replace(" 10.0 -", " nan -")),
+            ("substrate 1 0\nswitch e0 edge 100\n", REQUEST.replace("256", "256 junk")),
+            ("substrate 1 0\nswitch e0 edge 100\n", REQUEST.replace("vm0 5", "vm0 5 9")),
+            ("substrate 1 0\nswitch e0 edge 100\n", REQUEST.replace("r0", "r0 x")),
+            ("substrate 1 0\nswitch e0 edge 100\n", REQUEST.replace("edge 10", "edgy 10")),
         ],
         ids=[
             "undeclared-link-end", "bad-version", "bad-arity", "bad-requests-version",
             "duplicate-server", "server-reuses-switch-id", "duplicate-link",
             "link-reuses-server-id", "vm-before-request", "duplicate-request", "duplicate-vm",
-            "vlink-reuses-vm-id", "nan-arrival", "nan-duration",
+            "vlink-reuses-vm-id", "nan-arrival", "nan-duration", "vm-extra-field",
+            "vlink-extra-field", "request-extra-field", "vswitch-unknown-kind",
         ],
     )
     def test_malformed_file_exits_one(self, workdir, capsys, substrate, requests):

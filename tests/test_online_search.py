@@ -1,6 +1,8 @@
 """Online embedder: greedy mapping, swap repair, and the composed attempt."""
 
+import hashlib
 import random
+from dataclasses import replace
 
 from conftest import chain_request, make_rack_net, star_request
 from vdcembed.batch_solver import build_mip, solve_exact
@@ -23,6 +25,7 @@ from vdcembed.topology import (
     Vm,
     VSwitch,
     WorkloadConfig,
+    build_fat_tree,
     generate_vdc_request,
 )
 
@@ -293,3 +296,53 @@ class TestFragments:
         a = compute_fragments(k4_state)
         b = compute_fragments(k4_state)
         assert [sorted(f[0]) for f in a] == [sorted(f[0]) for f in b]
+
+
+# sha256 of TestPinnedOutputs' outputs: a change to greedy or swap repair that
+# alters any placement, overflow ledger or failure reason shows here
+PINNED_OUTPUTS_SHA256 = "83d956e99158e5482ced5792281816e0bd9c51af9708e3b825577bf3ab7bd78d"
+
+
+class TestPinnedOutputs:
+    def outputs(self):
+        """reprs of greedy_temp_map on the whole substrate and on the first
+        two fragments, then of try_online_embed, for each request of 20
+        random tight k=4 states (6-core/3000 MB servers, switch memory 60,
+        a failed link and server in every third state, latency bounds of
+        2-4 and locality sets), committing accepted results."""
+        rng = random.Random(2024)
+        net = build_fat_tree(
+            4, server_capacity=ResourceVector(cpu_cores=6, memory_mb=3000), switch_memory=60
+        )
+        table = enumerate_paths(net)
+        servers = sorted(net.servers)
+        cfg = WorkloadConfig(vm_count=(2, 12), vswitch_count=(2, 4))
+        for n in range(20):
+            state = EmbeddingState(net, table)
+            if n % 3 == 0:
+                state.mark_down([rng.choice(sorted(net.links)), rng.choice(servers)])
+            for i in range(12):
+                req = generate_vdc_request(cfg, 0.0, rng.randrange(10**9))
+                locality = {
+                    vm: frozenset(rng.sample(servers, 4)) for vm in req.vms if rng.random() < 0.2
+                }
+                req = replace(
+                    req, id=f"r{i}", latency_bound=rng.choice([None, 2, 3, 4]),
+                    locality=locality or None,
+                )
+                yield repr(greedy_temp_map(state, req))
+                for nodes, links, _ in compute_fragments(state)[:2]:
+                    yield repr(greedy_temp_map(state, req, allowed=(nodes, links)))
+                result = try_online_embed(state, req)
+                yield repr(result)
+                if isinstance(result, OnlineResult):
+                    apply_online(state, req, result)
+
+    def test_outputs_unchanged(self):
+        outputs = list(self.outputs())
+        # the states are tight: placements overflow, fail and get repaired
+        assert any("TempMapping" in o and "ledger=()" not in o for o in outputs)
+        assert any(o.startswith("StructuralFailure") for o in outputs)
+        assert any("SwapMove(" in o for o in outputs)
+        digest = hashlib.sha256("\n".join(outputs).encode()).hexdigest()
+        assert digest == PINNED_OUTPUTS_SHA256
