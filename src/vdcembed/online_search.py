@@ -147,6 +147,9 @@ def greedy_temp_map(
     """Place every element of a request, tolerating capacity overflows.
 
     allowed optionally restricts placement to a (node ids, link ids) fragment.
+    Each VM group takes the first rack, by most free share then id, whose
+    plan costs nothing, else the cheapest; a vSwitch-vSwitch vlink takes its
+    first path with no overflow, else the least overflowing.
     Deterministic: all choices resolve ties by element id.
     """
     net = state.net
@@ -171,9 +174,9 @@ def greedy_temp_map(
     edge_switches = sorted(
         s for s in net.switches if net.switches[s].tier == "edge" and node_ok(s)
     )
-    # each usable rack -> its servers whose uplink qualifies, with that uplink
-    # edge (alike for every VM), and their summed free share
-    racks = {}
+    # usable racks in tie-break order: (minus the servers' summed free share,
+    # id, servers whose uplink qualifies with that uplink edge, alike per VM)
+    racks = []
     for vm in list(req.vms)[:1]:
         for rack in edge_switches:
             servers = [
@@ -182,7 +185,8 @@ def greedy_temp_map(
             ]
             if servers:
                 share = sum(_norm(state.residual[s], net.servers[s].capacity) for s, _ in servers)
-                racks[rack] = servers, share
+                racks.append((-share, rack, servers))
+    racks.sort()  # rack ids are distinct, so no two server lists are compared
 
     vm_map: dict[str, str] = {}
     vswitch_map: dict[str, str] = {}
@@ -227,21 +231,25 @@ def greedy_temp_map(
         return total_overflow, placement
 
     for vs_id in group_order:
-        scored = []
-        for rack, (servers, share) in racks.items():
+        vs_demand = req.vswitches[vs_id].demand.switch_memory
+        best = None
+        # costs are >= 0, so the first rack whose plan costs nothing wins
+        for _, rack, servers in racks:
             if rack in used_switches:
                 continue
             plan = place_group(groups[vs_id], servers)
             if plan is None:
                 continue
             mem_free = state.residual[rack].switch_memory
-            vs_demand = req.vswitches[vs_id].demand.switch_memory
             mem_over = max(0, vs_demand - mem_free) / net.switches[rack].capacity.switch_memory
-            scored.append((plan[0] + mem_over, -share, rack, plan[1]))
-        if not scored:
+            cost = plan[0] + mem_over
+            if best is None or cost < best[0]:
+                best = (cost, rack, plan[1])
+                if cost == 0:
+                    break
+        if best is None:
             return StructuralFailure(f"no rack can host vm group of {vs_id}")
-        # racks are distinct, so min never compares two placements
-        _, _, rack, placement = min(scored)
+        _, rack, placement = best
         vm_map.update(placement)
         vswitch_map[vs_id] = rack
         used_switches.add(rack)
@@ -312,9 +320,11 @@ def greedy_temp_map(
             for eid in rec.edges:
                 free = state.residual[eid].bandwidth - path_load.get(eid, 0)
                 over += max(0, vl.bandwidth - free) / net.links[eid].bandwidth
-            key = (over, n)
-            if best is None or key < best[0]:
-                best = (key, n, rec)
+            # paths come in ascending n: keep the first least overflow
+            if best is None or over < best[0]:
+                best = (over, n, rec)
+                if over == 0:
+                    break
         if best is None:
             return StructuralFailure(f"no admissible path for {vl_id} ({img_a}->{img_b})")
         _, n, rec = best

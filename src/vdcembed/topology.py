@@ -748,12 +748,18 @@ def load_requests(text: str) -> list[VdcRequest]:
         if math.isnan(arrival) or math.isnan(duration):
             raise FormatError(f"request {cur_id!r}: nan arrival or duration")
         latency = None if meta_parts[3] == "-" else int(meta_parts[3])
+        if latency is not None and latency < 0:
+            raise FormatError(f"request {cur_id!r}: negative latency bound")
         locality = None
         if len(meta_parts) > 4:
             locality = {}
             for token in meta_parts[4:]:
+                # <vm>=<server>[,<server>...], each VM once
                 vm_id, _, pms = token.partition("=")
-                locality[vm_id] = frozenset(pms.split(","))
+                servers = pms.split(",")
+                if not vm_id or vm_id in locality or "" in servers:
+                    raise FormatError(f"request {cur_id!r}: bad locality entry {token!r}")
+                locality[vm_id] = frozenset(servers)
         requests.append(
             VdcRequest(
                 id=cur_id,

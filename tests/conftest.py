@@ -145,3 +145,18 @@ def k2_state(k2_net, k2_table):
 @pytest.fixture
 def k4_state(k4_net, k4_table):
     return EmbeddingState(k4_net, k4_table)
+
+
+@pytest.fixture
+def overflow_over_calls(monkeypatch):
+    """One entry per ResourceVector.overflow_over call from here on; greedy
+    makes one per VM-server pair it scores."""
+    calls = []
+    overflow_over = ResourceVector.overflow_over
+
+    def counted(self, limit):
+        calls.append(limit)
+        return overflow_over(self, limit)
+
+    monkeypatch.setattr(ResourceVector, "overflow_over", counted)
+    return calls

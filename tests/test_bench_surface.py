@@ -107,6 +107,18 @@ def test_first_simulation_search_cost_unchanged(perfbench_modules, monkeypatch):
     assert solves == FIRST_BATCH_SOLVES
 
 
+# the VM-server pairs greedy scores in online-k8's first simulation at seed 1
+# measure its work without timing it: 1,200 when each VM group stops at the
+# first rack whose plan costs nothing, 37,528 when it planned every free rack
+GREEDY_OVERFLOW_CALLS_MAX = 2000
+
+
+def test_greedy_scores_few_server_pairs(perfbench_modules, overflow_over_calls):
+    _, workloads = perfbench_modules
+    first_simulation(workloads, "online-k8")
+    assert 0 < len(overflow_over_calls) < GREEDY_OVERFLOW_CALLS_MAX
+
+
 # Neither workload's pinned trace holds a migration record, so this short
 # batch-only run on k=4 pins the paths that emit them: batch re-placements,
 # a failure (one displaced request repaired, one requeued) and a scale-up

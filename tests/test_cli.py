@@ -493,6 +493,14 @@ class TestValidate:
             ("substrate 1 0\nswitch e0 edge 100\n", REQUEST.replace("vm0 5", "vm0 5 9")),
             ("substrate 1 0\nswitch e0 edge 100\n", REQUEST.replace("r0", "r0 x")),
             ("substrate 1 0\nswitch e0 edge 100\n", REQUEST.replace("edge 10", "edgy 10")),
+            ("substrate 1 0\nswitch e0 edge 100\n", REQUEST.replace("10.0 -", "10.0 - junk")),
+            ("substrate 1 0\nswitch e0 edge 100\n", REQUEST.replace("10.0 -", "10.0 - vm0=")),
+            ("substrate 1 0\nswitch e0 edge 100\n", REQUEST.replace("10.0 -", "10.0 - =s0")),
+            (
+                "substrate 1 0\nswitch e0 edge 100\n",
+                REQUEST.replace("10.0 -", "10.0 - vm0=s0 vm0=s1"),
+            ),
+            ("substrate 1 0\nswitch e0 edge 100\n", REQUEST.replace("10.0 -", "10.0 -3")),
         ],
         ids=[
             "undeclared-link-end", "bad-version", "bad-arity", "bad-requests-version",
@@ -500,6 +508,8 @@ class TestValidate:
             "link-reuses-server-id", "vm-before-request", "duplicate-request", "duplicate-vm",
             "vlink-reuses-vm-id", "nan-arrival", "nan-duration", "vm-extra-field",
             "vlink-extra-field", "request-extra-field", "vswitch-unknown-kind",
+            "locality-no-equals", "locality-no-server", "locality-no-vm", "locality-vm-twice",
+            "negative-latency-bound",
         ],
     )
     def test_malformed_file_exits_one(self, workdir, capsys, substrate, requests):

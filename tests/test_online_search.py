@@ -106,6 +106,58 @@ class TestGreedy:
         assert temp.assignment.vm_map["vm0"] != "s0"
         assert k4_state.check_assignment(star_request("r0"), temp.assignment) == []
 
+    def test_skips_the_largest_share_rack_short_of_switch_memory(
+        self, k4_state, overflow_over_calls
+    ):
+        # free share order: e2_0, then e3_1, then the rest; e2_0 cannot hold vs0
+        for sid in k4_state.net.servers:
+            if sid not in ("s8", "s9", "s14", "s15"):
+                k4_state.residual[sid] -= ResourceVector(cpu_cores=2)
+        k4_state.residual["s14"] -= ResourceVector(cpu_cores=1)
+        k4_state.residual["e2_0"] = ResourceVector(switch_memory=5)
+        temp = greedy_temp_map(k4_state, star_request("r0", vswitch_mem=10))
+        assert isinstance(temp, TempMapping) and temp.clean
+        assert temp.assignment.vswitch_map["vs0"] == "e3_1"
+        # one VM on the two servers of e2_0 and of e3_1, then stop
+        assert len(overflow_over_calls) == 4
+
+    def test_cheapest_rack_when_every_rack_overflows(self, k4_state):
+        # equal free shares, so e0_0 is scanned first; e3_1 overflows least
+        for rack in k4_state.net.switches:
+            if k4_state.net.switches[rack].tier == "edge":
+                k4_state.residual[rack] = ResourceVector(switch_memory=10)
+        k4_state.residual["e3_1"] = ResourceVector(switch_memory=40)
+        temp = greedy_temp_map(k4_state, star_request("r0", vswitch_mem=50))
+        assert isinstance(temp, TempMapping)
+        assert temp.assignment.vswitch_map["vs0"] == "e3_1"
+        assert [(v.element, v.overflow) for v in temp.ledger] == [
+            ("e3_1", ResourceVector(switch_memory=10))
+        ]
+
+    def _cross_pod_pair(self, state):
+        # with e0_1 down, vs0 takes e0_0 and vs1 takes e1_0; their four paths
+        # run over l8, l9, l10 and l11 in turn
+        state.mark_down(["e0_1"])
+        temp = greedy_temp_map(state, chain_request("r0", vlink_bw=10))
+        assert isinstance(temp, TempMapping)
+        assert temp.assignment.vswitch_map == {"vs0": "e0_0", "vs1": "e1_0"}
+        return temp
+
+    def test_vlink_takes_first_path_with_no_overflow(self, k4_state):
+        k4_state.residual["l8"] = ResourceVector(bandwidth=5)
+        temp = self._cross_pod_pair(k4_state)
+        assert temp.clean
+        assert temp.assignment.vlink_map["vl0"] == ("e0_0", "e1_0", 1)
+
+    def test_vlink_takes_least_overflowing_path(self, k4_state):
+        for lid, free in (("l8", 0), ("l9", 0), ("l10", 5), ("l11", 0)):
+            k4_state.residual[lid] = ResourceVector(bandwidth=free)
+        temp = self._cross_pod_pair(k4_state)
+        assert temp.assignment.vlink_map["vl0"] == ("e0_0", "e1_0", 2)
+        assert [(v.element, v.overflow) for v in temp.ledger] == [
+            ("l10", ResourceVector(bandwidth=5))
+        ]
+
 
 class TestSwapRepair:
     def test_clean_temp_returned_unchanged(self, k4_state):
