@@ -214,9 +214,14 @@ def _parse_assignment_file(text: str):
         parts = raw.split()
         kind = parts[1] if len(parts) > 1 else ""
         if parts[0] == "embedded" and len(parts) == 3 and parts[2] in ("0", "1"):
+            if parts[1] in embedded:
+                raise FormatError(f"repeated embedded line in assignment file: {raw!r}")
             embedded[parts[1]] = parts[2] == "1"
         elif parts[0] == "assign" and len(parts) == _ASSIGN_FIELDS.get(kind):
             slot = slots.setdefault(parts[2], {"vm": {}, "vswitch": {}, "vlink": {}})
+            # a request's VMs, vSwitches and vlinks share one id space
+            if any(parts[3] in placed for placed in slot.values()):
+                raise FormatError(f"repeated assign record in assignment file: {raw!r}")
             if kind == "vlink":
                 try:
                     slot[kind][parts[3]] = (parts[4], parts[5], int(parts[6]))

@@ -62,7 +62,6 @@ class RateRow:
 
 @dataclass
 class MetricsReport:
-    meta: dict[str, str] = field(default_factory=dict)
     rows: list[RateRow] = field(default_factory=list)
     utilization: list[tuple[float, float, float, float, float]] = field(default_factory=list)
     # utilization rows are (lam, time, cpu, switch-memory, bandwidth fractions)
@@ -86,10 +85,6 @@ def aggregate(records) -> MetricsReport:
             open_runs += 1
             lam = float(rec.get("lam"))
             rows.setdefault(lam, RateRow(lam))
-            for key in ("seed", "k", "policy", "mode"):
-                val = rec.get(key)
-                if val is not None and report.meta.setdefault(key, val) != val:
-                    report.meta[key] = "mixed"
         elif rec.kind == "run_end":
             if not open_runs:
                 raise IncompleteTraceError("run_end without run_start")
@@ -121,7 +116,7 @@ def aggregate(records) -> MetricsReport:
 
 ACCEPTANCE_HEADER = "lambda,arrivals,accepted,rate"
 MIGRATIONS_HEADER = "lambda,migrations,placed_vms,pct"
-UTILIZATION_HEADER = "time,cpu_util,switch_util,bw_util"
+UTILIZATION_HEADER = "lambda,time,cpu_util,switch_util,bw_util"
 
 
 def _fmt_rate(value: float | None) -> str:
@@ -157,8 +152,8 @@ def write_csv(report: MetricsReport, destination: str) -> list[str]:
         path = os.path.join(destination, "utilization.csv")
         with open(path, "w") as fp:
             fp.write(UTILIZATION_HEADER + "\n")
-            for _, t, cpu, sw, bw in report.utilization:
-                fp.write(f"{t:.6f},{cpu:.4f},{sw:.4f},{bw:.4f}\n")
+            for lam, t, cpu, sw, bw in report.utilization:
+                fp.write(f"{_fmt_lam(lam)},{t:.6f},{cpu:.4f},{sw:.4f},{bw:.4f}\n")
         paths.append(path)
         return paths
     except OSError as err:

@@ -7,6 +7,7 @@ and its edge switch, so the greedy unit for VMs is the rack choice per group.
 Capacity overflows are allowed and recorded; the repair stage then relocates
 already-mapped elements away from the overflowing hosts, a bounded number of
 times, preferring the cheapest sufficient incumbent and the nearest target.
+The same relocation routines repair an active request that a failure hit.
 """
 
 from __future__ import annotations
@@ -341,17 +342,18 @@ def greedy_temp_map(
 
 
 def _reroute_vlink(probe, req, a, vl_id, extra, avoid=None):
-    """Assignment a with vlink vl_id moved to the first admissible path with
-    room that skips the link avoid, or None. extra is the usage map planned
-    on top of the probe's residuals.
-    """
-    pa, pb, old_n = a.vlink_map[vl_id]
+    """Assignment a with vlink vl_id moved, between its ends' hosts in a, to
+    the first admissible path with room that skips the link avoid, or None.
+    Its path in a counts as free again; extra is the usage map planned on top
+    of the probe's residuals."""
+    vl = req.vlinks[vl_id]
+    pa, pb = a.host_of(vl.a), a.host_of(vl.b)
     n = probe.free_path(
         pa,
         pb,
-        req.vlinks[vl_id].bandwidth,
+        vl.bandwidth,
         req.latency_bound,
-        credit=probe.table.path(pa, pb, old_n).edges,
+        credit=probe.table.path(*a.vlink_map[vl_id]).edges,
         extra=extra,
         avoid=avoid,
     )
@@ -389,6 +391,33 @@ def _relocate_vm(probe, req, a, vm_id, extra):
     return Assignment(
         a.request_id, {**a.vm_map, vm_id: sid}, a.vswitch_map, {**a.vlink_map, vlink.id: key}
     )
+
+
+def repair_displaced(state: EmbeddingState, req: VdcRequest) -> Assignment | None:
+    """A new placement for an active request hit by a failure with only
+    the elements on failed hardware moved, or None when that is impossible.
+
+    A VM whose server or uplink failed moves within its rack, a vlink
+    over a failed link or switch takes the first admissible path with
+    room. Plans on a copy of the state with the request released; planned
+    loads are the request's own usage, so unmoved VMs count once.
+    """
+    probe = state.copy()
+    a = probe.release(req.id)
+    down = probe.down
+    if any(host in down for host in a.vswitch_map.values()):
+        return None  # switch loss relocates the vswitch; fall back to requeue
+    for vm_id, host in a.vm_map.items():
+        if probe.uplink(req, vm_id, host) is None:
+            a = _relocate_vm(probe, req, a, vm_id, probe.usage(req, a))
+            if a is None:
+                return None
+    for vl_id, key in a.vlink_map.items():
+        if not admissible(probe.table.path(*key), down, None):
+            a = _reroute_vlink(probe, req, a, vl_id, probe.usage(req, a))
+            if a is None:
+                return None
+    return None if probe.check_assignment(req, a) else a
 
 
 def swap_repair(
@@ -533,29 +562,19 @@ def _relocate_vswitch(probe, req, a, vs_id, extra):
         options.append((probe.net.hop_distance(old_host, sid), sid))
     options.sort()
     for _, sid in options:
-        new_vswitch_map = dict(a.vswitch_map)
-        new_vswitch_map[vs_id] = sid
-        new_vlink_map = dict(a.vlink_map)
+        moved = Assignment(a.request_id, a.vm_map, {**a.vswitch_map, vs_id: sid}, a.vlink_map)
         planned = dict(extra)
         for vl in req.vlinks.values():
             if vs_id not in (vl.a, vl.b):
                 continue
-            other = vl.b if vl.a == vs_id else vl.a
-            other_img = a.vm_map.get(other) or new_vswitch_map.get(other)
-            pa = sid if vl.a == vs_id else other_img
-            pb = sid if vl.b == vs_id else other_img
-            old_edges = probe.table.path(*a.vlink_map[vl.id]).edges
-            n = probe.free_path(
-                pa, pb, vl.bandwidth, req.latency_bound, credit=old_edges, extra=planned
-            )
-            if n is None:
+            moved = _reroute_vlink(probe, req, moved, vl.id, planned)
+            if moved is None:
                 break
-            new_vlink_map[vl.id] = (pa, pb, n)
             load = ResourceVector(bandwidth=vl.bandwidth)
-            for eid in probe.table.path(pa, pb, n).edges:
+            for eid in probe.table.path(*moved.vlink_map[vl.id]).edges:
                 planned[eid] = planned.get(eid, ZERO) + load
         else:
-            return Assignment(a.request_id, a.vm_map, new_vswitch_map, new_vlink_map)
+            return moved
     return None
 
 

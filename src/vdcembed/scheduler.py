@@ -18,15 +18,9 @@ from fractions import Fraction
 from .batch_solver import SolveBudget, build_mip, extract_assignments, solve_exact
 from .errors import ConfigError, InvalidParameterError
 from .metrics import TraceRecord
-from .online_search import (
-    OnlineResult,
-    _relocate_vm,
-    _reroute_vlink,
-    compute_fragments,
-    try_online_embed,
-)
-from .paths import PathTable, admissible, enumerate_paths
-from .state import Assignment, EmbeddingState
+from .online_search import OnlineResult, compute_fragments, repair_displaced, try_online_embed
+from .paths import PathTable, enumerate_paths
+from .state import EmbeddingState
 from .topology import (
     ResourceVector,
     SubstrateNetwork,
@@ -487,10 +481,14 @@ class Simulation:
         state = self.state
         state.mark_down(elements)
         self.emit("failure", now, elements=",".join(sorted(elements)))
-        displaced = [rid for rid in state.active if self._touches_down(rid)]
+        displaced = [
+            rid
+            for rid, a in state.active.items()
+            if any(v.rule == "element-down" for v in state.structural_findings(state.requests[rid], a))
+        ]
         for rid in displaced:
             req = state.requests[rid]
-            repaired = self._repair_displaced(req)
+            repaired = repair_displaced(state, req)
             if repaired is None:
                 self._carry_out([rid], [], now)
                 self._requeue(req, now)
@@ -499,44 +497,6 @@ class Simulation:
             self._carry_out([rid], [(req, repaired)], now)
             self.emit("displaced", now, request=rid, outcome="repaired")
         self._drain(now)
-
-    def _touches_down(self, rid: str) -> bool:
-        a = self.state.active[rid]
-        down = self.state.down
-        if any(h in down for h in a.vm_map.values()):
-            return True
-        if any(h in down for h in a.vswitch_map.values()):
-            return True
-        return any(
-            not admissible(self.state.table.path(*key), down, None)
-            for key in a.vlink_map.values()
-        )
-
-    def _repair_displaced(self, req: VdcRequest) -> Assignment | None:
-        """A new placement for an active request hit by a failure with only
-        the elements on failed hardware moved, or None when that is impossible.
-
-        A VM whose server or uplink failed moves within its rack, a vlink
-        over a failed link or switch takes the first admissible path with
-        room. Plans on a copy of the state with the request released; planned
-        loads are the request's own usage, so unmoved VMs count once.
-        """
-        probe = self.state.copy()
-        a = probe.release(req.id)
-        down = probe.down
-        if any(host in down for host in a.vswitch_map.values()):
-            return None  # switch loss relocates the vswitch; fall back to requeue
-        for vm_id, host in a.vm_map.items():
-            if probe.uplink(req, vm_id, host) is None:
-                a = _relocate_vm(probe, req, a, vm_id, probe.usage(req, a))
-                if a is None:
-                    return None
-        for vl_id, key in a.vlink_map.items():
-            if not admissible(probe.table.path(*key), down, None):
-                a = _reroute_vlink(probe, req, a, vl_id, probe.usage(req, a))
-                if a is None:
-                    return None
-        return None if probe.check_assignment(req, a) else a
 
     def handle_scale_up(self, request_id: str, deltas, now: float):
         if request_id not in self.state.active:

@@ -112,7 +112,7 @@ class EmbeddingState:
 
     # -- feasibility --------------------------------------------------------
 
-    def _structural_findings(self, req: VdcRequest, a: Assignment) -> list[Violation]:
+    def structural_findings(self, req: VdcRequest, a: Assignment) -> list[Violation]:
         """Every finding of check_assignment that does not depend on residuals:
         unknown ids raise, the rest (unmapped elements, collisions, tiers,
         paths, latency, locality, failed hosts, links or path nodes) is listed."""
@@ -210,7 +210,7 @@ class EmbeddingState:
         online embedder carries capacity findings forward as a violation
         ledger to repair.
         """
-        out = self._structural_findings(req, a)
+        out = self.structural_findings(req, a)
 
         for eid, load in self.usage(req, a).items():
             limit = self.residual[eid] if eid not in self.down else ZERO
@@ -325,6 +325,6 @@ class EmbeddingState:
             if not rv.nonnegative:
                 raise AuditError(f"negative residual on {eid}: {rv}")
         for rid, a in self.active.items():
-            bad = self._structural_findings(self.requests[rid], a)
+            bad = self.structural_findings(self.requests[rid], a)
             if bad:
                 raise AuditError(f"active request {rid} fails re-check: {bad[0]}")

@@ -274,6 +274,18 @@ class VdcRequest:
         )
 
 
+# the (low, high) draw ranges of WorkloadConfig, in the order validate checks them
+_WORKLOAD_RANGE_KEYS = (
+    "vm_count",
+    "vm_cores",
+    "vm_memory_mb",
+    "vswitch_count",
+    "vswitch_memory",
+    "vlink_bandwidth",
+    "duration",
+)
+
+
 @dataclass(frozen=True)
 class WorkloadConfig:
     """Uniform draw ranges for random VDC requests plus arrival process knobs."""
@@ -290,15 +302,7 @@ class WorkloadConfig:
     seed: int = 0
 
     def validate(self):
-        for name in (
-            "vm_count",
-            "vm_cores",
-            "vm_memory_mb",
-            "vswitch_count",
-            "vswitch_memory",
-            "vlink_bandwidth",
-            "duration",
-        ):
+        for name in _WORKLOAD_RANGE_KEYS:
             lo, hi = getattr(self, name)
             if lo < 1 or lo > hi:
                 raise ConfigError(f"{name}: need 1 <= low <= high, got {lo}:{hi}")
@@ -313,17 +317,6 @@ def check_rate(name: str, rate: float) -> float:
     if not 0 <= rate <= 10:  # also rejects nan
         raise ConfigError(f"{name} out of range [0, 10]: {rate}")
     return rate
-
-
-_WORKLOAD_RANGE_KEYS = {
-    "vm_count",
-    "vm_cores",
-    "vm_memory_mb",
-    "vswitch_count",
-    "vswitch_memory",
-    "vlink_bandwidth",
-    "duration",
-}
 
 
 def config_items(text: str):

@@ -411,6 +411,12 @@ class TestValidate:
             "embedded r0",
             "embedded r0 yes",
             "assign",
+            # a repeated record, even an identical one, is a format error
+            "embedded r0 0",
+            "embedded r0 1",
+            "assign vm r0 vm0 s0\nassign vm r0 vm0 s1",
+            "assign vm r0 vm0 s0\nassign vm r0 vm0 s0",
+            "assign vswitch r0 vs0 e0_0\nassign vm r0 vs0 s0",
         ],
     )
     def test_malformed_assignment_line_exits_one(self, workdir, capsys, line):

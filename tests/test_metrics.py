@@ -13,6 +13,7 @@ from vdcembed.metrics import (
     RateRow,
     TraceRecord,
     aggregate,
+    resequence,
     serialize_trace,
     write_csv,
 )
@@ -75,7 +76,6 @@ class TestAggregate:
         b = aggregate(shuffled)
         assert a.rows[0].__dict__ == b.rows[0].__dict__
         assert a.utilization == b.utilization
-        assert a.meta == b.meta
 
     def test_truncated_trace_rejected(self):
         records = toy_trace()[:-1]  # drop run_end
@@ -100,8 +100,24 @@ class TestSerialization:
         mig = read_csv((tmp_path / "migrations.csv").read_text(), MIGRATIONS_HEADER)
         assert mig == [["2", "1", "28", f"{1 / 28:.4f}"]]
         util_lines = (tmp_path / "utilization.csv").read_text().strip().splitlines()
-        assert util_lines[0] == "time,cpu_util,switch_util,bw_util"
-        assert util_lines[1] == "6.000000,0.2500,0.1000,0.0500"
+        assert util_lines[0] == "lambda,time,cpu_util,switch_util,bw_util"
+        assert util_lines[1] == "2,6.000000,0.2500,0.1000,0.0500"
+
+    def test_utilization_rows_keep_their_rate(self, tmp_path):
+        # a sweep's runs share one utilization.csv; each row names its rate
+        runs = []
+        for lam, t in (("4", 95.5), ("8", 4.6)):
+            runs += [
+                rec(0.0, 0, "run_start", lam=lam),
+                rec(t, 1, "util", cpu="0.5", switch="0.25", bw="0.125"),
+                rec(100.0, 2, "run_end", events=1),
+            ]
+        write_csv(aggregate(resequence(runs)), str(tmp_path))
+        util_lines = (tmp_path / "utilization.csv").read_text().strip().splitlines()
+        assert util_lines[1:] == [
+            "4,95.500000,0.5000,0.2500,0.1250",
+            "8,4.600000,0.5000,0.2500,0.1250",
+        ]
 
     def test_empty_report_headers_only(self, tmp_path):
         write_csv(MetricsReport(), str(tmp_path))

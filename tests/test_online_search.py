@@ -4,12 +4,15 @@ import hashlib
 import random
 from dataclasses import replace
 
+import pytest
+
 from conftest import chain_request, make_rack_net, star_request
 from vdcembed.batch_solver import build_mip, solve_exact
 from vdcembed.online_search import (
     OnlineResult,
     RepairFailure,
     StructuralFailure,
+    SwapMove,
     TempMapping,
     compute_fragments,
     greedy_temp_map,
@@ -257,6 +260,97 @@ class TestSwapRepair:
             ("vswitch-swap", "big"),
             ("vswitch-swap", "small"),
         ]
+
+    @staticmethod
+    def one_vlink(rid, to="e1_0", latency_bound=None):
+        """A request with no VMs: vs0 on e0_0 and vs1 on `to`, joined by a
+        600-wide vlink on the first e0_0->to path."""
+        mem = ResourceVector(switch_memory=10)
+        req = VdcRequest(
+            rid,
+            vms={},
+            vswitches={"vs0": VSwitch("vs0", True, mem), "vs1": VSwitch("vs1", to[0] == "e", mem)},
+            vlinks={"vl0": VLink("vl0", "vs0", "vs1", 600)},
+            arrival_time=0.0,
+            duration=10.0,
+            latency_bound=latency_bound,
+        )
+        return req, Assignment(rid, {}, {"vs0": "e0_0", "vs1": to}, {"vl0": ("e0_0", to, 0)})
+
+    def test_link_overflow_reroutes_an_incumbent_vlink(self, k4_net, k4_table):
+        # both vlinks take path 0 over the 1000-wide agg-edge links l0 and
+        # l12; the incumbent's moves to path 2, the first that skips l0
+        state = EmbeddingState(k4_net, k4_table)
+        state.commit(*self.one_vlink("inc"))
+        incoming, a = self.one_vlink("new")
+        temp = TempMapping(a, tuple(state.check_assignment(incoming, a)))
+        assert [v.element for v in temp.ledger] == ["l0", "l12"]
+        result = swap_repair(state, incoming, temp, max_swaps=2)
+        assert isinstance(result, OnlineResult)
+        assert result.moves == (SwapMove("vlink-reroute", "inc", "vl0", "l0", "l0"),)
+        assert result.assignment == a
+        assert result.incumbent_updates["inc"].vlink_map == {"vl0": ("e0_0", "e1_0", 2)}
+        apply_online(state, incoming, result)
+        state.audit()
+
+    def test_link_overflow_reroutes_the_incoming_vlink(self, k4_net, k4_table):
+        # the incumbent's vlink has one path within its latency bound, so the
+        # incoming request's own vlink leaves the congested link instead
+        state = EmbeddingState(k4_net, k4_table)
+        state.commit(*self.one_vlink("inc", to="a0_0", latency_bound=1))
+        incoming, a = self.one_vlink("new")
+        temp = TempMapping(a, tuple(state.check_assignment(incoming, a)))
+        assert [v.element for v in temp.ledger] == ["l0"]
+        result = swap_repair(state, incoming, temp, max_swaps=2)
+        assert isinstance(result, OnlineResult)
+        assert result.moves == (SwapMove("vlink-reroute", "new", "vl0", "l0", "l0"),)
+        assert result.incumbent_updates == {}
+        assert result.assignment.vlink_map == {"vl0": ("e0_0", "e1_0", 2)}
+        apply_online(state, incoming, result)
+        state.audit()
+
+    @pytest.mark.parametrize("core_bw, vl1_path", [(10000, 0), (600, 1)])
+    def test_switch_overflow_reroutes_both_vlinks_of_a_moved_vswitch(self, core_bw, vl1_path):
+        # vs1 moves from a0_0 to c0_0 and both its vlinks follow it; both
+        # shortest paths cross the core-agg link l8, which holds one 400 vlink
+        # when thin, so there the second vlink takes its next path
+        net = build_fat_tree(4, bandwidth_profile=(core_bw, 1000, 1000))
+        state = EmbeddingState(net, enumerate_paths(net))
+        mem = ResourceVector(switch_memory=30)
+        inc = VdcRequest(
+            "inc",
+            vms={},
+            vswitches={
+                "vs0": VSwitch("vs0", True, mem),
+                "vs1": VSwitch("vs1", False, mem),
+                "vs2": VSwitch("vs2", True, mem),
+            },
+            vlinks={"vl0": VLink("vl0", "vs0", "vs1", 400), "vl1": VLink("vl1", "vs1", "vs2", 400)},
+            arrival_time=0.0,
+            duration=10.0,
+        )
+        state.commit(
+            inc,
+            Assignment(
+                "inc",
+                {},
+                {"vs0": "e0_0", "vs1": "a0_0", "vs2": "e0_1"},
+                {"vl0": ("e0_0", "a0_0", 0), "vl1": ("a0_0", "e0_1", 0)},
+            ),
+        )
+        vsw = {"vs0": VSwitch("vs0", False, ResourceVector(switch_memory=90))}
+        incoming = VdcRequest("new", {}, vsw, {}, 0.0, 10.0)
+        a = Assignment("new", {}, {"vs0": "a0_0"}, {})
+        temp = TempMapping(a, tuple(state.check_assignment(incoming, a)))
+        result = swap_repair(state, incoming, temp, max_swaps=2)
+        assert isinstance(result, OnlineResult)
+        assert result.moves == (SwapMove("vswitch-swap", "inc", "vs1", "a0_0", "c0_0"),)
+        assert result.incumbent_updates["inc"].vlink_map == {
+            "vl0": ("e0_0", "c0_0", 0),
+            "vl1": ("c0_0", "e0_1", vl1_path),
+        }
+        apply_online(state, incoming, result)
+        state.audit()
 
     def test_dead_end_fails_within_budget(self):
         # single server, incumbent fills it, nowhere to move

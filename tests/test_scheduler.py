@@ -239,6 +239,39 @@ class TestSimulationSteps:
         assert len(vlink_moves) == 2
         sim.state.audit()
 
+    def test_failures_on_a_cross_pod_path_reroute_its_vlink(self):
+        sim = self.make_sim()
+        req = chain_request("r0", duration=90.0)
+        sim.state.commit(
+            req,
+            Assignment(
+                "r0",
+                {"vm0": "s0", "vm1": "s4"},
+                {"vs0": "e0_0", "vs1": "e1_0"},
+                {
+                    "vl0": ("e0_0", "e1_0", 0),  # e0_0 a0_0 c0_0 a1_0 e1_0
+                    "vl1": ("e0_0", "s0", 0),
+                    "vl2": ("e1_0", "s4", 0),
+                },
+            ),
+        )
+        sim.status["r0"] = "accepted"
+        sim.accept_order.append("r0")
+        # the core switch, then the agg-core link of the next path
+        for t, element, new_path in ((1.0, "c0_0", 1), (2.0, "l9", 2)):
+            start = len(sim.records)
+            sim.process(SimEvent(t, 0, "failure", elements=(element,)))
+            records = sim.records[start:]
+            outcomes = [r.get("outcome") for r in records if r.kind == "displaced"]
+            assert outcomes == ["repaired"]
+            moved = [(r.get("kind"), r.get("element")) for r in records if r.kind == "migration"]
+            assert moved == [("vlink", "vl0")]
+            key = sim.state.active["r0"].vlink_map["vl0"]
+            assert key == ("e0_0", "e1_0", new_path)
+            rec = sim.state.table.path(*key)
+            assert element not in rec.nodes + rec.edges
+            sim.state.audit()
+
     def rack_sim(self, n_servers, cores):
         net = make_rack_net(n_servers, cores=cores)
         return Simulation(net, enumerate_paths(net), PolicyConfig())
