@@ -78,11 +78,6 @@ def _norm(load: ResourceVector, cap: ResourceVector) -> float:
     return total
 
 
-def _violation_total(state: EmbeddingState, ledger) -> float:
-    capacity = state.net.capacity
-    return sum((_norm(v.overflow, capacity[v.element]) for v in ledger), 0.0)
-
-
 def compute_fragments(state: EmbeddingState):
     """Connected components of the substrate restricted to elements with
     strictly positive residual on every capacity dimension they carry.
@@ -393,20 +388,59 @@ def _relocate_vm(probe, req, a, vm_id, extra):
     )
 
 
+def _relocate_vswitch(probe, req, a, vs_id, extra):
+    """Assignment a with one internal vSwitch moved to the nearest switch
+    with room, its vlinks re-routed, or None; edge vSwitch moves would drag
+    their whole VM group along and are not attempted."""
+    vs = req.vswitches[vs_id]
+    if vs.is_edge:
+        return None
+    old_host = a.vswitch_map[vs_id]
+    used = set(a.vswitch_map.values())
+    options = []
+    for sid in sorted(probe.net.switches):
+        if sid in used or sid in probe.down:
+            continue
+        if not vs.demand.le(probe.residual[sid] - extra.get(sid, ZERO)):
+            continue
+        options.append((probe.net.hop_distance(old_host, sid), sid))
+    options.sort()
+    for _, sid in options:
+        moved = Assignment(a.request_id, a.vm_map, {**a.vswitch_map, vs_id: sid}, a.vlink_map)
+        planned = dict(extra)
+        for vl in req.vlinks.values():
+            if vs_id not in (vl.a, vl.b):
+                continue
+            moved = _reroute_vlink(probe, req, moved, vl.id, planned)
+            if moved is None:
+                break
+            load = ResourceVector(bandwidth=vl.bandwidth)
+            for eid in probe.table.path(*moved.vlink_map[vl.id]).edges:
+                planned[eid] = planned.get(eid, ZERO) + load
+        else:
+            return moved
+    return None
+
+
 def repair_displaced(state: EmbeddingState, req: VdcRequest) -> Assignment | None:
     """A new placement for an active request hit by a failure with only
     the elements on failed hardware moved, or None when that is impossible.
 
-    A VM whose server or uplink failed moves within its rack, a vlink
-    over a failed link or switch takes the first admissible path with
-    room. Plans on a copy of the state with the request released; planned
-    loads are the request's own usage, so unmoved VMs count once.
+    An internal vSwitch on a failed switch moves to the nearest switch with
+    room, its vlinks with it (an edge vSwitch there gives up), a VM whose
+    server or uplink failed moves within its rack, and a vlink over a
+    failed link or switch takes the first admissible path with room. Plans
+    on a copy of the state with the request released; planned loads are
+    the request's own usage, so unmoved elements count once.
     """
     probe = state.copy()
     a = probe.release(req.id)
     down = probe.down
-    if any(host in down for host in a.vswitch_map.values()):
-        return None  # switch loss relocates the vswitch; fall back to requeue
+    for vs_id, host in a.vswitch_map.items():
+        if host in down:
+            a = _relocate_vswitch(probe, req, a, vs_id, probe.usage(req, a))
+            if a is None:
+                return None
     for vm_id, host in a.vm_map.items():
         if probe.uplink(req, vm_id, host) is None:
             a = _relocate_vm(probe, req, a, vm_id, probe.usage(req, a))
@@ -446,16 +480,9 @@ def swap_repair(
             return RepairFailure("swap budget exhausted")
 
         extra = probe.usage(req, assignment)
-        findings.sort(key=lambda v: (_violation_total(probe, [v]), v.element))
+        findings.sort(key=lambda v: (_norm(v.overflow, probe.net.capacity[v.element]), v.element))
         for violation in findings:
-            host = violation.element
-            need = violation.overflow
-            if host in probe.net.servers:
-                options = _repair_server(probe, req, host, need, extra)
-            elif host in probe.net.switches:
-                options = _repair_switch(probe, req, host, need, extra)
-            else:
-                options = _repair_link(probe, req, assignment, host, need, extra)
+            options = _relief(probe, req, assignment, violation.element, violation.overflow, extra)
             # the incoming request's own re-routes need no incumbent swapped in
             step = next(
                 (
@@ -482,16 +509,39 @@ def swap_repair(
     return RepairFailure("swap budget exhausted")
 
 
-def _incumbents_on(probe, kind, host, exclude_request):
-    out = []
-    for rid, a in probe.active.items():
-        if rid == exclude_request:
-            continue
-        mapping = a.vm_map if kind == "vm" else a.vswitch_map
-        for elem, where in mapping.items():
-            if where == host:
-                out.append((rid, elem))
-    return out
+def _relief(probe, req, assignment, host, need, extra):
+    """Yield (assignment, move) relocations that take load off an
+    overflowing host: first each incumbent element that loads it, moved by
+    the routine for the host's kind, the cheapest one that covers need
+    first, else the largest partial relief, ties by request and element;
+    then the incoming request's own vlinks over it, largest first."""
+    kind, relocate = {
+        "server": ("vm-swap", _relocate_vm),
+        "switch": ("vswitch-swap", _relocate_vswitch),
+        "link": ("vlink-reroute", partial(_reroute_vlink, avoid=host)),
+    }[probe.net.kind(host)]
+    cap = probe.net.capacity[host]
+    candidates = [
+        (need.le(load), _norm(load, cap), rid, element)
+        for rid, a in probe.active.items()
+        for element, eid, load in probe.loads(probe.requests[rid], a) if eid == host
+    ]
+    candidates.sort(key=lambda c: (not c[0], c[1] if c[0] else -c[1], c[2], c[3]))
+    for _, _, rid, element in candidates:
+        new = relocate(probe, probe.requests[rid], probe.active[rid], element, extra)
+        if new is not None:
+            # a vlink has no host of its own; its move names the congested link
+            yield new, SwapMove(kind, rid, element, host, new.host_of(element) or host)
+
+    own = [
+        (load.bandwidth, vl_id)
+        for vl_id, eid, load in probe.loads(req, assignment)
+        if eid == host and vl_id in req.vlinks
+    ]
+    for _, vl_id in sorted(own, reverse=True):
+        new = _reroute_vlink(probe, req, assignment, vl_id, extra, avoid=host)
+        if new is not None:
+            yield new, SwapMove("vlink-reroute", req.id, vl_id, host, host)
 
 
 def _swap_in(probe, new_assignment) -> bool:
@@ -510,99 +560,6 @@ def _swap_in(probe, new_assignment) -> bool:
         probe.active[rid] = old
         probe.requests[rid] = req_obj
         return False
-
-
-def _relocations(probe, candidates, relocate, kind, host, extra):
-    """Yield (assignment, move) for each (covers, size, request id, element)
-    candidate that relocate can move off host: the cheapest sufficient one
-    first, else the largest partial relief, ties by request and element."""
-    candidates.sort(key=lambda c: (not c[0], c[1] if c[0] else -c[1], c[2], c[3]))
-    for _, _, rid, element in candidates:
-        new = relocate(probe, probe.requests[rid], probe.active[rid], element, extra)
-        if new is not None:
-            # a vlink has no host of its own; its move names the congested link
-            yield new, SwapMove(kind, rid, element, host, new.host_of(element) or host)
-
-
-def _repair_server(probe, req, host, need, extra):
-    """Candidate relocations of incumbent VMs off an overflowing server."""
-    candidates = []
-    for rid, vm_id in _incumbents_on(probe, "vm", host, req.id):
-        demand = probe.requests[rid].vms[vm_id].demand
-        covers = demand.cpu_cores >= need.cpu_cores and demand.memory_mb >= need.memory_mb
-        size = _norm(demand, probe.net.servers[host].capacity)
-        candidates.append((covers, size, rid, vm_id))
-    return _relocations(probe, candidates, _relocate_vm, "vm-swap", host, extra)
-
-
-def _repair_switch(probe, req, host, need, extra):
-    """Candidate relocations of incumbent vSwitches off an overflowing switch."""
-    candidates = []
-    for rid, vs_id in _incumbents_on(probe, "vswitch", host, req.id):
-        size = probe.requests[rid].vswitches[vs_id].demand.switch_memory
-        candidates.append((size >= need.switch_memory, size, rid, vs_id))
-    return _relocations(probe, candidates, _relocate_vswitch, "vswitch-swap", host, extra)
-
-
-def _relocate_vswitch(probe, req, a, vs_id, extra):
-    """Assignment a with one internal vSwitch moved to the nearest switch
-    with room, its vlinks re-routed, or None; edge vSwitch moves would drag
-    their whole VM group along and are not attempted."""
-    vs = req.vswitches[vs_id]
-    if vs.is_edge:
-        return None
-    old_host = a.vswitch_map[vs_id]
-    used = set(a.vswitch_map.values())
-    options = []
-    for sid in sorted(probe.net.switches):
-        if sid in used or sid in probe.down:
-            continue
-        if not vs.demand.le(probe.residual[sid] - extra.get(sid, ZERO)):
-            continue
-        options.append((probe.net.hop_distance(old_host, sid), sid))
-    options.sort()
-    for _, sid in options:
-        moved = Assignment(a.request_id, a.vm_map, {**a.vswitch_map, vs_id: sid}, a.vlink_map)
-        planned = dict(extra)
-        for vl in req.vlinks.values():
-            if vs_id not in (vl.a, vl.b):
-                continue
-            moved = _reroute_vlink(probe, req, moved, vl.id, planned)
-            if moved is None:
-                break
-            load = ResourceVector(bandwidth=vl.bandwidth)
-            for eid in probe.table.path(*moved.vlink_map[vl.id]).edges:
-                planned[eid] = planned.get(eid, ZERO) + load
-        else:
-            return moved
-    return None
-
-
-def _repair_link(probe, req, assignment, host, need, extra):
-    """Yield (assignment, move) re-routes of incumbent vlinks off a congested
-    link, then of the incoming request's own tentative vlinks, largest
-    first."""
-    candidates = []
-    for rid, a in probe.active.items():
-        if rid == req.id:
-            continue
-        for vl_id, key in a.vlink_map.items():
-            recs = probe.table.get(key[0], key[1])
-            if host in recs[key[2]].edges:
-                bw = probe.requests[rid].vlinks[vl_id].bandwidth
-                candidates.append((bw >= need.bandwidth, bw, rid, vl_id))
-    reroute = partial(_reroute_vlink, avoid=host)
-    yield from _relocations(probe, candidates, reroute, "vlink-reroute", host, extra)
-
-    own = []
-    for vl_id, key in assignment.vlink_map.items():
-        if host in probe.table.path(*key).edges:
-            own.append((req.vlinks[vl_id].bandwidth, vl_id))
-    own.sort(reverse=True)
-    for _, vl_id in own:
-        rerouted = _reroute_vlink(probe, req, assignment, vl_id, extra, avoid=host)
-        if rerouted is not None:
-            yield rerouted, SwapMove("vlink-reroute", req.id, vl_id, host, host)
 
 
 def try_online_embed(state: EmbeddingState, req: VdcRequest, swap_ceiling: int = 8):

@@ -29,8 +29,7 @@ class PathTable:
     of a path is stable across identically built tables.
     """
 
-    def __init__(self, max_len: int):
-        self.max_len = max_len
+    def __init__(self):
         self.paths: dict[tuple[str, str], list[PathRecord]] = {}
 
     def pairs(self):
@@ -87,7 +86,7 @@ def enumerate_paths(
         raise InvalidParameterError(f"max_len must be >= 1, got {max_len}")
     admit = pair_filter if pair_filter is not None else default_pair_filter(net)
 
-    table = PathTable(max_len)
+    table = PathTable()
     bucket: dict[tuple[str, str], list[PathRecord]] = {}
     link_by_id = net.links
 

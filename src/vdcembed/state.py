@@ -82,19 +82,25 @@ class EmbeddingState:
 
     # -- usage accounting ---------------------------------------------------
 
-    def usage(self, req: VdcRequest, a: Assignment) -> dict[str, ResourceVector]:
-        """Per-element load one assignment adds, keyed by server, switch and
-        link id; servers come first, then switches, then links."""
-        loads = [(pm, req.vms[vm_id].demand) for vm_id, pm in a.vm_map.items()]
-        loads += [(ps, req.vswitches[vs_id].demand) for vs_id, ps in a.vswitch_map.items()]
+    def loads(self, req: VdcRequest, a: Assignment) -> list[tuple[str, str, ResourceVector]]:
+        """(request element, substrate element, load) for every load one
+        assignment adds: VMs, then vSwitches, then each link of every vlink's
+        path."""
+        out = [(vm_id, pm, req.vms[vm_id].demand) for vm_id, pm in a.vm_map.items()]
+        out += [(vs_id, ps, req.vswitches[vs_id].demand) for vs_id, ps in a.vswitch_map.items()]
         for vl_id, (pa, pb, n) in a.vlink_map.items():
             recs = self.table.get(pa, pb)
             if not 0 <= n < len(recs):
                 continue  # reported as unknown-path by check_assignment
             load = ResourceVector(bandwidth=req.vlinks[vl_id].bandwidth)
-            loads += [(eid, load) for eid in recs[n].edges]
+            out += [(vl_id, eid, load) for eid in recs[n].edges]
+        return out
+
+    def usage(self, req: VdcRequest, a: Assignment) -> dict[str, ResourceVector]:
+        """Per-element load one assignment adds, keyed by server, switch and
+        link id; servers come first, then switches, then links."""
         out: dict[str, ResourceVector] = {}
-        for eid, load in loads:
+        for _, eid, load in self.loads(req, a):
             prev = out.get(eid)
             out[eid] = load if prev is None else prev + load
         return out

@@ -466,9 +466,6 @@ def generate_vdc_request(cfg: WorkloadConfig, arrival: float, rng_state: int | s
     tree_edges: list[tuple[int, int]] = []
     if n_vs == 1:
         edge_flags = [True]
-    elif n_vs == 2:
-        tree_edges = [(0, 1)]
-        edge_flags = [True, True]
     else:
         seq = [rng.randrange(n_vs) for _ in range(n_vs - 2)]
         tree_edges = _decode_pruefer(seq, n_vs)

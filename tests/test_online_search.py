@@ -492,3 +492,46 @@ class TestPinnedOutputs:
         assert any("SwapMove(" in o for o in outputs)
         digest = hashlib.sha256("\n".join(outputs).encode()).hexdigest()
         assert digest == PINNED_OUTPUTS_SHA256
+
+
+# sha256 of TestPinnedSwaps' outputs: a change to swap repair that alters
+# any candidate order, relocation or failure reason shows here
+PINNED_SWAPS_SHA256 = "57f20f972c2b3839ac3426b7dbe4243ef91f2c75ba0129d73d827bbc41c0c1a9"
+
+
+class TestPinnedSwaps:
+    def outputs(self):
+        """reprs of try_online_embed for each of 10 requests on 80 random
+        tight k=4 states (4-8 cores, 2,000-6,000 MB, switch memory 30-60,
+        thin or wide links, a failed link and server in every third state),
+        committing accepted results; states alternate between few large
+        VM groups and many small vSwitches, so VMs, vSwitches and vlinks
+        all get moved."""
+        rng = random.Random(5)
+        cfgs = (
+            WorkloadConfig(vm_count=(2, 12), vswitch_count=(2, 4)),
+            WorkloadConfig(vm_count=(2, 6), vswitch_count=(4, 8)),
+        )
+        for n in range(80):
+            cores, mem = rng.randint(4, 8), rng.randint(2000, 6000)
+            net = build_fat_tree(
+                4, server_capacity=ResourceVector(cpu_cores=cores, memory_mb=mem),
+                switch_memory=rng.randint(30, 60),
+                bandwidth_profile=rng.choice([(300, 150, 200), (10000, 1000, 1000)]),
+            )
+            state = fresh_state(net)
+            if n % 3 == 0:
+                state.mark_down([rng.choice(sorted(net.links)), rng.choice(sorted(net.servers))])
+            for i in range(10):
+                req = replace(generate_vdc_request(cfgs[n % 2], 0.0, rng.randrange(10**9)), id=f"r{i}")
+                result = try_online_embed(state, req)
+                yield repr(result)
+                if isinstance(result, OnlineResult):
+                    apply_online(state, req, result)
+
+    def test_outputs_unchanged(self):
+        outputs = list(self.outputs())
+        for kind in ("vm-swap", "vswitch-swap", "vlink-reroute"):
+            assert any(f"kind='{kind}'" in o for o in outputs), kind
+        digest = hashlib.sha256("\n".join(outputs).encode()).hexdigest()
+        assert digest == PINNED_SWAPS_SHA256

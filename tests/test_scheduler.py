@@ -272,6 +272,71 @@ class TestSimulationSteps:
             assert element not in rec.nodes + rec.edges
             sim.state.audit()
 
+    def test_failed_switch_moves_its_internal_vswitch(self):
+        sim = self.make_sim()
+        req = chain_request("r0", n_vswitches=3, duration=90.0)
+        sim.state.commit(
+            req,
+            Assignment(
+                "r0",
+                {"vm0": "s0", "vm1": "s2"},
+                {"vs0": "e0_0", "vs1": "a0_0", "vs2": "e0_1"},
+                {
+                    "vl0": ("e0_0", "a0_0", 0),
+                    "vl1": ("a0_0", "e0_1", 0),
+                    "vl2": ("e0_0", "s0", 0),
+                    "vl3": ("e0_1", "s2", 0),
+                },
+            ),
+        )
+        sim.status["r0"] = "accepted"
+        sim.accept_order.append("r0")
+        sim.process(SimEvent(1.0, 0, "failure", elements=("a0_0",)))
+        outcomes = [r.get("outcome") for r in sim.records if r.kind == "displaced"]
+        assert outcomes == ["repaired"]
+        moved = [
+            (r.get("kind"), r.get("element"), r.get("old"), r.get("new"))
+            for r in sim.records
+            if r.kind == "migration"
+        ]
+        # no path of at most four links joins e0_0 to a core switch of column
+        # 0 without a0_0, so vs1 goes to the other aggregation switch
+        assert moved == [
+            ("vswitch", "vs1", "a0_0", "a0_1"),
+            ("vlink", "vl0", "-", "-"),
+            ("vlink", "vl1", "-", "-"),
+        ]
+        a = sim.state.active["r0"]
+        assert (a.vlink_map["vl0"], a.vlink_map["vl1"]) == (("e0_0", "a0_1", 0), ("a0_1", "e0_1", 0))
+        sim.state.audit()
+
+    def test_failed_switch_under_an_edge_vswitch_requeues(self):
+        # vs1 is an edge vSwitch with no VMs; only its switch fails, and an
+        # edge vSwitch is not moved, so the request is requeued
+        sim = self.make_sim()
+        req = star_request("r0", duration=90.0)
+        req = replace(
+            req,
+            vswitches={**req.vswitches, "vs1": replace(req.vswitches["vs0"], id="vs1")},
+            vlinks={**req.vlinks, "vl1": VLink("vl1", "vs0", "vs1", 10)},
+        )
+        sim.state.commit(
+            req,
+            Assignment(
+                "r0",
+                {"vm0": "s0"},
+                {"vs0": "e0_0", "vs1": "e0_1"},
+                {"vl0": ("e0_0", "s0", 0), "vl1": ("e0_0", "e0_1", 0)},
+            ),
+        )
+        sim.status["r0"] = "accepted"
+        sim.accept_order.append("r0")
+        sim.process(SimEvent(1.0, 0, "failure", elements=("e0_1",)))
+        outcomes = [r.get("outcome") for r in sim.records if r.kind == "displaced"]
+        assert outcomes == ["requeued"]
+        assert not [r for r in sim.records if r.kind == "migration"]
+        sim.state.audit()
+
     def rack_sim(self, n_servers, cores):
         net = make_rack_net(n_servers, cores=cores)
         return Simulation(net, enumerate_paths(net), PolicyConfig())
