@@ -345,18 +345,14 @@ class _Search:
         return ok
 
     def _propagate(self, queue: list[int]) -> bool:
-        """Forcing pass; queue holds rows to scan. Returns False on conflict."""
+        """Forcing pass; queue holds rows to scan. Returns False on conflict.
+        A row is queued tight and conflict-free; later fixes only tighten it,
+        and a conflict they cause fails their own _fix first."""
         values = self.values
         m = self.m
         lo, hi, rhs, eq = self.row_lo, self.row_hi, m.row_rhs, m.row_eq
         while queue:
             r = queue.pop()
-            if lo[r] > rhs[r] or (eq[r] and hi[r] < rhs[r]):
-                return False
-            if (rhs[r] - lo[r]) >= self.row_maxabs[r] and not (
-                eq[r] and (hi[r] - rhs[r]) < self.row_maxabs[r]
-            ):
-                continue
             for v, c in zip(m.row_vars[r], m.row_coefs[r]):
                 if values[v] != -1:
                     continue

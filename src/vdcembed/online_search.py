@@ -7,13 +7,13 @@ and its edge switch, so the greedy unit for VMs is the rack choice per group.
 Capacity overflows are allowed and recorded; the repair stage then relocates
 already-mapped elements away from the overflowing hosts, a bounded number of
 times, preferring the cheapest sufficient incumbent and the nearest target.
-The same relocation routines repair an active request that a failure hit.
+The same relocation routine repairs an active request that a failure hit.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 from .errors import CommitRejectedError
@@ -250,52 +250,35 @@ def greedy_temp_map(
         vswitch_map[vs_id] = rack
         used_switches.add(rack)
 
-    # edge vswitches without VMs still need an edge-tier home
-    for vs_id in sorted(req.vswitches):
-        vs = req.vswitches[vs_id]
-        if vs.is_edge and vs_id not in vswitch_map:
-            candidates = [s for s in edge_switches if s not in used_switches]
-            if not candidates:
-                return StructuralFailure(f"no edge switch left for {vs_id}")
-            best = min(
-                candidates,
-                key=lambda s: (
-                    max(0, vs.demand.switch_memory - state.residual[s].switch_memory),
-                    s,
-                ),
-            )
-            vswitch_map[vs_id] = best
-            used_switches.add(best)
-
     neighbor_map: dict[str, list[str]] = {vs: [] for vs in req.vswitches}
     for vl in req.vlinks.values():
         if vl.a in req.vswitches and vl.b in req.vswitches:
             neighbor_map[vl.a].append(vl.b)
             neighbor_map[vl.b].append(vl.a)
 
-    for vs_id in sorted(req.vswitches):
+    # vSwitches without a VM group, edge ones (on the edge tier) first, then
+    # internal ones, each by id: least overflow, fewest hops to placed
+    # neighbours, then switch id
+    for vs_id in sorted(req.vswitches, key=lambda v: (not req.vswitches[v].is_edge, v)):
         if vs_id in vswitch_map:
             continue
         vs = req.vswitches[vs_id]
-        candidates = [
-            s for s in sorted(net.switches) if node_ok(s) and s not in used_switches
-        ]
-        if not candidates:
-            return StructuralFailure(f"no switch left for {vs_id}")
-        scored = []
-        for sid in candidates:
-            mem_free = state.residual[sid].switch_memory
-            over = max(0, vs.demand.switch_memory - mem_free)
-            over_norm = over / net.switches[sid].capacity.switch_memory
-            hop_sum = sum(
-                net.hop_distance(sid, vswitch_map[nb])
-                for nb in neighbor_map[vs_id]
-                if nb in vswitch_map
+        placed = [vswitch_map[nb] for nb in neighbor_map[vs_id] if nb in vswitch_map]
+        scored = [
+            (
+                max(0, vs.demand.switch_memory - state.residual[sid].switch_memory)
+                / net.switches[sid].capacity.switch_memory,
+                sum(net.hop_distance(sid, host) for host in placed),
+                sid,
             )
-            scored.append((over_norm, hop_sum, sid))
-        scored.sort()
-        vswitch_map[vs_id] = scored[0][2]
-        used_switches.add(scored[0][2])
+            for sid in (edge_switches if vs.is_edge else net.switches)
+            if node_ok(sid) and sid not in used_switches
+        ]
+        if not scored:
+            return StructuralFailure(f"no switch left for {vs_id}")
+        sid = min(scored)[2]
+        vswitch_map[vs_id] = sid
+        used_switches.add(sid)
 
     vlink_map: dict[str, tuple[str, str, int]] = {}
     path_load: dict[str, int] = {}  # no switch-switch path crosses a server
@@ -357,60 +340,44 @@ def _reroute_vlink(probe, req, a, vl_id, extra, avoid=None):
     return Assignment(a.request_id, a.vm_map, a.vswitch_map, {**a.vlink_map, vl_id: (pa, pb, n)})
 
 
-def _relocate_vm(probe, req, a, vm_id, extra):
-    """Assignment a with one VM moved to another server of its rack, nearest
-    first; None when no server has room.
+def _relocate(probe, req, a, element, extra):
+    """Assignment a with one VM or internal vSwitch moved to the nearest
+    host that is up and has room, ties by id, whose incident vlinks all
+    re-route; None when no host does.
 
-    The parent vSwitch stays put, so only servers under the same edge switch
-    qualify; locality and the server link's bandwidth are honoured. extra is
-    the usage map planned on top of the probe's residuals.
+    A VM stays among the servers of its rack inside its locality, since its
+    parent vSwitch stays put; an internal vSwitch takes a switch its request
+    does not use; an edge vSwitch would drag its whole VM group along and is
+    not moved. extra is the usage map planned on top of the probe's residuals.
     """
-    old_server = a.vm_map[vm_id]
-    demand = req.vms[vm_id].demand
-    vlink = req.uplinks[vm_id]
-    options = []
-    for sid in sorted(probe.net.servers_under(probe.net.edge_switch_of(old_server))):
-        key = probe.uplink(req, vm_id, sid)
-        if sid == old_server or key is None:
-            continue
-        if req.locality and vm_id in req.locality and sid not in req.locality[vm_id]:
-            continue
-        free = probe.residual[sid] - extra.get(sid, ZERO)
-        lid = probe.table.path(*key).edges[0]
-        link_free = probe.residual[lid].bandwidth - extra.get(lid, ZERO).bandwidth
-        if demand.le(free) and vlink.bandwidth <= link_free:
-            options.append((probe.net.hop_distance(old_server, sid), sid, key))
-    if not options:
-        return None
-    _, sid, key = min(options)
-    return Assignment(
-        a.request_id, {**a.vm_map, vm_id: sid}, a.vswitch_map, {**a.vlink_map, vlink.id: key}
+    net = probe.net
+    old = a.host_of(element)
+    if element in req.vms:
+        node = req.vms[element]
+        pool = net.servers_under(net.edge_switch_of(old))
+        allowed = (req.locality or {}).get(element)
+        pool = pool if allowed is None else [s for s in pool if s in allowed]
+        field = "vm_map"
+    else:
+        node = req.vswitches[element]
+        if node.is_edge:
+            return None
+        used = set(a.vswitch_map.values())
+        pool = [s for s in net.switches if s not in used]
+        field = "vswitch_map"
+    options = sorted(
+        (net.hop_distance(old, host), host)
+        for host in pool
+        if host != old
+        and host not in probe.down
+        and node.demand.le(probe.residual[host] - extra.get(host, ZERO))
     )
-
-
-def _relocate_vswitch(probe, req, a, vs_id, extra):
-    """Assignment a with one internal vSwitch moved to the nearest switch
-    with room, its vlinks re-routed, or None; edge vSwitch moves would drag
-    their whole VM group along and are not attempted."""
-    vs = req.vswitches[vs_id]
-    if vs.is_edge:
-        return None
-    old_host = a.vswitch_map[vs_id]
-    used = set(a.vswitch_map.values())
-    options = []
-    for sid in sorted(probe.net.switches):
-        if sid in used or sid in probe.down:
-            continue
-        if not vs.demand.le(probe.residual[sid] - extra.get(sid, ZERO)):
-            continue
-        options.append((probe.net.hop_distance(old_host, sid), sid))
-    options.sort()
-    for _, sid in options:
-        moved = Assignment(a.request_id, a.vm_map, {**a.vswitch_map, vs_id: sid}, a.vlink_map)
+    vlinks = [vl for vl in req.vlinks.values() if element in (vl.a, vl.b)]
+    for _, host in options:
+        moved = replace(a, **{field: {**getattr(a, field), element: host}})
         planned = dict(extra)
-        for vl in req.vlinks.values():
-            if vs_id not in (vl.a, vl.b):
-                continue
+        for vl in vlinks:
+            # a VM's uplink has one path, the one state.uplink names
             moved = _reroute_vlink(probe, req, moved, vl.id, planned)
             if moved is None:
                 break
@@ -426,24 +393,18 @@ def repair_displaced(state: EmbeddingState, req: VdcRequest) -> Assignment | Non
     """A new placement for an active request hit by a failure with only
     the elements on failed hardware moved, or None when that is impossible.
 
-    An internal vSwitch on a failed switch moves to the nearest switch with
-    room, its vlinks with it (an edge vSwitch there gives up), a VM whose
-    server or uplink failed moves within its rack, and a vlink over a
-    failed link or switch takes the first admissible path with room. Plans
-    on a copy of the state with the request released; planned loads are
-    the request's own usage, so unmoved elements count once.
+    A vSwitch on a failed switch and a VM whose server or uplink failed are
+    moved by _relocate (an edge vSwitch there gives up), then a vlink over
+    a failed link or switch takes the first admissible path with room.
+    Plans on a copy of the state with the request released; planned loads
+    are the request's own usage, so unmoved elements count once.
     """
     probe = state.copy()
     a = probe.release(req.id)
     down = probe.down
-    for vs_id, host in a.vswitch_map.items():
-        if host in down:
-            a = _relocate_vswitch(probe, req, a, vs_id, probe.usage(req, a))
-            if a is None:
-                return None
-    for vm_id, host in a.vm_map.items():
-        if probe.uplink(req, vm_id, host) is None:
-            a = _relocate_vm(probe, req, a, vm_id, probe.usage(req, a))
+    for element, host in [*a.vswitch_map.items(), *a.vm_map.items()]:
+        if host in down or (element in req.vms and probe.uplink(req, element, host) is None):
+            a = _relocate(probe, req, a, element, probe.usage(req, a))
             if a is None:
                 return None
     for vl_id, key in a.vlink_map.items():
@@ -516,8 +477,8 @@ def _relief(probe, req, assignment, host, need, extra):
     first, else the largest partial relief, ties by request and element;
     then the incoming request's own vlinks over it, largest first."""
     kind, relocate = {
-        "server": ("vm-swap", _relocate_vm),
-        "switch": ("vswitch-swap", _relocate_vswitch),
+        "server": ("vm-swap", _relocate),
+        "switch": ("vswitch-swap", _relocate),
         "link": ("vlink-reroute", partial(_reroute_vlink, avoid=host)),
     }[probe.net.kind(host)]
     cap = probe.net.capacity[host]

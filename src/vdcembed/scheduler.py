@@ -65,7 +65,6 @@ class PendingEntry:
     request: VdcRequest
     arrival_seq: int
     expiry: float
-    accepted_before: bool = False
 
     @property
     def size(self) -> float:
@@ -261,9 +260,8 @@ class Simulation:
         self.queue.remove(req.id)
         first_time = self.status.get(req.id) != "accepted"
         self.status[req.id] = "accepted"
-        if req.id not in self.accept_order:
-            self.accept_order.append(req.id)
         if first_time:
+            self.accept_order.append(req.id)
             self.emit("accept", now, request=req.id, vms=len(req.vms), via=via)
             self._schedule_departure(req, now)
         else:
@@ -271,20 +269,14 @@ class Simulation:
 
     def _requeue(self, req: VdcRequest, now: float):
         """Send an incumbent that lost its placement back to the queue."""
-        self.queue.add(
-            PendingEntry(
-                req,
-                arrival_seq=self.seq,
-                expiry=now + self.policy.patience,
-                accepted_before=True,
-            )
-        )
+        self.queue.add(PendingEntry(req, arrival_seq=self.seq, expiry=now + self.policy.patience))
 
     def _expire_due(self, now: float):
         for entry in self.queue.expired(now):
             rid = entry.request.id
             self.queue.remove(rid)
-            if entry.accepted_before:
+            # status stays "accepted" once set: a requeued incumbent is dropped
+            if self.status.get(rid) == "accepted":
                 self.emit("dropped", now, request=rid)
             else:
                 self.status[rid] = "expired"
@@ -517,8 +509,10 @@ class Simulation:
             self._carry_out([request_id], [(scaled, a)], now)
             self.emit("scale_up", now, request=request_id, outcome="in-place")
             return
-        # pin unchanged elements, let the scaled VMs move within their racks;
-        # every pin stays inside the request's own locality
+        # pin each unscaled VM to its server, let the scaled VMs move within
+        # their racks, all inside the request's own locality; vSwitches
+        # without VMs and vSwitch-vSwitch vlinks are not pinned, so greedy
+        # may re-place them
         scaled_ids = {vm_id for vm_id, _ in deltas}
         locality = {}
         for vm_id in scaled.vms:

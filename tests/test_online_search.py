@@ -109,6 +109,27 @@ class TestGreedy:
         assert temp.assignment.vm_map["vm0"] != "s0"
         assert k4_state.check_assignment(star_request("r0"), temp.assignment) == []
 
+    def test_groupless_edge_vswitch_goes_next_to_its_neighbour(self, k4_state):
+        # pod 0's servers are full, so vm0's group takes e1_0, the first rack
+        # by free share; vs0 has no VMs and takes the nearest free edge switch
+        for sid in ("s0", "s1", "s2", "s3"):
+            k4_state.residual[sid] = ResourceVector()
+        req = VdcRequest(
+            id="r0",
+            vms={"vm0": Vm("vm0", ResourceVector(cpu_cores=1, memory_mb=256))},
+            vswitches={
+                vs: VSwitch(vs, True, ResourceVector(switch_memory=10)) for vs in ("vs0", "vs1")
+            },
+            vlinks={"vl0": VLink("vl0", "vs0", "vs1", 10), "vl1": VLink("vl1", "vs1", "vm0", 10)},
+            arrival_time=0.0,
+            duration=10.0,
+        )
+        temp = greedy_temp_map(k4_state, req)
+        assert isinstance(temp, TempMapping) and temp.clean
+        a = temp.assignment
+        assert (a.vswitch_map, a.vm_map) == ({"vs1": "e1_0", "vs0": "e1_1"}, {"vm0": "s4"})
+        assert len(k4_state.table.path(*a.vlink_map["vl0"]).edges) == 2
+
     def test_skips_the_largest_share_rack_short_of_switch_memory(
         self, k4_state, overflow_over_calls
     ):

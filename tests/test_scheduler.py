@@ -1,5 +1,6 @@
 """Thresholds, mode selection, event handling, and full simulation runs."""
 
+import hashlib
 import random
 from dataclasses import replace
 
@@ -32,6 +33,7 @@ from vdcembed.topology import (
     VLink,
     WorkloadConfig,
     build_fat_tree,
+    poisson_arrivals,
     validate_substrate,
 )
 
@@ -663,6 +665,68 @@ class TestRun:
         migs = [r for r in rec if r.kind == "migration" and r.get("kind") == "vm"]
         for m in migs:
             assert m.get("old") != m.get("new")
+
+
+# sha256 of TestPinnedEvents' traces: a change to failure repair or scale-up
+# that alters any repair, requeue, relocation or migration shows here
+PINNED_EVENTS_SHA256 = "1c5302099cb4398bf1875bd97af35a4a586e92c781db8eb8c0775336d9811716"
+
+
+class TestPinnedEvents:
+    def traces(self):
+        """Traces of 16 online-only runs (seeds 0-15) on a tight k=4 tree
+        (8-core/6,000 MB servers, switch memory 60, thin links), each with 8
+        extra events alternating a failure (of a random switch, or of a random
+        server, switch or link) and a scale-up of vm0 by 2-5 cores and
+        500-3,000 MB on a request that arrived at least 5 time units earlier,
+        under the sweep policy with an audit after every event."""
+        net = build_fat_tree(
+            4, server_capacity=ResourceVector(cpu_cores=8, memory_mb=6000), switch_memory=60,
+            bandwidth_profile=(1000, 300, 400),
+        )
+        table = enumerate_paths(net)
+        policy = PolicyConfig(batch_width=3, solver_node_limit=500, remap_limit=4)
+        switches, elements = sorted(net.switches), sorted(net.capacity)
+        for seed in range(16):
+            cfg = WorkloadConfig(
+                vm_count=(4, 10), vswitch_count=(2, 5), duration=(100, 300), arrival_rate=6,
+                horizon=200, seed=seed,
+            )
+            rng = random.Random(seed)
+            arrivals = poisson_arrivals(cfg, cfg.arrival_rate, seed)
+            early = [r for r in arrivals if r.arrival_time <= 195]
+            events = []
+            for i in range(8):
+                if i % 2 == 0:
+                    element = rng.choice(switches if rng.random() < 0.5 else elements)
+                    events.append(SimEvent(rng.uniform(0, 200), i, "failure", elements=(element,)))
+                else:
+                    req = rng.choice(early)
+                    delta = ResourceVector(
+                        cpu_cores=rng.randint(2, 5), memory_mb=rng.randint(500, 3000)
+                    )
+                    events.append(
+                        SimEvent(
+                            rng.uniform(req.arrival_time + 5, 200), i, "scale_up",
+                            request_id=req.id, deltas=(("vm0", delta),),
+                        )
+                    )
+            yield run_simulation(
+                net, cfg, policy, run_mode="online-only", table=table, extra_events=tuple(events),
+                audit_every=1,
+            )
+
+    def test_traces_unchanged(self):
+        traces = list(self.traces())
+        records = [r for trace in traces for r in trace]
+        displaced = {r.get("outcome") for r in records if r.kind == "displaced"}
+        assert {"repaired", "requeued"} <= displaced
+        scale_ups = {r.get("outcome") for r in records if r.kind == "scale_up"}
+        assert {"in-place", "relocated", "rejected"} <= scale_ups
+        kinds = {r.get("kind") for r in records if r.kind == "migration"}
+        assert kinds == {"vm", "vswitch", "vlink"}
+        text = "".join(serialize_trace(trace) for trace in traces)
+        assert hashlib.sha256(text.encode()).hexdigest() == PINNED_EVENTS_SHA256
 
 
 class TestPolicyConfig:
