@@ -322,6 +322,25 @@ class _Search:
         self.trail: list[int] = []
         self.obj_acc = 0
         self.nodes = 0  # decisions and paths tried
+        # the bound's pending move penalty: per penalized element its vars by
+        # descending coefficient, their costs then 0, and a pointer to its
+        # first free var (past the end once placed); per request the sum of
+        # the pointed costs
+        coef = model.obj_coef
+        self.elem_req = [u for u, per in enumerate(model.penalized) for _ in per]
+        self.elem_vars = [
+            sorted(vis, key=lambda v: -coef[v]) for per in model.penalized for vis in per
+        ]
+        self.elem_cost = [[coef[v] for v in vis] + [0] for vis in self.elem_vars]
+        self.elem_of = [-1] * model.num_vars
+        for e, vis in enumerate(self.elem_vars):
+            for v in vis:
+                self.elem_of[v] = e
+        self.ptr = [0] * len(self.elem_vars)
+        self.pend = [0] * len(model.requests)
+        for e, u in enumerate(self.elem_req):
+            self.pend[u] += self.elem_cost[e][0]
+        self.ptr_trail: list[tuple[int, int, int]] = []  # (trail position, element, old pointer)
 
     def _fix(self, v: int, val: int) -> bool:
         values = self.values
@@ -330,6 +349,15 @@ class _Search:
         values[v] = val
         self.trail.append(v)
         self.obj_acc += self.m.obj_coef[v] * val
+        e = self.elem_of[v]
+        if e >= 0:
+            vis, p = self.elem_vars[e], self.ptr[e]
+            if p < len(vis) and (val or vis[p] == v):
+                self.ptr_trail.append((len(self.trail) - 1, e, p))
+                p = len(vis) if val else p
+                while p < len(vis) and values[vis[p]] != -1:
+                    p += 1
+                self._point(e, p)
         lo, hi, rhs, eq = self.row_lo, self.row_hi, self.m.row_rhs, self.m.row_eq
         ok = True
         for r, c in self.var_rows[v]:
@@ -407,6 +435,16 @@ class _Search:
                     hi[r] += c
                 else:
                     lo[r] += c
+        ptr_trail = self.ptr_trail
+        while ptr_trail and ptr_trail[-1][0] >= mark:
+            _, e, p = ptr_trail.pop()
+            self._point(e, p)
+
+    def _point(self, e: int, p: int):
+        """Move element e's pointer to p and its request's pending sum along."""
+        cost = self.elem_cost[e]
+        self.pend[self.elem_req[e]] += cost[p] - cost[self.ptr[e]]
+        self.ptr[e] = p
 
     def leaf(self, out_of_budget) -> dict[str, Assignment | None] | None:
         """Every request's assignment at a leaf, or None when its vlinks admit
@@ -471,36 +509,25 @@ class _Search:
         }
 
     def upper_bound(self) -> int:
-        """Scaled objective bound for any completion of the current fixing."""
+        """Scaled objective bound for any completion of the current fixing:
+        each request not ruled out adds its best pending move penalty, an
+        undecided one only when embedding it still gains."""
         ub = self.obj_acc
-        values = self.values
-        coef = self.m.obj_coef
-        scale = self.m.obj_scale
+        values, pend, scale = self.values, self.pend, self.m.obj_scale
         for u, zi in enumerate(self.m.z_of_request):
             zv = values[zi]
-            if zv == 0:
-                continue
-            pend = 0
-            for elem_vars in self.m.penalized[u]:
-                placed = False
-                best = None
-                for vi in elem_vars:
-                    s = values[vi]
-                    if s == 1:
-                        placed = True
-                        break
-                    if s == -1 and (best is None or coef[vi] > best):
-                        best = coef[vi]
-                if not placed and best is not None:
-                    pend += best
             if zv == 1:
-                ub += pend
-            else:
-                ub += max(0, scale + pend)
+                ub += pend[u]
+            elif zv == -1:
+                ub += max(0, scale + pend[u])
         return ub
 
 
-def solve_exact(model: MipModel, budget: SolveBudget | None = None) -> BatchSolution:
+def solve_exact(
+    model: MipModel,
+    budget: SolveBudget | None = None,
+    incumbent: dict[str, Assignment | None] | None = None,
+) -> BatchSolution:
     """Depth-first branch-and-bound; provably optimal when the search finishes.
 
     Variable order is static (per request: embed flag, then vSwitch and VM
@@ -510,6 +537,11 @@ def solve_exact(model: MipModel, budget: SolveBudget | None = None) -> BatchSolu
     routed (`_Search.leaf`); a leaf with no routing is infeasible. Each
     decision and each path tried counts as one node, so the search is
     deterministic for a given model and node budget.
+
+    incumbent, a feasible {request id: Assignment | None} that embeds some
+    request, starts the search: its objective, summed from the model's own
+    coefficients, prunes from the first node, and it is the result when no
+    leaf beats it.
     """
     budget = budget or SolveBudget()
     start = time.perf_counter()
@@ -518,6 +550,14 @@ def solve_exact(model: MipModel, budget: SolveBudget | None = None) -> BatchSolu
     values = search.values
 
     best: tuple[int, dict[str, Assignment | None]] | None = None  # (scaled objective, maps)
+    if incumbent and any(a is not None for a in incumbent.values()):
+        chosen = (
+            coef
+            for info, coef in zip(model.vars, model.obj_coef)
+            if (a := incumbent.get(info.request_id)) is not None
+            and (info.kind == KIND_Z or a.host_of(info.element_id) == info.host)
+        )
+        best = (sum(chosen), incumbent)
 
     def out_of_budget() -> bool:
         return search.nodes >= budget.node_limit or (
@@ -560,35 +600,36 @@ def solve_exact(model: MipModel, budget: SolveBudget | None = None) -> BatchSolu
 
 @dataclass
 class CommitPlan:
-    """Releases and commits that realize a batch solution on the live state."""
+    """Releases and commits that realize a batch decision on the live state."""
 
     releases: list[str]
     commits: list[tuple[VdcRequest, Assignment]]
-    requeue: list[str]  # remappable actives the solution un-embedded
+    requeue: list[str]  # actives the decision un-embedded
 
 
-def extract_assignments(sol: BatchSolution, state: EmbeddingState) -> CommitPlan:
-    """Turn a solution into an apply-able plan against the state it was built from."""
-    if sol.model.state_version != state.version:
-        raise StaleSnapshotError(
-            f"state version {state.version} != model version {sol.model.state_version}"
-        )
+def extract_assignments(
+    requests: list[VdcRequest],
+    embedded: dict[str, Assignment | None],
+    state: EmbeddingState,
+    version: int,
+) -> CommitPlan:
+    """Turn a batch decision, {request id: Assignment | None} for requests
+    decided on the state at version, into an apply-able plan: a request
+    active there is kept, re-placed or released and requeued, and any other
+    placed request is committed."""
+    if version != state.version:
+        raise StaleSnapshotError(f"state version {state.version} != decision version {version}")
     releases: list[str] = []
     commits: list[tuple[VdcRequest, Assignment]] = []
     requeue: list[str] = []
-    by_id = {req.id: req for req in sol.model.requests}
-    for rid, old in sol.model.remappable.items():
-        new = sol.embedded.get(rid)
-        if new is None:
-            releases.append(rid)
-            requeue.append(rid)
-        elif new != old:
-            releases.append(rid)
-            commits.append((by_id[rid], new))
-    for req in sol.model.requests:
-        if req.id in sol.model.remappable:
+    for req in requests:
+        old, new = state.active.get(req.id), embedded.get(req.id)
+        if new == old:
             continue
-        a = sol.embedded.get(req.id)
-        if a is not None:
-            commits.append((req, a))
+        if old is not None:
+            releases.append(req.id)
+            if new is None:
+                requeue.append(req.id)
+        if new is not None:
+            commits.append((req, new))
     return CommitPlan(releases, commits, requeue)

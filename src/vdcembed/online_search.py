@@ -7,7 +7,8 @@ and its edge switch, so the greedy unit for VMs is the rack choice per group.
 Capacity overflows are allowed and recorded; the repair stage then relocates
 already-mapped elements away from the overflowing hosts, a bounded number of
 times, preferring the cheapest sufficient incumbent and the nearest target.
-The same relocation routine repairs an active request that a failure hit.
+The same relocation routine repairs an active request that a failure hit,
+and greedy alone gives a batch pass its first answer.
 """
 
 from __future__ import annotations
@@ -317,6 +318,34 @@ def greedy_temp_map(
     if structural:
         return StructuralFailure(f"unexpected structural finding: {structural[0]}")
     return TempMapping(assignment, tuple(findings))
+
+
+def plan_batch(
+    state: EmbeddingState, candidates: list[VdcRequest], remappable: list[str], re_place: bool
+) -> dict[str, Assignment | None]:
+    """A greedy answer to a batch pass: {request id: Assignment | None} for
+    the remappable actives, then the candidates, planned on a copy of state.
+
+    With re_place the remappables are released and re-placed first, with no
+    regard for their previous hosts; otherwise they stay where they are,
+    which needs their placements valid on state, as a live state's are.
+    Each request then takes its greedy mapping when that is clean,
+    committed to the copy before the next, and None when it is not.
+    """
+    probe = state.copy()
+    plan: dict[str, Assignment | None] = {rid: probe.active[rid] for rid in remappable}
+    requests = list(candidates)
+    if re_place:
+        requests = [probe.requests[rid] for rid in remappable] + requests
+        for rid in remappable:
+            probe.release(rid)
+    for req in requests:
+        temp = greedy_temp_map(probe, req)
+        clean = isinstance(temp, TempMapping) and temp.clean
+        plan[req.id] = temp.assignment if clean else None
+        if clean:
+            probe.commit(req, temp.assignment)
+    return plan
 
 
 def _reroute_vlink(probe, req, a, vl_id, extra, avoid=None):

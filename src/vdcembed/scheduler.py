@@ -18,7 +18,13 @@ from fractions import Fraction
 from .batch_solver import SolveBudget, build_mip, extract_assignments, solve_exact
 from .errors import ConfigError, InvalidParameterError
 from .metrics import TraceRecord
-from .online_search import OnlineResult, compute_fragments, repair_displaced, try_online_embed
+from .online_search import (
+    OnlineResult,
+    compute_fragments,
+    plan_batch,
+    repair_displaced,
+    try_online_embed,
+)
 from .paths import PathTable, enumerate_paths
 from .state import EmbeddingState
 from .topology import (
@@ -362,31 +368,46 @@ class Simulation:
         candidates = self._batch_candidates()
         if not candidates:
             return False
+        version = self.state.version
+        remappable = self._remappable()
+        requests = [self.state.requests[rid] for rid in remappable] + candidates
         # the stand-alone MIP baseline re-places actives with no regard for
         # their previous hosts; the hybrid's batch calls stay migration-aware
-        model = build_mip(
-            self.state,
-            candidates,
-            remappable=self._remappable(),
-            switch_penalty_divisor=self.policy.switch_penalty_divisor,
-            vm_move_weighting=self.policy.vm_move_weighting,
-            migration_aware=self.run_mode != RUN_BATCH_ONLY,
-        )
-        budget = SolveBudget(self.policy.solver_node_limit, self.policy.solver_wall_ms)
-        sol = solve_exact(model, budget)
-        if sol.status == "no-solution":
-            self.emit("decision", now, mode=MODE_BATCH, batch=len(candidates), outcome="no-solution")
-            return False
-        plan = extract_assignments(sol, self.state)
-        by_id = {req.id: req for req in model.requests}
+        re_place = self.run_mode == RUN_BATCH_ONLY
+        embedded = plan_batch(self.state, candidates, remappable, re_place)
+        if all(a is not None for a in embedded.values()):
+            # the objective's bound, one per request: the hybrid's plan moves
+            # no element and the baseline's moves are unpriced
+            via, nodes, objective, optimal = "plan", 0, len(requests), True
+        else:
+            model = build_mip(
+                self.state,
+                candidates,
+                remappable=remappable,
+                switch_penalty_divisor=self.policy.switch_penalty_divisor,
+                vm_move_weighting=self.policy.vm_move_weighting,
+                migration_aware=not re_place,
+            )
+            budget = SolveBudget(self.policy.solver_node_limit, self.policy.solver_wall_ms)
+            sol = solve_exact(model, budget, incumbent=embedded)
+            if sol.status == "no-solution":
+                self.emit(
+                    "decision", now, mode=MODE_BATCH, batch=len(candidates),
+                    outcome="no-solution", via="search", nodes=sol.nodes,
+                )
+                return False
+            embedded = sol.embedded
+            via, nodes, objective, optimal = "search", sol.nodes, sol.objective, sol.optimal
+        plan = extract_assignments(requests, embedded, self.state, version)
         self._carry_out(plan.releases, plan.commits, now)
         accepted = 0
         for req in candidates:
-            if sol.embedded.get(req.id) is not None:
+            if embedded.get(req.id) is not None:
                 self._accept(req, now, via=MODE_BATCH)
                 accepted += 1
+        by_id = {req.id: req for req in requests}
         for rid in plan.requeue:
-            # the solver un-embedded an active request: back to the queue
+            # the pass un-embedded an active request: back to the queue
             self._requeue(by_id[rid], now)
             self.emit("unembedded", now, request=rid)
         self.emit(
@@ -395,8 +416,10 @@ class Simulation:
             mode=MODE_BATCH,
             batch=len(candidates),
             outcome=f"accepted-{accepted}",
-            objective=str(sol.objective),
-            optimal=str(sol.optimal).lower(),
+            objective=str(objective),
+            optimal=str(optimal).lower(),
+            via=via,
+            nodes=nodes,
         )
         return accepted > 0
 

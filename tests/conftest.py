@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+from fractions import Fraction
+
 import pytest
 
 ACCEPTANCE_RESULTS: list[tuple[str, bool]] = []
@@ -17,6 +20,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         for name, ok in ACCEPTANCE_RESULTS:
             terminalreporter.write_line(("PASS  " if ok else "FAIL  ") + name)
 
+from vdcembed.batch_solver import build_mip, extract_assignments, solve_exact
 from vdcembed.paths import enumerate_paths
 from vdcembed.state import EmbeddingState
 from vdcembed.topology import (
@@ -115,6 +119,74 @@ def chain_request(rid, n_vswitches=2, vms_per_switch=1, cores=1, mem=256,
         latency_bound=latency_bound,
         locality=locality,
     )
+
+
+def _tiny_request(rng, rid):
+    kind = rng.choice(["star1", "star1", "star2", "chain"])
+    if kind == "star1":
+        return star_request(
+            rid,
+            n_vms=1,
+            cores=rng.randint(1, 5),
+            mem=rng.choice([256, 6000, 12000]),
+            vswitch_mem=rng.randint(5, 60),
+            vlink_bw=rng.choice([10, 300, 800]),
+        )
+    if kind == "star2":
+        return star_request(
+            rid,
+            n_vms=2,
+            cores=rng.randint(1, 4),
+            mem=rng.choice([256, 6000]),
+            vswitch_mem=rng.randint(5, 60),
+            vlink_bw=rng.choice([10, 300]),
+        )
+    return chain_request(
+        rid,
+        n_vswitches=2,
+        vms_per_switch=1,
+        cores=rng.randint(1, 4),
+        vswitch_mem=rng.randint(5, 60),
+        vlink_bw=rng.choice([10, 300, 800]),
+        latency_bound=rng.choice([None, None, 4, 2]),
+    )
+
+
+def exactness_instances(net, table):
+    """The 200 fuzzed batch instances of at most 30 vars that the exactness
+    criterion checks against enumeration: (state, candidates, model,
+    migration). About a third re-decide an active "act" that the state
+    holds; migration then maps it to its placement and VM weights, else it
+    is None."""
+    rng = random.Random(909090)
+    checked = 0
+    while checked < 200:
+        state = EmbeddingState(net, table)
+        migration = None
+        remappable = []
+        if rng.random() < 0.35:
+            active = _tiny_request(rng, "act")
+            sol0 = solve_exact(build_mip(state, [active]))
+            if sol0.embedded["act"] is not None:
+                plan = extract_assignments([active], sol0.embedded, state, state.version)
+                state.apply(plan.releases, plan.commits)
+                remappable = ["act"]
+                max_mem = max(vm.demand.memory_mb for vm in active.vms.values())
+                weights = {
+                    vm_id: Fraction(vm.demand.memory_mb, max_mem)
+                    for vm_id, vm in active.vms.items()
+                }
+                migration = {"act": (state.active["act"], weights)}
+
+        requests = [_tiny_request(rng, f"r{i}") for i in range(rng.randint(1, 3))]
+        model = build_mip(state, requests, remappable=remappable)
+        while model.num_vars > 30 and len(requests) > 1:
+            requests = requests[:-1]
+            model = build_mip(state, requests, remappable=remappable)
+        if model.num_vars > 30:
+            continue
+        yield state, requests, model, migration
+        checked += 1
 
 
 @pytest.fixture(scope="session")

@@ -7,16 +7,15 @@ summary. The arrival-rate sweep (criteria 2-4) takes about ten seconds.
 import random
 import time
 from dataclasses import replace
-from fractions import Fraction
 
 import pytest
 
-from conftest import chain_request, record_criterion, star_request
+from conftest import exactness_instances, record_criterion
 from oracles import best_joint_objective, simple_paths_dfs, random_switch_graph
 from vdcembed.batch_solver import build_mip, extract_assignments, solve_exact
 from vdcembed.cli import main as cli_main
 from vdcembed.metrics import aggregate
-from vdcembed.online_search import OnlineResult, try_online_embed
+from vdcembed.online_search import OnlineResult, plan_batch, try_online_embed
 from vdcembed.paths import enumerate_paths
 from vdcembed.scheduler import PolicyConfig, run_simulation
 from vdcembed.state import EmbeddingState
@@ -31,76 +30,22 @@ def _verdict(name, ok):
 # --- criterion 1: exactness against exhaustive enumeration --------------------
 
 
-def _tiny_request(rng, rid):
-    kind = rng.choice(["star1", "star1", "star2", "chain"])
-    if kind == "star1":
-        return star_request(
-            rid,
-            n_vms=1,
-            cores=rng.randint(1, 5),
-            mem=rng.choice([256, 6000, 12000]),
-            vswitch_mem=rng.randint(5, 60),
-            vlink_bw=rng.choice([10, 300, 800]),
-        )
-    if kind == "star2":
-        return star_request(
-            rid,
-            n_vms=2,
-            cores=rng.randint(1, 4),
-            mem=rng.choice([256, 6000]),
-            vswitch_mem=rng.randint(5, 60),
-            vlink_bw=rng.choice([10, 300]),
-        )
-    return chain_request(
-        rid,
-        n_vswitches=2,
-        vms_per_switch=1,
-        cores=rng.randint(1, 4),
-        vswitch_mem=rng.randint(5, 60),
-        vlink_bw=rng.choice([10, 300, 800]),
-        latency_bound=rng.choice([None, None, 4, 2]),
-    )
-
-
 def test_exactness_oracle(k2_net, k2_table):
-    rng = random.Random(909090)
     started = time.perf_counter()
     checked = 0
-    while checked < 200:
-        state = EmbeddingState(k2_net, k2_table)
-        migration = None
-        remappable = []
-        if rng.random() < 0.35:
-            active = _tiny_request(rng, "act")
-            sol0 = solve_exact(build_mip(state, [active]))
-            if sol0.embedded["act"] is not None:
-                plan = extract_assignments(sol0, state)
-                for rel in plan.releases:
-                    state.release(rel)
-                for req_obj, a in plan.commits:
-                    state.commit(req_obj, a)
-                remappable = ["act"]
-                max_mem = max(vm.demand.memory_mb for vm in active.vms.values())
-                weights = {
-                    vm_id: Fraction(vm.demand.memory_mb, max_mem)
-                    for vm_id, vm in active.vms.items()
-                }
-                migration = {"act": (state.active["act"], weights)}
-
-        requests = [_tiny_request(rng, f"r{i}") for i in range(rng.randint(1, 3))]
-        model = build_mip(state, requests, remappable=remappable)
-        while model.num_vars > 30 and len(requests) > 1:
-            requests = requests[:-1]
-            model = build_mip(state, requests, remappable=remappable)
-        if model.num_vars > 30:
-            continue
+    for state, requests, model, migration in exactness_instances(k2_net, k2_table):
         sol = solve_exact(model)
         assert sol.optimal, "search must exhaust on tiny instances"
-        oracle_requests = requests + ([state.requests["act"]] if remappable else [])
+        oracle_requests = requests + ([state.requests["act"]] if migration else [])
         expect = best_joint_objective(
             k2_net, k2_table, oracle_requests, migration=migration
         )
         assert sol.objective == expect, f"instance {checked}: {sol.objective} != {expect}"
+        # the same optimum from the greedy plan a scheduler pass starts from,
+        # the active kept in place or re-placed
+        plan = plan_batch(state, requests, list(model.remappable), re_place=checked % 2 == 1)
+        from_plan = solve_exact(model, incumbent=plan)
+        assert from_plan.objective == expect, f"instance {checked} from the plan"
         checked += 1
     elapsed = time.perf_counter() - started
     _verdict(
@@ -294,7 +239,9 @@ def test_optional_constraints_honored(k4_net, k4_table):
             sol = solve_exact(build_mip(state, [req]))
             assignment = sol.embedded.get(req.id)
             if assignment is not None:
-                plan = extract_assignments(sol, state)
+                plan = extract_assignments(
+                    sol.model.requests, sol.embedded, state, sol.model.state_version
+                )
                 for rel in plan.releases:
                     state.release(rel)
                 for obj, a in plan.commits:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import chain_request, make_rack_net, star_request
+from conftest import chain_request, exactness_instances, make_rack_net, star_request
 from oracles import best_joint_objective, hop_distance_bfs, recheck_embedding
 from vdcembed.batch_solver import (
     KIND_W,
@@ -19,6 +19,7 @@ from vdcembed.batch_solver import (
     solve_exact,
 )
 from vdcembed.errors import InvalidParameterError, StaleSnapshotError
+from vdcembed.online_search import plan_batch
 from vdcembed.paths import admissible, enumerate_paths
 from vdcembed.state import EmbeddingState
 from vdcembed.topology import (
@@ -50,6 +51,55 @@ def tight_k4(racks=("e0_0",)):
 
 def apply_plan(state, plan):
     state.apply(plan.releases, plan.commits)
+
+
+def plan_of(sol, state):
+    """The commit plan of a solution against the state its model was built on."""
+    return extract_assignments(sol.model.requests, sol.embedded, state, sol.model.state_version)
+
+
+def plan_for(state, model, re_place=False):
+    """plan_batch's answer to the pass a model encodes."""
+    n = len(model.remappable)
+    return plan_batch(state, model.requests[n:], list(model.remappable), re_place)
+
+
+def rescanned_bound(search):
+    """_Search.upper_bound recomputed by a full rescan of every penalized
+    var: a request not ruled out adds, per element not yet placed, the best
+    coefficient among its free vars; an undecided one only when it gains."""
+    m, values = search.m, search.values
+    ub = search.obj_acc
+    for u, zi in enumerate(m.z_of_request):
+        if values[zi] == 0:
+            continue
+        pend = sum(
+            max((m.obj_coef[v] for v in vis if values[v] == -1), default=0)
+            for vis in m.penalized[u]
+            if all(values[v] != 1 for v in vis)
+        )
+        ub += pend if values[zi] == 1 else max(0, m.obj_scale + pend)
+    return ub
+
+
+@pytest.fixture
+def bound_checks(monkeypatch):
+    """Check the incremental bound against the rescan after every decision
+    and every undo; the list returned grows by one per check."""
+    checks = []
+
+    def checked(method):
+        def run(search, *args):
+            out = method(search, *args)
+            assert search.upper_bound() == rescanned_bound(search)
+            checks.append(search.nodes)
+            return out
+
+        return run
+
+    monkeypatch.setattr(_Search, "decide", checked(_Search.decide))
+    monkeypatch.setattr(_Search, "undo_to", checked(_Search.undo_to))
+    return checks
 
 
 def vars_of_kind(model, kind):
@@ -116,7 +166,7 @@ class TestBuildMip:
         remappable = []
         if remap:
             r0 = star_request("r0", n_vms=2, cores=2, mem=4096)
-            apply_plan(k2_state, extract_assignments(solve_exact(build_mip(k2_state, [r0])), k2_state))
+            apply_plan(k2_state, plan_of(solve_exact(build_mip(k2_state, [r0])), k2_state))
             remappable = ["r0"]
         req = star_request("r1", n_vms=2, cores=3)
         model = build_mip(k2_state, [req], remappable=remappable)
@@ -166,7 +216,7 @@ class TestBuildMip:
             replace(generate_vdc_request(cfg, 0.0, f"vr/{k}/{i}"), id=f"r{i}") for i in range(6)
         ]
         for req in reqs[:3]:
-            apply_plan(state, extract_assignments(solve_exact(build_mip(state, [req])), state))
+            apply_plan(state, plan_of(solve_exact(build_mip(state, [req])), state))
         assert state.active
         state.mark_down([rng.choice(sorted(net.servers)), rng.choice(sorted(net.links))])
         model = build_mip(state, reqs[3:], remappable=sorted(state.active))
@@ -196,7 +246,7 @@ class TestSolveExact:
         sol = solve_exact(build_mip(k2_state, [req]))
         assert sol.status == "optimal" and sol.optimal
         assert sol.objective == 1
-        plan = extract_assignments(sol, k2_state)
+        plan = plan_of(sol, k2_state)
         apply_plan(k2_state, plan)
         k2_state.audit()
 
@@ -215,6 +265,40 @@ class TestSolveExact:
         sol = solve_exact(model, SolveBudget(node_limit=0))
         assert sol.status == "no-solution"
         assert sol.objective is None and not sol.optimal
+
+    def test_budget_zero_returns_the_start_incumbent(self):
+        net = make_rack_net(n_servers=1, cores=8)
+        state = fresh_state(net)
+        reqs = [star_request("r0", cores=5), star_request("r1", cores=5)]
+        model = build_mip(state, reqs)
+        plan = plan_for(state, model)
+        assert plan["r0"] is not None and plan["r1"] is None
+        sol = solve_exact(model, SolveBudget(node_limit=0), incumbent=plan)
+        assert sol.status == "incumbent" and sol.embedded is plan
+        assert (sol.objective, sol.nodes) == (1, 0)
+
+    def test_start_incumbent_at_the_root_bound_is_optimal(self, k2_state):
+        reqs = [star_request("r0"), star_request("r1", cores=2)]
+        model = build_mip(k2_state, reqs)
+        plan = plan_for(k2_state, model)
+        sol = solve_exact(model, incumbent=plan)
+        assert (sol.status, sol.nodes, sol.objective) == ("optimal", 0, 2)
+        assert sol.embedded is plan
+
+    def test_incremental_bound_matches_a_rescan(self, k2_net, k2_table, k4_table, bound_checks):
+        """The search's bound equals a full rescan of the penalized vars after
+        every decision and undo, on the exactness instances that re-decide an
+        active (from scratch and from the plan, the active kept or re-placed)
+        and on the thin-link trials, whose actives may sit on failed
+        hardware (from scratch and from the plan that re-places them)."""
+        for state, _, model, migration in exactness_instances(k2_net, k2_table):
+            if migration:
+                for plan in (None, plan_for(state, model), plan_for(state, model, True)):
+                    solve_exact(model, incumbent=plan)
+        for state, model in thin_link_models(k4_table):
+            for plan in (None, plan_for(state, model, True)):
+                solve_exact(model, incumbent=plan)
+        assert len(bound_checks) > 10_000
 
     def test_deterministic(self, k2_state):
         reqs = [star_request("r0", n_vms=2), star_request("r1", n_vms=2, cores=2)]
@@ -280,7 +364,7 @@ class TestSolveExact:
                 assert sol.optimal, f"trial {trial} not exhausted"
                 expect = best_joint_objective(net, table, reqs)
                 assert sol.objective == expect, f"trial {trial}"
-                plan = extract_assignments(sol, state)
+                plan = plan_of(sol, state)
                 apply_plan(state, plan)
                 placed = [(state.requests[r], state.active[r]) for r in state.active]
                 assert recheck_embedding(net, table, placed) == []
@@ -324,7 +408,7 @@ class TestLeafRouting:
         # r0 gave up path 0 so that r1 fits there
         assert sol.embedded["r0"].vlink_map["vl0"] == ("e0_0", "e0_1", 1)
         assert sol.embedded["r1"].vlink_map["vl0"] == ("e0_0", "e0_1", 0)
-        apply_plan(state, extract_assignments(sol, state))
+        apply_plan(state, plan_of(sol, state))
         placed = [(state.requests[r], state.active[r]) for r in state.active]
         assert recheck_embedding(state.net, k4_table, placed) == []
 
@@ -358,7 +442,7 @@ class TestMigrationAwareness:
         state = EmbeddingState(k2_net, k2_table)
         r0 = star_request("r0", cores=2)
         sol0 = solve_exact(build_mip(state, [r0]))
-        apply_plan(state, extract_assignments(sol0, state))
+        apply_plan(state, plan_of(sol0, state))
         old = state.active["r0"]
 
         r1 = star_request("r1", cores=2)
@@ -386,7 +470,7 @@ class TestMigrationAwareness:
         vms["vm1"] = Vm("vm1", ResourceVector(cpu_cores=2, memory_mb=8192))
         object.__setattr__(r0, "vms", vms)
         sol0 = solve_exact(build_mip(state, [r0]))
-        apply_plan(state, extract_assignments(sol0, state))
+        apply_plan(state, plan_of(sol0, state))
         assert len(set(state.active["r0"].vm_map.values())) == 2
         # drop the pins so the re-solve may consolidate r0
         unpinned = star_request("r0", n_vms=2, cores=2)
@@ -417,7 +501,7 @@ class TestMigrationAwareness:
             sol0 = solve_exact(build_mip(state, [r0]))
             if sol0.embedded["r0"] is None:
                 continue
-            apply_plan(state, extract_assignments(sol0, state))
+            apply_plan(state, plan_of(sol0, state))
             old = state.active["r0"]
             r1 = star_request("r1", n_vms=1, cores=rng.randint(1, 6))
             f = Fraction(2)
@@ -440,13 +524,13 @@ class TestMigrationAwareness:
         net = make_rack_net(n_servers=1, cores=8)
         state = fresh_state(net)
         r0 = star_request("r0", cores=5)
-        apply_plan(state, extract_assignments(solve_exact(build_mip(state, [r0])), state))
+        apply_plan(state, plan_of(solve_exact(build_mip(state, [r0])), state))
         r1 = star_request("r1", cores=4)
         r2 = star_request("r2", cores=4)
         sol = solve_exact(build_mip(state, [r1, r2], remappable=["r0"]))
         assert sol.optimal
         assert sol.embedded["r0"] is None  # dropping one to embed two wins
-        plan = extract_assignments(sol, state)
+        plan = plan_of(sol, state)
         assert plan.requeue == ["r0"]
         apply_plan(state, plan)
         assert set(state.active) == {"r1", "r2"}
@@ -462,7 +546,7 @@ class TestMigrationAwareness:
             ),
         )
         with pytest.raises(StaleSnapshotError):
-            extract_assignments(sol, k2_state)
+            plan_of(sol, k2_state)
 
 
 def highs_objective(model):
@@ -536,8 +620,8 @@ def highs_objective(model):
 
 
 def thin_link_models(k4_table, wide=False):
-    """The models of eight trials of a few hundred vars on a tight k=4,
-    beyond brute force: remappable actives, a failed server and link,
+    """The (state, model) pairs of eight trials of a few hundred vars on a
+    tight k=4, beyond brute force: remappable actives, a failed server and link,
     latency bounds, locality and thin (300 or 1000) switch-switch links.
     With wide, each trial's model is rebuilt on the same state with every
     switch-switch link widened to 10**6."""
@@ -557,7 +641,7 @@ def thin_link_models(k4_table, wide=False):
                          vswitch_mem=rng.randint(5, 30), vlink_bw=rng.choice([10, 300]))
             for i in range(2)
         ]
-        apply_plan(state, extract_assignments(solve_exact(build_mip(state, actives)), state))
+        apply_plan(state, plan_of(solve_exact(build_mip(state, actives)), state))
         assert state.active
         state.mark_down([rng.choice(servers[2:]), rng.choice(sorted(net.links))])
         candidates = [
@@ -580,7 +664,7 @@ def thin_link_models(k4_table, wide=False):
                 widened.commit(state.requests[rid], a)
             widened.mark_down(state.down)
             state = widened
-        yield build_mip(state, candidates, remappable=sorted(state.active))
+        yield state, build_mip(state, candidates, remappable=sorted(state.active))
 
 
 class TestSecondOracle:
@@ -591,12 +675,15 @@ class TestSecondOracle:
         pytest.importorskip("scipy")
         sizes, binding = [], 0
         trials = zip(thin_link_models(k4_table), thin_link_models(k4_table, wide=True))
-        for trial, (model, wide) in enumerate(trials):
+        for trial, ((state, model), (_, wide)) in enumerate(trials):
             sizes.append(model.num_vars)
             sol = solve_exact(model)
             assert sol.optimal, f"trial {trial} not exhausted"
             optimum = highs_objective(model)
             assert sol.objective * model.obj_scale == optimum, f"trial {trial}"
+            # the actives may sit on failed hardware: the plan re-places them
+            started = solve_exact(model, incumbent=plan_for(state, model, True))
+            assert started.optimal and started.objective == sol.objective, f"trial {trial}"
             binding += highs_objective(wide) > optimum
         assert min(sizes) > 100
         assert binding > 0
@@ -605,5 +692,5 @@ class TestSecondOracle:
         """Host pairs that no path with room joins are ruled out in the
         model, so the search does not re-place VMs below them: the eight
         thin-link trials take under 20,000 nodes in all."""
-        nodes = [solve_exact(model).nodes for model in thin_link_models(k4_table)]
+        nodes = [solve_exact(model).nodes for _, model in thin_link_models(k4_table)]
         assert sum(nodes) < 20_000, nodes

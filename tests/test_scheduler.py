@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 
 from conftest import chain_request, make_rack_net, star_request
+from vdcembed import scheduler
 from vdcembed.errors import ConfigError
 from vdcembed.metrics import aggregate, serialize_trace
 from vdcembed.online_search import OnlineResult, SwapMove
@@ -160,6 +161,38 @@ class TestSimulationSteps:
         assert len(batch_decisions) == 1
         assert batch_decisions[0].get("batch") == "3"
         assert len(sim.state.active) == 3
+
+    def test_plan_that_embeds_everything_answers_the_pass(self, monkeypatch):
+        def unused(*args, **kwargs):
+            raise AssertionError("the pass built a model")
+
+        monkeypatch.setattr(scheduler, "build_mip", unused)
+        sim = self.make_sim(PolicyConfig(batch_width=8, batch_min_pending=2))
+        for i in range(3):
+            sim.queue.add(PendingEntry(star_request(f"r{i}", n_vms=2), arrival_seq=i, expiry=100.0))
+        sim._drain(0.0)
+        (decision,) = [r for r in sim.records if r.kind == "decision"]
+        assert dict(decision.fields) == {
+            "mode": "batch", "batch": "3", "outcome": "accepted-3", "objective": "3",
+            "optimal": "true", "via": "plan", "nodes": "0",
+        }
+        assert len(sim.state.active) == 3
+
+    @pytest.mark.parametrize("node_limit, optimal", [(0, "false"), (20000, "true")])
+    def test_search_starts_from_the_plan(self, node_limit, optimal):
+        # two 8-core servers, three 5-core requests that fit the aggregate:
+        # the plan embeds two, and the search keeps them, even with no node
+        # to spend
+        net = make_rack_net(n_servers=2, cores=8)
+        policy = PolicyConfig(batch_min_pending=1, solver_node_limit=node_limit)
+        sim = Simulation(net, enumerate_paths(net), policy, run_mode="batch-only")
+        for i in range(3):
+            sim.queue.add(PendingEntry(star_request(f"r{i}", cores=5), arrival_seq=i, expiry=60.0))
+        sim._drain(0.0)
+        decision = next(r for r in sim.records if r.kind == "decision")
+        assert decision.get("via") == "search"
+        assert decision.get("outcome") == "accepted-2" and decision.get("optimal") == optimal
+        assert (int(decision.get("nodes")) > 0) == (node_limit > 0)
 
     def test_unembeddable_stays_pending(self):
         policy = PolicyConfig(batch_min_pending=1)
