@@ -5,10 +5,11 @@ The greedy stage places elements in the order VMs, switches, links. VM groups
 switch-VM virtual link always maps onto the one physical edge between a server
 and its edge switch, so the greedy unit for VMs is the rack choice per group.
 Capacity overflows are allowed and recorded; the repair stage then relocates
-already-mapped elements away from the overflowing hosts, a bounded number of
-times, preferring the cheapest sufficient incumbent and the nearest target.
-The same relocation routine repairs an active request that a failure hit,
-and greedy alone gives a batch pass its first answer.
+mapped elements away from the overflowing hosts, incumbents' before the
+request's own, a bounded number of times, preferring the cheapest sufficient
+incumbent and the nearest target; it also clears a scale-up's overflow. The
+same relocation routine repairs an active request that a failure hit, and
+greedy alone gives a batch pass its first answer.
 """
 
 from __future__ import annotations
@@ -447,7 +448,8 @@ def repair_displaced(state: EmbeddingState, req: VdcRequest) -> Assignment | Non
 def swap_repair(
     state: EmbeddingState, req: VdcRequest, temp: TempMapping, max_swaps: int
 ):
-    """Clear a temp mapping's capacity overflows by relocating incumbents.
+    """Clear a temp mapping's capacity overflows by relocating incumbents'
+    elements, then the request's own, off each overflowing host.
 
     Works on a scratch copy; on success returns (assignment, moves,
     incumbent_updates) that are jointly strictly feasible against the input
@@ -473,7 +475,7 @@ def swap_repair(
         findings.sort(key=lambda v: (_norm(v.overflow, probe.net.capacity[v.element]), v.element))
         for violation in findings:
             options = _relief(probe, req, assignment, violation.element, violation.overflow, extra)
-            # the incoming request's own re-routes need no incumbent swapped in
+            # the incoming request's own moves need no incumbent swapped in
             step = next(
                 (
                     (new, move)
@@ -501,37 +503,30 @@ def swap_repair(
 
 def _relief(probe, req, assignment, host, need, extra):
     """Yield (assignment, move) relocations that take load off an
-    overflowing host: first each incumbent element that loads it, moved by
-    the routine for the host's kind, the cheapest one that covers need
+    overflowing host, each moved by the routine for the host's kind: first
+    each incumbent element that loads it, the cheapest one that covers need
     first, else the largest partial relief, ties by request and element;
-    then the incoming request's own vlinks over it, largest first."""
+    then the incoming request's own, largest first, ties by id descending."""
     kind, relocate = {
         "server": ("vm-swap", _relocate),
         "switch": ("vswitch-swap", _relocate),
         "link": ("vlink-reroute", partial(_reroute_vlink, avoid=host)),
     }[probe.net.kind(host)]
     cap = probe.net.capacity[host]
-    candidates = [
+    ranked = [
         (need.le(load), _norm(load, cap), rid, element)
         for rid, a in probe.active.items()
         for element, eid, load in probe.loads(probe.requests[rid], a) if eid == host
     ]
-    candidates.sort(key=lambda c: (not c[0], c[1] if c[0] else -c[1], c[2], c[3]))
-    for _, _, rid, element in candidates:
-        new = relocate(probe, probe.requests[rid], probe.active[rid], element, extra)
+    ranked.sort(key=lambda c: (not c[0], c[1] if c[0] else -c[1], c[2], c[3]))
+    own = [(_norm(load, cap), e) for e, eid, load in probe.loads(req, assignment) if eid == host]
+    moves = [(probe.requests[rid], probe.active[rid], element) for *_, rid, element in ranked]
+    moves += [(req, assignment, element) for _, element in sorted(own, reverse=True)]
+    for owner, a, element in moves:
+        new = relocate(probe, owner, a, element, extra)
         if new is not None:
             # a vlink has no host of its own; its move names the congested link
-            yield new, SwapMove(kind, rid, element, host, new.host_of(element) or host)
-
-    own = [
-        (load.bandwidth, vl_id)
-        for vl_id, eid, load in probe.loads(req, assignment)
-        if eid == host and vl_id in req.vlinks
-    ]
-    for _, vl_id in sorted(own, reverse=True):
-        new = _reroute_vlink(probe, req, assignment, vl_id, extra, avoid=host)
-        if new is not None:
-            yield new, SwapMove("vlink-reroute", req.id, vl_id, host, host)
+            yield new, SwapMove(kind, owner.id, element, host, new.host_of(element) or host)
 
 
 def _swap_in(probe, new_assignment) -> bool:

@@ -20,9 +20,11 @@ from .errors import ConfigError, InvalidParameterError
 from .metrics import TraceRecord
 from .online_search import (
     OnlineResult,
+    TempMapping,
     compute_fragments,
     plan_batch,
     repair_displaced,
+    swap_repair,
     try_online_embed,
 )
 from .paths import PathTable, enumerate_paths
@@ -528,27 +530,15 @@ class Simulation:
         scaled = replace(req, vms=new_vms)
         probe = state.copy()
         a = probe.release(request_id)
-        if not probe.check_assignment(scaled, a):
+        ledger = tuple(probe.check_assignment(scaled, a))
+        if not ledger:
             self._carry_out([request_id], [(scaled, a)], now)
             self.emit("scale_up", now, request=request_id, outcome="in-place")
             return
-        # pin each unscaled VM to its server, let the scaled VMs move within
-        # their racks, all inside the request's own locality; vSwitches
-        # without VMs and vSwitch-vSwitch vlinks are not pinned, so greedy
-        # may re-place them
-        scaled_ids = {vm_id for vm_id, _ in deltas}
-        locality = {}
-        for vm_id in scaled.vms:
-            host = a.vm_map[vm_id]
-            pins = frozenset(
-                state.net.servers_under(state.net.edge_switch_of(host))
-                if vm_id in scaled_ids
-                else {host}
-            )
-            allowed = (req.locality or {}).get(vm_id)
-            locality[vm_id] = pins if allowed is None else pins & allowed
-        pinned = replace(scaled, locality=locality)
-        result = try_online_embed(probe, pinned, self.policy.swap_ceiling)
+        # a scale-up adds VM load only, so only servers overflow and swap
+        # repair moves VMs (the request's own or incumbents') and their uplinks
+        temp = TempMapping(a, ledger)
+        result = swap_repair(probe, scaled, temp, min(len(ledger), self.policy.swap_ceiling))
         if isinstance(result, OnlineResult):
             self._apply_online(scaled, result, now)
             self.emit("scale_up", now, request=request_id, outcome="relocated")
@@ -573,6 +563,16 @@ class Simulation:
             findings = validate_request(event.request, self.state.net)
             if findings:
                 raise InvalidParameterError(f"request {event.request.id!r}: {findings[0]}")
+        elif event.kind == "failure":
+            for eid in event.elements:
+                if eid not in self.state.net.capacity:
+                    raise InvalidParameterError(f"failure of unknown substrate element {eid!r}")
+        elif event.kind == "scale_up":
+            for vm_id, extra in event.deltas:
+                if not (extra.nonnegative and extra.switch_memory == extra.bandwidth == 0):
+                    raise InvalidParameterError(
+                        f"scale-up of {vm_id!r} by {extra}: a delta only grows cores and memory"
+                    )
         self.clock = event.time
         if event.kind == "arrival":
             self.handle_arrival(event.request, event.time)

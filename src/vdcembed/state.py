@@ -305,11 +305,13 @@ class EmbeddingState:
         return clone
 
     def mark_down(self, element_ids) -> None:
-        """Strip failed elements from the usable substrate."""
+        """Strip failed elements from the usable substrate; an unknown id
+        raises before any element is marked."""
+        element_ids = list(element_ids)
         for eid in element_ids:
             if eid not in self.net.capacity:
                 raise UnknownElementError(f"unknown substrate element {eid}")
-            self.down.add(eid)
+        self.down.update(element_ids)
         self.version += 1
 
     # -- consistency --------------------------------------------------------

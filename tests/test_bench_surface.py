@@ -144,7 +144,7 @@ def test_greedy_scores_few_server_pairs(perfbench_modules, overflow_over_calls):
 # moves an incumbent; sha256 of its trace, under the same rule as above. The
 # failure takes a server and an aggregation switch: where greedy re-places
 # the actives, a lone server failure strands no request
-MIGRATION_TRACE_SHA256 = "15590ca5c17b37fd9b1c80f8de06925d144cd5241d1266404303dcc00cc66a4d"
+MIGRATION_TRACE_SHA256 = "c151846c41e7d2bafb21d615909f014f84f890f987a5bcabff94c2cfc856c778"
 
 
 def test_migration_trace_unchanged(k4_net, k4_table):

@@ -254,12 +254,37 @@ class TestSwapRepair:
         )
         state.mark_down([k4_net.link_between("e0_0", "a0_0")])
         before = (dict(state.active), dict(state.residual))
-        incoming = star_request("new", cores=6)
+        # pinned to s0, so the incoming VM cannot leave the overflow itself
+        incoming = star_request("new", cores=6, locality={"vm0": frozenset({"s0"})})
         a = Assignment("new", {"vm0": "s0"}, {"vs0": "e0_0"}, {"vl0": ("e0_0", "s0", 0)})
         temp = TempMapping(a, tuple(state.check_assignment(incoming, a)))
         result = swap_repair(state, incoming, temp, max_swaps=2)
         assert isinstance(result, RepairFailure)
         assert (state.active, state.residual) == before
+
+    def test_server_overflow_moves_the_incoming_vm_when_no_incumbent_can_move(self):
+        # the incumbent is pinned to s0 by its locality, so the incoming VM
+        # moves to s1 and its uplink follows it
+        net = make_rack_net(n_servers=2, cores=8)
+        state = fresh_state(net)
+        incumbent = star_request("inc", cores=4, locality={"vm0": frozenset({"s0"})})
+        state.commit(
+            incumbent,
+            Assignment("inc", {"vm0": "s0"}, {"vs0": "e0"}, {"vl0": ("e0", "s0", 0)}),
+        )
+        incoming = star_request("new", cores=6)
+        a = Assignment("new", {"vm0": "s0"}, {"vs0": "e0"}, {"vl0": ("e0", "s0", 0)})
+        temp = TempMapping(a, tuple(state.check_assignment(incoming, a)))
+        assert [v.element for v in temp.ledger] == ["s0"]
+        result = swap_repair(state, incoming, temp, max_swaps=2)
+        assert isinstance(result, OnlineResult)
+        assert result.moves == (SwapMove("vm-swap", "new", "vm0", "s0", "s1"),)
+        assert result.incumbent_updates == {}
+        assert result.assignment == Assignment(
+            "new", {"vm0": "s1"}, {"vs0": "e0"}, {"vl0": ("e0", "s1", 0)}
+        )
+        apply_online(state, incoming, result)
+        state.audit()
 
     def test_switch_overflow_moves_largest_partial_relief_first(self, k4_net, k4_table):
         # neither incumbent vSwitch alone clears the 40-unit overflow on a0_0,

@@ -35,6 +35,7 @@ from vdcembed.topology import (
     WorkloadConfig,
     build_fat_tree,
     poisson_arrivals,
+    sum_vectors,
     validate_substrate,
 )
 
@@ -479,7 +480,8 @@ class TestSimulationSteps:
         assert sim.records[-2].kind == "scale_up"
         assert sim.records[-2].get("outcome") == "in-place"
         assert sim.state.requests["r0"].vms["vm0"].demand.cpu_cores == 5
-        # another +1 overflows s0; the vm must move to the rack sibling s1
+        # another +1 overflows s0; swap repair moves the incumbent fill to
+        # the rack sibling s1 before it would move r0's own vm
         sim.process(
             SimEvent(
                 2.0, 2, "scale_up", request_id="r0",
@@ -488,9 +490,10 @@ class TestSimulationSteps:
         )
         outcome = next(r for r in reversed(sim.records) if r.kind == "scale_up")
         assert outcome.get("outcome") == "relocated"
-        assert sim.state.active["r0"].vm_map["vm0"] == "s1"
+        assert sim.state.active["r0"].vm_map["vm0"] == "s0"
+        assert sim.state.active["fill"].vm_map["vm0"] == "s1"
         assert sim.state.requests["r0"].vms["vm0"].demand.cpu_cores == 6
-        assert sim.state.requests["r0"].locality is None  # pins were synthetic
+        assert sim.state.requests["r0"].locality is None
         sim.state.audit()
 
     def test_rejected_scale_up_leaves_state_untouched(self):
@@ -560,6 +563,36 @@ class TestSimulationSteps:
             sim.process(SimEvent(9.0, 1, "arrival", request=bad))
         assert sim.clock == 5.0
         assert "bad" not in sim.status
+
+    def test_failure_of_an_unknown_element_rejected_before_clock_moves(self):
+        sim = self.make_sim()
+        from vdcembed.errors import InvalidParameterError
+
+        with pytest.raises(InvalidParameterError, match="bogus"):
+            sim.process(SimEvent(5.0, 0, "failure", elements=("s0", "bogus")))
+        assert (sim.clock, sim.state.down, sim.state.version, sim.records) == (0.0, set(), 0, [])
+        sim.process(SimEvent(1.0, 1, "arrival", request=star_request("r0")))
+        assert sim.status["r0"] == "accepted"
+
+    @pytest.mark.parametrize(
+        "delta",
+        [
+            ResourceVector(cpu_cores=-50),
+            ResourceVector(memory_mb=-1),
+            ResourceVector(cpu_cores=1, switch_memory=1),
+            ResourceVector(bandwidth=10),
+        ],
+    )
+    def test_scale_up_that_is_no_growth_rejected_before_clock_moves(self, delta):
+        sim = self.make_sim()
+        sim.process(SimEvent(1.0, 0, "arrival", request=star_request("r0", duration=90.0)))
+        state = (dict(sim.state.residual), dict(sim.state.requests), len(sim.records))
+        from vdcembed.errors import InvalidParameterError
+
+        with pytest.raises(InvalidParameterError, match="vm0"):
+            sim.process(SimEvent(5.0, 1, "scale_up", request_id="r0", deltas=(("vm0", delta),)))
+        assert sim.clock == 1.0
+        assert (dict(sim.state.residual), dict(sim.state.requests), len(sim.records)) == state
 
     def test_clock_rejects_past_events(self):
         sim = self.make_sim()
@@ -700,57 +733,106 @@ class TestRun:
             assert m.get("old") != m.get("new")
 
 
+def tight_k4():
+    """A k=4 tree with 8-core/6,000 MB servers, switch memory 60 and thin
+    links, and its path table."""
+    net = build_fat_tree(
+        4, server_capacity=ResourceVector(cpu_cores=8, memory_mb=6000), switch_memory=60,
+        bandwidth_profile=(1000, 300, 400),
+    )
+    return net, enumerate_paths(net)
+
+
+EVENTS_POLICY = PolicyConfig(batch_width=3, solver_node_limit=500, remap_limit=4)
+
+
+def event_run(net, table, seed, kinds, run_mode="online-only"):
+    """The trace of one run of seed's workload on net under the sweep policy
+    with an audit after every event, plus one extra event per letter of
+    kinds: "f" fails a random switch, or a random server, switch or link; "s"
+    scales up vm0 by 2-5 cores and 500-3,000 MB on a request that arrived at
+    least 5 time units earlier."""
+    cfg = WorkloadConfig(
+        vm_count=(4, 10), vswitch_count=(2, 5), duration=(100, 300), arrival_rate=6,
+        horizon=200, seed=seed,
+    )
+    rng = random.Random(seed)
+    switches, elements = sorted(net.switches), sorted(net.capacity)
+    early = [r for r in poisson_arrivals(cfg, cfg.arrival_rate, seed) if r.arrival_time <= 195]
+    events = []
+    for i, kind in enumerate(kinds):
+        if kind == "f":
+            element = rng.choice(switches if rng.random() < 0.5 else elements)
+            events.append(SimEvent(rng.uniform(0, 200), i, "failure", elements=(element,)))
+        else:
+            req = rng.choice(early)
+            delta = ResourceVector(cpu_cores=rng.randint(2, 5), memory_mb=rng.randint(500, 3000))
+            events.append(
+                SimEvent(
+                    rng.uniform(req.arrival_time + 5, 200), i, "scale_up",
+                    request_id=req.id, deltas=(("vm0", delta),),
+                )
+            )
+    return run_simulation(
+        net, cfg, EVENTS_POLICY, run_mode=run_mode, table=table, extra_events=tuple(events),
+        audit_every=1,
+    )
+
+
+def scale_up_moves(trace):
+    """(scale_up record, the migration records just before it at its time)
+    for each scale-up of a trace."""
+    out = []
+    for i, rec in enumerate(trace):
+        if rec.kind == "scale_up":
+            j = i
+            while j and trace[j - 1].kind == "migration" and trace[j - 1].time == rec.time:
+                j -= 1
+            out.append((rec, trace[j:i]))
+    return out
+
+
+def test_scale_up_relocation_moves_no_vswitch():
+    # r8's vm0 outgrows s10; a re-embed that re-chooses the vSwitches without
+    # VMs would move r8's internal vs0 and vs3 here, swap repair moves only an
+    # incumbent VM and its uplink
+    net, table = tight_k4()
+    trace = event_run(net, table, 2, "ssssss", run_mode="hybrid")
+    rec, moves = next((r, m) for r, m in scale_up_moves(trace) if r.get("request") == "r8")
+    assert rec.get("outcome") == "relocated"
+    assert [(m.get("kind"), m.get("request"), m.get("element")) for m in moves] == [
+        ("vm", "r2", "vm3"),
+        ("vlink", "r2", "vl4"),
+    ]
+
+
 # sha256 of TestPinnedEvents' traces: a change to failure repair or scale-up
 # that alters any repair, requeue, relocation or migration shows here
-PINNED_EVENTS_SHA256 = "1c5302099cb4398bf1875bd97af35a4a586e92c781db8eb8c0775336d9811716"
+PINNED_EVENTS_SHA256 = "1f9979c9df1b9346e8e6dc48599a667f0e41ec71407f2af212e45e4296c8c96f"
 
 
 class TestPinnedEvents:
-    def traces(self):
-        """Traces of 16 online-only runs (seeds 0-15) on a tight k=4 tree
-        (8-core/6,000 MB servers, switch memory 60, thin links), each with 8
-        extra events alternating a failure (of a random switch, or of a random
-        server, switch or link) and a scale-up of vm0 by 2-5 cores and
-        500-3,000 MB on a request that arrived at least 5 time units earlier,
-        under the sweep policy with an audit after every event."""
-        net = build_fat_tree(
-            4, server_capacity=ResourceVector(cpu_cores=8, memory_mb=6000), switch_memory=60,
-            bandwidth_profile=(1000, 300, 400),
-        )
-        table = enumerate_paths(net)
-        policy = PolicyConfig(batch_width=3, solver_node_limit=500, remap_limit=4)
-        switches, elements = sorted(net.switches), sorted(net.capacity)
-        for seed in range(16):
-            cfg = WorkloadConfig(
-                vm_count=(4, 10), vswitch_count=(2, 5), duration=(100, 300), arrival_rate=6,
-                horizon=200, seed=seed,
-            )
-            rng = random.Random(seed)
-            arrivals = poisson_arrivals(cfg, cfg.arrival_rate, seed)
-            early = [r for r in arrivals if r.arrival_time <= 195]
-            events = []
-            for i in range(8):
-                if i % 2 == 0:
-                    element = rng.choice(switches if rng.random() < 0.5 else elements)
-                    events.append(SimEvent(rng.uniform(0, 200), i, "failure", elements=(element,)))
-                else:
-                    req = rng.choice(early)
-                    delta = ResourceVector(
-                        cpu_cores=rng.randint(2, 5), memory_mb=rng.randint(500, 3000)
-                    )
-                    events.append(
-                        SimEvent(
-                            rng.uniform(req.arrival_time + 5, 200), i, "scale_up",
-                            request_id=req.id, deltas=(("vm0", delta),),
-                        )
-                    )
-            yield run_simulation(
-                net, cfg, policy, run_mode="online-only", table=table, extra_events=tuple(events),
-                audit_every=1,
-            )
+    @pytest.fixture(scope="class")
+    def runs(self):
+        """(trace, simulation) of 16 online-only runs (seeds 0-15) on the
+        tight k=4 tree, each with 8 extra events alternating a failure and a
+        scale-up; the simulations are caught as run_simulation makes them."""
+        sims = []
 
-    def test_traces_unchanged(self):
-        traces = list(self.traces())
+        class Caught(Simulation):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                sims.append(self)
+
+        net, table = tight_k4()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scheduler, "Simulation", Caught)
+            traces = [event_run(net, table, seed, "fsfsfsfs") for seed in range(16)]
+        assert len(sims) == len(traces)
+        return list(zip(traces, sims))
+
+    def test_traces_unchanged(self, runs):
+        traces = [trace for trace, _ in runs]
         records = [r for trace in traces for r in trace]
         displaced = {r.get("outcome") for r in records if r.kind == "displaced"}
         assert {"repaired", "requeued"} <= displaced
@@ -760,6 +842,22 @@ class TestPinnedEvents:
         assert kinds == {"vm", "vswitch", "vlink"}
         text = "".join(serialize_trace(trace) for trace in traces)
         assert hashlib.sha256(text.encode()).hexdigest() == PINNED_EVENTS_SHA256
+
+    def test_scale_ups_move_no_vswitch(self, runs):
+        moved = [
+            m.get("kind") for trace, _ in runs for _, moves in scale_up_moves(trace) for m in moves
+        ]
+        assert "vm" in moved and "vswitch" not in moved
+
+    def test_aggregate_agrees_with_the_state(self, runs):
+        for trace, sim in runs:
+            report = aggregate(trace)
+            assert report.rows[0].accepted == list(sim.status.values()).count("accepted")
+            cap = sum_vectors(sim.state.net.capacity.values())
+            free = sim.state.residual_vectors()
+            dims = ("cpu_cores", "switch_memory", "bandwidth")  # a util record's order
+            util = tuple(float(f"{1 - getattr(free, d) / getattr(cap, d):.6f}") for d in dims)
+            assert report.utilization[-1][2:] == util
 
 
 class TestPolicyConfig:

@@ -277,6 +277,13 @@ class TestApplyAndCopy:
         clone.audit()
         k2_state.audit()
 
+    def test_mark_down_checks_every_id_before_marking_any(self, k2_state):
+        with pytest.raises(UnknownElementError, match="bogus"):
+            k2_state.mark_down(["s0", "bogus"])
+        assert (k2_state.down, k2_state.version) == (set(), 0)
+        k2_state.mark_down(iter(["s0", "l0"]))
+        assert (k2_state.down, k2_state.version) == ({"s0", "l0"}, 1)
+
 
 class TestMovesTo:
     def test_vm_vswitch_and_vlink_changes_in_kind_order(self):
