@@ -21,7 +21,7 @@ from functools import partial
 from .errors import CommitRejectedError
 from .paths import admissible
 from .state import Assignment, EmbeddingState, Violation
-from .topology import DIMENSIONS, ZERO, ResourceVector, VdcRequest, sum_vectors
+from .topology import ZERO, ResourceVector, VdcRequest
 
 logger = logging.getLogger(__name__)
 
@@ -86,50 +86,14 @@ def compute_fragments(state: EmbeddingState):
 
     Returns a list of (node id set, link id set, free ResourceVector) ordered
     by descending free cores, memory, bandwidth and switch memory, then
-    smallest member id.
+    smallest member id. The state keeps the components and their free
+    vectors.
     """
-    net = state.net
-    down = state.down
-    alive = set()
-    for eid, rv in state.residual.items():
-        if eid in down:
-            continue
-        for dim in DIMENSIONS[net.kind(eid)]:
-            if getattr(rv, dim) <= 0:
-                break
-        else:
-            alive.add(eid)
-    seen: set[str] = set()
-    fragments = []
-    for start in sorted(alive & net.adjacency.keys()):
-        if start in seen:
-            continue
-        nodes = {start}
-        links = set()
-        frontier = [start]
-        seen.add(start)
-        while frontier:
-            cur = frontier.pop()
-            for nxt, lid in net.adjacency[cur]:
-                if lid not in alive or nxt not in alive:
-                    continue
-                links.add(lid)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    nodes.add(nxt)
-                    frontier.append(nxt)
-        free = sum_vectors(state.residual[eid] for eid in (*nodes, *links))
-        fragments.append((nodes, links, free))
-    fragments.sort(
-        key=lambda f: (
-            -f[2].cpu_cores,
-            -f[2].memory_mb,
-            -f[2].bandwidth,
-            -f[2].switch_memory,
-            min(f[0]),
-        )
+    # the state lists fragments by smallest node id, and the sort is stable
+    return sorted(
+        state.fragments(),
+        key=lambda f: (-f[2].cpu_cores, -f[2].memory_mb, -f[2].bandwidth, -f[2].switch_memory),
     )
-    return fragments
 
 
 def _vm_groups(req: VdcRequest) -> dict[str, list[str]]:
@@ -266,11 +230,12 @@ def greedy_temp_map(
             continue
         vs = req.vswitches[vs_id]
         placed = [vswitch_map[nb] for nb in neighbor_map[vs_id] if nb in vswitch_map]
+        hops = [net.hop_distances_from(host) for host in placed]
         scored = [
             (
                 max(0, vs.demand.switch_memory - state.residual[sid].switch_memory)
                 / net.switches[sid].capacity.switch_memory,
-                sum(net.hop_distance(sid, host) for host in placed),
+                sum(row[sid] for row in hops),
                 sid,
             )
             for sid in (edge_switches if vs.is_edge else net.switches)
@@ -541,7 +506,7 @@ def _swap_in(probe, new_assignment) -> bool:
     except CommitRejectedError:
         # unchecked: the old placement held these resources a moment ago, but
         # it may touch an element marked down since, which commit would refuse
-        probe.add_usage(probe.residual, req_obj, old, -1)
+        probe.charge(req_obj, old, -1)
         probe.active[rid] = old
         probe.requests[rid] = req_obj
         return False
@@ -555,7 +520,7 @@ def try_online_embed(state: EmbeddingState, req: VdcRequest, swap_ceiling: int =
     mapped greedily and repaired within the swap budget. Failure leaves the
     state untouched.
     """
-    need = req.demand_totals()
+    need = req.demand_totals
     if not need.le(state.residual_vectors()):
         return RepairFailure("aggregate residual below request demand")
 

@@ -64,7 +64,7 @@ class Thresholds:
 def request_size(req: VdcRequest) -> float:
     """Scalar size used for priority and smallest/largest ranking:
     total VM cores plus total bandwidth demand in Gbps."""
-    total = req.demand_totals()
+    total = req.demand_totals
     return total.cpu_cores + total.bandwidth / 1000.0
 
 
@@ -112,8 +112,8 @@ def compute_thresholds(queue: PendingQueue) -> Thresholds | None:
         return None
     by_size = sorted(queue.entries.values(), key=lambda e: (e.size, e.request.id))
     return Thresholds(
-        smallest=by_size[0].request.demand_totals(),
-        largest=by_size[-1].request.demand_totals(),
+        smallest=by_size[0].request.demand_totals,
+        largest=by_size[-1].request.demand_totals,
     )
 
 
@@ -230,7 +230,7 @@ class Simulation:
         self.events: list[tuple[float, int, int, SimEvent]] = []
         self.queued = 0
         self.events_processed = 0
-        self._capacity = self.state.residual_vectors()
+        self._capacity = self.state.residual_vectors()  # a fresh state: every capacity
 
     # -- trace ----------------------------------------------------------------
 
@@ -301,8 +301,8 @@ class Simulation:
             return "more-edge-vswitches-than-edge-switches"
         if len(req.vswitches) > len(net.switches) - len(down & set(net.switches)):
             return "more-vswitches-than-switches"
-        total = sum_vectors(cap for eid, cap in net.capacity.items() if eid not in down)
-        if not req.demand_totals().le(total):
+        total = self._capacity - sum_vectors(net.capacity[eid] for eid in down)
+        if not req.demand_totals.le(total):
             return "demand-exceeds-substrate"
         servers_up = [net.capacity[s] for s in net.servers if s not in down]
         for vm in req.vms.values():
@@ -351,7 +351,7 @@ class Simulation:
         spent = ResourceVector()
         out = []
         for entry in self.queue.ordered():
-            merged = spent + entry.request.demand_totals()
+            merged = spent + entry.request.demand_totals
             if not merged.le(budget):
                 break
             out.append(entry.request)

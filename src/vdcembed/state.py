@@ -13,7 +13,7 @@ from .errors import (
     UnknownElementError,
 )
 from .paths import PathTable, admissible
-from .topology import ZERO, ResourceVector, SubstrateNetwork, VdcRequest, sum_vectors
+from .topology import DIMENSIONS, ZERO, ResourceVector, SubstrateNetwork, VdcRequest, sum_vectors
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,13 @@ class Assignment:
 
 
 class EmbeddingState:
-    """Single-writer record of all active assignments plus residual resources."""
+    """Single-writer record of all active assignments plus residual resources.
+
+    Residuals change only through charge, which commit, release and a
+    refused swap's rollback call, and elements go down only through
+    mark_down. Both keep two running sums current: free, the residuals
+    summed over up elements, and one free vector per cached fragment.
+    """
 
     def __init__(self, net: SubstrateNetwork, table: PathTable):
         self.net = net
@@ -78,6 +84,11 @@ class EmbeddingState:
         # server, switch and link ids alike -> free capacity
         self.residual: dict[str, ResourceVector] = dict(net.capacity)
         self.down: set[str] = set()
+        self.free = sum_vectors(self.residual.values())
+        # ([(node ids, link ids)] by smallest node id, element -> its index);
+        # shared by copies, None while stale
+        self._fragments: tuple[list, dict[str, int]] | None = None
+        self._fragment_free: list[ResourceVector] = []  # per fragment, by index
         self.version = 0
 
     # -- usage accounting ---------------------------------------------------
@@ -107,14 +118,87 @@ class EmbeddingState:
 
     def add_usage(self, residual, req: VdcRequest, a: Assignment, sign: int):
         """Add sign (+1 or -1) times one assignment's per-element usage to a
-        residual map."""
-        for eid, load in self.usage(req, a).items():
+        residual map; returns that usage."""
+        usage = self.usage(req, a)
+        for eid, load in usage.items():
             residual[eid] = residual[eid] + load if sign > 0 else residual[eid] - load
+        return usage
+
+    def charge(self, req: VdcRequest, a: Assignment, sign: int):
+        """Add sign (+1 or -1) times one assignment's usage to the residuals
+        and to the running sums. Unchecked: commit checks first, and a
+        rollback puts back what a release took."""
+        usage = self.add_usage(self.residual, req, a, sign)
+        down = self.down
+        delta = sum_vectors(load for eid, load in usage.items() if eid not in down)
+        self.free = self.free + delta if sign > 0 else self.free - delta
+        if self._fragments is None:
+            return
+        index = self._fragments[1]
+        by_fragment: dict[int, list[ResourceVector]] = {}
+        for eid, load in usage.items():
+            i = index.get(eid)
+            if (i is not None) != self._alive(eid):
+                self._fragments = None  # the fragments change shape: rebuilt when read
+                return
+            if i is not None:
+                by_fragment.setdefault(i, []).append(load)
+        free = self._fragment_free
+        for i, loads in by_fragment.items():
+            d = sum_vectors(loads)
+            free[i] = free[i] + d if sign > 0 else free[i] - d
 
     def residual_vectors(self) -> ResourceVector:
-        """Componentwise sum of per-element residuals (down elements excluded)."""
-        down = self.down
-        return sum_vectors(v for eid, v in self.residual.items() if eid not in down)
+        """Componentwise sum of per-element residuals (down elements excluded):
+        the running sum free."""
+        return self.free
+
+    def _alive(self, eid: str) -> bool:
+        """Up, and positive on every capacity dimension of its kind."""
+        if eid in self.down:
+            return False
+        rv = self.residual[eid]
+        return all(getattr(rv, dim) > 0 for dim in DIMENSIONS[self.net.kind(eid)])
+
+    def fragments(self) -> list[tuple[frozenset, frozenset, ResourceVector]]:
+        """(node ids, link ids, free vector) per connected component of the
+        alive elements, in order of smallest node id. The components are
+        rebuilt only after an element died, came alive or was marked down."""
+        if self._fragments is None:
+            net = self.net
+            alive = {eid for eid in self.residual if self._alive(eid)}
+            seen: set[str] = set()
+            parts = []
+            # a component's first node is its smallest, since every smaller
+            # alive node started an earlier component
+            for start in sorted(alive & net.adjacency.keys()):
+                if start in seen:
+                    continue
+                nodes = {start}
+                links = set()
+                frontier = [start]
+                seen.add(start)
+                while frontier:
+                    cur = frontier.pop()
+                    for nxt, lid in net.adjacency[cur]:
+                        if lid not in alive or nxt not in alive:
+                            continue
+                        links.add(lid)
+                        if nxt not in seen:
+                            seen.add(nxt)
+                            nodes.add(nxt)
+                            frontier.append(nxt)
+                parts.append((frozenset(nodes), frozenset(links)))
+            index = {eid: i for i, part in enumerate(parts) for eid in (*part[0], *part[1])}
+            self._fragments = (parts, index)
+            self._fragment_free = [
+                sum_vectors(self.residual[eid] for eid in (*nodes, *links))
+                for nodes, links in parts
+            ]
+        return [
+            (nodes, links, free)
+            for (nodes, links), free in zip(self._fragments[0], self._fragment_free)
+        ]
 
     # -- feasibility --------------------------------------------------------
 
@@ -267,7 +351,7 @@ class EmbeddingState:
         violations = self.check_assignment(req, a)
         if violations:
             raise CommitRejectedError(violations)
-        self.add_usage(self.residual, req, a, -1)
+        self.charge(req, a, -1)
         self.active[req.id] = a
         self.requests[req.id] = req
         self.version += 1
@@ -278,7 +362,7 @@ class EmbeddingState:
             raise UnknownElementError(f"request {request_id} is not active")
         a = self.active.pop(request_id)
         req = self.requests.pop(request_id)
-        self.add_usage(self.residual, req, a, 1)
+        self.charge(req, a, 1)
         self.version += 1
         return a
 
@@ -302,6 +386,7 @@ class EmbeddingState:
         clone.requests = dict(self.requests)
         clone.residual = dict(self.residual)
         clone.down = set(self.down)
+        clone._fragment_free = list(self._fragment_free)
         return clone
 
     def mark_down(self, element_ids) -> None:
@@ -311,7 +396,10 @@ class EmbeddingState:
         for eid in element_ids:
             if eid not in self.net.capacity:
                 raise UnknownElementError(f"unknown substrate element {eid}")
-        self.down.update(element_ids)
+        newly = set(element_ids) - self.down
+        self.free = self.free - sum_vectors(self.residual[eid] for eid in newly)
+        self.down.update(newly)
+        self._fragments = None
         self.version += 1
 
     # -- consistency --------------------------------------------------------
@@ -320,9 +408,10 @@ class EmbeddingState:
         """Prove the state consistent in time linear in the active requests.
 
         Residuals folded from scratch must equal the stored ones and be
-        nonnegative, which proves the actives fit jointly; each active
-        assignment must also pass the structural checks. Raises AuditError;
-        used by simulation self-checks and tests.
+        nonnegative, which proves the actives fit jointly; the running sums
+        must equal the residuals they sum, and each active assignment must
+        pass the structural checks. Raises AuditError; used by simulation
+        self-checks and tests.
         """
         scratch = dict(self.net.capacity)
         for rid, a in self.active.items():
@@ -332,6 +421,11 @@ class EmbeddingState:
         for eid, rv in scratch.items():
             if not rv.nonnegative:
                 raise AuditError(f"negative residual on {eid}: {rv}")
+        if self.free != sum_vectors(rv for eid, rv in scratch.items() if eid not in self.down):
+            raise AuditError("running free total drifted from the fold over up elements")
+        for nodes, links, free in self.fragments() if self._fragments else ():
+            if free != sum_vectors(scratch[eid] for eid in (*nodes, *links)):
+                raise AuditError(f"free vector of the fragment of {min(nodes)} drifted")
         for rid, a in self.active.items():
             bad = self.structural_findings(self.requests[rid], a)
             if bad:

@@ -160,6 +160,14 @@ class SubstrateNetwork:
         }
         self._hop_cache: dict[str, dict[str, int]] = {}
         self._diameter: int | None = None
+        # server -> its edge switch, where exactly one is adjacent
+        self._edge_of: dict[str, str] = {}
+        for sid in self.servers:
+            found = [
+                n for n, _ in adj[sid] if n in self.switches and self.switches[n].tier == TIER_EDGE
+            ]
+            if len(found) == 1:
+                self._edge_of[sid] = found[0]
 
     def kind(self, element_id: str) -> str:
         """The element's kind, a key of DIMENSIONS: server, switch or link."""
@@ -169,12 +177,7 @@ class SubstrateNetwork:
 
     def edge_switch_of(self, server_id: str) -> str | None:
         """The edge-tier switch adjacent to a server, if exactly one exists."""
-        found = [
-            n
-            for n, _ in self.adjacency.get(server_id, [])
-            if n in self.switches and self.switches[n].tier == TIER_EDGE
-        ]
-        return found[0] if len(found) == 1 else None
+        return self._edge_of.get(server_id)
 
     def servers_under(self, switch_id: str) -> list[str]:
         return [n for n, _ in self.adjacency.get(switch_id, []) if n in self.servers]
@@ -264,6 +267,7 @@ class VdcRequest:
             raise FormatError(f"request {self.id}: vm {vm_id} has no attaching vlink")
         return vl.b if vl.a == vm_id else vl.a
 
+    @cached_property
     def demand_totals(self) -> ResourceVector:
         """Total VM cores and memory, vSwitch memory and vlink bandwidth."""
         return ResourceVector(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         for name, ok in ACCEPTANCE_RESULTS:
             terminalreporter.write_line(("PASS  " if ok else "FAIL  ") + name)
 
+from vdcembed import topology
 from vdcembed.batch_solver import build_mip, extract_assignments, solve_exact
 from vdcembed.paths import enumerate_paths
 from vdcembed.state import EmbeddingState
@@ -232,3 +234,22 @@ def overflow_over_calls(monkeypatch):
 
     monkeypatch.setattr(ResourceVector, "overflow_over", counted)
     return calls
+
+
+@pytest.fixture
+def sum_vectors_folds(monkeypatch):
+    """One entry per vector sum_vectors folds from here on, through every
+    package module that imports it."""
+    folded = []
+    sum_vectors = topology.sum_vectors
+
+    def counted(vectors):
+        vectors = list(vectors)
+        folded.extend(vectors)
+        return sum_vectors(vectors)
+
+    for name, module in list(sys.modules.items()):
+        package = name.partition(".")[0]
+        if package == "vdcembed" and getattr(module, "sum_vectors", None) is sum_vectors:
+            monkeypatch.setattr(module, "sum_vectors", counted)
+    return folded

@@ -11,7 +11,7 @@ import itertools
 from fractions import Fraction
 
 from vdcembed.state import Assignment
-from vdcembed.topology import ResourceVector, SubstrateNetwork, Switch, Link
+from vdcembed.topology import DIMENSIONS, ResourceVector, SubstrateNetwork, Switch, Link
 
 
 def simple_paths_dfs(net, src, dst, max_len):
@@ -138,6 +138,56 @@ def recheck_embedding(net, table, placed):
         if load > net.links[lid].bandwidth:
             problems.append(f"link {lid} overloaded: {load}")
     return problems
+
+
+def residual_fold(state):
+    """The residuals of a state's up elements, added one by one."""
+    total = ResourceVector()
+    for eid, rv in state.residual.items():
+        if eid not in state.down:
+            total = total + rv
+    return total
+
+
+def fragments_bfs(state):
+    """A state's fragments recomputed from its residuals: (node ids, link
+    ids, free vector) per connected component of the up elements positive
+    on every capacity dimension of their kind, by descending free cores,
+    memory, bandwidth and switch memory, then smallest node id."""
+    net = state.net
+    alive = {
+        eid
+        for eid, rv in state.residual.items()
+        if eid not in state.down
+        and all(getattr(rv, dim) > 0 for dim in DIMENSIONS[net.kind(eid)])
+    }
+    seen = set()
+    fragments = []
+    for start in sorted(alive & net.adjacency.keys()):
+        if start in seen:
+            continue
+        nodes, links, frontier = {start}, set(), [start]
+        seen.add(start)
+        while frontier:
+            cur = frontier.pop()
+            for nxt, lid in net.adjacency[cur]:
+                if lid not in alive or nxt not in alive:
+                    continue
+                links.add(lid)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    nodes.add(nxt)
+                    frontier.append(nxt)
+        free = ResourceVector()
+        for eid in (*nodes, *links):
+            free = free + state.residual[eid]
+        fragments.append((nodes, links, free))
+    fragments.sort(
+        key=lambda f: (
+            -f[2].cpu_cores, -f[2].memory_mb, -f[2].bandwidth, -f[2].switch_memory, min(f[0])
+        )
+    )
+    return fragments
 
 
 def hop_distance_bfs(net, a, b):

@@ -138,6 +138,19 @@ def test_greedy_scores_few_server_pairs(perfbench_modules, overflow_over_calls):
     assert 0 < len(overflow_over_calls) < GREEDY_OVERFLOW_CALLS_MAX
 
 
+# the vectors sum_vectors folds in online-k8's first simulation at seed 1
+# measure the upkeep of the state's sums without timing it: 2,102 when a
+# commit or release folds only its own usage, 44,992 when every arrival
+# summed the residuals of the whole substrate and of every fragment again
+SUM_VECTORS_FOLDS_MAX = 5000
+
+
+def test_state_sums_fold_few_vectors(perfbench_modules, sum_vectors_folds):
+    _, workloads = perfbench_modules
+    first_simulation(workloads, "online-k8")
+    assert 0 < len(sum_vectors_folds) < SUM_VECTORS_FOLDS_MAX
+
+
 # Neither workload's pinned trace holds a migration record, so this short
 # batch-only run on k=4 pins the paths that emit them: batch re-placements,
 # a failure (displaced requests repaired, one requeued) and a scale-up that

@@ -150,6 +150,17 @@ class TestSimulationSteps:
         assert after == sim._capacity
         assert before != after
 
+    def test_demand_over_the_up_substrate_rejected(self):
+        # the substrate total counts capacity, not residuals, and drops failed elements
+        net = make_rack_net(n_servers=2, cores=8)
+        sim = Simulation(net, enumerate_paths(net), PolicyConfig())
+        sim.process(SimEvent(0.0, 0, "arrival", request=star_request("big", cores=8)))
+        assert "big" in sim.state.active
+        req = star_request("r1", n_vms=3, cores=4)
+        assert sim._structurally_impossible(req) is None
+        sim.process(SimEvent(1.0, 1, "failure", elements=("s1",)))
+        assert sim._structurally_impossible(req) == "demand-exceeds-substrate"
+
     def test_batch_invoked_once_with_prefix(self):
         policy = PolicyConfig(batch_width=8, batch_min_pending=2)
         sim = self.make_sim(policy)

@@ -1,20 +1,22 @@
 """Embedding state: feasibility checks, commit/release, residuals, audit."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from conftest import make_rack_net, star_request, chain_request
-from oracles import recheck_embedding
+from oracles import fragments_bfs, recheck_embedding, residual_fold
 from vdcembed.errors import (
     AuditError,
     CommitRejectedError,
     InvalidParameterError,
     UnknownElementError,
 )
+from vdcembed.online_search import OnlineResult, _swap_in, compute_fragments, try_online_embed
 from vdcembed.paths import enumerate_paths
 from vdcembed.state import Assignment, EmbeddingState
-from vdcembed.topology import ResourceVector
+from vdcembed.topology import ResourceVector, WorkloadConfig, build_fat_tree, generate_vdc_request
 
 
 def assign_star(net, table, req, edge_switch, server):
@@ -242,6 +244,22 @@ class TestAudit:
         with pytest.raises(AuditError, match="drifted"):
             k2_state.audit()
 
+    def test_free_total_drift_detected(self, k2_state):
+        req = star_request("r0", n_vms=1)
+        k2_state.commit(req, assign_star(k2_state.net, k2_state.table, req, "e0_0", "s0"))
+        k2_state.free += ResourceVector(cpu_cores=1)
+        with pytest.raises(AuditError, match="free total drifted"):
+            k2_state.audit()
+
+    def test_fragment_free_drift_detected(self, k2_state):
+        req = star_request("r0", n_vms=1)
+        k2_state.commit(req, assign_star(k2_state.net, k2_state.table, req, "e0_0", "s0"))
+        compute_fragments(k2_state)
+        k2_state.audit()
+        k2_state._fragment_free[0] += ResourceVector(bandwidth=1)
+        with pytest.raises(AuditError, match="fragment of .* drifted"):
+            k2_state.audit()
+
 
 class TestApplyAndCopy:
     def test_swap_cycle_applies_in_any_order(self):
@@ -283,6 +301,67 @@ class TestApplyAndCopy:
         assert (k2_state.down, k2_state.version) == (set(), 0)
         k2_state.mark_down(iter(["s0", "l0"]))
         assert (k2_state.down, k2_state.version) == ({"s0", "l0"}, 1)
+
+
+class TestRunningSums:
+    """The state's running sums against the oracles' folds from scratch, on
+    the tight k=4 tree of TestPinnedOutputs."""
+
+    def assert_sums(self, state):
+        assert state.residual_vectors() == residual_fold(state)
+        fragments = compute_fragments(state)
+        assert [(set(n), set(l), free) for n, l, free in fragments] == fragments_bfs(state)
+
+    def step(self, rng, state, cfg, rid, counts):
+        """One random change to state: an arrival embedded online, a
+        release, a failure (with an element already down when there is
+        one) or a refused swap whose release is rolled back."""
+        roll = rng.random()
+        if roll < 0.5 or not state.active:
+            req = replace(generate_vdc_request(cfg, 0.0, rng.randrange(10**9)), id=rid)
+            result = try_online_embed(state, req)
+            if isinstance(result, OnlineResult):
+                updates = result.incumbent_updates
+                commits = [(state.requests[r], a) for r, a in updates.items()]
+                state.apply(list(updates), commits + [(req, result.assignment)])
+                counts["commit"] += 1
+        elif roll < 0.7:
+            state.release(rng.choice(sorted(state.active)))
+            counts["release"] += 1
+        elif roll < 0.85:
+            failed = [rng.choice(sorted(state.net.capacity))]
+            if state.down:
+                failed.append(rng.choice(sorted(state.down)))
+                counts["down again"] += 1
+            state.mark_down(failed)
+        else:
+            # an empty assignment leaves every element unmapped, so commit refuses it
+            assert not _swap_in(state, Assignment(rng.choice(sorted(state.active)), {}, {}, {}))
+            counts["rollback"] += 1
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_steps_match_the_oracles(self, seed):
+        rng = random.Random(seed)
+        net = build_fat_tree(
+            4, server_capacity=ResourceVector(cpu_cores=6, memory_mb=3000), switch_memory=60
+        )
+        state = EmbeddingState(net, enumerate_paths(net))
+        cfg = WorkloadConfig(vm_count=(2, 12), vswitch_count=(2, 4))
+        counts = {"commit": 0, "release": 0, "down again": 0, "rollback": 0, "copy": 0}
+        for n in range(60):
+            if rng.random() < 0.2:
+                # a copy takes three steps, and the original keeps its sums
+                before = (state.residual_vectors(), compute_fragments(state))
+                clone = state.copy()
+                for i in range(3):
+                    self.step(rng, clone, cfg, f"c{n}_{i}", counts)
+                    self.assert_sums(clone)
+                assert (state.residual_vectors(), compute_fragments(state)) == before
+                counts["copy"] += 1
+            else:
+                self.step(rng, state, cfg, f"r{n}", counts)
+            self.assert_sums(state)
+        assert all(counts.values()), counts
 
 
 class TestMovesTo:

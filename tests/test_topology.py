@@ -94,6 +94,7 @@ class TestValidateSubstrate:
         net = SubstrateNetwork(servers=servers, switches=switches, links=links)
         findings = validate_substrate(net)
         assert [f.rule for f in findings] == ["server-edge-adjacency"]
+        assert net.edge_switch_of("s0") is None
 
     def test_zero_bandwidth_link_flagged(self):
         net = build_fat_tree(2)
