@@ -20,8 +20,8 @@ from functools import partial
 
 from .errors import CommitRejectedError
 from .paths import admissible
-from .state import Assignment, EmbeddingState, Violation
-from .topology import ZERO, ResourceVector, VdcRequest
+from .state import Assignment, EmbeddingState, Violation, norm
+from .topology import TIER_EDGE, ZERO, ResourceVector, VdcRequest
 
 logger = logging.getLogger(__name__)
 
@@ -66,20 +66,6 @@ class OnlineResult:
     incumbent_updates: dict[str, Assignment]
 
 
-def _norm(load: ResourceVector, cap: ResourceVector) -> float:
-    """Scalar size of a load relative to a capacity, for deterministic ranking."""
-    total = 0.0
-    if cap.cpu_cores:
-        total += load.cpu_cores / cap.cpu_cores
-    if cap.memory_mb:
-        total += load.memory_mb / cap.memory_mb
-    if cap.switch_memory:
-        total += load.switch_memory / cap.switch_memory
-    if cap.bandwidth:
-        total += load.bandwidth / cap.bandwidth
-    return total
-
-
 def compute_fragments(state: EmbeddingState):
     """Connected components of the substrate restricted to elements with
     strictly positive residual on every capacity dimension they carry.
@@ -101,6 +87,40 @@ def _vm_groups(req: VdcRequest) -> dict[str, list[str]]:
     for vm_id in req.vms:
         groups.setdefault(req.vm_parent(vm_id), []).append(vm_id)
     return groups
+
+
+def _best_server(residual, demand, bandwidth, pool, server_load, link_load):
+    """(overflow, server, uplink link id) of the server of a rack pool that
+    takes one VM with the least overflow, then the most room left, then
+    the least id.
+
+    A server's overflow is norm of the demand over its free cores and
+    memory plus the uplink's bandwidth overflow over its capacity, its
+    room norm of what is left; both take norm's float steps on ints, with
+    no vector built. Free is the residual less the plan's loads. A server's
+    capacity carries cores and memory only, as every substrate the package
+    builds or loads does, so norm has no other terms.
+    """
+    dc, dm = demand.cpu_cores, demand.memory_mb
+    best = None
+    for sid, lid, _, cores, mem, link_bw in pool:
+        rv = residual[sid]
+        used_c, used_m = server_load.get(sid, (0, 0))
+        fc = rv.cpu_cores - used_c
+        fm = rv.memory_mb - used_m
+        score = 0.0 + max(0, dc - fc) / cores + max(0, dm - fm) / mem
+        link_free = residual[lid].bandwidth - link_load.get(lid, 0)
+        score += max(0, bandwidth - link_free) / link_bw
+        # keys end in the server id, so the scan order does not matter
+        key = (score, -(0.0 + (fc - dc) / cores + (fm - dm) / mem), sid)
+        if best is None or key < best[0]:
+            best = (key, sid, lid)
+    return best[0][0], best[1], best[2]
+
+
+def _hop_sum(hops, sid) -> int:
+    """Hops from switch sid to the placed neighbours whose rows hops holds."""
+    return sum(row[sid] for row in hops)
 
 
 def greedy_temp_map(
@@ -133,21 +153,23 @@ def greedy_temp_map(
             g,
         ),
     )
-    edge_switches = sorted(
-        s for s in net.switches if net.switches[s].tier == "edge" and node_ok(s)
-    )
-    # usable racks in tie-break order: (minus the servers' summed free share,
-    # id, servers whose uplink qualifies with that uplink edge, alike per VM)
+    # the state's racks, cut to the fragment and the latency bound, in
+    # tie-break order: (minus the servers' summed free share, id, servers);
+    # a server qualifies alike for every VM, so the first VM's uplink
+    # direction picks the table for all
+    first = next(iter(req.vms), None)
+    outward = first is not None and req.uplinks[first].a == first
+    bound = req.latency_bound
     racks = []
-    for vm in list(req.vms)[:1]:
-        for rack in edge_switches:
-            servers = [
-                (s, table.path(*key).edges[0]) for s in net.servers_under(rack)
-                if node_ok(s) and (key := state.uplink(req, vm, s))
-            ]
-            if servers:
-                share = sum(_norm(state.residual[s], net.servers[s].capacity) for s, _ in servers)
-                racks.append((-share, rack, servers))
+    for rack, servers in state.racks(outward):
+        if allowed_nodes is not None:
+            if rack not in allowed_nodes:
+                continue
+            servers = [e for e in servers if e.server in allowed_nodes]
+        if bound is not None:
+            servers = [e for e in servers if e.delay <= bound]
+        if servers:
+            racks.append((-sum(state.server_share(e.server) for e in servers), rack, servers))
     racks.sort()  # rack ids are distinct, so no two server lists are compared
 
     vm_map: dict[str, str] = {}
@@ -155,10 +177,10 @@ def greedy_temp_map(
     used_switches: set[str] = set()
 
     def place_group(vm_ids, servers):
-        """Greedy placement on one rack's (server, uplink edge) pairs:
+        """Greedy placement on one rack's servers (entries of state.racks):
         (overflow scalar, VM -> server), or None if impossible. A request's
         groups take distinct racks, so the loads are local to this plan."""
-        server_load: dict[str, ResourceVector] = {}
+        server_load: dict[str, tuple[int, int]] = {}  # cores, memory
         link_load: dict[str, int] = {}
         placement = {}
         total_overflow = 0.0
@@ -170,26 +192,18 @@ def greedy_temp_map(
             demand = req.vms[vm_id].demand
             pool = servers
             if req.locality and vm_id in req.locality:
-                pool = [(s, lid) for s, lid in servers if s in req.locality[vm_id]]
+                pool = [e for e in servers if e.server in req.locality[vm_id]]
                 if not pool:
                     return None
-            vlink = req.uplinks[vm_id]
-            best = None
-            for sid, lid in pool:
-                cap = net.servers[sid].capacity
-                free = state.residual[sid] - server_load.get(sid, ZERO)
-                score = _norm(demand.overflow_over(free), cap)
-                link_free = state.residual[lid].bandwidth - link_load.get(lid, 0)
-                score += max(0, vlink.bandwidth - link_free) / net.links[lid].bandwidth
-                # keys end in the server id, so the scan order does not matter
-                key = (score, -_norm(free - demand, cap), sid)
-                if best is None or key < best[0]:
-                    best = (key, sid, lid)
-            key, sid, lid = best
+            bandwidth = req.uplinks[vm_id].bandwidth
+            score, sid, lid = _best_server(
+                state.residual, demand, bandwidth, pool, server_load, link_load
+            )
             placement[vm_id] = sid
-            server_load[sid] = server_load.get(sid, ZERO) + demand
-            link_load[lid] = link_load.get(lid, 0) + vlink.bandwidth
-            total_overflow += key[0]
+            used_c, used_m = server_load.get(sid, (0, 0))
+            server_load[sid] = (used_c + demand.cpu_cores, used_m + demand.memory_mb)
+            link_load[lid] = link_load.get(lid, 0) + bandwidth
+            total_overflow += score
         return total_overflow, placement
 
     for vs_id in group_order:
@@ -222,28 +236,66 @@ def greedy_temp_map(
             neighbor_map[vl.a].append(vl.b)
             neighbor_map[vl.b].append(vl.a)
 
+    def takes(sid, vs):
+        """A switch vs may take: up, inside the fragment, unused, on the
+        edge tier for an edge vSwitch."""
+        return (
+            node_ok(sid)
+            and sid not in used_switches
+            and (not vs.is_edge or net.switches[sid].tier == TIER_EDGE)
+        )
+
+    def nearest_with_room(vs, placed, hops):
+        """The switch vs takes with room for it, fewest hops to the placed
+        neighbours then least id, or None when none has room. Walks the
+        switches by hops from the first neighbour and stops once the
+        triangle bound sum(max(0, d(c) - d(h))) over the neighbours h
+        exceeds the best hop sum: every later switch has a larger one."""
+        need = vs.demand.switch_memory
+        near = [hops[0][host] for host in placed]
+        best = None
+        at = lower = None
+        for d, sid in net.switches_by_hops(placed[0]):
+            if best is not None:
+                if d != at:
+                    at, lower = d, sum(max(0, d - dh) for dh in near)
+                if lower > best[0]:
+                    break
+            if state.residual[sid].switch_memory < need or not takes(sid, vs):
+                continue
+            key = (_hop_sum(hops, sid), sid)
+            if best is None or key < best:
+                best = key
+        return None if best is None else best[1]
+
     # vSwitches without a VM group, edge ones (on the edge tier) first, then
     # internal ones, each by id: least overflow, fewest hops to placed
-    # neighbours, then switch id
+    # neighbours, then switch id. A switch with room overflows by 0, so the
+    # hop-ordered walk answers whenever one has room and every switch is
+    # reachable (or a hop sum would be undefined); else every switch is scored
     for vs_id in sorted(req.vswitches, key=lambda v: (not req.vswitches[v].is_edge, v)):
         if vs_id in vswitch_map:
             continue
         vs = req.vswitches[vs_id]
         placed = [vswitch_map[nb] for nb in neighbor_map[vs_id] if nb in vswitch_map]
         hops = [net.hop_distances_from(host) for host in placed]
-        scored = [
-            (
-                max(0, vs.demand.switch_memory - state.residual[sid].switch_memory)
-                / net.switches[sid].capacity.switch_memory,
-                sum(row[sid] for row in hops),
-                sid,
-            )
-            for sid in (edge_switches if vs.is_edge else net.switches)
-            if node_ok(sid) and sid not in used_switches
-        ]
-        if not scored:
-            return StructuralFailure(f"no switch left for {vs_id}")
-        sid = min(scored)[2]
+        sid = None
+        if placed and len(net.switches_by_hops(placed[0])) == len(net.switches):
+            sid = nearest_with_room(vs, placed, hops)
+        if sid is None:
+            scored = [
+                (
+                    max(0, vs.demand.switch_memory - state.residual[sid].switch_memory)
+                    / net.switches[sid].capacity.switch_memory,
+                    _hop_sum(hops, sid),
+                    sid,
+                )
+                for sid in net.switches
+                if takes(sid, vs)
+            ]
+            if not scored:
+                return StructuralFailure(f"no switch left for {vs_id}")
+            sid = min(scored)[2]
         vswitch_map[vs_id] = sid
         used_switches.add(sid)
 
@@ -437,7 +489,7 @@ def swap_repair(
             return RepairFailure("swap budget exhausted")
 
         extra = probe.usage(req, assignment)
-        findings.sort(key=lambda v: (_norm(v.overflow, probe.net.capacity[v.element]), v.element))
+        findings.sort(key=lambda v: (norm(v.overflow, probe.net.capacity[v.element]), v.element))
         for violation in findings:
             options = _relief(probe, req, assignment, violation.element, violation.overflow, extra)
             # the incoming request's own moves need no incumbent swapped in
@@ -479,12 +531,12 @@ def _relief(probe, req, assignment, host, need, extra):
     }[probe.net.kind(host)]
     cap = probe.net.capacity[host]
     ranked = [
-        (need.le(load), _norm(load, cap), rid, element)
+        (need.le(load), norm(load, cap), rid, element)
         for rid, a in probe.active.items()
         for element, eid, load in probe.loads(probe.requests[rid], a) if eid == host
     ]
     ranked.sort(key=lambda c: (not c[0], c[1] if c[0] else -c[1], c[2], c[3]))
-    own = [(_norm(load, cap), e) for e, eid, load in probe.loads(req, assignment) if eid == host]
+    own = [(norm(load, cap), e) for e, eid, load in probe.loads(req, assignment) if eid == host]
     moves = [(probe.requests[rid], probe.active[rid], element) for *_, rid, element in ranked]
     moves += [(req, assignment, element) for _, element in sorted(own, reverse=True)]
     for owner, a, element in moves:

@@ -291,22 +291,18 @@ class Simulation:
                 self.emit("reject", now, request=rid, reason="expired")
 
     def _structurally_impossible(self, req: VdcRequest) -> str | None:
-        net = self.state.net
-        down = self.state.down
-        alive_edge = [
-            s for s in net.switches if net.switches[s].tier == "edge" and s not in down
-        ]
+        edge_up, switches_up, server_capacities = self.state.up_counts()
         edge_needed = sum(1 for vs in req.vswitches.values() if vs.is_edge)
-        if edge_needed > len(alive_edge):
+        if edge_needed > edge_up:
             return "more-edge-vswitches-than-edge-switches"
-        if len(req.vswitches) > len(net.switches) - len(down & set(net.switches)):
+        if len(req.vswitches) > switches_up:
             return "more-vswitches-than-switches"
-        total = self._capacity - sum_vectors(net.capacity[eid] for eid in down)
+        net = self.state.net
+        total = self._capacity - sum_vectors(net.capacity[eid] for eid in self.state.down)
         if not req.demand_totals.le(total):
             return "demand-exceeds-substrate"
-        servers_up = [net.capacity[s] for s in net.servers if s not in down]
         for vm in req.vms.values():
-            if not any(vm.demand.le(cap) for cap in servers_up):
+            if not any(vm.demand.le(cap) for cap in server_capacities):
                 return "vm-exceeds-any-server"
         return None
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     AuditError,
@@ -12,8 +13,30 @@ from .errors import (
     PathLookupError,
     UnknownElementError,
 )
-from .paths import PathTable, admissible
-from .topology import DIMENSIONS, ZERO, ResourceVector, SubstrateNetwork, VdcRequest, sum_vectors
+from .paths import PathRecord, PathTable, admissible
+from .topology import (
+    DIMENSIONS,
+    TIER_EDGE,
+    ZERO,
+    ResourceVector,
+    SubstrateNetwork,
+    VdcRequest,
+    sum_vectors,
+)
+
+
+def norm(load: ResourceVector, cap: ResourceVector) -> float:
+    """Scalar size of a load relative to a capacity, for deterministic ranking."""
+    total = 0.0
+    if cap.cpu_cores:
+        total += load.cpu_cores / cap.cpu_cores
+    if cap.memory_mb:
+        total += load.memory_mb / cap.memory_mb
+    if cap.switch_memory:
+        total += load.switch_memory / cap.switch_memory
+    if cap.bandwidth:
+        total += load.bandwidth / cap.bandwidth
+    return total
 
 
 @dataclass(frozen=True)
@@ -67,6 +90,18 @@ class Assignment:
         ]
 
 
+class RackServer(NamedTuple):
+    """A server whose uplink is up, as EmbeddingState.racks lists it. Greedy
+    divides by its capacities, which validate_substrate requires positive."""
+
+    server: str
+    link: str  # the uplink's link id
+    delay: int  # the uplink's path-0 delay
+    cores: int  # the server's capacity
+    memory_mb: int
+    link_bandwidth: int  # the uplink's capacity
+
+
 class EmbeddingState:
     """Single-writer record of all active assignments plus residual resources.
 
@@ -74,6 +109,8 @@ class EmbeddingState:
     refused swap's rollback call, and elements go down only through
     mark_down. Both keep two running sums current: free, the residuals
     summed over up elements, and one free vector per cached fragment.
+    Facts that change only when an element goes down (the racks, the up
+    counts) are built on first use and dropped by mark_down.
     """
 
     def __init__(self, net: SubstrateNetwork, table: PathTable):
@@ -89,6 +126,13 @@ class EmbeddingState:
         # shared by copies, None while stale
         self._fragments: tuple[list, dict[str, int]] | None = None
         self._fragment_free: list[ResourceVector] = []  # per fragment, by index
+        # racks per uplink direction and the up counts, each built on first
+        # use; shared by copies, so mark_down replaces the dict, never clears it
+        self._standing: dict = {}
+        # server -> (the residual object its share was taken of, that share);
+        # an entry holds only while the server's residual is that object, so
+        # copies share the dict
+        self._shares: dict[str, tuple[ResourceVector, float]] = {}
         self.version = 0
 
     # -- usage accounting ---------------------------------------------------
@@ -309,14 +353,72 @@ class EmbeddingState:
                 out.append(Violation(rule, eid, False, overflow=load.overflow_over(limit)))
         return out
 
+    def _uplink_path(self, server: str, outward: bool) -> tuple[str, str, PathRecord | None]:
+        """The ends of a server's uplink, server first when outward, and its
+        path 0, None when the server has no single edge switch."""
+        edge = self.net.edge_switch_of(server)
+        pa, pb = (server, edge) if outward else (edge, server)
+        recs = self.table.get(pa, pb)
+        return pa, pb, recs[0] if recs else None
+
     def uplink(self, req: VdcRequest, vm_id: str, server: str) -> tuple[str, str, int] | None:
         """Path key of a VM's uplink when the VM sits on server: path 0 of
         (server's edge switch, server) in the vlink's own direction. None when
         server does not qualify: that edge is down or over the latency bound."""
-        edge = self.net.edge_switch_of(server)
-        pa, pb = (server, edge) if req.uplinks[vm_id].a == vm_id else (edge, server)
-        recs = self.table.get(pa, pb)
-        return (pa, pb, 0) if recs and admissible(recs[0], self.down, req.latency_bound) else None
+        pa, pb, rec = self._uplink_path(server, req.uplinks[vm_id].a == vm_id)
+        if rec is None or not admissible(rec, self.down, req.latency_bound):
+            return None
+        return pa, pb, 0
+
+    def racks(self, outward: bool) -> list[tuple[str, list[RackServer]]]:
+        """(edge switch, servers) per up edge switch, in id order. Its servers
+        are those under it, in servers_under order, whose uplink (server
+        first when outward) is up: uplink's rule with no latency bound.
+        Built on first use after each mark_down."""
+        racks = self._standing.get(outward)
+        if racks is None:
+            net = self.net
+            racks = []
+            edges = (s for s, sw in net.switches.items() if sw.tier == TIER_EDGE)
+            for rack in sorted(s for s in edges if s not in self.down):
+                servers = []
+                for s in net.servers_under(rack):
+                    rec = self._uplink_path(s, outward)[2]
+                    if rec is not None and admissible(rec, self.down, None):
+                        cap = net.capacity[s]
+                        lid = rec.edges[0]
+                        servers.append(
+                            RackServer(
+                                s, lid, rec.delay, cap.cpu_cores, cap.memory_mb,
+                                net.links[lid].bandwidth,
+                            )
+                        )
+                racks.append((rack, servers))
+            self._standing[outward] = racks
+        return racks
+
+    def up_counts(self) -> tuple[int, int, tuple[ResourceVector, ...]]:
+        """(up edge switches, up switches, the distinct capacities of the up
+        servers, first seen first). Built on first use after each mark_down."""
+        counts = self._standing.get("up")
+        if counts is None:
+            net, down = self.net, self.down
+            up = [s for s in net.switches if s not in down]
+            counts = self._standing["up"] = (
+                sum(net.switches[s].tier == TIER_EDGE for s in up),
+                len(up),
+                tuple(dict.fromkeys(net.capacity[s] for s in net.servers if s not in down)),
+            )
+        return counts
+
+    def server_share(self, server: str) -> float:
+        """norm of a server's residual over its capacity, kept until the
+        residual changes."""
+        rv = self.residual[server]
+        kept = self._shares.get(server)
+        if kept is None or kept[0] is not rv:
+            kept = self._shares[server] = (rv, norm(rv, self.net.capacity[server]))
+        return kept[1]
 
     def free_path(
         self, pa, pb, bandwidth, latency_bound=None, credit=(), extra=None, avoid=None
@@ -380,7 +482,8 @@ class EmbeddingState:
             self.commit(req, a)
 
     def copy(self) -> "EmbeddingState":
-        """An independent state sharing the read-only substrate and path table."""
+        """An independent state sharing the read-only substrate and path
+        table, and the caches until either side changes what they read."""
         clone = copy.copy(self)
         clone.active = dict(self.active)
         clone.requests = dict(self.requests)
@@ -400,6 +503,7 @@ class EmbeddingState:
         self.free = self.free - sum_vectors(self.residual[eid] for eid in newly)
         self.down.update(newly)
         self._fragments = None
+        self._standing = {}
         self.version += 1
 
     # -- consistency --------------------------------------------------------

@@ -159,6 +159,7 @@ class SubstrateNetwork:
             **{l.id: ResourceVector(bandwidth=l.bandwidth) for l in self.links.values()},
         }
         self._hop_cache: dict[str, dict[str, int]] = {}
+        self._switch_order: dict[str, list[tuple[int, str]]] = {}
         self._diameter: int | None = None
         # server -> its edge switch, where exactly one is adjacent
         self._edge_of: dict[str, str] = {}
@@ -202,6 +203,17 @@ class SubstrateNetwork:
                     frontier.append(nxt)
         self._hop_cache[src] = dist
         return dist
+
+    def switches_by_hops(self, src: str) -> list[tuple[int, str]]:
+        """(hops, switch id) for every switch reachable from src, nearest
+        first, ties by id; built on first use per src."""
+        order = self._switch_order.get(src)
+        if order is None:
+            dist = self.hop_distances_from(src)
+            order = self._switch_order[src] = sorted(
+                (d, n) for n, d in dist.items() if n in self.switches
+            )
+        return order
 
     def hop_distance(self, a: str, b: str) -> int:
         return self.hop_distances_from(a)[b]

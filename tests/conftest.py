@@ -21,7 +21,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         for name, ok in ACCEPTANCE_RESULTS:
             terminalreporter.write_line(("PASS  " if ok else "FAIL  ") + name)
 
-from vdcembed import topology
+from vdcembed import online_search, topology
 from vdcembed.batch_solver import build_mip, extract_assignments, solve_exact
 from vdcembed.paths import enumerate_paths
 from vdcembed.state import EmbeddingState
@@ -222,17 +222,47 @@ def k4_state(k4_net, k4_table):
 
 
 @pytest.fixture
-def overflow_over_calls(monkeypatch):
-    """One entry per ResourceVector.overflow_over call from here on; greedy
-    makes one per VM-server pair it scores."""
+def scored_server_pairs(monkeypatch):
+    """One (VM demand, server) entry per VM-server pair greedy scores from
+    here on: each server of every rack pool it ranks for a VM."""
+    pairs = []
+    best_server = online_search._best_server
+
+    def counted(residual, demand, bandwidth, pool, *loads):
+        pairs.extend((demand, entry[0]) for entry in pool)
+        return best_server(residual, demand, bandwidth, pool, *loads)
+
+    monkeypatch.setattr(online_search, "_best_server", counted)
+    return pairs
+
+
+@pytest.fixture
+def scored_switches(monkeypatch):
+    """One entry per switch greedy scores by its hop sum for a vSwitch
+    without a VM group, from here on."""
+    scored = []
+    hop_sum = online_search._hop_sum
+
+    def counted(hops, sid):
+        scored.append(sid)
+        return hop_sum(hops, sid)
+
+    monkeypatch.setattr(online_search, "_hop_sum", counted)
+    return scored
+
+
+@pytest.fixture
+def uplink_calls(monkeypatch):
+    """One (request id, VM, server) entry per EmbeddingState.uplink call
+    from here on."""
     calls = []
-    overflow_over = ResourceVector.overflow_over
+    uplink = EmbeddingState.uplink
 
-    def counted(self, limit):
-        calls.append(limit)
-        return overflow_over(self, limit)
+    def counted(self, req, vm_id, server):
+        calls.append((req.id, vm_id, server))
+        return uplink(self, req, vm_id, server)
 
-    monkeypatch.setattr(ResourceVector, "overflow_over", counted)
+    monkeypatch.setattr(EmbeddingState, "uplink", counted)
     return calls
 
 

@@ -10,8 +10,18 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from vdcembed.state import Assignment
-from vdcembed.topology import DIMENSIONS, ResourceVector, SubstrateNetwork, Switch, Link
+from vdcembed.online_search import StructuralFailure, TempMapping
+from vdcembed.paths import admissible
+from vdcembed.state import Assignment, EmbeddingState
+from vdcembed.topology import (
+    DIMENSIONS,
+    ZERO,
+    Link,
+    ResourceVector,
+    SubstrateNetwork,
+    Switch,
+    VdcRequest,
+)
 
 
 def simple_paths_dfs(net, src, dst, max_len):
@@ -320,3 +330,213 @@ def best_joint_objective(net, table, requests, migration=None, f=Fraction(2)):
         if best is None or value > best:
             best = value
     return best if best is not None else Fraction(0)
+
+
+def _norm_of(load: ResourceVector, cap: ResourceVector) -> float:
+    """Scalar size of a load relative to a capacity, as greedy ranks it."""
+    total = 0.0
+    if cap.cpu_cores:
+        total += load.cpu_cores / cap.cpu_cores
+    if cap.memory_mb:
+        total += load.memory_mb / cap.memory_mb
+    if cap.switch_memory:
+        total += load.switch_memory / cap.switch_memory
+    if cap.bandwidth:
+        total += load.bandwidth / cap.bandwidth
+    return total
+
+
+def _vm_groups_of(req: VdcRequest) -> dict[str, list[str]]:
+    groups: dict[str, list[str]] = {}
+    for vm_id in req.vms:
+        groups.setdefault(req.vm_parent(vm_id), []).append(vm_id)
+    return groups
+
+
+def greedy_full_scan(
+    state: EmbeddingState, req: VdcRequest, allowed: tuple[set, set] | None = None
+) -> TempMapping | StructuralFailure:
+    """online_search.greedy_temp_map as it stood before it cached its racks
+    and server shares on the state, walked switches by hops and scored
+    servers on ints: every usable rack described again on each call, every
+    free switch scored for a vSwitch without a VM group, vectors built for
+    every VM-server pair. It should return the same mapping or failure.
+
+    Place every element of a request, tolerating capacity overflows.
+
+    allowed optionally restricts placement to a (node ids, link ids) fragment.
+    Each VM group takes the first rack, by most free share then id, whose
+    plan costs nothing, else the cheapest; a vSwitch-vSwitch vlink takes its
+    first path with no overflow, else the least overflowing.
+    Deterministic: all choices resolve ties by element id.
+    """
+    net = state.net
+    table = state.table
+    allowed_nodes, allowed_links = allowed if allowed else (None, None)
+
+    def node_ok(nid):
+        if nid in state.down:
+            return False
+        return allowed_nodes is None or nid in allowed_nodes
+
+    groups = _vm_groups_of(req)
+    group_order = sorted(
+        groups,
+        key=lambda g: (
+            not any(req.locality and vm in req.locality for vm in groups[g]),
+            -sum(req.vms[v].demand.cpu_cores for v in groups[g]),
+            -sum(req.vms[v].demand.memory_mb for v in groups[g]),
+            g,
+        ),
+    )
+    edge_switches = sorted(
+        s for s in net.switches if net.switches[s].tier == "edge" and node_ok(s)
+    )
+    # usable racks in tie-break order: (minus the servers' summed free share,
+    # id, servers whose uplink qualifies with that uplink edge, alike per VM)
+    racks = []
+    for vm in list(req.vms)[:1]:
+        for rack in edge_switches:
+            servers = [
+                (s, table.path(*key).edges[0]) for s in net.servers_under(rack)
+                if node_ok(s) and (key := state.uplink(req, vm, s))
+            ]
+            if servers:
+                share = sum(_norm_of(state.residual[s], net.servers[s].capacity) for s, _ in servers)
+                racks.append((-share, rack, servers))
+    racks.sort()  # rack ids are distinct, so no two server lists are compared
+
+    vm_map: dict[str, str] = {}
+    vswitch_map: dict[str, str] = {}
+    used_switches: set[str] = set()
+
+    def place_group(vm_ids, servers):
+        """Greedy placement on one rack's (server, uplink edge) pairs:
+        (overflow scalar, VM -> server), or None if impossible. A request's
+        groups take distinct racks, so the loads are local to this plan."""
+        server_load: dict[str, ResourceVector] = {}
+        link_load: dict[str, int] = {}
+        placement = {}
+        total_overflow = 0.0
+        order = sorted(
+            vm_ids,
+            key=lambda v: (-req.vms[v].demand.cpu_cores, -req.vms[v].demand.memory_mb, v),
+        )
+        for vm_id in order:
+            demand = req.vms[vm_id].demand
+            pool = servers
+            if req.locality and vm_id in req.locality:
+                pool = [(s, lid) for s, lid in servers if s in req.locality[vm_id]]
+                if not pool:
+                    return None
+            vlink = req.uplinks[vm_id]
+            best = None
+            for sid, lid in pool:
+                cap = net.servers[sid].capacity
+                free = state.residual[sid] - server_load.get(sid, ZERO)
+                score = _norm_of(demand.overflow_over(free), cap)
+                link_free = state.residual[lid].bandwidth - link_load.get(lid, 0)
+                score += max(0, vlink.bandwidth - link_free) / net.links[lid].bandwidth
+                # keys end in the server id, so the scan order does not matter
+                key = (score, -_norm_of(free - demand, cap), sid)
+                if best is None or key < best[0]:
+                    best = (key, sid, lid)
+            key, sid, lid = best
+            placement[vm_id] = sid
+            server_load[sid] = server_load.get(sid, ZERO) + demand
+            link_load[lid] = link_load.get(lid, 0) + vlink.bandwidth
+            total_overflow += key[0]
+        return total_overflow, placement
+
+    for vs_id in group_order:
+        vs_demand = req.vswitches[vs_id].demand.switch_memory
+        best = None
+        # costs are >= 0, so the first rack whose plan costs nothing wins
+        for _, rack, servers in racks:
+            if rack in used_switches:
+                continue
+            plan = place_group(groups[vs_id], servers)
+            if plan is None:
+                continue
+            mem_free = state.residual[rack].switch_memory
+            mem_over = max(0, vs_demand - mem_free) / net.switches[rack].capacity.switch_memory
+            cost = plan[0] + mem_over
+            if best is None or cost < best[0]:
+                best = (cost, rack, plan[1])
+                if cost == 0:
+                    break
+        if best is None:
+            return StructuralFailure(f"no rack can host vm group of {vs_id}")
+        _, rack, placement = best
+        vm_map.update(placement)
+        vswitch_map[vs_id] = rack
+        used_switches.add(rack)
+
+    neighbor_map: dict[str, list[str]] = {vs: [] for vs in req.vswitches}
+    for vl in req.vlinks.values():
+        if vl.a in req.vswitches and vl.b in req.vswitches:
+            neighbor_map[vl.a].append(vl.b)
+            neighbor_map[vl.b].append(vl.a)
+
+    # vSwitches without a VM group, edge ones (on the edge tier) first, then
+    # internal ones, each by id: least overflow, fewest hops to placed
+    # neighbours, then switch id
+    for vs_id in sorted(req.vswitches, key=lambda v: (not req.vswitches[v].is_edge, v)):
+        if vs_id in vswitch_map:
+            continue
+        vs = req.vswitches[vs_id]
+        placed = [vswitch_map[nb] for nb in neighbor_map[vs_id] if nb in vswitch_map]
+        hops = [net.hop_distances_from(host) for host in placed]
+        scored = [
+            (
+                max(0, vs.demand.switch_memory - state.residual[sid].switch_memory)
+                / net.switches[sid].capacity.switch_memory,
+                sum(row[sid] for row in hops),
+                sid,
+            )
+            for sid in (edge_switches if vs.is_edge else net.switches)
+            if node_ok(sid) and sid not in used_switches
+        ]
+        if not scored:
+            return StructuralFailure(f"no switch left for {vs_id}")
+        sid = min(scored)[2]
+        vswitch_map[vs_id] = sid
+        used_switches.add(sid)
+
+    vlink_map: dict[str, tuple[str, str, int]] = {}
+    path_load: dict[str, int] = {}  # no switch-switch path crosses a server
+    for vl_id in sorted(req.vlinks):
+        vl = req.vlinks[vl_id]
+        vm_id = vl.a if vl.a in req.vms else vl.b
+        if vm_id in req.vms:
+            vlink_map[vl_id] = state.uplink(req, vm_id, vm_map[vm_id])
+            continue
+        img_a, img_b = vswitch_map[vl.a], vswitch_map[vl.b]
+        best = None
+        for n, rec in enumerate(table.get(img_a, img_b)):
+            if not admissible(rec, state.down, req.latency_bound):
+                continue
+            if allowed_links is not None and any(e not in allowed_links for e in rec.edges):
+                continue
+            over = 0.0
+            for eid in rec.edges:
+                free = state.residual[eid].bandwidth - path_load.get(eid, 0)
+                over += max(0, vl.bandwidth - free) / net.links[eid].bandwidth
+            # paths come in ascending n: keep the first least overflow
+            if best is None or over < best[0]:
+                best = (over, n, rec)
+                if over == 0:
+                    break
+        if best is None:
+            return StructuralFailure(f"no admissible path for {vl_id} ({img_a}->{img_b})")
+        _, n, rec = best
+        vlink_map[vl_id] = (img_a, img_b, n)
+        for eid in rec.edges:
+            path_load[eid] = path_load.get(eid, 0) + vl.bandwidth
+
+    assignment = Assignment(req.id, vm_map, vswitch_map, vlink_map)
+    findings = state.check_assignment(req, assignment)
+    structural = [v for v in findings if v.structural]
+    if structural:
+        return StructuralFailure(f"unexpected structural finding: {structural[0]}")
+    return TempMapping(assignment, tuple(findings))

@@ -132,10 +132,35 @@ def test_records_carry_the_fields_perfbench_reads(perfbench_modules):
 GREEDY_OVERFLOW_CALLS_MAX = 2000
 
 
-def test_greedy_scores_few_server_pairs(perfbench_modules, overflow_over_calls):
+def test_greedy_scores_few_server_pairs(perfbench_modules, scored_server_pairs):
     _, workloads = perfbench_modules
     first_simulation(workloads, "online-k8")
-    assert 0 < len(overflow_over_calls) < GREEDY_OVERFLOW_CALLS_MAX
+    assert 0 < len(scored_server_pairs) < GREEDY_OVERFLOW_CALLS_MAX
+
+
+# state.uplink calls in the same simulation: 300 when greedy reads the
+# state's racks and asks uplink only for each placed VM's key, 2,220 when it
+# asked uplink again for every server of every usable rack on each call
+UPLINK_CALLS_MAX = 600
+
+
+def test_greedy_reads_racks_from_the_state(perfbench_modules, uplink_calls):
+    _, workloads = perfbench_modules
+    first_simulation(workloads, "online-k8")
+    assert 0 < len(uplink_calls) < UPLINK_CALLS_MAX
+
+
+# switches scored by their hop sum for vSwitches without a VM group in the
+# same simulation: 1,584 when a vSwitch with a placed neighbour walks the
+# switches by hops and stops at the triangle bound, 3,426 when every free
+# switch was scored
+GROUPLESS_SWITCHES_SCORED_MAX = 2500
+
+
+def test_groupless_vswitches_score_few_switches(perfbench_modules, scored_switches):
+    _, workloads = perfbench_modules
+    first_simulation(workloads, "online-k8")
+    assert 0 < len(scored_switches) < GROUPLESS_SWITCHES_SCORED_MAX
 
 
 # the vectors sum_vectors folds in online-k8's first simulation at seed 1

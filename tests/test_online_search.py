@@ -2,11 +2,13 @@
 
 import hashlib
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 from conftest import chain_request, make_rack_net, star_request
+from oracles import greedy_full_scan
 from vdcembed.batch_solver import build_mip, solve_exact
 from vdcembed.online_search import (
     OnlineResult,
@@ -22,7 +24,9 @@ from vdcembed.online_search import (
 from vdcembed.paths import enumerate_paths
 from vdcembed.state import Assignment, EmbeddingState
 from vdcembed.topology import (
+    Link,
     ResourceVector,
+    SubstrateNetwork,
     VdcRequest,
     VLink,
     Vm,
@@ -131,7 +135,7 @@ class TestGreedy:
         assert len(k4_state.table.path(*a.vlink_map["vl0"]).edges) == 2
 
     def test_skips_the_largest_share_rack_short_of_switch_memory(
-        self, k4_state, overflow_over_calls
+        self, k4_state, scored_server_pairs
     ):
         # free share order: e2_0, then e3_1, then the rest; e2_0 cannot hold vs0
         for sid in k4_state.net.servers:
@@ -143,7 +147,7 @@ class TestGreedy:
         assert isinstance(temp, TempMapping) and temp.clean
         assert temp.assignment.vswitch_map["vs0"] == "e3_1"
         # one VM on the two servers of e2_0 and of e3_1, then stop
-        assert len(overflow_over_calls) == 4
+        assert len(scored_server_pairs) == 4
 
     def test_cheapest_rack_when_every_rack_overflows(self, k4_state):
         # equal free shares, so e0_0 is scanned first; e3_1 overflows least
@@ -181,6 +185,92 @@ class TestGreedy:
         assert [(v.element, v.overflow) for v in temp.ledger] == [
             ("l10", ResourceVector(bandwidth=5))
         ]
+
+
+class TestGreedyMatchesFullScan:
+    """greedy_temp_map reads racks, server shares and hop orders the state
+    and the substrate cache; the full-scan oracle derives them again on
+    every call. Both must agree on random tight states."""
+
+    @staticmethod
+    def substrate(k, rng):
+        """A tight k-ary fat tree whose uplinks take 1-3 time units, so
+        latency bounds cut some of them, and whose server s0 also hangs off
+        its pod's second edge switch, so it has no single edge switch."""
+        base = build_fat_tree(
+            k, server_capacity=ResourceVector(cpu_cores=8, memory_mb=4000), switch_memory=30
+        )
+        links = {
+            lid: replace(link, delay=rng.choice([1, 1, 2, 3])) if link.b in base.servers else link
+            for lid, link in base.links.items()
+        }
+        links["l-dual"] = Link("l-dual", "e0_1", "s0", 1000, 1)
+        return SubstrateNetwork(dict(base.servers), dict(base.switches), links)
+
+    @staticmethod
+    def compare(state, req, seen):
+        """Both greedy versions on the whole substrate and on the first two
+        fragments; returns the first mapping."""
+        groupless = set(req.vswitches) - {req.vm_parent(vm) for vm in req.vms}
+        outputs = []
+        for allowed in [None] + [(n, l) for n, l, _ in compute_fragments(state)[:2]]:
+            out = greedy_temp_map(state, req, allowed)
+            assert repr(out) == repr(greedy_full_scan(state, req, allowed))
+            outputs.append(out)
+            if isinstance(out, StructuralFailure):
+                seen["structural"] += 1
+                continue
+            seen["overflow" if out.ledger else "clean"] += 1
+            on_groupless = {out.assignment.vswitch_map[vs] for vs in groupless}
+            # a groupless vSwitch overflows its switch only when none has room
+            seen["no-switch-with-room"] += any(v.element in on_groupless for v in out.ledger)
+        return outputs[0]
+
+    @staticmethod
+    def used_by(state, req, out, rng, elements):
+        """An element a mapping uses (a VM's server or uplink, a vSwitch's
+        switch), so its failure changes what greedy sees; else any."""
+        if not isinstance(out, TempMapping):
+            return rng.choice(elements)
+        a = out.assignment
+        uplinks = [state.table.path(*a.vlink_map[vl.id]).edges[0] for vl in req.uplinks.values()]
+        return rng.choice([*a.vm_map.values(), *a.vswitch_map.values(), *uplinks])
+
+    @pytest.mark.parametrize("k", [4, 6])
+    def test_same_mapping_as_the_full_scan(self, k):
+        rng = random.Random(k)
+        net = self.substrate(k, rng)
+        table = enumerate_paths(net)
+        servers = sorted(net.servers)
+        elements = servers + sorted(net.switches) + sorted(net.links)
+        cfg = WorkloadConfig(vm_count=(2, 12), vswitch_count=(2, 8), vswitch_memory=(16, 30))
+        seen = Counter()
+        for _ in range(5):
+            state = EmbeddingState(net, table)
+            assert all(e[0] != "s0" for _, rack in state.racks(False) for e in rack)
+            for i in range(14):
+                req = generate_vdc_request(cfg, 0.0, rng.randrange(10**9))
+                locality = {
+                    vm: frozenset(rng.sample(servers, 4)) for vm in req.vms if rng.random() < 0.2
+                }
+                req = replace(
+                    req, id=f"r{i}", latency_bound=rng.choice([None, None, 2, 3, 4]),
+                    locality=locality or None,
+                )
+                # every third call plans on a copy, which shares the caches
+                probe = state.copy() if i % 3 == 1 else state
+                out = self.compare(probe, req, seen)
+                if i % 2:
+                    # a failure between calls; on a copy it must not reach the state
+                    probe.mark_down([self.used_by(probe, req, out, rng, elements)])
+                    self.compare(probe, req, seen)
+                    if probe is not state:
+                        self.compare(state, req, seen)
+                result = try_online_embed(state, req)
+                if isinstance(result, OnlineResult):
+                    apply_online(state, req, result)
+        for case in ("clean", "overflow", "structural", "no-switch-with-room"):
+            assert seen[case], case
 
 
 class TestSwapRepair:

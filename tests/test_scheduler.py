@@ -32,6 +32,7 @@ from vdcembed.topology import (
     ResourceVector,
     SubstrateNetwork,
     VLink,
+    VSwitch,
     WorkloadConfig,
     build_fat_tree,
     poisson_arrivals,
@@ -160,6 +161,41 @@ class TestSimulationSteps:
         assert sim._structurally_impossible(req) is None
         sim.process(SimEvent(1.0, 1, "failure", elements=("s1",)))
         assert sim._structurally_impossible(req) == "demand-exceeds-substrate"
+
+    def rejection(self, net, req, failed=()):
+        """The reason the pre-check gives for req on net, after the failed
+        elements go down, and the reason the arrival's reject record names."""
+        sim = Simulation(net, enumerate_paths(net), PolicyConfig())
+        if failed:
+            assert sim._structurally_impossible(req) is None
+            sim.process(SimEvent(0.0, 0, "failure", elements=failed))
+        reason = sim._structurally_impossible(req)
+        sim.process(SimEvent(1.0, 1, "arrival", request=req))
+        rejects = [r.get("reason") for r in sim.records if r.kind == "reject"]
+        assert rejects == ([reason] if reason else [])
+        return reason
+
+    def test_failed_edge_switch_leaves_too_few_for_the_edge_vswitches(self):
+        # k=2 has two edge switches; with one failed, two edge vSwitches cannot land
+        req = chain_request("r0")
+        assert self.rejection(build_fat_tree(2), req, failed=("e0_0",)) == (
+            "more-edge-vswitches-than-edge-switches"
+        )
+
+    def test_more_vswitches_than_switches_rejected(self):
+        # one edge switch: the edge vSwitch fits, its internal neighbour has no switch
+        req = star_request("r0")
+        req = replace(
+            req,
+            vswitches={**req.vswitches, "vs1": VSwitch("vs1", False, ResourceVector(switch_memory=10))},
+            vlinks={**req.vlinks, "vl9": VLink("vl9", "vs0", "vs1", 10)},
+        )
+        assert self.rejection(make_rack_net(), req) == "more-vswitches-than-switches"
+
+    def test_vm_larger_than_every_server_rejected(self):
+        # two 8-core servers hold 9 cores between them, but no single one does
+        req = star_request("r0", cores=9)
+        assert self.rejection(make_rack_net(n_servers=2, cores=8), req) == "vm-exceeds-any-server"
 
     def test_batch_invoked_once_with_prefix(self):
         policy = PolicyConfig(batch_width=8, batch_min_pending=2)
