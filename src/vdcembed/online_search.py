@@ -270,9 +270,11 @@ def greedy_temp_map(
 
     # vSwitches without a VM group, edge ones (on the edge tier) first, then
     # internal ones, each by id: least overflow, fewest hops to placed
-    # neighbours, then switch id. A switch with room overflows by 0, so the
-    # hop-ordered walk answers whenever one has room and every switch is
-    # reachable (or a hop sum would be undefined); else every switch is scored
+    # neighbours, then switch id. A switch with room overflows by 0, so with
+    # no placed neighbour (every hop sum 0) the least id with room answers,
+    # and else the hop-ordered walk does whenever one has room and every
+    # switch is reachable (or a hop sum would be undefined); failing those,
+    # every switch is scored
     for vs_id in sorted(req.vswitches, key=lambda v: (not req.vswitches[v].is_edge, v)):
         if vs_id in vswitch_map:
             continue
@@ -280,7 +282,11 @@ def greedy_temp_map(
         placed = [vswitch_map[nb] for nb in neighbor_map[vs_id] if nb in vswitch_map]
         hops = [net.hop_distances_from(host) for host in placed]
         sid = None
-        if placed and len(net.switches_by_hops(placed[0])) == len(net.switches):
+        if not placed:
+            need = vs.demand.switch_memory
+            room = (s for s in sorted(net.switches) if state.residual[s].switch_memory >= need)
+            sid = next((s for s in room if takes(s, vs)), None)
+        elif len(net.switches_by_hops(placed[0])) == len(net.switches):
             sid = nearest_with_room(vs, placed, hops)
         if sid is None:
             scored = [

@@ -111,6 +111,13 @@ class EmbeddingState:
     summed over up elements, and one free vector per cached fragment.
     Facts that change only when an element goes down (the racks, the up
     counts) are built on first use and dropped by mark_down.
+
+    The state also keeps its last clean check, (request, assignment, usage):
+    commit skips the re-check of those very objects and charge takes that
+    usage. It holds because check_assignment reads only the residuals, down
+    and the assignment's maps: charge and mark_down, the only routines that
+    change the first two, drop it, and no routine writes to an Assignment's
+    maps after it is built (a move builds a new one).
     """
 
     def __init__(self, net: SubstrateNetwork, table: PathTable):
@@ -133,6 +140,9 @@ class EmbeddingState:
         # an entry holds only while the server's residual is that object, so
         # copies share the dict
         self._shares: dict[str, tuple[ResourceVector, float]] = {}
+        # (request, assignment, usage) of the last check that found nothing;
+        # a copy starts with equal residuals, so it may share it
+        self._checked: tuple[VdcRequest, Assignment, dict[str, ResourceVector]] | None = None
         self.version = 0
 
     # -- usage accounting ---------------------------------------------------
@@ -162,17 +172,23 @@ class EmbeddingState:
 
     def add_usage(self, residual, req: VdcRequest, a: Assignment, sign: int):
         """Add sign (+1 or -1) times one assignment's per-element usage to a
-        residual map; returns that usage."""
-        usage = self.usage(req, a)
-        for eid, load in usage.items():
+        residual map."""
+        for eid, load in self.usage(req, a).items():
             residual[eid] = residual[eid] + load if sign > 0 else residual[eid] - load
-        return usage
 
     def charge(self, req: VdcRequest, a: Assignment, sign: int):
         """Add sign (+1 or -1) times one assignment's usage to the residuals
         and to the running sums. Unchecked: commit checks first, and a
-        rollback puts back what a release took."""
-        usage = self.add_usage(self.residual, req, a, sign)
+        rollback puts back what a release took. The usage is the kept
+        check's when that check was of req and a; either way the kept check
+        is dropped, since the residuals change."""
+        usage = self._kept(req, a)
+        self._checked = None
+        if usage is None:
+            usage = self.usage(req, a)
+        residual = self.residual
+        for eid, load in usage.items():
+            residual[eid] = residual[eid] + load if sign > 0 else residual[eid] - load
         down = self.down
         delta = sum_vectors(load for eid, load in usage.items() if eid not in down)
         self.free = self.free + delta if sign > 0 else self.free - delta
@@ -342,16 +358,24 @@ class EmbeddingState:
         Structural breaches and capacity breaches, the latter with quantified
         overflow amounts, are listed; any finding blocks a commit, while the
         online embedder carries capacity findings forward as a violation
-        ledger to repair.
+        ledger to repair. A check that finds nothing is kept for commit.
         """
         out = self.structural_findings(req, a)
-
-        for eid, load in self.usage(req, a).items():
+        usage = self.usage(req, a)
+        for eid, load in usage.items():
             limit = self.residual[eid] if eid not in self.down else ZERO
             if not load.le(limit):
                 rule = f"{self.net.kind(eid)}-capacity"
                 out.append(Violation(rule, eid, False, overflow=load.overflow_over(limit)))
+        if not out:
+            self._checked = (req, a, usage)
         return out
+
+    def _kept(self, req: VdcRequest, a: Assignment) -> dict[str, ResourceVector] | None:
+        """The usage of the kept clean check when it was of these very
+        objects, else None."""
+        checked = self._checked
+        return checked[2] if checked and checked[0] is req and checked[1] is a else None
 
     def _uplink_path(self, server: str, outward: bool) -> tuple[str, str, PathRecord | None]:
         """The ends of a server's uplink, server first when outward, and its
@@ -447,12 +471,15 @@ class EmbeddingState:
     # -- mutation -------------------------------------------------------------
 
     def commit(self, req: VdcRequest, a: Assignment):
-        """Admit an assignment; strict violations reject it and leave state unchanged."""
+        """Admit an assignment; strict violations reject it and leave state
+        unchanged. The kept clean check, when it was of req and a, stands in
+        for a re-check."""
         if req.id in self.active:
             raise InvalidParameterError(f"request {req.id} is already active")
-        violations = self.check_assignment(req, a)
-        if violations:
-            raise CommitRejectedError(violations)
+        if self._kept(req, a) is None:
+            violations = self.check_assignment(req, a)
+            if violations:
+                raise CommitRejectedError(violations)
         self.charge(req, a, -1)
         self.active[req.id] = a
         self.requests[req.id] = req
@@ -504,6 +531,7 @@ class EmbeddingState:
         self.down.update(newly)
         self._fragments = None
         self._standing = {}
+        self._checked = None
         self.version += 1
 
     # -- consistency --------------------------------------------------------

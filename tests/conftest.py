@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -263,6 +264,26 @@ def uplink_calls(monkeypatch):
         return uplink(self, req, vm_id, server)
 
     monkeypatch.setattr(EmbeddingState, "uplink", counted)
+    return calls
+
+
+@pytest.fixture
+def state_calls(monkeypatch):
+    """Calls of EmbeddingState.commit, check_assignment and usage from here
+    on, counted by method name."""
+    calls = Counter()
+
+    def counting(name):
+        method = getattr(EmbeddingState, name)
+
+        def counted(self, req, a):
+            calls[name] += 1
+            return method(self, req, a)
+
+        return counted
+
+    for name in ("commit", "check_assignment", "usage"):
+        monkeypatch.setattr(EmbeddingState, name, counting(name))
     return calls
 
 

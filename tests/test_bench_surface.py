@@ -176,6 +176,18 @@ def test_state_sums_fold_few_vectors(perfbench_modules, sum_vectors_folds):
     assert 0 < len(sum_vectors_folds) < SUM_VECTORS_FOLDS_MAX
 
 
+def test_an_admission_checks_its_assignment_once(perfbench_modules, state_calls):
+    # the same simulation makes 15 commits: 15 checks and 15 usage folds
+    # when commit takes the state's last clean check and charge the usage
+    # that check computed, 30 and 45 when commit checked again and charge
+    # folded the usage once more
+    _, workloads = perfbench_modules
+    first_simulation(workloads, "online-k8")
+    commits = state_calls["commit"]
+    assert 0 < state_calls["check_assignment"] <= commits
+    assert 0 < state_calls["usage"] <= commits
+
+
 # Neither workload's pinned trace holds a migration record, so this short
 # batch-only run on k=4 pins the paths that emit them: batch re-placements,
 # a failure (displaced requests repaired, one requeued) and a scale-up that

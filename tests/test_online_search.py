@@ -134,6 +134,34 @@ class TestGreedy:
         assert (a.vswitch_map, a.vm_map) == ({"vs1": "e1_0", "vs0": "e1_1"}, {"vm0": "s4"})
         assert len(k4_state.table.path(*a.vlink_map["vl0"]).edges) == 2
 
+    def test_groupless_vswitch_without_a_placed_neighbour_takes_least_id_with_room(
+        self, k4_state, scored_switches
+    ):
+        # vs1 comes before vs2, its one neighbour, so every hop sum would be
+        # 0; a0_0 is the least switch id but short of memory
+        k4_state.residual["a0_0"] = ResourceVector(switch_memory=5)
+        internal = {
+            vs: VSwitch(vs, False, ResourceVector(switch_memory=10)) for vs in ("vs1", "vs2")
+        }
+        req = VdcRequest(
+            id="r0",
+            vms={"vm0": Vm("vm0", ResourceVector(cpu_cores=1, memory_mb=256))},
+            vswitches={"vs0": VSwitch("vs0", True, ResourceVector(switch_memory=10)), **internal},
+            vlinks={
+                "vl0": VLink("vl0", "vs0", "vm0", 10),
+                "vl1": VLink("vl1", "vs0", "vs2", 10),
+                "vl2": VLink("vl2", "vs2", "vs1", 10),
+            },
+            arrival_time=0.0,
+            duration=10.0,
+        )
+        temp = greedy_temp_map(k4_state, req)
+        assert isinstance(temp, TempMapping) and temp.clean
+        assert temp.assignment.vswitch_map["vs1"] == "a0_1"
+        # only vs2, which has placed neighbours, scores switches by hops
+        assert temp.assignment.vswitch_map["vs2"] in scored_switches
+        assert "a0_1" not in scored_switches
+
     def test_skips_the_largest_share_rack_short_of_switch_memory(
         self, k4_state, scored_server_pairs
     ):

@@ -303,6 +303,103 @@ class TestApplyAndCopy:
         assert (k2_state.down, k2_state.version) == ({"s0", "l0"}, 1)
 
 
+class TestLastCleanCheck:
+    """commit takes the state's last clean check of the same request and
+    assignment objects for its own, and charge the usage that check
+    computed; any change to the residuals or to down makes commit check
+    again."""
+
+    @staticmethod
+    def rack(n_servers=1):
+        """A state on one rack of 3-core servers, and a 2-core star request
+        placed on s0 with its assignment."""
+        net = make_rack_net(n_servers, cores=3)
+        table = enumerate_paths(net)
+        req = star_request("r0", cores=2)
+        return EmbeddingState(net, table), req, assign_star(net, table, req, "e0", "s0")
+
+    def test_commit_after_a_clean_check_checks_and_folds_once(self, state_calls):
+        state, req, a = self.rack()
+        assert state.check_assignment(req, a) == []
+        state.commit(req, a)
+        assert (state_calls["check_assignment"], state_calls["usage"]) == (1, 1)
+        state.audit()
+
+    def test_another_commit_takes_the_room(self, state_calls):
+        state, req, a = self.rack()
+        other = star_request("r1", cores=2)
+        assert state.check_assignment(req, a) == []
+        state.commit(other, assign_star(state.net, state.table, other, "e0", "s0"))
+        state_calls.clear()
+        with pytest.raises(CommitRejectedError, match="server-capacity"):
+            state.commit(req, a)
+        assert state_calls["check_assignment"] == 1
+
+    def test_mark_down_of_a_used_host(self, state_calls):
+        state, req, a = self.rack()
+        assert state.check_assignment(req, a) == []
+        state.mark_down(["s0"])
+        with pytest.raises(CommitRejectedError, match="element-down"):
+            state.commit(req, a)
+        assert state_calls["check_assignment"] == 2
+
+    def test_swap_in_rollback(self, state_calls):
+        # x and y take 2 of 3 cores on s0 and s1; x cannot move onto s1
+        state, _, _ = self.rack(n_servers=2)
+        x, y = star_request("x", cores=2), star_request("y", cores=2)
+        state.commit(x, assign_star(state.net, state.table, x, "e0", "s0"))
+        state.commit(y, assign_star(state.net, state.table, y, "e0", "s1"))
+        small = star_request("r0", cores=1)
+        a = assign_star(state.net, state.table, small, "e0", "s0")
+        assert state.check_assignment(small, a) == []
+        assert not _swap_in(state, assign_star(state.net, state.table, x, "e0", "s1"))
+        state_calls.clear()
+        state.commit(small, a)
+        assert state_calls["check_assignment"] == 1
+        state.audit()
+
+    def test_rollback_charge_takes_the_room(self, state_calls):
+        # the room a release freed is checked, then charged back unchecked,
+        # as _swap_in's rollback does
+        state, req, a = self.rack()
+        x = star_request("x", cores=2)
+        state.commit(x, assign_star(state.net, state.table, x, "e0", "s0"))
+        old = state.release("x")
+        assert state.check_assignment(req, a) == []
+        state.charge(x, old, -1)
+        state_calls.clear()
+        with pytest.raises(CommitRejectedError, match="server-capacity"):
+            state.commit(req, a)
+        assert state_calls["check_assignment"] == 1
+
+    @pytest.mark.parametrize("change", ["commit", "mark_down"])
+    def test_change_on_a_copy(self, state_calls, change):
+        state, req, a = self.rack()
+        assert state.check_assignment(req, a) == []
+        clone = state.copy()
+        if change == "commit":
+            other = star_request("r1", cores=2)
+            clone.commit(other, assign_star(state.net, state.table, other, "e0", "s0"))
+        else:
+            clone.mark_down(["s0"])
+        state_calls.clear()
+        with pytest.raises(CommitRejectedError):
+            clone.commit(req, a)
+        assert state_calls["check_assignment"] == 1
+        # the original's residuals did not change, so its check stands
+        state.commit(req, a)
+        assert state_calls["check_assignment"] == 1
+        state.audit()
+
+    def test_equal_but_distinct_assignment_is_checked(self, state_calls):
+        state, req, a = self.rack()
+        assert state.check_assignment(req, a) == []
+        twin = replace(a)
+        assert twin == a and twin is not a
+        state.commit(req, twin)
+        assert state_calls["check_assignment"] == 2
+
+
 class TestRunningSums:
     """The state's running sums against the oracles' folds from scratch, on
     the tight k=4 tree of TestPinnedOutputs."""
