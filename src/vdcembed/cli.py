@@ -1,8 +1,9 @@
 """Command-line interface: generate inputs, run simulations, solve, validate.
 
 Exit codes are a stable scripting contract: 0 success or valid negative
-answer, 1 usage/input error, 2 validation failure, 3 budget-exhausted
-incumbent (a solution was found but optimality was not proven).
+answer, 1 usage/input error, 2 validation failure, 3 budget exhausted
+(solve returns an incumbent whose optimality was not proven, or prints "no
+solution found within budget").
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import repeat
 
 from .errors import CommitRejectedError
 from .paths import admissible
@@ -130,8 +131,10 @@ def greedy_temp_map(
 
     allowed optionally restricts placement to a (node ids, link ids) fragment.
     Each VM group takes the first rack, by most free share then id, whose
-    plan costs nothing, else the cheapest; a vSwitch-vSwitch vlink takes its
-    first path with no overflow, else the least overflowing.
+    plan costs nothing, else the cheapest; a vSwitch without a VM group
+    walks the switches by hops, so the substrate must be connected; a
+    vSwitch-vSwitch vlink takes its first path with no overflow, else the
+    least overflowing.
     Deterministic: all choices resolve ties by element id.
     """
     net = state.net
@@ -154,14 +157,10 @@ def greedy_temp_map(
         ),
     )
     # the state's racks, cut to the fragment and the latency bound, in
-    # tie-break order: (minus the servers' summed free share, id, servers);
-    # a server qualifies alike for every VM, so the first VM's uplink
-    # direction picks the table for all
-    first = next(iter(req.vms), None)
-    outward = first is not None and req.uplinks[first].a == first
+    # tie-break order: (minus the servers' summed free share, id, servers)
     bound = req.latency_bound
     racks = []
-    for rack, servers in state.racks(outward):
+    for rack, servers in state.racks():
         if allowed_nodes is not None:
             if rack not in allowed_nodes:
                 continue
@@ -245,65 +244,40 @@ def greedy_temp_map(
             and (not vs.is_edge or net.switches[sid].tier == TIER_EDGE)
         )
 
-    def nearest_with_room(vs, placed, hops):
-        """The switch vs takes with room for it, fewest hops to the placed
-        neighbours then least id, or None when none has room. Walks the
-        switches by hops from the first neighbour and stops once the
-        triangle bound sum(max(0, d(c) - d(h))) over the neighbours h
-        exceeds the best hop sum: every later switch has a larger one."""
-        need = vs.demand.switch_memory
-        near = [hops[0][host] for host in placed]
-        best = None
-        at = lower = None
-        for d, sid in net.switches_by_hops(placed[0]):
-            if best is not None:
-                if d != at:
-                    at, lower = d, sum(max(0, d - dh) for dh in near)
-                if lower > best[0]:
-                    break
-            if state.residual[sid].switch_memory < need or not takes(sid, vs):
-                continue
-            key = (_hop_sum(hops, sid), sid)
-            if best is None or key < best:
-                best = key
-        return None if best is None else best[1]
-
     # vSwitches without a VM group, edge ones (on the edge tier) first, then
-    # internal ones, each by id: least overflow, fewest hops to placed
-    # neighbours, then switch id. A switch with room overflows by 0, so with
-    # no placed neighbour (every hop sum 0) the least id with room answers,
-    # and else the hop-ordered walk does whenever one has room and every
-    # switch is reachable (or a hop sum would be undefined); failing those,
-    # every switch is scored
+    # internal ones, each by id, keyed by (memory overflow, hop sum, id). The
+    # walk goes by hops from the first placed neighbour, or by id with none.
+    # Once the best has room it stops when the triangle bound sum(max(0, d(c)
+    # - d(h))) over the neighbours h exceeds the best hop sum, or when that
+    # sum is the neighbour count: each neighbour is at least 1 hop away, so
+    # every later switch has a larger hop sum or id
     for vs_id in sorted(req.vswitches, key=lambda v: (not req.vswitches[v].is_edge, v)):
         if vs_id in vswitch_map:
             continue
         vs = req.vswitches[vs_id]
         placed = [vswitch_map[nb] for nb in neighbor_map[vs_id] if nb in vswitch_map]
         hops = [net.hop_distances_from(host) for host in placed]
-        sid = None
-        if not placed:
-            need = vs.demand.switch_memory
-            room = (s for s in sorted(net.switches) if state.residual[s].switch_memory >= need)
-            sid = next((s for s in room if takes(s, vs)), None)
-        elif len(net.switches_by_hops(placed[0])) == len(net.switches):
-            sid = nearest_with_room(vs, placed, hops)
-        if sid is None:
-            scored = [
-                (
-                    max(0, vs.demand.switch_memory - state.residual[sid].switch_memory)
-                    / net.switches[sid].capacity.switch_memory,
-                    _hop_sum(hops, sid),
-                    sid,
-                )
-                for sid in net.switches
-                if takes(sid, vs)
-            ]
-            if not scored:
-                return StructuralFailure(f"no switch left for {vs_id}")
-            sid = min(scored)[2]
-        vswitch_map[vs_id] = sid
-        used_switches.add(sid)
+        walk = net.switches_by_hops(placed[0]) if placed else zip(repeat(0), sorted(net.switches))
+        near = [hops[0][host] for host in placed]
+        best = None
+        at = lower = None
+        for d, sid in walk:
+            if best is not None and best[0] == 0:
+                if d != at:
+                    at, lower = d, sum(max(0, d - dh) for dh in near)
+                if lower > best[1] or best[1] == len(placed):
+                    break
+            short = vs.demand.switch_memory - state.residual[sid].switch_memory
+            over = short / net.switches[sid].capacity.switch_memory if short > 0 else 0.0
+            if best is not None and over > best[0] or not takes(sid, vs):
+                continue
+            key = (over, _hop_sum(hops, sid), sid)
+            if best is None or key < best:
+                best = key
+        if best is None:
+            return StructuralFailure(f"no switch left for {vs_id}")
+        vswitch_map[vs_id] = best[2]
+        used_switches.add(best[2])
 
     vlink_map: dict[str, tuple[str, str, int]] = {}
     path_load: dict[str, int] = {}  # no switch-switch path crosses a server
@@ -466,6 +440,19 @@ def repair_displaced(state: EmbeddingState, req: VdcRequest) -> Assignment | Non
             if a is None:
                 return None
     return None if probe.check_assignment(req, a) else a
+
+
+def repair_scale_up(state: EmbeddingState, scaled: VdcRequest, swap_ceiling: int):
+    """Place an active request grown in place, scaled keeping its id: as it
+    stands when it still fits (no moves), else by swap repair within
+    min(findings, swap_ceiling) moves. A scale-up adds VM load only, so the
+    moves relocate VMs, incumbents' or its own, with their uplinks."""
+    probe = state.copy()
+    a = probe.release(scaled.id)
+    ledger = tuple(probe.check_assignment(scaled, a))
+    if not ledger:
+        return OnlineResult(a, (), {})
+    return swap_repair(probe, scaled, TempMapping(a, ledger), min(len(ledger), swap_ceiling))
 
 
 def swap_repair(

@@ -5,7 +5,8 @@ thresholds are recomputed from the smallest and largest pending request,
 resources at or above the large threshold trigger a batch solve, the band
 between the two thresholds is handled by the online embedder, and anything
 below the small threshold waits for departures. Pending requests expire after
-a configurable patience and count as rejected.
+a configurable patience: a new request then counts as rejected, and a
+requeued incumbent as dropped.
 """
 
 from __future__ import annotations
@@ -20,11 +21,10 @@ from .errors import ConfigError, InvalidParameterError
 from .metrics import TraceRecord
 from .online_search import (
     OnlineResult,
-    TempMapping,
     compute_fragments,
     plan_batch,
     repair_displaced,
-    swap_repair,
+    repair_scale_up,
     try_online_embed,
 )
 from .paths import PathTable, enumerate_paths
@@ -515,8 +515,7 @@ class Simulation:
         if request_id not in self.state.active:
             self.emit("scale_up", now, request=request_id, outcome="not-active")
             return
-        state = self.state
-        req = state.requests[request_id]
+        req = self.state.requests[request_id]
         new_vms = dict(req.vms)
         for vm_id, extra in deltas:
             if vm_id not in new_vms:
@@ -524,22 +523,12 @@ class Simulation:
                 return
             new_vms[vm_id] = replace(new_vms[vm_id], demand=new_vms[vm_id].demand + extra)
         scaled = replace(req, vms=new_vms)
-        probe = state.copy()
-        a = probe.release(request_id)
-        ledger = tuple(probe.check_assignment(scaled, a))
-        if not ledger:
-            self._carry_out([request_id], [(scaled, a)], now)
-            self.emit("scale_up", now, request=request_id, outcome="in-place")
-            return
-        # a scale-up adds VM load only, so only servers overflow and swap
-        # repair moves VMs (the request's own or incumbents') and their uplinks
-        temp = TempMapping(a, ledger)
-        result = swap_repair(probe, scaled, temp, min(len(ledger), self.policy.swap_ceiling))
+        result = repair_scale_up(self.state, scaled, self.policy.swap_ceiling)
+        outcome = "rejected"
         if isinstance(result, OnlineResult):
             self._apply_online(scaled, result, now)
-            self.emit("scale_up", now, request=request_id, outcome="relocated")
-        else:
-            self.emit("scale_up", now, request=request_id, outcome="rejected")
+            outcome = "relocated" if result.moves else "in-place"
+        self.emit("scale_up", now, request=request_id, outcome=outcome)
 
     # -- event loop --------------------------------------------------------------
 

@@ -13,7 +13,7 @@ from .errors import (
     PathLookupError,
     UnknownElementError,
 )
-from .paths import PathRecord, PathTable, admissible
+from .paths import PathTable, admissible
 from .topology import (
     DIMENSIONS,
     TIER_EDGE,
@@ -109,7 +109,7 @@ class EmbeddingState:
     refused swap's rollback call, and elements go down only through
     mark_down. Both keep two running sums current: free, the residuals
     summed over up elements, and one free vector per cached fragment.
-    Facts that change only when an element goes down (the racks, the up
+    Facts that change only when an element goes down (the uplinks, the up
     counts) are built on first use and dropped by mark_down.
 
     The state also keeps its last clean check, (request, assignment, usage):
@@ -133,8 +133,8 @@ class EmbeddingState:
         # shared by copies, None while stale
         self._fragments: tuple[list, dict[str, int]] | None = None
         self._fragment_free: list[ResourceVector] = []  # per fragment, by index
-        # racks per uplink direction and the up counts, each built on first
-        # use; shared by copies, so mark_down replaces the dict, never clears it
+        # the uplink table and the up counts, each built on first use;
+        # shared by copies, so mark_down replaces the dict, never clears it
         self._standing: dict = {}
         # server -> (the residual object its share was taken of, that share);
         # an entry holds only while the server's residual is that object, so
@@ -377,49 +377,47 @@ class EmbeddingState:
         checked = self._checked
         return checked[2] if checked and checked[0] is req and checked[1] is a else None
 
-    def _uplink_path(self, server: str, outward: bool) -> tuple[str, str, PathRecord | None]:
-        """The ends of a server's uplink, server first when outward, and its
-        path 0, None when the server has no single edge switch."""
-        edge = self.net.edge_switch_of(server)
-        pa, pb = (server, edge) if outward else (edge, server)
-        recs = self.table.get(pa, pb)
-        return pa, pb, recs[0] if recs else None
-
-    def uplink(self, req: VdcRequest, vm_id: str, server: str) -> tuple[str, str, int] | None:
-        """Path key of a VM's uplink when the VM sits on server: path 0 of
-        (server's edge switch, server) in the vlink's own direction. None when
-        server does not qualify: that edge is down or over the latency bound."""
-        pa, pb, rec = self._uplink_path(server, req.uplinks[vm_id].a == vm_id)
-        if rec is None or not admissible(rec, self.down, req.latency_bound):
-            return None
-        return pa, pb, 0
-
-    def racks(self, outward: bool) -> list[tuple[str, list[RackServer]]]:
-        """(edge switch, servers) per up edge switch, in id order. Its servers
-        are those under it, in servers_under order, whose uplink (server
-        first when outward) is up: uplink's rule with no latency bound.
+    def _uplinks(self) -> tuple[list[tuple[str, list[RackServer]]], dict[str, RackServer]]:
+        """The up uplinks: (edge switch, servers) per up edge switch in id
+        order, and each listed server's entry by its id. A server is listed
+        under the one edge switch it hangs off when path 0 between them (the
+        link itself, alike either way) is admissible with no latency bound.
         Built on first use after each mark_down."""
-        racks = self._standing.get(outward)
-        if racks is None:
+        uplinks = self._standing.get("uplinks")
+        if uplinks is None:
             net = self.net
-            racks = []
+            racks, by_server = [], {}
             edges = (s for s, sw in net.switches.items() if sw.tier == TIER_EDGE)
             for rack in sorted(s for s in edges if s not in self.down):
                 servers = []
                 for s in net.servers_under(rack):
-                    rec = self._uplink_path(s, outward)[2]
-                    if rec is not None and admissible(rec, self.down, None):
-                        cap = net.capacity[s]
-                        lid = rec.edges[0]
-                        servers.append(
-                            RackServer(
-                                s, lid, rec.delay, cap.cpu_cores, cap.memory_mb,
-                                net.links[lid].bandwidth,
-                            )
+                    recs = self.table.get(rack, s)
+                    if net.edge_switch_of(s) == rack and recs and admissible(recs[0], self.down, None):
+                        cap, lid = net.capacity[s], recs[0].edges[0]
+                        by_server[s] = RackServer(
+                            s, lid, recs[0].delay, cap.cpu_cores, cap.memory_mb,
+                            net.links[lid].bandwidth,
                         )
+                        servers.append(by_server[s])
                 racks.append((rack, servers))
-            self._standing[outward] = racks
-        return racks
+            uplinks = self._standing["uplinks"] = (racks, by_server)
+        return uplinks
+
+    def racks(self) -> list[tuple[str, list[RackServer]]]:
+        """(edge switch, servers) per up edge switch, in id order: the servers
+        under it, in servers_under order, whose uplink is up."""
+        return self._uplinks()[0]
+
+    def uplink(self, req: VdcRequest, vm_id: str, server: str) -> tuple[str, str, int] | None:
+        """Path key of a VM's uplink when the VM sits on server: path 0
+        between server and its edge switch, in the vlink's own direction.
+        None when server does not qualify: its uplink is down or over the
+        latency bound."""
+        entry = self._uplinks()[1].get(server)
+        if entry is None or (req.latency_bound is not None and entry.delay > req.latency_bound):
+            return None
+        edge = self.net.edge_switch_of(server)
+        return (server, edge, 0) if req.uplinks[vm_id].a == vm_id else (edge, server, 0)
 
     def up_counts(self) -> tuple[int, int, tuple[ResourceVector, ...]]:
         """(up edge switches, up switches, the distinct capacities of the up

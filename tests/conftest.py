@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import sys
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -124,6 +125,15 @@ def chain_request(rid, n_vswitches=2, vms_per_switch=1, cores=1, mem=256,
     )
 
 
+def vm_first(req):
+    """req with every uplink vlink listing its VM first."""
+    vlinks = {
+        vid: VLink(vid, vl.b, vl.a, vl.bandwidth) if vl.b in req.vms else vl
+        for vid, vl in req.vlinks.items()
+    }
+    return replace(req, vlinks=vlinks)
+
+
 def _tiny_request(rng, rid):
     kind = rng.choice(["star1", "star1", "star2", "chain"])
     if kind == "star1":
@@ -239,13 +249,13 @@ def scored_server_pairs(monkeypatch):
 
 @pytest.fixture
 def scored_switches(monkeypatch):
-    """One entry per switch greedy scores by its hop sum for a vSwitch
-    without a VM group, from here on."""
+    """One (placed neighbours, switch) entry per switch greedy scores by
+    its hop sum for a vSwitch without a VM group, from here on."""
     scored = []
     hop_sum = online_search._hop_sum
 
     def counted(hops, sid):
-        scored.append(sid)
+        scored.append((len(hops), sid))
         return hop_sum(hops, sid)
 
     monkeypatch.setattr(online_search, "_hop_sum", counted)

@@ -353,6 +353,24 @@ def _vm_groups_of(req: VdcRequest) -> dict[str, list[str]]:
     return groups
 
 
+def uplink_from_paths(state: EmbeddingState, req: VdcRequest, vm_id: str, server: str):
+    """EmbeddingState.uplink read off the path table: path 0 of (edge
+    switch, server) in the vlink's own direction, where the edge switch is
+    the server's one edge-tier neighbour, and None when it has no single
+    one or that path is not admissible under the request's latency bound."""
+    net = state.net
+    edges = [
+        n for n, _ in net.adjacency[server] if n in net.switches and net.switches[n].tier == "edge"
+    ]
+    if len(edges) != 1:
+        return None
+    pa, pb = (server, edges[0]) if req.uplinks[vm_id].a == vm_id else (edges[0], server)
+    recs = state.table.get(pa, pb)
+    if not recs or not admissible(recs[0], state.down, req.latency_bound):
+        return None
+    return pa, pb, 0
+
+
 def greedy_full_scan(
     state: EmbeddingState, req: VdcRequest, allowed: tuple[set, set] | None = None
 ) -> TempMapping | StructuralFailure:
@@ -399,7 +417,7 @@ def greedy_full_scan(
         for rack in edge_switches:
             servers = [
                 (s, table.path(*key).edges[0]) for s in net.servers_under(rack)
-                if node_ok(s) and (key := state.uplink(req, vm, s))
+                if node_ok(s) and (key := uplink_from_paths(state, req, vm, s))
             ]
             if servers:
                 share = sum(_norm_of(state.residual[s], net.servers[s].capacity) for s, _ in servers)
@@ -509,7 +527,7 @@ def greedy_full_scan(
         vl = req.vlinks[vl_id]
         vm_id = vl.a if vl.a in req.vms else vl.b
         if vm_id in req.vms:
-            vlink_map[vl_id] = state.uplink(req, vm_id, vm_map[vm_id])
+            vlink_map[vl_id] = uplink_from_paths(state, req, vm_id, vm_map[vm_id])
             continue
         img_a, img_b = vswitch_map[vl.a], vswitch_map[vl.b]
         best = None

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import chain_request, exactness_instances, make_rack_net, star_request
+from conftest import chain_request, exactness_instances, make_rack_net, star_request, vm_first
 from oracles import best_joint_objective, hop_distance_bfs, recheck_embedding
 from vdcembed.batch_solver import (
     KIND_W,
@@ -19,7 +19,7 @@ from vdcembed.batch_solver import (
     solve_exact,
 )
 from vdcembed.errors import InvalidParameterError, StaleSnapshotError
-from vdcembed.online_search import plan_batch
+from vdcembed.online_search import greedy_temp_map, plan_batch
 from vdcembed.paths import admissible, enumerate_paths
 from vdcembed.state import EmbeddingState
 from vdcembed.topology import (
@@ -205,6 +205,17 @@ class TestBuildMip:
         assert ("r0", "s0") not in hosts and len(hosts) == 15
         sol = solve_exact(model)
         assert sol.embedded["r0"] is not None and sol.embedded["r1"] is None
+
+    def test_vm_first_uplinks_take_server_first_keys(self, k4_state):
+        # every uplink lists its VM first, so its key runs server -> edge switch
+        req = vm_first(chain_request("r0", n_vswitches=3, vms_per_switch=2))
+        temp = greedy_temp_map(k4_state, req)
+        sol = solve_exact(build_mip(k4_state, [req]))
+        edge_of = k4_state.net.edge_switch_of
+        for a in (temp.assignment, sol.embedded["r0"]):
+            keys = {vm: a.vlink_map[vl.id] for vm, vl in req.uplinks.items()}
+            assert keys == {vm: (s, edge_of(s), 0) for vm, s in a.vm_map.items()}
+            assert k4_state.check_assignment(req, a) == []
 
     @pytest.mark.parametrize("k", [2, 4])
     def test_var_rows_is_transpose_of_rows(self, k):

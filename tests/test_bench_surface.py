@@ -197,7 +197,7 @@ def test_an_admission_checks_its_assignment_once(perfbench_modules, state_calls)
 MIGRATION_TRACE_SHA256 = "c151846c41e7d2bafb21d615909f014f84f890f987a5bcabff94c2cfc856c778"
 
 
-def test_migration_trace_unchanged(k4_net, k4_table):
+def migration_run(k4_net, k4_table):
     events = (
         SimEvent(30.0, 0, "failure", elements=("s4", "a2_0")),
         SimEvent(
@@ -208,13 +208,26 @@ def test_migration_trace_unchanged(k4_net, k4_table):
         vm_count=(4, 10), vswitch_count=(2, 4), arrival_rate=5, horizon=60.0, seed=5
     )
     policy = PolicyConfig(batch_width=3, solver_node_limit=500, remap_limit=4)
-    records = run_simulation(
+    return run_simulation(
         k4_net, cfg, policy, run_mode="batch-only", table=k4_table, extra_events=events,
         audit_every=1,
     )
+
+
+def test_migration_trace_unchanged(k4_net, k4_table):
+    records = migration_run(k4_net, k4_table)
     kinds = {r.get("kind") for r in records if r.kind == "migration"}
     assert kinds == {"vm", "vswitch", "vlink"}
     assert {r.get("outcome") for r in records if r.kind == "displaced"} == {"repaired", "requeued"}
     assert [r.get("outcome") for r in records if r.kind == "scale_up"] == ["relocated"]
     text = serialize_trace(records)
     assert hashlib.sha256(text.encode()).hexdigest() == MIGRATION_TRACE_SHA256
+
+
+def test_tracer_sees_a_scale_up_repair(perfbench_modules, k4_net, k4_table):
+    # the run's one swap repair is its relocating scale-up, which the tracer
+    # sees only when the scheduler reaches swap_repair through online_search
+    tracer, _ = perfbench_modules
+    with tracer.Tracer().active() as t:
+        migration_run(k4_net, k4_table)
+    assert [name for _, name, *_ in t.spans].count("online_search.swap_repair") == 1

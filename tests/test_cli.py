@@ -250,6 +250,30 @@ class TestSolve:
         args = ["--substrate", "dc2.txt", "--requests", "reqs.txt", "--assignment", "sol.txt"]
         assert main(["validate"] + args) == 0
 
+    def test_vm_first_uplinks_round_trip(self, workdir, capsys):
+        main(["gen-topology", "--k", "2", "--out", "dc2.txt"])
+        # each uplink lists its VM first, so its path key runs server first
+        self.write_requests(
+            workdir,
+            "requests 1\n"
+            "request r0\n"
+            "vm vm0 1 256\n"
+            "vm vm1 1 256\n"
+            "vswitch vs0 edge 10\n"
+            "vlink vl0 vm0 vs0 5\n"
+            "vlink vl1 vm1 vs0 5\n"
+            "meta 0.0 10.0 -\n",
+        )
+        args = ["--substrate", "dc2.txt", "--requests", "reqs.txt"]
+        assert main(["solve", *args, "--out", "sol.txt"]) == 0
+        assert "1 embedded of 1" in capsys.readouterr().out
+        records = (workdir / "sol.txt").read_text().splitlines()
+        hosts = {f[3]: f[4] for f in map(str.split, records) if f[:2] == ["assign", "vm"]}
+        uplinks = sorted(f[3:] for f in map(str.split, records) if f[:2] == ["assign", "vlink"])
+        assert [u[1] for u in uplinks] == [hosts["vm0"], hosts["vm1"]]
+        assert all(u[2].startswith("e") and u[3] == "0" for u in uplinks)
+        assert main(["validate", *args, "--assignment", "sol.txt"]) == 0
+
     def test_invalid_request_exits_two_before_solving(self, workdir, capsys):
         main(["gen-topology", "--k", "2", "--out", "dc2.txt"])
         # vm0 hangs off the internal vSwitch vs1
@@ -313,6 +337,7 @@ class TestSolve:
             ]
         )
         assert code == 3
+        assert capsys.readouterr().out.splitlines()[-1] == "no solution found within budget"
 
     @pytest.mark.parametrize("f", ["abc", "1/0"])
     def test_bad_divisor_exits_one(self, workdir, capsys, f):

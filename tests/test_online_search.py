@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import chain_request, make_rack_net, star_request
+from conftest import chain_request, make_rack_net, star_request, vm_first
 from oracles import greedy_full_scan
 from vdcembed.batch_solver import build_mip, solve_exact
 from vdcembed.online_search import (
@@ -158,9 +158,10 @@ class TestGreedy:
         temp = greedy_temp_map(k4_state, req)
         assert isinstance(temp, TempMapping) and temp.clean
         assert temp.assignment.vswitch_map["vs1"] == "a0_1"
-        # only vs2, which has placed neighbours, scores switches by hops
-        assert temp.assignment.vswitch_map["vs2"] in scored_switches
-        assert "a0_1" not in scored_switches
+        # vs1's scan goes by id and stops at the first switch with room: no
+        # switch after a0_1 is scored for it
+        assert [sid for placed, sid in scored_switches if not placed] == ["a0_0", "a0_1"]
+        assert (2, temp.assignment.vswitch_map["vs2"]) in scored_switches
 
     def test_skips_the_largest_share_rack_short_of_switch_memory(
         self, k4_state, scored_server_pairs
@@ -275,7 +276,7 @@ class TestGreedyMatchesFullScan:
         seen = Counter()
         for _ in range(5):
             state = EmbeddingState(net, table)
-            assert all(e[0] != "s0" for _, rack in state.racks(False) for e in rack)
+            assert all(e[0] != "s0" for _, rack in state.racks() for e in rack)
             for i in range(14):
                 req = generate_vdc_request(cfg, 0.0, rng.randrange(10**9))
                 locality = {
@@ -285,6 +286,8 @@ class TestGreedyMatchesFullScan:
                     req, id=f"r{i}", latency_bound=rng.choice([None, None, 2, 3, 4]),
                     locality=locality or None,
                 )
+                if i % 4 >= 2:
+                    req = vm_first(req)
                 # every third call plans on a copy, which shares the caches
                 probe = state.copy() if i % 3 == 1 else state
                 out = self.compare(probe, req, seen)
