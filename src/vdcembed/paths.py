@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidParameterError, PathLookupError
 from .topology import SubstrateNetwork
@@ -10,23 +10,19 @@ from .topology import SubstrateNetwork
 DEFAULT_MAX_HOPS = 4
 
 
-@dataclass(frozen=True)
-class PathRecord:
+class PathRecord(NamedTuple):
     """One simple path: node sequence, edge ids and cached delay."""
 
     nodes: tuple[str, ...]
     edges: tuple[str, ...]
     delay: int
 
-    def __len__(self):
-        return len(self.edges)
-
 
 class PathTable:
     """All simple paths of length <= max_len per admitted ordered node pair.
 
-    Paths per pair are sorted by (hop count, edge-id sequence) so the index
-    of a path is stable across identically built tables.
+    Paths per pair are in index order, (hop count, edge-id sequence), so the
+    index of a path is stable across identically built tables.
     """
 
     def __init__(self):
@@ -81,34 +77,35 @@ def enumerate_paths(
     max_len: int = DEFAULT_MAX_HOPS,
     pair_filter=None,
 ) -> PathTable:
-    """Enumerate every simple path of length <= max_len per admitted pair."""
+    """Enumerate every simple path of length <= max_len per admitted pair.
+
+    Paths grow one hop per level from each source: a level's parents are in
+    edge-id order and each extends over its links in id order, so every
+    pair's list comes out in index order. Pairs go in sorted.
+    """
     if max_len < 1:
         raise InvalidParameterError(f"max_len must be >= 1, got {max_len}")
     admit = pair_filter if pair_filter is not None else default_pair_filter(net)
+    new = tuple.__new__  # about half the cost of PathRecord(...) per record
+    hops = {
+        node: sorted((lid, nxt, net.links[lid].delay) for nxt, lid in adj)
+        for node, adj in net.adjacency.items()
+    }
 
     table = PathTable()
-    bucket: dict[tuple[str, str], list[PathRecord]] = {}
-    link_by_id = net.links
-
-    nodes = sorted(net.adjacency)
-    for src in nodes:
-        # one bounded DFS per source; record a path whenever the head is admitted
-        stack = [(src, [src], [], 0)]
-        while stack:
-            cur, node_seq, edge_seq, delay = stack.pop()
-            if cur != src and admit(src, cur):
-                bucket.setdefault((src, cur), []).append(
-                    PathRecord(tuple(node_seq), tuple(edge_seq), delay)
-                )
-            if len(edge_seq) >= max_len:
-                continue
-            for nxt, lid in net.adjacency[cur]:
-                if nxt in node_seq:
-                    continue
-                hop_delay = link_by_id[lid].delay
-                stack.append((nxt, node_seq + [nxt], edge_seq + [lid], delay + hop_delay))
-
-    for pair, recs in bucket.items():
-        recs.sort(key=lambda r: (len(r.edges), r.edges))
-        table.paths[pair] = recs
+    order = sorted(hops)
+    for src in order:
+        found = {dst: [] for dst in order if dst != src and admit(src, dst)}
+        level = [((src,), (), 0)]
+        for _ in range(max_len):
+            grown = []
+            for nodes, edges, delay in level:
+                for lid, nxt, hop_delay in hops[nodes[-1]]:
+                    if nxt not in nodes:
+                        rec = new(PathRecord, (nodes + (nxt,), edges + (lid,), delay + hop_delay))
+                        grown.append(rec)
+                        if nxt in found:
+                            found[nxt].append(rec)
+            level = grown
+        table.paths.update(((src, dst), recs) for dst, recs in found.items() if recs)
     return table

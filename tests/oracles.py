@@ -18,6 +18,7 @@ from vdcembed.topology import (
     ZERO,
     Link,
     ResourceVector,
+    Server,
     SubstrateNetwork,
     Switch,
     VdcRequest,
@@ -67,6 +68,27 @@ def random_switch_graph(rng, n_nodes, edge_prob=0.4):
                 )
                 ln += 1
     return SubstrateNetwork(servers={}, switches=switches, links=links, k_arity=0)
+
+
+def random_multigraph(rng, n_switches, n_servers, extra_links):
+    """A random connected graph of switches, with parallel links allowed and
+    one leaf link per server. Link ids are shuffled, so id order is not the
+    order in which links join the adjacency."""
+    switches = {
+        f"n{i}": Switch(f"n{i}", "edge", ResourceVector(switch_memory=10))
+        for i in range(n_switches)
+    }
+    servers = {f"s{i}": Server(f"s{i}", ResourceVector(1, 1)) for i in range(n_servers)}
+    ids = sorted(switches)
+    ends = [(ids[rng.randrange(i)], ids[i]) for i in range(1, n_switches)]
+    ends += [tuple(rng.sample(ids, 2)) for _ in range(extra_links if n_switches > 1 else 0)]
+    ends += [(rng.choice(ids), sid) for sid in servers]
+    numbers = rng.sample(range(100), len(ends))
+    links = {
+        f"l{n}": Link(f"l{n}", a, b, rng.randint(1, 100), rng.randint(0, 3))
+        for n, (a, b) in zip(numbers, ends)
+    }
+    return SubstrateNetwork(servers=servers, switches=switches, links=links, k_arity=0)
 
 
 def recheck_embedding(net, table, placed):

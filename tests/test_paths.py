@@ -1,13 +1,24 @@
 """Path enumeration against a recursive DFS oracle, plus indexing contracts."""
 
+import hashlib
 import random
 
 import pytest
 
-from oracles import simple_paths_dfs, random_switch_graph
+from oracles import random_multigraph, simple_paths_dfs, random_switch_graph
 from vdcembed.errors import InvalidParameterError, PathLookupError
 from vdcembed.paths import enumerate_paths
-from vdcembed.topology import Link, ResourceVector, SubstrateNetwork, Switch
+from vdcembed.topology import Link, ResourceVector, SubstrateNetwork, Switch, build_fat_tree
+
+
+def table_digest(table):
+    """sha256 over every record of a table, pairs sorted: pair, index,
+    nodes, edges and delay."""
+    digest = hashlib.sha256()
+    for pair in sorted(table.paths):
+        for n, rec in enumerate(table.paths[pair]):
+            digest.update(f"{pair} {n} {rec.nodes} {rec.edges} {rec.delay}\n".encode())
+    return digest.hexdigest()
 
 
 def line_net():
@@ -72,6 +83,43 @@ class TestEnumerate:
                     expect = simple_paths_dfs(net, src, dst, max_len)
                     got = [rec.edges for rec in table.get(src, dst)]
                     assert got == expect
+
+    def test_matches_dfs_oracle_with_parallel_links_leaves_and_a_filter(self):
+        rng = random.Random(4321)
+        for trial in range(60):
+            net = random_multigraph(rng, rng.randint(1, 7), rng.randint(0, 4), rng.randint(0, 8))
+            max_len = rng.randint(1, 5)
+            ids = sorted(net.adjacency)
+            # each ordered pair on its own, so (a, b) and (b, a) may differ
+            admitted = {(a, b) for a in ids for b in ids if a != b and rng.random() < 0.5}
+            table = enumerate_paths(net, max_len, pair_filter=lambda a, b: (a, b) in admitted)
+            expect = {}
+            for a, b in sorted(admitted):
+                paths = simple_paths_dfs(net, a, b, max_len)
+                if paths:
+                    expect[(a, b)] = paths
+            assert list(table.paths) == list(expect)
+            for (a, b), recs in table.paths.items():
+                assert [rec.edges for rec in recs] == expect[(a, b)]
+                for rec in recs:
+                    assert rec.nodes[0] == a and rec.nodes[-1] == b
+                    assert len(rec.nodes) == len(rec.edges) + 1
+                    assert rec.delay == sum(net.links[e].delay for e in rec.edges)
+
+    @pytest.mark.parametrize(
+        "k, pairs, records, digest",
+        [
+            (4, 412, 1440, "1de98e2befd2ab291ed9d895f29432a3e222d6dad8b2f551decd7cb808f4bff4"),
+            (8, 6576, 120576, "a55209b9bb9d0dfa016be6206dbfb507de0342593629b465cfe64019efb42ea4"),
+        ],
+        ids=["k4", "k8"],
+    )
+    def test_default_fat_tree_table_pinned(self, k, pairs, records, digest):
+        table = enumerate_paths(build_fat_tree(k))
+        assert len(table.paths) == pairs
+        assert sum(len(recs) for recs in table.paths.values()) == records
+        assert list(table.paths) == sorted(table.paths)
+        assert table_digest(table) == digest
 
     def test_index_stability(self, k4_net):
         t1 = enumerate_paths(k4_net)

@@ -559,6 +559,34 @@ class TestSimulationSteps:
         assert state.residual == residual
         assert state.version == version
 
+    def test_scale_up_of_an_unknown_vm_changes_nothing(self):
+        sim = self.rack_sim(2, cores=8)
+        self.place(sim, star_request("r0", cores=4, duration=90.0), ["s0"])
+        state = sim.state
+        requests, residual, version = dict(state.requests), dict(state.residual), state.version
+        sim.process(
+            SimEvent(1.0, 0, "scale_up", request_id="r0", deltas=(("ghost", ResourceVector(1)),))
+        )
+        assert [(r.kind, r.fields) for r in sim.records if r.kind != "util"] == [
+            ("scale_up", (("request", "r0"), ("outcome", "unknown-vm")))
+        ]
+        assert state.requests == requests and state.residual == residual
+        assert state.version == version
+
+    def test_departure_of_a_requeued_request_still_waiting_is_dropped(self):
+        # the only server fails, so r0 is requeued and cannot be placed again
+        sim = self.rack_sim(1, cores=8)
+        self.place(sim, star_request("r0", cores=4, duration=10.0), ["s0"])
+        sim.process(SimEvent(1.0, 0, "failure", elements=("s0",)))
+        assert [r.get("outcome") for r in sim.records if r.kind == "displaced"] == ["requeued"]
+        assert "r0" not in sim.state.active and len(sim.queue) == 1
+        seen = len(sim.records)
+        sim.process(SimEvent(10.0, 1, "departure", request_id="r0"))
+        assert [(r.kind, r.fields) for r in sim.records[seen:] if r.kind != "util"] == [
+            ("dropped", (("request", "r0"),))
+        ]
+        assert not len(sim.queue) and sim.status["r0"] == "accepted"
+
     def test_scale_up_relocation_keeps_locality(self):
         # vm0 may live on s0 or s2 only; s0 lacks the extra core, s2 is full
         sim = self.rack_sim(3, cores=8)

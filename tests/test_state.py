@@ -105,24 +105,52 @@ class TestCheckAssignment:
                     state.commit(req, a)
                     placed.append((req, a))
 
-
-    def test_path_through_down_switch_is_element_down(self, k4_state):
-        req = chain_request("r0", n_vswitches=2, vms_per_switch=1)
+    def cross_pod_chain(self, **options):
+        """A chain request from the s0 rack to the s14 rack over core c0_0."""
+        req = chain_request("r0", n_vswitches=2, vms_per_switch=1, **options)
         a = Assignment(
             "r0",
             {"vm0": "s0", "vm1": "s14"},
             {"vs0": "e0_0", "vs1": "e3_1"},
             {
-                "vl0": ("e0_0", "e3_1", 0),  # e0_0-a0_0-c0_0-a3_0-e3_1
+                "vl0": ("e0_0", "e3_1", 0),  # e0_0-a0_0-c0_0-a3_0-e3_1, delay 4
                 "vl1": ("e0_0", "s0", 0),
                 "vl2": ("e3_1", "s14", 0),
             },
         )
+        return req, a
+
+    def assert_rejected_with(self, state, req, a, expected):
+        found = [(v.rule, v.element, v.structural) for v in state.check_assignment(req, a)]
+        assert found == [(rule, element, True) for rule, element in expected]
+        residual = dict(state.residual)
+        with pytest.raises(CommitRejectedError):
+            state.commit(req, a)
+        assert state.residual == residual and not state.active
+
+    def test_path_through_down_switch_is_element_down(self, k4_state):
+        req, a = self.cross_pod_chain()
         k4_state.mark_down(["c0_0"])
         found = k4_state.check_assignment(req, a)
         assert [(v.rule, v.element) for v in found] == [("element-down", "c0_0")]
         with pytest.raises(CommitRejectedError):
             k4_state.commit(req, a)
+
+    def test_path_between_other_hosts_is_endpoint_mismatch(self, k4_state):
+        # vl0's path ends at s1, but vm0 sits on s0
+        req = star_request("r0")
+        a = Assignment("r0", {"vm0": "s0"}, {"vs0": "e0_0"}, {"vl0": ("e0_0", "s1", 0)})
+        self.assert_rejected_with(k4_state, req, a, [("endpoint-mismatch", "vl0")])
+
+    def test_path_over_the_latency_bound(self, k4_state):
+        req, a = self.cross_pod_chain(latency_bound=3)
+        self.assert_rejected_with(k4_state, req, a, [("latency-bound", "vl0")])
+        req, a = self.cross_pod_chain(latency_bound=4)
+        assert k4_state.check_assignment(req, a) == []
+
+    def test_vm_outside_its_locality_set(self, k4_state):
+        req, a = self.cross_pod_chain(locality={"vm0": frozenset({"s1"}), "vm1": frozenset({"s14"})})
+        self.assert_rejected_with(k4_state, req, a, [("locality", "vm0")])
 
 
 class TestCommitRelease:

@@ -1,7 +1,10 @@
 """Fat-tree construction, request generation, validation, and text formats."""
 
+from dataclasses import replace
+
 import pytest
 
+from conftest import chain_request, star_request
 from vdcembed.errors import ConfigError, FormatError, InvalidParameterError
 from vdcembed.topology import (
     Link,
@@ -9,6 +12,8 @@ from vdcembed.topology import (
     Server,
     SubstrateNetwork,
     Switch,
+    VLink,
+    VSwitch,
     WorkloadConfig,
     build_fat_tree,
     dump_requests,
@@ -118,6 +123,91 @@ class TestValidateSubstrate:
         }
         net = SubstrateNetwork(servers={}, switches=switches, links={})
         assert any(f.rule == "connectivity" for f in validate_substrate(net))
+
+
+def with_parts(req, vswitches=(), vlinks=()):
+    """req plus extra vSwitches and vlinks."""
+    return replace(
+        req,
+        vswitches={**req.vswitches, **{vs.id: vs for vs in vswitches}},
+        vlinks={**req.vlinks, **{vl.id: vl for vl in vlinks}},
+    )
+
+
+def vswitch(vs_id, is_edge):
+    return VSwitch(vs_id, is_edge, ResourceVector(switch_memory=10))
+
+
+# one small request per finding: (request builder, every finding as (rule, element))
+REQUEST_FINDINGS = {
+    "duration-positive": (
+        lambda: replace(star_request("r0"), duration=0.0),
+        [("duration-positive", "r0")],
+    ),
+    "vm-demand-positive": (
+        lambda: star_request("r0", cores=0),
+        [("vm-demand-positive", "vm0")],
+    ),
+    "vswitch-demand-positive": (
+        lambda: star_request("r0", vswitch_mem=0),
+        [("vswitch-demand-positive", "vs0")],
+    ),
+    "vlink-demand-positive": (
+        lambda: star_request("r0", vlink_bw=0),
+        [("vlink-demand-positive", "vl0")],
+    ),
+    # the unknown end adds no node, so the extra vlink also breaks the tree shape
+    "vlink-endpoint-unknown": (
+        lambda: with_parts(star_request("r0"), vlinks=[VLink("vl1", "vs0", "ghost", 10)]),
+        [("vlink-endpoint-unknown", "vl1"), ("request-tree-shape", "r0")],
+    ),
+    # vm0 bridges two edge vSwitches: connected and a tree, but degree 2
+    "vm-degree": (
+        lambda: with_parts(
+            star_request("r0"),
+            vswitches=[vswitch("vs1", True)],
+            vlinks=[VLink("vl1", "vm0", "vs1", 10)],
+        ),
+        [("vm-degree", "vm0")],
+    ),
+    # n - 1 vlinks, but vs1 and vs2 only reach each other
+    "request-connectivity": (
+        lambda: with_parts(
+            star_request("r0"),
+            vswitches=[vswitch("vs1", False), vswitch("vs2", False)],
+            vlinks=[VLink("vl1", "vs1", "vs2", 10), VLink("vl2", "vs2", "vs1", 10)],
+        ),
+        [("request-connectivity", "r0")],
+    ),
+    "request-tree-shape": (
+        lambda: with_parts(chain_request("r0"), vlinks=[VLink("vl9", "vs0", "vs1", 10)]),
+        [("request-tree-shape", "r0")],
+    ),
+    "locality-empty": (
+        lambda: star_request("r0", locality={"vm0": frozenset()}),
+        [("locality-empty", "vm0")],
+    ),
+    "locality-unknown-vm": (
+        lambda: star_request("r0", locality={"ghost": frozenset({"s0"})}),
+        [("locality-unknown-vm", "ghost")],
+    ),
+    "locality-unknown-server": (
+        lambda: star_request("r0", locality={"vm0": frozenset({"s0", "nosuch"})}),
+        [("locality-unknown-server", "vm0")],
+    ),
+}
+
+
+class TestValidateRequest:
+    def test_well_formed_requests_pass(self, k2_net):
+        for req in (star_request("r0", n_vms=2), chain_request("r1", n_vswitches=3)):
+            assert validate_request(req, k2_net) == []
+
+    @pytest.mark.parametrize("rule", list(REQUEST_FINDINGS))
+    def test_each_finding(self, rule, k2_net):
+        build, expected = REQUEST_FINDINGS[rule]
+        found = validate_request(build(), k2_net)
+        assert [(f.rule, f.element) for f in found] == expected
 
 
 class TestGenerateRequest:
