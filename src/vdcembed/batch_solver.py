@@ -280,26 +280,28 @@ def build_mip(
 
 @dataclass
 class BatchSolution:
-    """Result of one batch solve: per-request placements plus search stats."""
+    """Result of one batch decision: per-request placements plus search stats."""
 
-    model: MipModel
+    model: MipModel | None  # None when a plan answered without a model
     embedded: dict[str, Assignment | None]
     objective: Fraction | None
     nodes: int
     wall_ms: float
     optimal: bool
     status: str  # optimal | incumbent | no-solution
+    via: str = "search"  # plan | search
 
     def stats_lines(self) -> list[str]:
         return [
             f"status={self.status}",
+            f"via={self.via}",
             f"objective={self.objective if self.objective is not None else 'none'}",
             f"embedded={sum(1 for a in self.embedded.values() if a is not None)}",
             f"nodes={self.nodes}",
             f"wall_ms={self.wall_ms:.1f}",
             f"optimal={str(self.optimal).lower()}",
-            f"vars={self.model.num_vars}",
-            f"constraints={self.model.num_constraints}",
+            f"vars={self.model.num_vars if self.model else 0}",
+            f"constraints={self.model.num_constraints if self.model else 0}",
         ]
 
 

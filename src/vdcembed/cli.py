@@ -15,10 +15,9 @@ import sys
 from fractions import Fraction
 
 from . import metrics as metrics_mod
-from .batch_solver import SolveBudget, build_mip, solve_exact
 from .errors import ConfigError, FormatError, UnknownElementError, VdcembedError
 from .paths import enumerate_paths
-from .scheduler import RUN_MODES, PolicyConfig, parse_policy_config, run_simulation
+from .scheduler import RUN_MODES, PolicyConfig, decide_batch, parse_policy_config, run_simulation
 from .state import Assignment, EmbeddingState
 from .topology import (
     ResourceVector,
@@ -155,17 +154,15 @@ def cmd_solve(args) -> int:
         f = Fraction(args.f)
     except (ValueError, ZeroDivisionError):
         raise ConfigError(f"--f: expected a rational number, got {args.f!r}") from None
+    if f <= 0:
+        raise ConfigError(f"--f: must be positive, got {args.f}")
     net = load_substrate(_read(args.substrate))
     requests = load_requests(_read(args.requests))
     findings = validate_substrate(net) + [f for req in requests for f in validate_request(req, net)]
     if findings:
         return _report_findings(findings)
-    if not requests:
-        print("0 embedded (empty request set)")
-        return EXIT_OK
-    state = EmbeddingState(net, enumerate_paths(net))
-    model = build_mip(state, requests, switch_penalty_divisor=f)
-    sol = solve_exact(model, SolveBudget(args.node_limit, args.wall_ms))
+    policy = PolicyConfig(f, solver_node_limit=args.node_limit, solver_wall_ms=args.wall_ms)
+    sol = decide_batch(EmbeddingState(net, enumerate_paths(net)), requests, [], policy)
     if args.verbose:
         for line in sol.stats_lines():
             print(line, file=sys.stderr)

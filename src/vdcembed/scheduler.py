@@ -16,7 +16,7 @@ import heapq
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
-from .batch_solver import SolveBudget, build_mip, extract_assignments, solve_exact
+from .batch_solver import BatchSolution, SolveBudget, build_mip, extract_assignments, solve_exact
 from .errors import ConfigError, InvalidParameterError
 from .metrics import TraceRecord
 from .online_search import (
@@ -203,6 +203,30 @@ def parse_policy_config(text: str) -> PolicyConfig:
     return policy
 
 
+def decide_batch(
+    state: EmbeddingState,
+    candidates: list[VdcRequest],
+    remappable: list[str],
+    policy: PolicyConfig,
+    re_place: bool = False,
+) -> BatchSolution:
+    """One batch decision over the remappable actives and the candidates:
+    the greedy plan (`plan_batch`) when it embeds every request, otherwise
+    the exact search started from the plan. re_place re-places the
+    remappables with no regard for their previous hosts."""
+    plan = plan_batch(state, candidates, remappable, re_place)
+    if all(a is not None for a in plan.values()):
+        # the objective's bound, one per request: a migration-aware plan
+        # moves no element and a re-placing one's moves are unpriced
+        return BatchSolution(None, plan, Fraction(len(plan)), 0, 0.0, True, "optimal", "plan")
+    model = build_mip(
+        state, candidates, remappable, policy.switch_penalty_divisor,
+        vm_move_weighting=policy.vm_move_weighting, migration_aware=not re_place,
+    )
+    budget = SolveBudget(policy.solver_node_limit, policy.solver_wall_ms)
+    return solve_exact(model, budget, incumbent=plan)
+
+
 class Simulation:
     """Single-writer event loop around one EmbeddingState."""
 
@@ -372,35 +396,18 @@ class Simulation:
         # the stand-alone MIP baseline re-places actives with no regard for
         # their previous hosts; the hybrid's batch calls stay migration-aware
         re_place = self.run_mode == RUN_BATCH_ONLY
-        embedded = plan_batch(self.state, candidates, remappable, re_place)
-        if all(a is not None for a in embedded.values()):
-            # the objective's bound, one per request: the hybrid's plan moves
-            # no element and the baseline's moves are unpriced
-            via, nodes, objective, optimal = "plan", 0, len(requests), True
-        else:
-            model = build_mip(
-                self.state,
-                candidates,
-                remappable=remappable,
-                switch_penalty_divisor=self.policy.switch_penalty_divisor,
-                vm_move_weighting=self.policy.vm_move_weighting,
-                migration_aware=not re_place,
+        sol = decide_batch(self.state, candidates, remappable, self.policy, re_place)
+        if sol.status == "no-solution":
+            self.emit(
+                "decision", now, mode=MODE_BATCH, batch=len(candidates),
+                outcome="no-solution", via=sol.via, nodes=sol.nodes,
             )
-            budget = SolveBudget(self.policy.solver_node_limit, self.policy.solver_wall_ms)
-            sol = solve_exact(model, budget, incumbent=embedded)
-            if sol.status == "no-solution":
-                self.emit(
-                    "decision", now, mode=MODE_BATCH, batch=len(candidates),
-                    outcome="no-solution", via="search", nodes=sol.nodes,
-                )
-                return False
-            embedded = sol.embedded
-            via, nodes, objective, optimal = "search", sol.nodes, sol.objective, sol.optimal
-        plan = extract_assignments(requests, embedded, self.state, version)
+            return False
+        plan = extract_assignments(requests, sol.embedded, self.state, version)
         self._carry_out(plan.releases, plan.commits, now)
         accepted = 0
         for req in candidates:
-            if embedded.get(req.id) is not None:
+            if sol.embedded.get(req.id) is not None:
                 self._accept(req, now, via=MODE_BATCH)
                 accepted += 1
         by_id = {req.id: req for req in requests}
@@ -414,10 +421,10 @@ class Simulation:
             mode=MODE_BATCH,
             batch=len(candidates),
             outcome=f"accepted-{accepted}",
-            objective=str(objective),
-            optimal=str(optimal).lower(),
-            via=via,
-            nodes=nodes,
+            objective=str(sol.objective),
+            optimal=str(sol.optimal).lower(),
+            via=sol.via,
+            nodes=sol.nodes,
         )
         return accepted > 0
 

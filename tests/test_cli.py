@@ -5,6 +5,7 @@ import os
 import pytest
 
 from conftest import read_csv
+from vdcembed import scheduler
 from vdcembed.cli import main
 from vdcembed.metrics import ACCEPTANCE_HEADER
 from vdcembed.topology import load_requests, load_substrate
@@ -318,28 +319,54 @@ class TestSolve:
         assert "0 embedded of 1" in out
 
     def test_budget_exhausted_exit_code(self, workdir, capsys):
+        # the plan embeds nothing, so the search starts from nothing
         main(["gen-topology", "--k", "2", "--out", "dc2.txt"])
-        self.write_requests(
-            workdir,
-            "requests 1\n"
-            "request r0\n"
-            "vm vm0 1 256\n"
-            "vswitch vs0 edge 10\n"
-            "vlink vl0 vs0 vm0 5\n"
-            "meta 0.0 10.0 -\n",
-        )
-        code = main(
-            [
-                "solve",
-                "--substrate", "dc2.txt",
-                "--requests", "reqs.txt",
-                "--node-limit", "0",
-            ]
-        )
-        assert code == 3
+        self.write_requests(workdir, REQUEST.replace("vm vm0 1 256", "vm vm0 99 256"))
+        args = ["solve", "--substrate", "dc2.txt", "--requests", "reqs.txt"]
+        assert main([*args, "--node-limit", "0"]) == 3
         assert capsys.readouterr().out.splitlines()[-1] == "no solution found within budget"
 
-    @pytest.mark.parametrize("f", ["abc", "1/0"])
+    def test_budget_exhausted_keeps_the_plan(self, workdir, capsys):
+        # two 8-core servers, three 5-core requests: the plan embeds two and
+        # stays the incumbent when the search has no node to spend
+        main(["gen-topology", "--k", "2", "--out", "dc2.txt"])
+        blocks = [
+            REQUEST.split("\n", 1)[1].replace("r0", f"r{i}").replace("vm0 1 ", "vm0 5 ")
+            for i in range(3)
+        ]
+        self.write_requests(workdir, "requests 1\n" + "".join(blocks))
+        args = ["solve", "--substrate", "dc2.txt", "--requests", "reqs.txt"]
+        assert main([*args, "--node-limit", "0"]) == 3
+        assert capsys.readouterr().out.splitlines()[-1] == "2 embedded of 3"
+
+    def test_plan_answers_without_a_model(self, workdir, capsys, monkeypatch):
+        def unused(*args, **kwargs):
+            raise AssertionError("solve built a model")
+
+        monkeypatch.setattr(scheduler, "build_mip", unused)
+        main(["gen-topology", "--k", "2", "--out", "dc2.txt"])
+        self.write_requests(workdir, REQUEST)
+        args = ["solve", "--substrate", "dc2.txt", "--requests", "reqs.txt"]
+        assert main([*args, "--node-limit", "0"]) == 0
+        assert capsys.readouterr().out.splitlines()[-2:] == ["objective 1.0000", "1 embedded of 1"]
+
+    def test_empty_request_set(self, workdir, capsys):
+        main(["gen-topology", "--k", "2", "--out", "dc2.txt"])
+        self.write_requests(workdir, "requests 1\n")
+        assert main(["solve", "--substrate", "dc2.txt", "--requests", "reqs.txt"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "0 embedded of 0"
+
+    @pytest.mark.parametrize("cores, via", [(1, "plan"), (99, "search")])
+    def test_verbose_stats_give_via(self, workdir, capsys, cores, via):
+        main(["gen-topology", "--k", "2", "--out", "dc2.txt"])
+        self.write_requests(workdir, REQUEST.replace("vm vm0 1 ", f"vm vm0 {cores} "))
+        assert main(["solve", "--substrate", "dc2.txt", "--requests", "reqs.txt", "--verbose"]) == 0
+        stats = dict(ln.split("=", 1) for ln in capsys.readouterr().err.splitlines() if "=" in ln)
+        assert stats["via"] == via and stats["status"] == "optimal"
+        # a plan answers with no model and no search
+        assert (stats["nodes"] == stats["vars"] == stats["constraints"] == "0") == (via == "plan")
+
+    @pytest.mark.parametrize("f", ["abc", "1/0", "0", "-1"])
     def test_bad_divisor_exits_one(self, workdir, capsys, f):
         main(["gen-topology", "--k", "2", "--out", "dc2.txt"])
         self.write_requests(workdir, REQUEST)

@@ -242,6 +242,20 @@ class TestSimulationSteps:
         assert decision.get("outcome") == "accepted-2" and decision.get("optimal") == optimal
         assert (int(decision.get("nodes")) > 0) == (node_limit > 0)
 
+    def test_search_with_no_solution_leaves_the_request_pending(self):
+        # three 6-core VMs under one edge vSwitch need three servers of one
+        # rack, and a k=4 rack has two 8-core servers; the aggregate fits, so
+        # the pass runs, the plan embeds nothing and the search has no node
+        policy = PolicyConfig(batch_min_pending=1, solver_node_limit=0)
+        sim = self.make_sim(policy, mode="batch-only")
+        sim.queue.add(PendingEntry(star_request("big", n_vms=3, cores=6), arrival_seq=0, expiry=60.0))
+        sim._drain(0.0)
+        (decision,) = [r for r in sim.records if r.kind == "decision"]
+        assert dict(decision.fields) == {
+            "mode": "batch", "batch": "1", "outcome": "no-solution", "via": "search", "nodes": "0",
+        }
+        assert "big" in sim.queue.entries and not sim.state.active
+
     def test_unembeddable_stays_pending(self):
         policy = PolicyConfig(batch_min_pending=1)
         sim = self.make_sim(policy)
