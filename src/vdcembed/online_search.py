@@ -408,7 +408,7 @@ def _relocate(probe, req, a, element, extra):
             moved = _reroute_vlink(probe, req, moved, vl.id, planned)
             if moved is None:
                 break
-            load = ResourceVector(bandwidth=vl.bandwidth)
+            load = ResourceVector(0, 0, 0, vl.bandwidth)
             for eid in probe.table.path(*moved.vlink_map[vl.id]).edges:
                 planned[eid] = planned.get(eid, ZERO) + load
         else:

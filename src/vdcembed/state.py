@@ -117,7 +117,11 @@ class EmbeddingState:
     usage. It holds because check_assignment reads only the residuals, down
     and the assignment's maps: charge and mark_down, the only routines that
     change the first two, drop it, and no routine writes to an Assignment's
-    maps after it is built (a move builds a new one).
+    maps after it is built (a move builds a new one). An assignment's usage
+    reads only those maps, its request and the path table, so the state
+    keeps the usage each commit charged per active request and a release
+    credits it back without folding again; audit folds every load afresh,
+    so a wrong stored usage shows there.
     """
 
     def __init__(self, net: SubstrateNetwork, table: PathTable):
@@ -143,6 +147,9 @@ class EmbeddingState:
         # (request, assignment, usage) of the last check that found nothing;
         # a copy starts with equal residuals, so it may share it
         self._checked: tuple[VdcRequest, Assignment, dict[str, ResourceVector]] | None = None
+        # active request id -> the usage its commit charged; copies share
+        # the usage maps, which no routine writes to after they are built
+        self._charged: dict[str, dict[str, ResourceVector]] = {}
         self.version = 0
 
     # -- usage accounting ---------------------------------------------------
@@ -157,7 +164,7 @@ class EmbeddingState:
             recs = self.table.get(pa, pb)
             if not 0 <= n < len(recs):
                 continue  # reported as unknown-path by check_assignment
-            load = ResourceVector(bandwidth=req.vlinks[vl_id].bandwidth)
+            load = ResourceVector(0, 0, 0, req.vlinks[vl_id].bandwidth)
             out += [(vl_id, eid, load) for eid in recs[n].edges]
         return out
 
@@ -179,13 +186,18 @@ class EmbeddingState:
     def charge(self, req: VdcRequest, a: Assignment, sign: int):
         """Add sign (+1 or -1) times one assignment's usage to the residuals
         and to the running sums. Unchecked: commit checks first, and a
-        rollback puts back what a release took. The usage is the kept
-        check's when that check was of req and a; either way the kept check
-        is dropped, since the residuals change."""
-        usage = self._kept(req, a)
+        rollback puts back what a release took. A charge (-1) stores the
+        usage it takes as req's, the kept check's when that check was of req
+        and a; a credit (+1) gives back req's stored usage and drops it.
+        Either way the kept check is dropped, since the residuals change."""
+        if sign < 0:
+            usage = self._kept(req, a)
+            if usage is None:
+                usage = self.usage(req, a)
+            self._charged[req.id] = usage
+        else:
+            usage = self._charged.pop(req.id)
         self._checked = None
-        if usage is None:
-            usage = self.usage(req, a)
         residual = self.residual
         for eid, load in usage.items():
             residual[eid] = residual[eid] + load if sign > 0 else residual[eid] - load
@@ -308,6 +320,7 @@ class EmbeddingState:
             if vs.is_edge and self.net.switches[ps].tier != "edge":
                 out.append(Violation("edge-tier", vs_id, True, detail=f"on {ps}"))
 
+        down = self.down
         down_on_paths: set[str] = set()
         for vl_id, (pa, pb, n) in a.vlink_map.items():
             vl = req.vlinks[vl_id]
@@ -318,8 +331,9 @@ class EmbeddingState:
             except PathLookupError:
                 out.append(Violation("unknown-path", vl_id, True, detail=f"({pa},{pb},{n})"))
                 continue
-            down_on_paths.update(eid for eid in rec.edges if eid in self.down)
-            down_on_paths.update(nid for nid in rec.nodes[1:-1] if nid in self.down)
+            if down:
+                down_on_paths.update(eid for eid in rec.edges if eid in down)
+                down_on_paths.update(nid for nid in rec.nodes[1:-1] if nid in down)
             if (img_a, img_b) != (pa, pb):
                 out.append(
                     Violation(
@@ -346,7 +360,7 @@ class EmbeddingState:
                     out.append(Violation("locality", vm_id, True, detail=f"on {pm}"))
 
         for element in list(a.vm_map.values()) + list(a.vswitch_map.values()):
-            if element in self.down:
+            if element in down:
                 out.append(Violation("element-down", element, True))
         for eid in sorted(down_on_paths):
             out.append(Violation("element-down", eid, True))
@@ -514,6 +528,7 @@ class EmbeddingState:
         clone.requests = dict(self.requests)
         clone.residual = dict(self.residual)
         clone.down = set(self.down)
+        clone._charged = dict(self._charged)
         clone._fragment_free = list(self._fragment_free)
         return clone
 
@@ -537,15 +552,18 @@ class EmbeddingState:
     def audit(self):
         """Prove the state consistent in time linear in the active requests.
 
-        Residuals folded from scratch must equal the stored ones and be
-        nonnegative, which proves the actives fit jointly; the running sums
-        must equal the residuals they sum, and each active assignment must
-        pass the structural checks. Raises AuditError; used by simulation
-        self-checks and tests.
+        Residuals folded from scratch, every load of every active taken off
+        its capacity, must equal the stored ones and be nonnegative, which
+        proves the actives fit jointly; the running sums must equal the
+        residuals they sum, and each active assignment must pass the
+        structural checks. The stored charged usage is not read, so a wrong
+        one shows as drift once it is credited back. Raises AuditError; used
+        by simulation self-checks and tests.
         """
         scratch = dict(self.net.capacity)
         for rid, a in self.active.items():
-            self.add_usage(scratch, self.requests[rid], a, -1)
+            for _, eid, load in self.loads(self.requests[rid], a):
+                scratch[eid] -= load
         if scratch != self.residual:
             raise AuditError("residuals drifted from fold-from-scratch values")
         for eid, rv in scratch.items():

@@ -8,6 +8,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import ConfigError, FormatError, InvalidParameterError
 
@@ -20,12 +21,15 @@ SUBSTRATE_FORMAT_VERSION = 1
 REQUESTS_FORMAT_VERSION = 1
 
 
-@dataclass(frozen=True)
-class ResourceVector:
+_new = tuple.__new__  # builds a named tuple from a tuple, skipping its keyword handling
+
+
+class ResourceVector(NamedTuple):
     """Per-element resource amounts; dimensions that do not apply stay zero.
 
     Comparison is componentwise only (le); there is deliberately no total
-    order on vectors.
+    order on vectors, so < <= > >= raise TypeError. Equality and hashing are
+    the tuple's: a vector equals the plain 4-tuple of its fields.
     """
 
     cpu_cores: int = 0
@@ -34,48 +38,36 @@ class ResourceVector:
     bandwidth: int = 0
 
     def __add__(self, other: "ResourceVector") -> "ResourceVector":
-        return ResourceVector(
-            self.cpu_cores + other.cpu_cores,
-            self.memory_mb + other.memory_mb,
-            self.switch_memory + other.switch_memory,
-            self.bandwidth + other.bandwidth,
-        )
+        a, b, c, d = self
+        w, x, y, z = other
+        return _new(ResourceVector, (a + w, b + x, c + y, d + z))
 
     def __sub__(self, other: "ResourceVector") -> "ResourceVector":
-        return ResourceVector(
-            self.cpu_cores - other.cpu_cores,
-            self.memory_mb - other.memory_mb,
-            self.switch_memory - other.switch_memory,
-            self.bandwidth - other.bandwidth,
-        )
+        a, b, c, d = self
+        w, x, y, z = other
+        return _new(ResourceVector, (a - w, b - x, c - y, d - z))
+
+    def _unordered(self, other):
+        raise TypeError("resource vectors have no total order; use le")
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
     def le(self, other: "ResourceVector") -> bool:
         """Componentwise self <= other."""
-        return (
-            self.cpu_cores <= other.cpu_cores
-            and self.memory_mb <= other.memory_mb
-            and self.switch_memory <= other.switch_memory
-            and self.bandwidth <= other.bandwidth
-        )
+        a, b, c, d = self
+        w, x, y, z = other
+        return a <= w and b <= x and c <= y and d <= z
 
     @property
     def nonnegative(self) -> bool:
-        return (
-            self.cpu_cores >= 0
-            and self.memory_mb >= 0
-            and self.switch_memory >= 0
-            and self.bandwidth >= 0
-        )
+        a, b, c, d = self
+        return a >= 0 and b >= 0 and c >= 0 and d >= 0
 
     def overflow_over(self, limit: "ResourceVector") -> "ResourceVector":
         """Amount by which self exceeds limit, clamped at zero per component."""
-        d = self - limit
-        return ResourceVector(
-            max(0, d.cpu_cores),
-            max(0, d.memory_mb),
-            max(0, d.switch_memory),
-            max(0, d.bandwidth),
-        )
+        a, b, c, d = self
+        w, x, y, z = limit
+        return _new(ResourceVector, (max(0, a - w), max(0, b - x), max(0, c - y), max(0, d - z)))
 
 
 ZERO = ResourceVector()
@@ -85,12 +77,12 @@ def sum_vectors(vectors) -> ResourceVector:
     """Componentwise sum, accumulated per component rather than one vector
     per addition (it runs over every substrate element)."""
     cores = memory = switch_memory = bandwidth = 0
-    for v in vectors:
-        cores += v.cpu_cores
-        memory += v.memory_mb
-        switch_memory += v.switch_memory
-        bandwidth += v.bandwidth
-    return ResourceVector(cores, memory, switch_memory, bandwidth)
+    for a, b, c, d in vectors:
+        cores += a
+        memory += b
+        switch_memory += c
+        bandwidth += d
+    return _new(ResourceVector, (cores, memory, switch_memory, bandwidth))
 
 
 # the capacity dimensions each kind of substrate element carries

@@ -188,6 +188,16 @@ def test_an_admission_checks_its_assignment_once(perfbench_modules, state_calls)
     assert 0 < state_calls["usage"] <= commits
 
 
+def test_usage_folds_once_per_check(perfbench_modules, state_calls):
+    # batch-k4's first simulation at seed 1 makes 50 checks, 30 releases and
+    # 10 audits: 50 usage folds when a release credits back the usage its
+    # commit charged and audit folds loads straight into its scratch map,
+    # 135 when every release and every audited active folded usage again
+    _, workloads = perfbench_modules
+    first_simulation(workloads, "batch-k4")
+    assert 0 < state_calls["usage"] <= state_calls["check_assignment"]
+
+
 # Neither workload's pinned trace holds a migration record, so this short
 # batch-only run on k=4 pins the paths that emit them: batch re-placements,
 # a failure (displaced requests repaired, one requeued) and a scale-up that

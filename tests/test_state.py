@@ -428,6 +428,57 @@ class TestLastCleanCheck:
         assert state_calls["check_assignment"] == 2
 
 
+class TestChargedUsage:
+    """A release credits back the usage its commit charged, which the state
+    keeps per active request; audit folds every load afresh and never reads
+    that store."""
+
+    @staticmethod
+    def cross_pod():
+        """A chain request across two pods and its assignment on the k=4 tree."""
+        req = chain_request("r0", n_vswitches=2, vms_per_switch=1, vlink_bw=30)
+        a = Assignment(
+            "r0",
+            {"vm0": "s0", "vm1": "s14"},
+            {"vs0": "e0_0", "vs1": "e3_1"},
+            {"vl0": ("e0_0", "e3_1", 0), "vl1": ("e0_0", "s0", 0), "vl2": ("e3_1", "s14", 0)},
+        )
+        return req, a
+
+    @staticmethod
+    def sums(state):
+        return dict(state.residual), state.free
+
+    def test_release_restores_residuals_and_free(self, k4_state):
+        empty = self.sums(k4_state)
+        req, a = self.cross_pod()
+        k4_state.commit(req, a)
+        loaded = self.sums(k4_state)
+        assert loaded != empty
+        clone = k4_state.copy()
+        clone.release("r0")
+        assert self.sums(clone) == empty
+        assert self.sums(k4_state) == loaded  # the copy's release left it alone
+        # a refused swap puts the old placement and its usage back
+        assert not _swap_in(k4_state, Assignment("r0", {}, {}, {}))
+        assert self.sums(k4_state) == loaded
+        k4_state.audit()
+        k4_state.release("r0")
+        assert self.sums(k4_state) == empty
+        k4_state.audit()
+        clone.audit()
+
+    def test_wrong_stored_usage_fails_the_audit(self, k2_state):
+        req = star_request("r0", n_vms=1)
+        k2_state.commit(req, assign_star(k2_state.net, k2_state.table, req, "e0_0", "s0"))
+        stored = k2_state._charged["r0"]
+        k2_state._charged["r0"] = {**stored, "s0": stored["s0"] + ResourceVector(cpu_cores=1)}
+        k2_state.audit()  # the loads folded afresh still match the residuals
+        k2_state.release("r0")
+        with pytest.raises(AuditError, match="drifted"):
+            k2_state.audit()
+
+
 class TestRunningSums:
     """The state's running sums against the oracles' folds from scratch, on
     the tight k=4 tree of TestPinnedOutputs."""

@@ -1,5 +1,6 @@
 """Fat-tree construction, request generation, validation, and text formats."""
 
+import operator
 from dataclasses import replace
 
 import pytest
@@ -23,9 +24,11 @@ from vdcembed.topology import (
     load_substrate,
     parse_workload_config,
     poisson_arrivals,
+    sum_vectors,
     validate_request,
     validate_substrate,
 )
+from vdcembed.state import Violation
 
 
 def switch_tier_counts(net):
@@ -380,3 +383,50 @@ class TestResourceVector:
         load = ResourceVector(cpu_cores=4, memory_mb=100)
         limit = ResourceVector(cpu_cores=3, memory_mb=200)
         assert load.overflow_over(limit) == ResourceVector(cpu_cores=1)
+
+    # (a, b, a + b, a - b, a.le(b), a.overflow_over(b)), the results the
+    # vector gave as a frozen dataclass, negative components included
+    CASES = [
+        ((2, 100, 0, 0), (3, 50, 0, 0), (5, 150, 0, 0), (-1, 50, 0, 0), False, (0, 50, 0, 0)),
+        ((-1, 0, 5, -7), (1, -2, 5, 3), (0, -2, 10, -4), (-2, 2, 0, -10), False, (0, 2, 0, 0)),
+        ((0, 0, 0, 10), (0, 0, 0, 10), (0, 0, 0, 20), (0, 0, 0, 0), True, (0, 0, 0, 0)),
+        ((0, 0, 0, 0), (4, 8, 1, 2), (4, 8, 1, 2), (-4, -8, -1, -2), True, (0, 0, 0, 0)),
+        ((-3, -3, -3, -3), (-4, -2, -3, 0), (-7, -5, -6, -3), (1, -1, 0, -3), False, (1, 0, 0, 0)),
+    ]
+
+    @pytest.mark.parametrize("a, b, total, diff, le, overflow", CASES)
+    def test_arithmetic_table(self, a, b, total, diff, le, overflow):
+        va, vb = ResourceVector(*a), ResourceVector(*b)
+        for result, expected in ((va + vb, total), (va - vb, diff), (va.overflow_over(vb), overflow)):
+            assert type(result) is ResourceVector and result == ResourceVector(*expected)
+        assert va.le(vb) is le
+        assert va.nonnegative is all(x >= 0 for x in a)
+        assert sum_vectors([va, vb]) == ResourceVector(*total)
+        assert sum_vectors([va, vb, va]) == va + vb + va
+
+    def test_empty_sum_is_zero(self):
+        assert sum_vectors([]) == ResourceVector() and type(sum_vectors([])) is ResourceVector
+
+    def test_repr_unchanged(self):
+        # the overflow of a capacity finding prints through Violation.__str__
+        v = Violation("server-capacity", "s0", False, overflow=ResourceVector(cpu_cores=1))
+        text = "ResourceVector(cpu_cores=1, memory_mb=0, switch_memory=0, bandwidth=0)"
+        assert repr(v.overflow) == text
+        assert str(v) == f"[server-capacity] s0 over={text}"
+
+    def test_equal_vectors_are_one_key(self):
+        # up_counts keeps the distinct server capacities with dict.fromkeys
+        a = ResourceVector(cpu_cores=8, memory_mb=16384)
+        b = ResourceVector(8, 16384, 0, 0)
+        assert a == b and hash(a) == hash(b) and a is not b
+        assert list(dict.fromkeys([a, b, a + ResourceVector()])) == [a]
+        assert {a: "x"}[b] == "x"
+        assert a != ResourceVector(cpu_cores=8)
+        assert a == (8, 16384, 0, 0)  # a named tuple equals its plain tuple
+
+    @pytest.mark.parametrize("op", [operator.lt, operator.le, operator.gt, operator.ge])
+    def test_no_total_order(self, op):
+        a, b = ResourceVector(cpu_cores=1), ResourceVector(memory_mb=1)
+        for left, right in ((a, b), (a, a), (a, (0, 0, 0, 0)), ((0, 0, 0, 0), a)):
+            with pytest.raises(TypeError):
+                op(left, right)
