@@ -144,7 +144,8 @@ def build_mip(
     # rhs: residuals plus credited-back usage of remappable actives
     rhs: dict[str, ResourceVector] = dict(snapshot.residual)
     for rid in remappable:
-        snapshot.add_usage(rhs, snapshot.requests[rid], snapshot.active[rid], 1)
+        for eid, load in snapshot.charged(rid).items():
+            rhs[eid] += load
 
     # objective scaling: S = diameter * max-remappable-vm-memory * numerator(f)
     diameter = net.diameter()
@@ -167,7 +168,7 @@ def build_mip(
     def widest(a, b, bound):
         """The most room an admissible a->b path has on all its links; -1 if none."""
         paths = [rec for rec in snapshot.table.get(a, b) if admissible(rec, down, bound)]
-        return max((min(model.room[e] for e in rec.edges) for rec in paths), default=-1)
+        return max((min(model.room[e] for e in edges) for _, edges, _ in paths), default=-1)
 
     servers_alive = [s for s in net.servers if s not in down]
     switches_alive = [s for s in net.switches if s not in down]
@@ -243,8 +244,8 @@ def build_mip(
                 key, xi = ties[host]
                 model.uplinks[wi] = (vl, key)
                 model._new_row([wi, xi], [1, -1], 0)
-                lid = snapshot.table.path(*key).edges[0]
-                terms[lid].append((wi, ResourceVector(bandwidth=vl.bandwidth)))
+                _, edges, _ = snapshot.table.path(*key)
+                terms[edges[0]].append((wi, ResourceVector(bandwidth=vl.bandwidth)))
 
         # one vswitch of a request per physical switch
         for host in sorted(per_switch):
@@ -467,7 +468,8 @@ class _Search:
             if val == 1 and info.kind == KIND_W:
                 vl, key = m.uplinks[i]
                 image[info.request_id, vl.id] = key
-                room[m.table.path(*key).edges[0]] -= vl.bandwidth
+                _, edges, _ = m.table.path(*key)
+                room[edges[0]] -= vl.bandwidth
         # the embedded requests' vlinks that no w placed: the vSwitch-vSwitch ones
         legs = [(req, vl) for req, z in zip(m.requests, m.z_of_request) if self.values[z]
                 for vl in req.vlinks.values() if (req.id, vl.id) not in image]
@@ -484,7 +486,8 @@ class _Search:
                 tried[k] = 0
                 k -= 1
                 req, vl = legs[k]
-                for e in m.table.path(*image[req.id, vl.id]).edges:
+                _, edges, _ = m.table.path(*image[req.id, vl.id])
+                for e in edges:
                     room[e] += vl.bandwidth
                 continue
             rec = paths[tried[k]]
@@ -494,8 +497,9 @@ class _Search:
             if out_of_budget():
                 return None
             self.nodes += 1
-            if all(room[e] >= vl.bandwidth for e in rec.edges):
-                for e in rec.edges:
+            _, edges, _ = rec
+            if all(room[e] >= vl.bandwidth for e in edges):
+                for e in edges:
                     room[e] -= vl.bandwidth
                 image[req.id, vl.id] = (a, b, tried[k] - 1)
                 k += 1

@@ -292,22 +292,23 @@ def greedy_temp_map(
         for n, rec in enumerate(table.get(img_a, img_b)):
             if not admissible(rec, state.down, req.latency_bound):
                 continue
-            if allowed_links is not None and any(e not in allowed_links for e in rec.edges):
+            _, edges, _ = rec
+            if allowed_links is not None and any(e not in allowed_links for e in edges):
                 continue
             over = 0.0
-            for eid in rec.edges:
+            for eid in edges:
                 free = state.residual[eid].bandwidth - path_load.get(eid, 0)
                 over += max(0, vl.bandwidth - free) / net.links[eid].bandwidth
             # paths come in ascending n: keep the first least overflow
             if best is None or over < best[0]:
-                best = (over, n, rec)
+                best = (over, n, edges)
                 if over == 0:
                     break
         if best is None:
             return StructuralFailure(f"no admissible path for {vl_id} ({img_a}->{img_b})")
-        _, n, rec = best
+        _, n, edges = best
         vlink_map[vl_id] = (img_a, img_b, n)
-        for eid in rec.edges:
+        for eid in edges:
             path_load[eid] = path_load.get(eid, 0) + vl.bandwidth
 
     assignment = Assignment(req.id, vm_map, vswitch_map, vlink_map)
@@ -353,12 +354,13 @@ def _reroute_vlink(probe, req, a, vl_id, extra, avoid=None):
     of the probe's residuals."""
     vl = req.vlinks[vl_id]
     pa, pb = a.host_of(vl.a), a.host_of(vl.b)
+    _, edges, _ = probe.table.path(*a.vlink_map[vl_id])
     n = probe.free_path(
         pa,
         pb,
         vl.bandwidth,
         req.latency_bound,
-        credit=probe.table.path(*a.vlink_map[vl_id]).edges,
+        credit=edges,
         extra=extra,
         avoid=avoid,
     )
@@ -409,7 +411,8 @@ def _relocate(probe, req, a, element, extra):
             if moved is None:
                 break
             load = ResourceVector(0, 0, 0, vl.bandwidth)
-            for eid in probe.table.path(*moved.vlink_map[vl.id]).edges:
+            _, edges, _ = probe.table.path(*moved.vlink_map[vl.id])
+            for eid in edges:
                 planned[eid] = planned.get(eid, ZERO) + load
         else:
             return moved

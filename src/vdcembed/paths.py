@@ -2,20 +2,17 @@
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .errors import InvalidParameterError, PathLookupError
 from .topology import SubstrateNetwork
 
 DEFAULT_MAX_HOPS = 4
 
 
-class PathRecord(NamedTuple):
-    """One simple path: node sequence, edge ids and cached delay."""
-
-    nodes: tuple[str, ...]
-    edges: tuple[str, ...]
-    delay: int
+# One simple path as a plain tuple: (node sequence, edge ids, cached delay).
+# A tuple of strings and ints is untracked by the garbage collector at its
+# first collection, which a tuple subclass never is, so a large table costs
+# full collections nothing once built.
+PathRecord = tuple[tuple[str, ...], tuple[str, ...], int]
 
 
 class PathTable:
@@ -46,11 +43,10 @@ class PathTable:
 def admissible(rec: PathRecord, down, latency_bound: int | None) -> bool:
     """A path is usable when no link or node on it is down and its delay is
     within the request's latency bound (None means unbounded)."""
-    if latency_bound is not None and rec.delay > latency_bound:
+    nodes, edges, delay = rec
+    if latency_bound is not None and delay > latency_bound:
         return False
-    return not down or not (
-        any(e in down for e in rec.edges) or any(n in down for n in rec.nodes)
-    )
+    return not down or not (any(e in down for e in edges) or any(n in down for n in nodes))
 
 
 def default_pair_filter(net: SubstrateNetwork):
@@ -82,13 +78,20 @@ def enumerate_paths(
     Paths grow one hop per level from each source: a level's parents are in
     edge-id order and each extends over its links in id order, so every
     pair's list comes out in index order. Pairs go in sorted.
+
+    A path is built only when it is kept, its end being an admitted
+    destination of the source, or grown, levels remaining and its end having
+    more than one link: a node with one link was reached over it, so no
+    simple path goes on from there.
     """
     if max_len < 1:
         raise InvalidParameterError(f"max_len must be >= 1, got {max_len}")
     admit = pair_filter if pair_filter is not None else default_pair_filter(net)
-    new = tuple.__new__  # about half the cost of PathRecord(...) per record
+    # node -> (link id, far end, delay, whether the far end has another link)
     hops = {
-        node: sorted((lid, nxt, net.links[lid].delay) for nxt, lid in adj)
+        node: sorted(
+            (lid, nxt, net.links[lid].delay, len(net.adjacency[nxt]) > 1) for nxt, lid in adj
+        )
         for node, adj in net.adjacency.items()
     }
 
@@ -97,15 +100,21 @@ def enumerate_paths(
     for src in order:
         found = {dst: [] for dst in order if dst != src and admit(src, dst)}
         level = [((src,), (), 0)]
-        for _ in range(max_len):
+        for remaining in range(max_len - 1, -1, -1):
             grown = []
             for nodes, edges, delay in level:
-                for lid, nxt, hop_delay in hops[nodes[-1]]:
-                    if nxt not in nodes:
-                        rec = new(PathRecord, (nodes + (nxt,), edges + (lid,), delay + hop_delay))
+                for lid, nxt, hop_delay, forks in hops[nodes[-1]]:
+                    if nxt in nodes:
+                        continue
+                    kept = found.get(nxt)
+                    grow = forks and remaining
+                    if kept is None and not grow:
+                        continue
+                    rec = (nodes + (nxt,), edges + (lid,), delay + hop_delay)
+                    if kept is not None:
+                        kept.append(rec)
+                    if grow:
                         grown.append(rec)
-                        if nxt in found:
-                            found[nxt].append(rec)
             level = grown
         table.paths.update(((src, dst), recs) for dst, recs in found.items() if recs)
     return table

@@ -164,8 +164,9 @@ class EmbeddingState:
             recs = self.table.get(pa, pb)
             if not 0 <= n < len(recs):
                 continue  # reported as unknown-path by check_assignment
+            _, edges, _ = recs[n]
             load = ResourceVector(0, 0, 0, req.vlinks[vl_id].bandwidth)
-            out += [(vl_id, eid, load) for eid in recs[n].edges]
+            out += [(vl_id, eid, load) for eid in edges]
         return out
 
     def usage(self, req: VdcRequest, a: Assignment) -> dict[str, ResourceVector]:
@@ -177,11 +178,10 @@ class EmbeddingState:
             out[eid] = load if prev is None else prev + load
         return out
 
-    def add_usage(self, residual, req: VdcRequest, a: Assignment, sign: int):
-        """Add sign (+1 or -1) times one assignment's per-element usage to a
-        residual map."""
-        for eid, load in self.usage(req, a).items():
-            residual[eid] = residual[eid] + load if sign > 0 else residual[eid] - load
+    def charged(self, request_id: str) -> dict[str, ResourceVector]:
+        """The per-element usage an active request's commit charged, which
+        its release credits back. Read-only: copies share it."""
+        return self._charged[request_id]
 
     def charge(self, req: VdcRequest, a: Assignment, sign: int):
         """Add sign (+1 or -1) times one assignment's usage to the residuals
@@ -327,13 +327,13 @@ class EmbeddingState:
             img_a = a.host_of(vl.a)
             img_b = a.host_of(vl.b)
             try:
-                rec = self.table.path(pa, pb, n)
+                nodes, edges, delay = self.table.path(pa, pb, n)
             except PathLookupError:
-                out.append(Violation("unknown-path", vl_id, True, detail=f"({pa},{pb},{n})"))
+                out.append(Violation("unknown-path", vl_id, True, detail=f"{pa},{pb},{n}"))
                 continue
             if down:
-                down_on_paths.update(eid for eid in rec.edges if eid in down)
-                down_on_paths.update(nid for nid in rec.nodes[1:-1] if nid in down)
+                down_on_paths.update(eid for eid in edges if eid in down)
+                down_on_paths.update(nid for nid in nodes[1:-1] if nid in down)
             if (img_a, img_b) != (pa, pb):
                 out.append(
                     Violation(
@@ -343,13 +343,13 @@ class EmbeddingState:
                         detail=f"path ({pa},{pb}) vs images ({img_a},{img_b})",
                     )
                 )
-            if req.latency_bound is not None and rec.delay > req.latency_bound:
+            if req.latency_bound is not None and delay > req.latency_bound:
                 out.append(
                     Violation(
                         "latency-bound",
                         vl_id,
                         True,
-                        detail=f"delay {rec.delay} > {req.latency_bound}",
+                        detail=f"delay {delay} > {req.latency_bound}",
                     )
                 )
 
@@ -407,9 +407,10 @@ class EmbeddingState:
                 for s in net.servers_under(rack):
                     recs = self.table.get(rack, s)
                     if net.edge_switch_of(s) == rack and recs and admissible(recs[0], self.down, None):
-                        cap, lid = net.capacity[s], recs[0].edges[0]
+                        _, edges, delay = recs[0]
+                        cap, lid = net.capacity[s], edges[0]
                         by_server[s] = RackServer(
-                            s, lid, recs[0].delay, cap.cpu_cores, cap.memory_mb,
+                            s, lid, delay, cap.cpu_cores, cap.memory_mb,
                             net.links[lid].bandwidth,
                         )
                         servers.append(by_server[s])
@@ -468,14 +469,15 @@ class EmbeddingState:
         """
         extra = extra or {}
         for n, rec in enumerate(self.table.get(pa, pb)):
-            if avoid in rec.edges or not admissible(rec, self.down, latency_bound):
+            _, edges, _ = rec
+            if avoid in edges or not admissible(rec, self.down, latency_bound):
                 continue
             if all(
                 self.residual[e].bandwidth
                 + (bandwidth if e in credit else 0)
                 - extra.get(e, ZERO).bandwidth
                 >= bandwidth
-                for e in rec.edges
+                for e in edges
             ):
                 return n
         return None

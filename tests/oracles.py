@@ -139,11 +139,11 @@ def recheck_embedding(net, table, placed):
             if not 0 <= n < len(recs):
                 problems.append(f"{req.id}/{vl_id}: no such path index")
                 continue
-            rec = recs[n]
+            _, edges, _ = recs[n]
             # re-walk the edge sequence against the raw links
             here = pa
             delay = 0
-            for eid in rec.edges:
+            for eid in edges:
                 link = net.links[eid]
                 if link.a == here:
                     here = link.b
@@ -284,8 +284,8 @@ def enumerate_structural_assignments(net, table, req):
                 recs = table.get(pa, pb)
                 choices = [
                     (vl_id, (pa, pb, n))
-                    for n, rec in enumerate(recs)
-                    if req.latency_bound is None or rec.delay <= req.latency_bound
+                    for n, (_, _, delay) in enumerate(recs)
+                    if req.latency_bound is None or delay <= req.latency_bound
                 ]
                 if not choices:
                     ok2 = False
@@ -324,7 +324,8 @@ def best_joint_objective(net, table, requests, migration=None, f=Fraction(2)):
             for vs_id, ps in a.vswitch_map.items():
                 switch_load[ps] += req.vswitches[vs_id].demand.switch_memory
             for vl_id, (pa, pb, n) in a.vlink_map.items():
-                for eid in table.get(pa, pb)[n].edges:
+                _, edges, _ = table.get(pa, pb)[n]
+                for eid in edges:
                     link_load[eid] += req.vlinks[vl_id].bandwidth
         return (
             all(server_load[s].le(net.servers[s].capacity) for s in server_load)
@@ -438,7 +439,7 @@ def greedy_full_scan(
     for vm in list(req.vms)[:1]:
         for rack in edge_switches:
             servers = [
-                (s, table.path(*key).edges[0]) for s in net.servers_under(rack)
+                (s, table.path(*key)[1][0]) for s in net.servers_under(rack)
                 if node_ok(s) and (key := uplink_from_paths(state, req, vm, s))
             ]
             if servers:
@@ -556,22 +557,23 @@ def greedy_full_scan(
         for n, rec in enumerate(table.get(img_a, img_b)):
             if not admissible(rec, state.down, req.latency_bound):
                 continue
-            if allowed_links is not None and any(e not in allowed_links for e in rec.edges):
+            _, edges, _ = rec
+            if allowed_links is not None and any(e not in allowed_links for e in edges):
                 continue
             over = 0.0
-            for eid in rec.edges:
+            for eid in edges:
                 free = state.residual[eid].bandwidth - path_load.get(eid, 0)
                 over += max(0, vl.bandwidth - free) / net.links[eid].bandwidth
             # paths come in ascending n: keep the first least overflow
             if best is None or over < best[0]:
-                best = (over, n, rec)
+                best = (over, n, edges)
                 if over == 0:
                     break
         if best is None:
             return StructuralFailure(f"no admissible path for {vl_id} ({img_a}->{img_b})")
-        _, n, rec = best
+        _, n, edges = best
         vlink_map[vl_id] = (img_a, img_b, n)
-        for eid in rec.edges:
+        for eid in edges:
             path_load[eid] = path_load.get(eid, 0) + vl.bandwidth
 
     assignment = Assignment(req.id, vm_map, vswitch_map, vlink_map)

@@ -168,7 +168,7 @@ def test_structural_counts_and_paths():
             for dst in ids:
                 if src == dst:
                     continue
-                if [r.edges for r in table.get(src, dst)] != simple_paths_dfs(
+                if [edges for _, edges, _ in table.get(src, dst)] != simple_paths_dfs(
                     net, src, dst, max_len
                 ):
                     paths_ok = False
@@ -252,8 +252,8 @@ def test_optional_constraints_honored(k4_net, k4_table):
         accepted += 1
         # independent re-verification straight from the raw link records
         for vl_id, (pa, pb, n) in assignment.vlink_map.items():
-            rec = k4_table.get(pa, pb)[n]
-            delay = sum(k4_net.links[e].delay for e in rec.edges)
+            _, edges, _ = k4_table.get(pa, pb)[n]
+            delay = sum(k4_net.links[e].delay for e in edges)
             if delay > bound:
                 violations += 1
         for vm_id, allowed in locality.items():

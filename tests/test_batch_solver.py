@@ -21,7 +21,7 @@ from vdcembed.batch_solver import (
 from vdcembed.errors import InvalidParameterError, StaleSnapshotError
 from vdcembed.online_search import greedy_temp_map, plan_batch
 from vdcembed.paths import admissible, enumerate_paths
-from vdcembed.state import EmbeddingState
+from vdcembed.state import Assignment, EmbeddingState
 from vdcembed.topology import (
     ResourceVector,
     SubstrateNetwork,
@@ -181,6 +181,19 @@ class TestBuildMip:
                 assert total <= model.row_rhs[r], r
         scaled = sum(c * xi for c, xi in zip(model.obj_coef, x))
         assert sol.objective == Fraction(scaled, model.obj_scale)
+
+    def test_remappable_usage_is_credited_from_the_commit(self, k2_state, state_calls):
+        r0 = star_request("r0", n_vms=2, cores=2, vlink_bw=30)
+        k2_state.commit(r0, Assignment(
+            "r0", {"vm0": "s0", "vm1": "s0"}, {"vs0": "e0_0"},
+            {"vl0": ("e0_0", "s0", 0), "vl1": ("e0_0", "s0", 0)},
+        ))
+        assert k2_state.residual["l1"].bandwidth < k2_state.net.links["l1"].bandwidth
+        state_calls.clear()
+        model = build_mip(k2_state, [star_request("r1")], remappable=["r0"])
+        # r0's stored usage comes back whole, with no fold of its loads
+        assert state_calls["usage"] == 0
+        assert model.room == {lid: link.bandwidth for lid, link in k2_state.net.links.items()}
 
     def test_tie_rows_fix_off_rack_servers(self, k4_state):
         model = build_mip(k4_state, [star_request("r0", n_vms=2)])
@@ -402,7 +415,8 @@ class TestLeafRouting:
         e0_0 and e0_1. With thin, the links of path 1 of (e0_0, e0_1) carry
         500: r0 on path 0 leaves r1 no room on either path."""
         tight = tight_k4(racks=("e0_0", "e0_1"))
-        thin_links = set(k4_table.get("e0_0", "e0_1")[1].edges) if thin else set()
+        _, path1, _ = k4_table.get("e0_0", "e0_1")[1]
+        thin_links = set(path1) if thin else set()
         links = {
             lid: replace(link, bandwidth=500) if lid in thin_links else link
             for lid, link in tight.links.items()
@@ -580,7 +594,7 @@ def highs_objective(model):
     for i, info in enumerate(model.vars):
         if info.kind == KIND_X:
             hosts.setdefault((info.request_id, info.element_id), []).append((info.host, i))
-    uplink_links = {model.table.path(*key).edges[0] for _, key in model.uplinks.values()}
+    uplink_links = {model.table.path(*key)[1][0] for _, key in model.uplinks.values()}
     cols = model.num_vars
     link_terms = {}  # switch-switch link -> ([y], [bandwidth])
     for req, zi in zip(model.requests, model.z_of_request):
@@ -594,7 +608,7 @@ def highs_objective(model):
                     for rec in model.table.get(host_a, host_b):
                         if admissible(rec, model.down, req.latency_bound):
                             pair.append(cols)
-                            for e in rec.edges:
+                            for e in rec[1]:
                                 assert e not in uplink_links
                                 ys, bws = link_terms.setdefault(e, ([], []))
                                 ys.append(cols)

@@ -489,6 +489,22 @@ class TestValidate:
         assert "r0: [unknown-element] vm vmX not in request r0" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "key", ["e0_0 s0 7", "e0_0 s0 -1", "e0_0 s1 0"],
+        ids=["index-past-the-list", "negative-index", "unrecorded-pair"],
+    )
+    def test_unknown_path_is_a_finding(self, workdir, capsys, key):
+        main(["gen-topology", "--k", "2", "--out", "dc2.txt"])
+        (workdir / "reqs.txt").write_text(REQUEST)
+        (workdir / "asg.txt").write_text(
+            "assignments 1\nembedded r0 1\nassign vm r0 vm0 s0\n"
+            f"assign vswitch r0 vs0 e0_0\nassign vlink r0 vl0 {key}\n"
+        )
+        args = ["--substrate", "dc2.txt", "--requests", "reqs.txt", "--assignment", "asg.txt"]
+        assert main(["validate"] + args) == 2
+        err = capsys.readouterr().err
+        assert err == f"r0: [unknown-path] vl0 ({key.replace(' ', ',')})\n1 finding(s)\n"
+
+    @pytest.mark.parametrize(
         "lines, finding",
         [
             ("embedded r0 1\n", "r0: [embedded-flag] flagged 1 but has no assign records"),

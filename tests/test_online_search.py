@@ -103,7 +103,8 @@ class TestGreedy:
         temp2 = greedy_temp_map(k4_state, tight)
         assert isinstance(temp2, TempMapping)
         for key in temp2.assignment.vlink_map.values():
-            assert k4_state.table.path(*key).delay <= 2
+            _, _, delay = k4_state.table.path(*key)
+            assert delay <= 2
 
 
     def test_avoids_a_server_whose_uplink_is_down(self, k4_state):
@@ -132,7 +133,8 @@ class TestGreedy:
         assert isinstance(temp, TempMapping) and temp.clean
         a = temp.assignment
         assert (a.vswitch_map, a.vm_map) == ({"vs1": "e1_0", "vs0": "e1_1"}, {"vm0": "s4"})
-        assert len(k4_state.table.path(*a.vlink_map["vl0"]).edges) == 2
+        _, edges, _ = k4_state.table.path(*a.vlink_map["vl0"])
+        assert len(edges) == 2
 
     def test_groupless_vswitch_without_a_placed_neighbour_takes_least_id_with_room(
         self, k4_state, scored_switches
@@ -262,7 +264,7 @@ class TestGreedyMatchesFullScan:
         if not isinstance(out, TempMapping):
             return rng.choice(elements)
         a = out.assignment
-        uplinks = [state.table.path(*a.vlink_map[vl.id]).edges[0] for vl in req.uplinks.values()]
+        uplinks = [state.table.path(*a.vlink_map[vl.id])[1][0] for vl in req.uplinks.values()]
         return rng.choice([*a.vm_map.values(), *a.vswitch_map.values(), *uplinks])
 
     @pytest.mark.parametrize("k", [4, 6])
@@ -363,7 +365,8 @@ class TestSwapRepair:
             arrival_time=0.0,
             duration=10.0,
         )
-        hop = next(n for n, r in enumerate(k4_table.get("e0_0", "a0_0")) if len(r.edges) == 1)
+        recs = k4_table.get("e0_0", "a0_0")
+        hop = next(n for n, (_, edges, _) in enumerate(recs) if len(edges) == 1)
         state.commit(
             inc,
             Assignment(

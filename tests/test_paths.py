@@ -1,5 +1,6 @@
 """Path enumeration against a recursive DFS oracle, plus indexing contracts."""
 
+import gc
 import hashlib
 import random
 
@@ -16,8 +17,8 @@ def table_digest(table):
     nodes, edges and delay."""
     digest = hashlib.sha256()
     for pair in sorted(table.paths):
-        for n, rec in enumerate(table.paths[pair]):
-            digest.update(f"{pair} {n} {rec.nodes} {rec.edges} {rec.delay}\n".encode())
+        for n, (nodes, edges, delay) in enumerate(table.paths[pair]):
+            digest.update(f"{pair} {n} {nodes} {edges} {delay}\n".encode())
     return digest.hexdigest()
 
 
@@ -36,29 +37,27 @@ class TestEnumerate:
     def test_line_has_single_path(self):
         table = enumerate_paths(line_net(), 4, pair_filter=lambda a, b: True)
         recs = table.get("a", "c")
-        assert len(recs) == 1
-        assert recs[0].edges == ("ab", "bc")
-        assert recs[0].delay == 5
+        assert recs == [(("a", "b", "c"), ("ab", "bc"), 5)]
 
     def test_k4_interpod_edge_pair_has_four_paths(self, k4_net, k4_table):
         recs = k4_table.get("e0_0", "e1_0")
         assert len(recs) == 4
-        for rec in recs:
-            assert len(rec.edges) == 4
+        for _, edges, _ in recs:
+            assert len(edges) == 4
             # one core switch per path, all distinct
-        cores = {rec.nodes[2] for rec in recs}
+        cores = {nodes[2] for nodes, _, _ in recs}
         assert len(cores) == 4
         assert all(c.startswith("c") for c in cores)
 
     def test_k4_same_pod_edge_pair(self, k4_table):
         recs = k4_table.get("e0_0", "e0_1")
-        assert [len(r.edges) for r in recs] == [2, 2]
+        assert [len(edges) for _, edges, _ in recs] == [2, 2]
 
     def test_switch_server_pairs_are_single_edge(self, k4_net, k4_table):
         for sid in k4_net.servers:
             edge = k4_net.edge_switch_of(sid)
             recs = k4_table.get(edge, sid)
-            assert len(recs) == 1 and len(recs[0].edges) == 1
+            assert len(recs) == 1 and len(recs[0][1]) == 1
             # and no longer switch-server paths are recorded anywhere
             for other in k4_net.switches:
                 if other != edge:
@@ -81,7 +80,7 @@ class TestEnumerate:
                     if src == dst:
                         continue
                     expect = simple_paths_dfs(net, src, dst, max_len)
-                    got = [rec.edges for rec in table.get(src, dst)]
+                    got = [edges for _, edges, _ in table.get(src, dst)]
                     assert got == expect
 
     def test_matches_dfs_oracle_with_parallel_links_leaves_and_a_filter(self):
@@ -100,11 +99,11 @@ class TestEnumerate:
                     expect[(a, b)] = paths
             assert list(table.paths) == list(expect)
             for (a, b), recs in table.paths.items():
-                assert [rec.edges for rec in recs] == expect[(a, b)]
-                for rec in recs:
-                    assert rec.nodes[0] == a and rec.nodes[-1] == b
-                    assert len(rec.nodes) == len(rec.edges) + 1
-                    assert rec.delay == sum(net.links[e].delay for e in rec.edges)
+                assert [edges for _, edges, _ in recs] == expect[(a, b)]
+                for nodes, edges, delay in recs:
+                    assert nodes[0] == a and nodes[-1] == b
+                    assert len(nodes) == len(edges) + 1
+                    assert delay == sum(net.links[e].delay for e in edges)
 
     @pytest.mark.parametrize(
         "k, pairs, records, digest",
@@ -121,6 +120,49 @@ class TestEnumerate:
         assert list(table.paths) == sorted(table.paths)
         assert table_digest(table) == digest
 
+    def test_leaf_destinations_are_kept_and_inner_nodes_grown(self):
+        # a-b-c triangle with two parallel b-c links and a leaf d off c, plus
+        # a leaf e off b that no admitted pair names. d is kept at two hops,
+        # though a leaf is never grown, and b, which no pair admits, is grown.
+        switches = {n: Switch(n, "edge", ResourceVector(switch_memory=10)) for n in "abcde"}
+        links = [
+            Link("ab", "a", "b", 100, 1), Link("bc", "b", "c", 100, 2),
+            Link("bc2", "b", "c", 100, 3), Link("be", "b", "e", 100, 1),
+            Link("ca", "c", "a", 100, 4), Link("cd", "c", "d", 100, 5),
+        ]
+        net = SubstrateNetwork(servers={}, switches=switches, links={l.id: l for l in links})
+        admitted = {("a", "c"), ("a", "d"), ("d", "a")}
+        table = enumerate_paths(net, 3, pair_filter=lambda a, b: (a, b) in admitted)
+        assert table.paths == {
+            ("a", "c"): [
+                (("a", "c"), ("ca",), 4),
+                (("a", "b", "c"), ("ab", "bc"), 3),
+                (("a", "b", "c"), ("ab", "bc2"), 4),
+            ],
+            ("a", "d"): [
+                (("a", "c", "d"), ("ca", "cd"), 9),
+                (("a", "b", "c", "d"), ("ab", "bc", "cd"), 8),
+                (("a", "b", "c", "d"), ("ab", "bc2", "cd"), 9),
+            ],
+            ("d", "a"): [
+                (("d", "c", "a"), ("cd", "ca"), 9),
+                (("d", "c", "b", "a"), ("cd", "bc", "ab"), 8),
+                (("d", "c", "b", "a"), ("cd", "bc2", "ab"), 9),
+            ],
+        }
+        assert list(table.paths) == sorted(admitted)
+
+    def test_records_are_untracked_by_the_collector(self, k4_net):
+        # a tuple is untracked once its members are, so the second collection
+        # untracks the records whose node and edge tuples the first did; a
+        # tuple subclass would stay tracked
+        table = enumerate_paths(k4_net)
+        gc.collect()
+        gc.collect()
+        recs = [rec for recs in table.paths.values() for rec in recs]
+        assert len(recs) == 1440
+        assert not any(gc.is_tracked(rec) for rec in recs)
+
     def test_index_stability(self, k4_net):
         t1 = enumerate_paths(k4_net)
         t2 = enumerate_paths(k4_net)
@@ -129,16 +171,17 @@ class TestEnumerate:
 
     def test_cached_delay(self, k4_net, k4_table):
         for recs in k4_table.paths.values():
-            for rec in recs:
-                assert rec.delay == sum(k4_net.links[e].delay for e in rec.edges)
+            for _, edges, delay in recs:
+                assert delay == sum(k4_net.links[e].delay for e in edges)
 
 
 class TestIndicator:
     def test_line_membership(self):
         table = enumerate_paths(line_net(), 4, pair_filter=lambda a, b: True)
-        assert "ab" in table.path("a", "c", 0).edges
-        assert "bc" in table.path("a", "c", 0).edges
-        assert "zz" not in table.path("a", "c", 0).edges
+        _, edges, _ = table.path("a", "c", 0)
+        assert "ab" in edges
+        assert "bc" in edges
+        assert "zz" not in edges
 
     def test_unknown_lookups(self):
         table = enumerate_paths(line_net(), 4, pair_filter=lambda a, b: True)

@@ -365,8 +365,8 @@ class TestSimulationSteps:
             assert moved == [("vlink", "vl0")]
             key = sim.state.active["r0"].vlink_map["vl0"]
             assert key == ("e0_0", "e1_0", new_path)
-            rec = sim.state.table.path(*key)
-            assert element not in rec.nodes + rec.edges
+            nodes, edges, _ = sim.state.table.path(*key)
+            assert element not in nodes + edges
             sim.state.audit()
 
     def test_failed_switch_moves_its_internal_vswitch(self):

@@ -152,6 +152,21 @@ class TestCheckAssignment:
         req, a = self.cross_pod_chain(locality={"vm0": frozenset({"s1"}), "vm1": frozenset({"s14"})})
         self.assert_rejected_with(k4_state, req, a, [("locality", "vm0")])
 
+    @pytest.mark.parametrize(
+        "key",
+        [("e0_0", "s0", 7), ("e0_0", "s0", -1), ("e0_0", "s1", 0)],
+        ids=["index-past-the-list", "negative-index", "unrecorded-pair"],
+    )
+    def test_unknown_path_key(self, k2_state, key):
+        # (e0_0, s0) has one path, and no path is recorded for (e0_0, s1):
+        # s1 hangs off e1_0. An index of -1 must not wrap to the last path.
+        req = star_request("r0")
+        a = Assignment("r0", {"vm0": "s0"}, {"vs0": "e0_0"}, {"vl0": key})
+        found = k2_state.check_assignment(req, a)
+        assert [str(v) for v in found] == [f"[unknown-path] vl0 ({','.join(map(str, key))})"]
+        assert list(k2_state.usage(req, a)) == ["s0", "e0_0"]
+        self.assert_rejected_with(k2_state, req, a, [("unknown-path", "vl0")])
+
 
 class TestCommitRelease:
     def test_commit_release_identity(self, k2_state):
@@ -468,6 +483,14 @@ class TestChargedUsage:
         k4_state.audit()
         clone.audit()
 
+    def test_charged_is_the_usage_the_commit_took(self, k4_state):
+        req, a = self.cross_pod()
+        k4_state.commit(req, a)
+        assert k4_state.charged("r0") == k4_state.usage(req, a)
+        k4_state.release("r0")
+        with pytest.raises(KeyError):
+            k4_state.charged("r0")
+
     def test_wrong_stored_usage_fails_the_audit(self, k2_state):
         req = star_request("r0", n_vms=1)
         k2_state.commit(req, assign_star(k2_state.net, k2_state.table, req, "e0_0", "s0"))
@@ -577,12 +600,13 @@ class TestFreePath:
         # four e0_0 -> e3_1 paths; 0 and 1 share a0_0 and a3_0
         table = k4_state.table
         recs = table.get("e0_0", "e3_1")
-        first_link = recs[0].edges[0]  # e0_0-a0_0, on paths 0 and 1
+        _, edges0, _ = recs[0]
+        first_link = edges0[0]  # e0_0-a0_0, on paths 0 and 1
         assert k4_state.free_path("e0_0", "e3_1", 1000) == 0
         assert k4_state.free_path("e0_0", "e3_1", 1000, avoid=first_link) == 2
         extra = {first_link: ResourceVector(bandwidth=500)}
         assert k4_state.free_path("e0_0", "e3_1", 600, extra=extra) == 2
-        assert k4_state.free_path("e0_0", "e3_1", 600, credit=recs[0].edges, extra=extra) == 0
+        assert k4_state.free_path("e0_0", "e3_1", 600, credit=edges0, extra=extra) == 0
         k4_state.mark_down(["c0_0"])
         assert k4_state.free_path("e0_0", "e3_1", 10) == 1
         assert k4_state.free_path("e0_0", "e3_1", 10, latency_bound=3) is None
