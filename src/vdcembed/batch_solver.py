@@ -346,9 +346,9 @@ class _Search:
         self.ptr_trail: list[tuple[int, int, int]] = []  # (trail position, element, old pointer)
 
     def _fix(self, v: int, val: int) -> bool:
+        """Fix the free variable v to val; False when a row it is in
+        breaks."""
         values = self.values
-        if values[v] != -1:
-            return values[v] == val
         values[v] = val
         self.trail.append(v)
         self.obj_acc += self.m.obj_coef[v] * val
@@ -393,8 +393,7 @@ class _Search:
                 else:
                     bad1 = eq[r] and hi[r] + c < rhs[r]
                     bad0 = lo[r] - c > rhs[r]
-                if bad1 and bad0:
-                    return False
+                # were both set, the fix to 0 would break this row itself
                 if bad1 or bad0:
                     if not self._fix(v, 0 if bad1 else 1):
                         return False

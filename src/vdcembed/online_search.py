@@ -21,7 +21,7 @@ from itertools import repeat
 
 from .errors import CommitRejectedError
 from .paths import admissible
-from .state import Assignment, EmbeddingState, Violation, norm
+from .state import Assignment, EmbeddingState, PlanEntry, Violation, norm
 from .topology import TIER_EDGE, ZERO, ResourceVector, VdcRequest
 
 logger = logging.getLogger(__name__)
@@ -330,6 +330,12 @@ def plan_batch(
     which needs their placements valid on state, as a live state's are.
     Each request then takes its greedy mapping when that is clean,
     committed to the copy before the next, and None when it is not.
+
+    The state's plan memo holds each planned request's greedy result with
+    the residuals and down set it was made on; a request recalls it in
+    place of a greedy call when the probe's are equal (EmbeddingState.
+    recall), as a re-placed remappable's are unless the state changed.
+    The memo then holds this plan's requests alone.
     """
     probe = state.copy()
     plan: dict[str, Assignment | None] = {rid: probe.active[rid] for rid in remappable}
@@ -338,12 +344,22 @@ def plan_batch(
         requests = [probe.requests[rid] for rid in remappable] + requests
         for rid in remappable:
             probe.release(rid)
+    planned: dict[str, PlanEntry] = {}
     for req in requests:
-        temp = greedy_temp_map(probe, req)
-        clean = isinstance(temp, TempMapping) and temp.clean
-        plan[req.id] = temp.assignment if clean else None
-        if clean:
-            probe.commit(req, temp.assignment)
+        entry = probe.recall(req)
+        if entry is None:
+            residual, down = dict(probe.residual), frozenset(probe.down)
+            temp = greedy_temp_map(probe, req)
+            # a clean mapping's last step was the check the probe keeps
+            clean = isinstance(temp, TempMapping) and temp.clean
+            usage = probe.kept(req, temp.assignment) if clean else None
+            entry = PlanEntry(req, residual, down, temp, usage)
+        planned[req.id] = entry
+        a = entry.result.assignment if entry.usage is not None else None
+        plan[req.id] = a
+        if a is not None:
+            probe.commit(req, a)
+    state.remember(planned)
     return plan
 
 

@@ -102,6 +102,17 @@ class RackServer(NamedTuple):
     link_bandwidth: int  # the uplink's capacity
 
 
+class PlanEntry(NamedTuple):
+    """One request's greedy result in a batch plan, with what it was made
+    on: a copy of the residuals and the down set just before the call."""
+
+    request: VdcRequest
+    residual: dict[str, ResourceVector]
+    down: frozenset[str]
+    result: object  # online_search.TempMapping | StructuralFailure
+    usage: dict[str, ResourceVector] | None  # a clean mapping's check's
+
+
 class EmbeddingState:
     """Single-writer record of all active assignments plus residual resources.
 
@@ -122,6 +133,12 @@ class EmbeddingState:
     keeps the usage each commit charged per active request and a release
     credits it back without folding again; audit folds every load afresh,
     so a wrong stored usage shows there.
+
+    A kept clean check may also come from the plan memo: the last batch
+    plan's greedy result per request, recalled only for the very request
+    object on residuals and a down set equal to those it was made on.
+    Greedy and check_assignment read nothing else that changes, so the
+    recalled mapping, findings and usage are what a fresh call would give.
     """
 
     def __init__(self, net: SubstrateNetwork, table: PathTable):
@@ -150,6 +167,9 @@ class EmbeddingState:
         # active request id -> the usage its commit charged; copies share
         # the usage maps, which no routine writes to after they are built
         self._charged: dict[str, dict[str, ResourceVector]] = {}
+        # request id -> its entry in the last batch plan; an entry holds
+        # only on an equal state, so copies share the dict
+        self._plans: dict[str, PlanEntry] = {}
         self.version = 0
 
     # -- usage accounting ---------------------------------------------------
@@ -191,7 +211,7 @@ class EmbeddingState:
         and a; a credit (+1) gives back req's stored usage and drops it.
         Either way the kept check is dropped, since the residuals change."""
         if sign < 0:
-            usage = self._kept(req, a)
+            usage = self.kept(req, a)
             if usage is None:
                 usage = self.usage(req, a)
             self._charged[req.id] = usage
@@ -385,11 +405,33 @@ class EmbeddingState:
             self._checked = (req, a, usage)
         return out
 
-    def _kept(self, req: VdcRequest, a: Assignment) -> dict[str, ResourceVector] | None:
+    def kept(self, req: VdcRequest, a: Assignment) -> dict[str, ResourceVector] | None:
         """The usage of the kept clean check when it was of these very
         objects, else None."""
         checked = self._checked
         return checked[2] if checked and checked[0] is req and checked[1] is a else None
+
+    def recall(self, req: VdcRequest) -> PlanEntry | None:
+        """The last plan's entry for req when it was made for this very
+        request object on residuals and a down set equal to this state's,
+        else None. A clean mapping's check is kept again, as if just made."""
+        entry = self._plans.get(req.id)
+        if (
+            entry is None
+            or entry.request is not req
+            or entry.down != self.down
+            or entry.residual != self.residual
+        ):
+            return None
+        if entry.usage is not None:
+            self._checked = (req, entry.result.assignment, entry.usage)
+        return entry
+
+    def remember(self, entries: dict[str, PlanEntry]):
+        """Make entries the plan memo, dropping the last plan's, for this
+        state and every copy that shares its memo."""
+        self._plans.clear()
+        self._plans.update(entries)
 
     def _uplinks(self) -> tuple[list[tuple[str, list[RackServer]]], dict[str, RackServer]]:
         """The up uplinks: (edge switch, servers) per up edge switch in id
@@ -490,7 +532,7 @@ class EmbeddingState:
         for a re-check."""
         if req.id in self.active:
             raise InvalidParameterError(f"request {req.id} is already active")
-        if self._kept(req, a) is None:
+        if self.kept(req, a) is None:
             violations = self.check_assignment(req, a)
             if violations:
                 raise CommitRejectedError(violations)

@@ -248,6 +248,21 @@ def scored_server_pairs(monkeypatch):
 
 
 @pytest.fixture
+def greedy_calls(monkeypatch):
+    """One request id per greedy_temp_map call from here on, through every
+    caller in online_search."""
+    calls = []
+    greedy_temp_map = online_search.greedy_temp_map
+
+    def counted(state, req, allowed=None):
+        calls.append(req.id)
+        return greedy_temp_map(state, req, allowed)
+
+    monkeypatch.setattr(online_search, "greedy_temp_map", counted)
+    return calls
+
+
+@pytest.fixture
 def scored_switches(monkeypatch):
     """One (placed neighbours, switch) entry per switch greedy scores by
     its hop sum for a vSwitch without a VM group, from here on."""

@@ -157,6 +157,13 @@ class TestBuildMip:
         with pytest.raises(InvalidParameterError):
             build_mip(k2_state, [])
 
+    def test_remappable_that_is_not_active_rejected(self, k2_state):
+        req = star_request("r0")
+        k2_state.commit(req, greedy_temp_map(k2_state, req).assignment)
+        build_mip(k2_state, [star_request("r1")], remappable=["r0"])
+        with pytest.raises(InvalidParameterError, match="remappable request r9 is not active"):
+            build_mip(k2_state, [star_request("r1")], remappable=["r0", "r9"])
+
     def test_nonpositive_divisor_rejected(self, k2_state):
         with pytest.raises(InvalidParameterError):
             build_mip(k2_state, [star_request("r0")], switch_penalty_divisor=0)
@@ -450,6 +457,27 @@ class TestLeafRouting:
             assert sol.status == "no-solution" and sol.nodes == limit, limit
         sol = solve_exact(model, SolveBudget(node_limit=first_leaf + 5))
         assert sol.status == "incumbent" and sol.objective == 2
+
+    def test_first_leg_out_of_paths_means_no_routing(self, k4_table):
+        """Chains r0 (600) then r1 (700) on e0_0 and e0_1, whose path 0
+        carries 1000 and whose other switch-switch links carry 300. Each
+        fits path 0 alone, so no pair row rules either out; with both
+        embedded r1 finds no room, r0's leg then runs out of paths, and
+        the leaf has no routing: only one of them is embedded."""
+        tight = tight_k4(racks=("e0_0", "e0_1"))
+        _, path0, _ = k4_table.get("e0_0", "e0_1")[0]
+        links = {
+            lid: replace(link, bandwidth=300)
+            if link.a in tight.switches and link.b in tight.switches and lid not in path0
+            else link
+            for lid, link in tight.links.items()
+        }
+        net = SubstrateNetwork(tight.servers, tight.switches, links, k_arity=4)
+        state = EmbeddingState(net, k4_table)
+        reqs = [chain_request("r0", vlink_bw=600), chain_request("r1", vlink_bw=700)]
+        sol = solve_exact(build_mip(state, reqs))
+        assert (sol.status, sol.objective, sol.nodes) == ("optimal", 1, 125)
+        assert sol.embedded["r0"].vlink_map["vl0"][2] == 0 and sol.embedded["r1"] is None
 
     def test_binding_wall_clock_stops_the_search(self):
         # no switch-switch link can carry r1's vlink, so every leaf that

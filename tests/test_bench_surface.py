@@ -189,13 +189,30 @@ def test_an_admission_checks_its_assignment_once(perfbench_modules, state_calls)
 
 
 def test_usage_folds_once_per_check(perfbench_modules, state_calls):
-    # batch-k4's first simulation at seed 1 makes 50 checks, 30 releases and
-    # 10 audits: 50 usage folds when a release credits back the usage its
+    # batch-k4's first simulation at seed 1 makes 20 checks, 30 releases and
+    # 10 audits: 20 usage folds when a release credits back the usage its
     # commit charged and audit folds loads straight into its scratch map,
-    # 135 when every release and every audited active folded usage again
+    # 105 when every release and every audited active folded usage again
     _, workloads = perfbench_modules
     first_simulation(workloads, "batch-k4")
     assert 0 < state_calls["usage"] <= state_calls["check_assignment"]
+
+
+# greedy_temp_map calls in batch-k4's first simulation at seed 1: 10 when a
+# batch pass recalls a re-placed request's mapping from the last plan while
+# the state it plans on is unchanged, 40 when every pass mapped each of its
+# requests again. A recalled clean mapping keeps its check, so the probe's
+# commit does not check again: 20 checks, 50 without the memo and 50 when a
+# hit's commit checked again
+BATCH_K4_GREEDY_CALLS_MAX = 10
+BATCH_K4_CHECKS_MAX = 20
+
+
+def test_batch_passes_recall_unchanged_plans(perfbench_modules, greedy_calls, state_calls):
+    _, workloads = perfbench_modules
+    first_simulation(workloads, "batch-k4")
+    assert 0 < len(greedy_calls) <= BATCH_K4_GREEDY_CALLS_MAX
+    assert 0 < state_calls["check_assignment"] <= BATCH_K4_CHECKS_MAX
 
 
 # Neither workload's pinned trace holds a migration record, so this short

@@ -447,6 +447,12 @@ class TestValidate:
         assert code == 2
         assert "server-capacity" in err and "s0" in err
 
+    def test_assignment_without_requests_is_a_usage_error(self, workdir, capsys):
+        main(["gen-topology", "--k", "2", "--out", "dc2.txt"])
+        (workdir / "asg.txt").write_text("assignments 1\nembedded r0 0\n")
+        assert main(["validate", "--substrate", "dc2.txt", "--assignment", "asg.txt"]) == 1
+        assert capsys.readouterr().err == "--assignment requires --requests\n"
+
     def test_missing_file(self, workdir, capsys):
         assert main(["validate", "--substrate", "ghost.txt"]) == 1
         assert "ghost.txt" in capsys.readouterr().err

@@ -82,6 +82,17 @@ class TestAggregate:
         with pytest.raises(IncompleteTraceError):
             aggregate(records)
 
+    def test_nested_run_start_rejected(self):
+        records = toy_trace()
+        records.insert(3, rec(1.0, 2, "run_start", lam="3", seed=2, k=4, policy="abc", mode="hybrid"))
+        with pytest.raises(IncompleteTraceError, match="nested run_start"):
+            aggregate(resequence(records))
+
+    def test_run_end_without_run_start_rejected(self):
+        records = toy_trace() + [rec(11.0, 99, "run_end", events=0)]
+        with pytest.raises(IncompleteTraceError, match="run_end without run_start"):
+            aggregate(records)
+
     def test_deterministic(self):
         assert aggregate(toy_trace()).rows[0].__dict__ == aggregate(toy_trace()).rows[0].__dict__
 

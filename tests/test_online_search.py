@@ -18,10 +18,12 @@ from vdcembed.online_search import (
     TempMapping,
     compute_fragments,
     greedy_temp_map,
+    plan_batch,
     swap_repair,
     try_online_embed,
 )
 from vdcembed.paths import enumerate_paths
+from vdcembed.scheduler import PolicyConfig, run_simulation
 from vdcembed.state import Assignment, EmbeddingState
 from vdcembed.topology import (
     Link,
@@ -597,6 +599,100 @@ class TestTryOnlineEmbed:
             assert isinstance(result, OnlineResult), f"seed {seed}: {result}"
             agree += 1
         assert agree >= 8
+
+
+class TestPlanMemo:
+    """plan_batch recalls a request's greedy result from the state's plan
+    memo only for the very request object on equal residuals and an equal
+    down set."""
+
+    @pytest.fixture
+    def checked_hits(self, monkeypatch):
+        """Every plan memo hit from here on, compared with a fresh
+        greedy_temp_map on a copy of the state that recalled it; one
+        request id per hit."""
+        hits = []
+        recall = EmbeddingState.recall
+
+        def checked(state, req):
+            entry = recall(state, req)
+            if entry is not None:
+                fresh_state = state.copy()
+                fresh = greedy_temp_map(fresh_state, req)
+                assert repr(fresh) == repr(entry.result)
+                clean = isinstance(fresh, TempMapping) and fresh.clean
+                assert (fresh_state.kept(req, fresh.assignment) if clean else None) == entry.usage
+                # the recalled check is kept as if just made
+                assert not clean or state.kept(req, entry.result.assignment) is entry.usage
+                hits.append(req.id)
+            return entry
+
+        monkeypatch.setattr(EmbeddingState, "recall", checked)
+        return hits
+
+    @pytest.mark.parametrize("mode", ["batch-only", "hybrid"])
+    def test_a_hit_is_what_greedy_gives_afresh(self, mode, k4_net, k4_table, checked_hits):
+        # the acceptance sweep's simulations: batch-only re-places the
+        # remappables, the hybrid keeps them in place
+        policy = PolicyConfig(batch_width=3, solver_node_limit=500, remap_limit=4)
+        for lam in range(1, 11):
+            for seed in (101, 202, 303, 404, 505):
+                cfg = WorkloadConfig(
+                    vm_count=(4, 10), vswitch_count=(2, 4), arrival_rate=lam,
+                    horizon=300.0, seed=seed,
+                )
+                run_simulation(k4_net, cfg, policy, run_mode=mode, table=k4_table)
+        # 1,476 hits in batch-only, 9 in the hybrid
+        assert len(checked_hits) >= (1000 if mode == "batch-only" else 1)
+
+    @staticmethod
+    def planned(k4_state):
+        """k4_state with r0 active and r1 planned alone, so the memo's r1
+        entry was made on the state's own residuals."""
+        r0, r1 = star_request("r0", n_vms=3, cores=4), star_request("r1", n_vms=2, cores=4)
+        k4_state.commit(r0, greedy_temp_map(k4_state, r0).assignment)
+        plan = plan_batch(k4_state, [r1], [], re_place=False)
+        assert plan["r1"] is not None
+        return r1
+
+    def test_an_unchanged_state_recalls(self, k4_state):
+        r1 = self.planned(k4_state)
+        entry = k4_state.copy().recall(r1)
+        assert entry is not None and entry.request is r1
+
+    @pytest.mark.parametrize("element", ["s15", "e3_1", "l47"])
+    def test_one_unit_of_residual_misses(self, k4_state, element):
+        r1 = self.planned(k4_state)
+        probe = k4_state.copy()
+        rv = probe.residual[element]
+        dim = next(d for d in rv._fields if getattr(rv, d))
+        probe.residual[element] = rv._replace(**{dim: getattr(rv, dim) - 1})
+        assert probe.recall(r1) is None
+
+    def test_an_element_marked_down_misses(self, k4_state):
+        r1 = self.planned(k4_state)
+        probe = k4_state.copy()
+        probe.mark_down(["c1_1"])
+        assert probe.recall(r1) is None
+
+    def test_another_request_object_under_the_same_id_misses(self, k4_state):
+        r1 = self.planned(k4_state)
+        twin = replace(r1)
+        assert twin == r1 and k4_state.recall(twin) is None
+
+    def test_the_memo_holds_only_the_last_plan(self, k4_state, greedy_calls):
+        reqs = [star_request(f"r{i}", n_vms=2) for i in range(4)]
+        for req in reqs[:2]:
+            k4_state.commit(req, greedy_temp_map(k4_state, req).assignment)
+        greedy_calls.clear()
+        plan_batch(k4_state, reqs[2:3], ["r0", "r1"], re_place=True)
+        assert set(k4_state._plans) == {"r0", "r1", "r2"}
+        assert greedy_calls == ["r0", "r1", "r2"]
+        plan_batch(k4_state, reqs[2:3], ["r0", "r1"], re_place=True)
+        assert greedy_calls == ["r0", "r1", "r2"]  # all three recalled
+        plan_batch(k4_state, reqs[3:], ["r0", "r1"], re_place=False)
+        assert set(k4_state._plans) == {"r3"}
+        assert k4_state.recall(reqs[2]) is None
 
 
 class TestFragments:

@@ -700,6 +700,20 @@ class TestSimulationSteps:
             sim.process(SimEvent(9.0, 1, "eclipse"))
         assert sim.clock == 5.0
 
+    def test_arrival_without_a_request_rejected_before_clock_moves(self):
+        sim = self.make_sim()
+        from vdcembed.errors import InvalidParameterError
+
+        with pytest.raises(InvalidParameterError, match="carries no request"):
+            sim.process(SimEvent(5.0, 0, "arrival"))
+        assert (sim.clock, sim.records) == (0.0, [])
+
+    def test_unknown_run_mode_rejected(self):
+        from vdcembed.errors import InvalidParameterError
+
+        with pytest.raises(InvalidParameterError, match="unknown run mode 'batch'"):
+            self.make_sim(mode="batch")
+
     def test_repeated_arrival_id_rejected_before_clock_moves(self):
         sim = self.make_sim()
         sim.process(SimEvent(5.0, 0, "arrival", request=star_request("r0")))
@@ -987,6 +1001,10 @@ class TestPolicyConfig:
     def test_out_of_range_rejected(self, line):
         with pytest.raises(ConfigError):
             parse_policy_config(line + "\n")
+
+    def test_vm_move_weighting_takes_only_true_or_false(self):
+        with pytest.raises(ConfigError, match="line 2: bad value 'maybe' for vm_move_weighting"):
+            parse_policy_config("f=2\nvm_move_weighting=maybe\n")
 
     def test_unbounded_patience_and_zero_limits_allowed(self):
         text = "patience=inf\nswap_ceiling=0\nsolver_wall_ms=0\nremap_limit=0\n"

@@ -79,6 +79,22 @@ class TestCheckAssignment:
         with pytest.raises(UnknownElementError):
             k2_state.check_assignment(req, a)
 
+    @pytest.mark.parametrize(
+        "field, key, host, message",
+        [
+            ("vswitch_map", "vs9", "e0_1", "vswitch vs9 not in request r0"),
+            ("vswitch_map", "vs0", "nosuch", "switch nosuch not in substrate"),
+            ("vlink_map", "vl9", ("e0_0", "s0", 0), "vlink vl9 not in request r0"),
+        ],
+        ids=["unknown-vswitch", "unknown-switch", "unknown-vlink"],
+    )
+    def test_unknown_ids_raise(self, k2_state, field, key, host, message):
+        req = star_request("r0")
+        a = assign_star(k2_state.net, k2_state.table, req, "e0_0", "s0")
+        a = replace(a, **{field: {**getattr(a, field), key: host}})
+        with pytest.raises(UnknownElementError, match=message):
+            k2_state.structural_findings(req, a)
+
     def test_edge_tier_enforced(self, k2_state):
         req = star_request("r0")
         a = Assignment("r0", {"vm0": "s0"}, {"vs0": "c0_0"}, {"vl0": ("c0_0", "s0", 0)})
@@ -285,6 +301,17 @@ class TestAudit:
         k2_state.commit(req, assign_star(k2_state.net, k2_state.table, req, "e0_0", "s0"))
         k2_state.residual[element] += delta
         with pytest.raises(AuditError, match="drifted"):
+            k2_state.audit()
+
+    def test_negative_residual_detected(self, k2_state):
+        # charged unchecked, as a refused swap's rollback charges: the
+        # residuals equal the fold but s0 holds more than its capacity
+        cores = k2_state.net.capacity["s0"].cpu_cores + 1
+        req = star_request("r0", n_vms=1, cores=cores)
+        a = assign_star(k2_state.net, k2_state.table, req, "e0_0", "s0")
+        k2_state.charge(req, a, -1)
+        k2_state.active["r0"], k2_state.requests["r0"] = a, req
+        with pytest.raises(AuditError, match="negative residual on s0"):
             k2_state.audit()
 
     def test_free_total_drift_detected(self, k2_state):
