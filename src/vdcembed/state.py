@@ -10,7 +10,6 @@ from .errors import (
     AuditError,
     CommitRejectedError,
     InvalidParameterError,
-    PathLookupError,
     UnknownElementError,
 )
 from .paths import PathTable, admissible
@@ -21,6 +20,7 @@ from .topology import (
     ResourceVector,
     SubstrateNetwork,
     VdcRequest,
+    _new,
     sum_vectors,
 )
 
@@ -123,6 +123,12 @@ class EmbeddingState:
     Facts that change only when an element goes down (the uplinks, the up
     counts) are built on first use and dropped by mark_down.
 
+    Loads are summed on plain ints: one fold adds an assignment's loads
+    into a map of (cores, memory, switch memory, bandwidth) tuples per
+    element, which usage wraps in one ResourceVector per element and audit
+    fills with every active's loads; charge adds a usage to the residuals
+    and free field by field. No load gets a vector of its own.
+
     The state also keeps its last clean check, (request, assignment, usage):
     commit skips the re-check of those very objects and charge takes that
     usage. It holds because check_assignment reads only the residuals, down
@@ -131,8 +137,8 @@ class EmbeddingState:
     maps after it is built (a move builds a new one). An assignment's usage
     reads only those maps, its request and the path table, so the state
     keeps the usage each commit charged per active request and a release
-    credits it back without folding again; audit folds every load afresh,
-    so a wrong stored usage shows there.
+    credits it back without folding again; audit folds every load afresh
+    and never reads the stored usage, so a wrong one shows there.
 
     A kept clean check may also come from the plan memo: the last batch
     plan's greedy result per request, recalled only for the very request
@@ -189,14 +195,39 @@ class EmbeddingState:
             out += [(vl_id, eid, load) for eid in edges]
         return out
 
+    def _fold(self, req: VdcRequest, a: Assignment, into: dict[str, tuple]):
+        """Add one assignment's loads into `into`, substrate element -> plain
+        (cores, memory, switch memory, bandwidth) ints, walking them in loads
+        order so keys first appear in that order. A path index the table
+        does not hold adds nothing, as in loads."""
+        get = into.get
+        for placed, parts in ((a.vm_map, req.vms), (a.vswitch_map, req.vswitches)):
+            for part, host in placed.items():
+                w, x, y, z = parts[part].demand
+                prev = get(host)
+                if prev is None:
+                    into[host] = (w, x, y, z)
+                else:
+                    into[host] = (prev[0] + w, prev[1] + x, prev[2] + y, prev[3] + z)
+        paths, vlinks = self.table.paths, req.vlinks
+        for vl_id, (pa, pb, n) in a.vlink_map.items():
+            recs = paths.get((pa, pb))
+            if recs is None or not 0 <= n < len(recs):
+                continue  # reported as unknown-path by check_assignment
+            bw = vlinks[vl_id].bandwidth
+            for eid in recs[n][1]:
+                prev = get(eid)
+                if prev is None:
+                    into[eid] = (0, 0, 0, bw)
+                else:
+                    into[eid] = (prev[0], prev[1], prev[2], prev[3] + bw)
+
     def usage(self, req: VdcRequest, a: Assignment) -> dict[str, ResourceVector]:
         """Per-element load one assignment adds, keyed by server, switch and
         link id; servers come first, then switches, then links."""
-        out: dict[str, ResourceVector] = {}
-        for _, eid, load in self.loads(req, a):
-            prev = out.get(eid)
-            out[eid] = load if prev is None else prev + load
-        return out
+        folded: dict[str, tuple] = {}
+        self._fold(req, a, folded)
+        return {eid: _new(ResourceVector, load) for eid, load in folded.items()}
 
     def charged(self, request_id: str) -> dict[str, ResourceVector]:
         """The per-element usage an active request's commit charged, which
@@ -218,27 +249,28 @@ class EmbeddingState:
         else:
             usage = self._charged.pop(req.id)
         self._checked = None
-        residual = self.residual
-        for eid, load in usage.items():
-            residual[eid] = residual[eid] + load if sign > 0 else residual[eid] - load
-        down = self.down
-        delta = sum_vectors(load for eid, load in usage.items() if eid not in down)
-        self.free = self.free + delta if sign > 0 else self.free - delta
-        if self._fragments is None:
-            return
-        index = self._fragments[1]
-        by_fragment: dict[int, list[ResourceVector]] = {}
-        for eid, load in usage.items():
-            i = index.get(eid)
-            if (i is not None) != self._alive(eid):
-                self._fragments = None  # the fragments change shape: rebuilt when read
-                return
-            if i is not None:
-                by_fragment.setdefault(i, []).append(load)
-        free = self._fragment_free
-        for i, loads in by_fragment.items():
-            d = sum_vectors(loads)
-            free[i] = free[i] + d if sign > 0 else free[i] - d
+        residual, down = self.residual, self.down
+        index = self._fragments[1] if self._fragments is not None else None
+        by_fragment: dict[int, list[tuple]] = {}
+        fc, fm, fs, fb = self.free
+        for eid, (w, x, y, z) in usage.items():
+            if sign < 0:
+                w, x, y, z = -w, -x, -y, -z
+            c, m, s, b = residual[eid]
+            residual[eid] = _new(ResourceVector, (c + w, m + x, s + y, b + z))
+            if eid not in down:
+                fc, fm, fs, fb = fc + w, fm + x, fs + y, fb + z
+            if index is not None:
+                i = index.get(eid)
+                if (i is not None) != self._alive(eid):
+                    index = self._fragments = None  # they change shape: rebuilt when read
+                elif i is not None:
+                    by_fragment.setdefault(i, []).append((w, x, y, z))
+        self.free = _new(ResourceVector, (fc, fm, fs, fb))
+        if index is not None:
+            free = self._fragment_free
+            for i, deltas in by_fragment.items():
+                free[i] = sum_vectors((free[i], *deltas))
 
     def residual_vectors(self) -> ResourceVector:
         """Componentwise sum of per-element residuals (down elements excluded):
@@ -299,33 +331,34 @@ class EmbeddingState:
         unknown ids raise, the rest (unmapped elements, collisions, tiers,
         paths, latency, locality, failed hosts, links or path nodes) is listed."""
         out: list[Violation] = []
+        vm_map, vswitch_map, vlink_map = a.vm_map, a.vswitch_map, a.vlink_map
+        servers, switches = self.net.servers, self.net.switches
 
-        for vm_id, pm in a.vm_map.items():
+        for vm_id, pm in vm_map.items():
             if vm_id not in req.vms:
                 raise UnknownElementError(f"vm {vm_id} not in request {req.id}")
-            if pm not in self.net.servers:
+            if pm not in servers:
                 raise UnknownElementError(f"server {pm} not in substrate")
-        for vs_id, ps in a.vswitch_map.items():
+        for vs_id, ps in vswitch_map.items():
             if vs_id not in req.vswitches:
                 raise UnknownElementError(f"vswitch {vs_id} not in request {req.id}")
-            if ps not in self.net.switches:
+            if ps not in switches:
                 raise UnknownElementError(f"switch {ps} not in substrate")
-        for vl_id in a.vlink_map:
+        for vl_id in vlink_map:
             if vl_id not in req.vlinks:
                 raise UnknownElementError(f"vlink {vl_id} not in request {req.id}")
 
-        for vm_id in req.vms:
-            if vm_id not in a.vm_map:
-                out.append(Violation("unmapped-element", vm_id, True))
-        for vs_id in req.vswitches:
-            if vs_id not in a.vswitch_map:
-                out.append(Violation("unmapped-element", vs_id, True))
-        for vl_id in req.vlinks:
-            if vl_id not in a.vlink_map:
-                out.append(Violation("unmapped-element", vl_id, True))
+        # each map's keys are the request's own, so equal counts mean all mapped
+        for parts, placed in (
+            (req.vms, vm_map), (req.vswitches, vswitch_map), (req.vlinks, vlink_map)
+        ):
+            if len(placed) != len(parts):
+                out.extend(
+                    Violation("unmapped-element", p, True) for p in parts if p not in placed
+                )
 
         used_switches: dict[str, str] = {}
-        for vs_id, ps in a.vswitch_map.items():
+        for vs_id, ps in vswitch_map.items():
             if ps in used_switches:
                 out.append(
                     Violation(
@@ -337,23 +370,24 @@ class EmbeddingState:
                 )
             used_switches[ps] = vs_id
             vs = req.vswitches[vs_id]
-            if vs.is_edge and self.net.switches[ps].tier != "edge":
+            if vs.is_edge and switches[ps].tier != TIER_EDGE:
                 out.append(Violation("edge-tier", vs_id, True, detail=f"on {ps}"))
 
         down = self.down
         down_on_paths: set[str] = set()
-        for vl_id, (pa, pb, n) in a.vlink_map.items():
-            vl = req.vlinks[vl_id]
-            img_a = a.host_of(vl.a)
-            img_b = a.host_of(vl.b)
-            try:
-                nodes, edges, delay = self.table.path(pa, pb, n)
-            except PathLookupError:
+        paths, bound = self.table.paths, req.latency_bound
+        for vl_id, (pa, pb, n) in vlink_map.items():
+            recs = paths.get((pa, pb))
+            if recs is None or not 0 <= n < len(recs):
                 out.append(Violation("unknown-path", vl_id, True, detail=f"{pa},{pb},{n}"))
                 continue
+            nodes, edges, delay = recs[n]
             if down:
                 down_on_paths.update(eid for eid in edges if eid in down)
                 down_on_paths.update(nid for nid in nodes[1:-1] if nid in down)
+            vl = req.vlinks[vl_id]
+            img_a = vm_map[vl.a] if vl.a in vm_map else vswitch_map.get(vl.a)
+            img_b = vm_map[vl.b] if vl.b in vm_map else vswitch_map.get(vl.b)
             if (img_a, img_b) != (pa, pb):
                 out.append(
                     Violation(
@@ -363,27 +397,22 @@ class EmbeddingState:
                         detail=f"path ({pa},{pb}) vs images ({img_a},{img_b})",
                     )
                 )
-            if req.latency_bound is not None and delay > req.latency_bound:
-                out.append(
-                    Violation(
-                        "latency-bound",
-                        vl_id,
-                        True,
-                        detail=f"delay {delay} > {req.latency_bound}",
-                    )
-                )
+            if bound is not None and delay > bound:
+                detail = f"delay {delay} > {bound}"
+                out.append(Violation("latency-bound", vl_id, True, detail=detail))
 
         if req.locality:
             for vm_id, allowed in req.locality.items():
-                pm = a.vm_map.get(vm_id)
+                pm = vm_map.get(vm_id)
                 if pm is not None and pm not in allowed:
                     out.append(Violation("locality", vm_id, True, detail=f"on {pm}"))
 
-        for element in list(a.vm_map.values()) + list(a.vswitch_map.values()):
-            if element in down:
-                out.append(Violation("element-down", element, True))
-        for eid in sorted(down_on_paths):
-            out.append(Violation("element-down", eid, True))
+        if down:
+            for element in (*vm_map.values(), *vswitch_map.values()):
+                if element in down:
+                    out.append(Violation("element-down", element, True))
+            for eid in sorted(down_on_paths):
+                out.append(Violation("element-down", eid, True))
         return out
 
     def check_assignment(self, req: VdcRequest, a: Assignment) -> list[Violation]:
@@ -594,29 +623,45 @@ class EmbeddingState:
     # -- consistency --------------------------------------------------------
 
     def audit(self):
-        """Prove the state consistent in time linear in the active requests.
+        """Prove the state consistent, in time linear in the active
+        requests' loads plus the substrate's elements: each call also
+        compares and sums every element (84 at k=4, 592 at k=8).
 
         Residuals folded from scratch, every load of every active taken off
-        its capacity, must equal the stored ones and be nonnegative, which
-        proves the actives fit jointly; the running sums must equal the
-        residuals they sum, and each active assignment must pass the
-        structural checks. The stored charged usage is not read, so a wrong
-        one shows as drift once it is credited back. Raises AuditError; used
-        by simulation self-checks and tests.
+        its capacity, must equal the stored ones on every element, touched
+        or not, and be nonnegative, which proves the actives fit jointly;
+        the running sums must equal the residuals they sum, and each active
+        assignment must pass the structural checks. The stored charged usage
+        is not read, so a wrong one shows as drift once it is credited back.
+        Raises AuditError; used by simulation self-checks and tests.
         """
-        scratch = dict(self.net.capacity)
+        scratch: dict[str, tuple] = {}
         for rid, a in self.active.items():
-            for _, eid, load in self.loads(self.requests[rid], a):
-                scratch[eid] -= load
-        if scratch != self.residual:
+            self._fold(self.requests[rid], a, scratch)
+        capacity, residual, down = self.net.capacity, self.residual, self.down
+        if len(residual) != len(capacity) or not scratch.keys() <= capacity.keys():
             raise AuditError("residuals drifted from fold-from-scratch values")
-        for eid, rv in scratch.items():
-            if not rv.nonnegative:
-                raise AuditError(f"negative residual on {eid}: {rv}")
-        if self.free != sum_vectors(rv for eid, rv in scratch.items() if eid not in self.down):
+        negative = None
+        fc = fm = fs = fb = 0
+        for eid, (c, m, s, b) in capacity.items():
+            used = scratch.get(eid)
+            if used is not None:
+                w, x, y, z = used
+                c, m, s, b = c - w, m - x, s - y, b - z
+            left = (c, m, s, b)
+            if residual.get(eid) != left:
+                raise AuditError("residuals drifted from fold-from-scratch values")
+            if negative is None and min(left) < 0:
+                negative = eid, left
+            if eid not in down:
+                fc, fm, fs, fb = fc + c, fm + m, fs + s, fb + b
+        if negative is not None:
+            eid, left = negative
+            raise AuditError(f"negative residual on {eid}: {_new(ResourceVector, left)}")
+        if self.free != (fc, fm, fs, fb):
             raise AuditError("running free total drifted from the fold over up elements")
         for nodes, links, free in self.fragments() if self._fragments else ():
-            if free != sum_vectors(scratch[eid] for eid in (*nodes, *links)):
+            if free != sum_vectors(residual[eid] for eid in (*nodes, *links)):
                 raise AuditError(f"free vector of the fragment of {min(nodes)} drifted")
         for rid, a in self.active.items():
             bad = self.structural_findings(self.requests[rid], a)

@@ -26,6 +26,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 from vdcembed import online_search, topology
 from vdcembed.batch_solver import build_mip, extract_assignments, solve_exact
 from vdcembed.paths import enumerate_paths
+from vdcembed.scheduler import PolicyConfig, run_simulation
 from vdcembed.state import EmbeddingState
 from vdcembed.topology import (
     Link,
@@ -37,6 +38,7 @@ from vdcembed.topology import (
     VSwitch,
     VdcRequest,
     Vm,
+    WorkloadConfig,
     build_fat_tree,
 )
 
@@ -220,6 +222,45 @@ def k4_net():
 @pytest.fixture(scope="session")
 def k4_table(k4_net):
     return enumerate_paths(k4_net)
+
+
+# the acceptance sweep: every mode at each arrival rate and seed on k=4
+SWEEP_MODES = ("hybrid", "batch-only", "online-only")
+SWEEP_LAMBDAS = list(range(1, 11))
+SWEEP_SEEDS = [101, 202, 303, 404, 505]
+
+
+@pytest.fixture(scope="session")
+def sweep_runs():
+    """The acceptance sweep's simulations, run once per session: the trace of
+    each by (mode, lambda, seed), and every (request, assignment) pair they
+    committed, in commit order."""
+    net = build_fat_tree(4)
+    table = enumerate_paths(net)
+    policy = PolicyConfig(batch_width=3, solver_node_limit=500, remap_limit=4)
+    traces, committed = {}, []
+    commit = EmbeddingState.commit
+
+    def recorded(state, req, a):
+        commit(state, req, a)
+        committed.append((req, a))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(EmbeddingState, "commit", recorded)
+        for mode in SWEEP_MODES:
+            for lam in SWEEP_LAMBDAS:
+                for seed in SWEEP_SEEDS:
+                    cfg = WorkloadConfig(
+                        vm_count=(4, 10),
+                        vswitch_count=(2, 4),
+                        arrival_rate=lam,
+                        horizon=300.0,
+                        seed=seed,
+                    )
+                    traces[mode, lam, seed] = run_simulation(
+                        net, cfg, policy, run_mode=mode, table=table, audit_every=100
+                    )
+    return traces, committed
 
 
 @pytest.fixture

@@ -10,7 +10,13 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import exactness_instances, record_criterion
+from conftest import (
+    SWEEP_LAMBDAS,
+    SWEEP_MODES,
+    SWEEP_SEEDS,
+    exactness_instances,
+    record_criterion,
+)
 from oracles import best_joint_objective, simple_paths_dfs, random_switch_graph
 from vdcembed.batch_solver import build_mip, extract_assignments, solve_exact
 from vdcembed.cli import main as cli_main
@@ -56,32 +62,16 @@ def test_exactness_oracle(k2_net, k2_table):
 
 # --- criteria 2-4: ordinal sweep with feasibility audits ----------------------
 
-SWEEP_LAMBDAS = list(range(1, 11))
-SWEEP_SEEDS = [101, 202, 303, 404, 505]
-
-
 @pytest.fixture(scope="module")
-def sweep_results():
-    net = build_fat_tree(4)
-    table = enumerate_paths(net)
-    policy = PolicyConfig(batch_width=3, solver_node_limit=500, remap_limit=4)
+def sweep_results(sweep_runs):
+    traces, _ = sweep_runs
     results = {}
-    for mode in ("hybrid", "batch-only", "online-only"):
+    for mode in SWEEP_MODES:
         per_lambda = {}
         for lam in SWEEP_LAMBDAS:
             rates, pcts = [], []
             for seed in SWEEP_SEEDS:
-                cfg = WorkloadConfig(
-                    vm_count=(4, 10),
-                    vswitch_count=(2, 4),
-                    arrival_rate=lam,
-                    horizon=300.0,
-                    seed=seed,
-                )
-                records = run_simulation(
-                    net, cfg, policy, run_mode=mode, table=table, audit_every=100
-                )
-                row = aggregate(records).rows[0]
+                row = aggregate(traces[mode, lam, seed]).rows[0]
                 if row.arrivals:
                     rates.append(row.rate)
                     pcts.append(row.migration_pct if row.placed_vms else 0.0)

@@ -191,11 +191,31 @@ def test_an_admission_checks_its_assignment_once(perfbench_modules, state_calls)
 def test_usage_folds_once_per_check(perfbench_modules, state_calls):
     # batch-k4's first simulation at seed 1 makes 20 checks, 30 releases and
     # 10 audits: 20 usage folds when a release credits back the usage its
-    # commit charged and audit folds loads straight into its scratch map,
+    # commit charged and audit folds loads into its own scratch map,
     # 105 when every release and every audited active folded usage again
     _, workloads = perfbench_modules
     first_simulation(workloads, "batch-k4")
     assert 0 < state_calls["usage"] <= state_calls["check_assignment"]
+
+
+# ResourceVector additions and subtractions in batch-k4's first simulation at
+# seed 1: 20, all in the scheduler, when the state folds, charges and audits
+# loads on plain ints, 2,707 when each load was one vector + or -
+VECTOR_ARITHMETIC_MAX = 200
+
+
+def test_state_accounting_makes_no_vector_per_load(perfbench_modules, monkeypatch):
+    _, workloads = perfbench_modules
+    calls = []
+    for name in ("__add__", "__sub__"):
+
+        def counted(self, other, method=getattr(ResourceVector, name)):
+            calls.append(self)
+            return method(self, other)
+
+        monkeypatch.setattr(ResourceVector, name, counted)
+    first_simulation(workloads, "batch-k4")
+    assert 0 < len(calls) < VECTOR_ARITHMETIC_MAX
 
 
 # greedy_temp_map calls in batch-k4's first simulation at seed 1: 10 when a

@@ -411,6 +411,19 @@ class TestFlaggedSubstrate:
         assert captured.err == islanded and captured.out == ""
         assert not (workdir / "s.txt").exists()
 
+    def test_unknown_switch_tier_exits_two(self, workdir, capsys):
+        # load_substrate takes any tier word; validation names the unknown one
+        main(["gen-topology", "--k", "2", "--out", "dc2.txt"])
+        text = (workdir / "dc2.txt").read_text()
+        assert "switch c0_0 core " in text
+        (workdir / "dc2.txt").write_text(text.replace("switch c0_0 core ", "switch c0_0 spine "))
+        capsys.readouterr()
+        args = ["run", "--substrate", "dc2.txt", "--workload", "workload.cfg", "--out", "res"]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert "[switch-tier] c0_0: unknown tier 'spine'" in captured.err
+        assert captured.out == "" and not (workdir / "res").exists()
+
 
 class TestValidate:
     def test_valid_inputs(self, workdir, capsys):

@@ -704,6 +704,26 @@ class TestFragments:
         assert free == state.residual_vectors()
         assert (free.cpu_cores, free.memory_mb, free.switch_memory) == (128, 262144, 2000)
 
+    def test_a_fragment_rescues_what_whole_substrate_greedy_strands(self, k4_state):
+        # with both aggregation switches of pod 1 down, its racks are a
+        # fragment of their own, and the emptiest: whole-substrate greedy puts
+        # both edge vSwitches there, where no path joins them, while greedy
+        # inside the main fragment maps the request cleanly
+        for s in k4_state.net.servers:
+            edge = k4_state.net.edge_switch_of(s)
+            if not edge.startswith("e1_"):
+                req = star_request(f"x{s}")
+                key = k4_state.uplink(req, "vm0", s)
+                k4_state.commit(req, Assignment(req.id, {"vm0": s}, {"vs0": edge}, {"vl0": key}))
+        k4_state.mark_down(["a1_0", "a1_1"])
+        req = chain_request("r0")
+        assert greedy_temp_map(k4_state, req) == StructuralFailure(
+            "no admissible path for vl0 (e1_0->e1_1)"
+        )
+        result = try_online_embed(k4_state, req)
+        assert isinstance(result, OnlineResult) and result.moves == ()
+        assert result.assignment.vswitch_map == {"vs0": "e0_0", "vs1": "e0_1"}
+
     def test_fragment_ordering_deterministic(self, k4_state):
         a = compute_fragments(k4_state)
         b = compute_fragments(k4_state)

@@ -184,6 +184,46 @@ class TestCheckAssignment:
         self.assert_rejected_with(k2_state, req, a, [("unknown-path", "vl0")])
 
 
+def summed_loads(state, req, a):
+    """The per-element sum of loads(req, a), keys in first-occurrence order."""
+    out = {}
+    for _, eid, load in state.loads(req, a):
+        out[eid] = out[eid] + load if eid in out else load
+    return out
+
+
+class TestUsage:
+    """usage(req, a) is the per-element sum of loads(req, a): the same keys
+    in the same order, each value a ResourceVector."""
+
+    @staticmethod
+    def assert_sums_loads(state, req, a):
+        usage, expected = state.usage(req, a), summed_loads(state, req, a)
+        assert list(usage.items()) == list(expected.items())
+        assert {type(v) for v in usage.values()} <= {ResourceVector}
+
+    def test_every_assignment_the_sweep_commits(self, sweep_runs, k4_net, k4_table):
+        _, committed = sweep_runs
+        state = EmbeddingState(k4_net, k4_table)
+        assert len(committed) > 1000
+        for req, a in committed:
+            self.assert_sums_loads(state, req, a)
+
+    @pytest.mark.parametrize(
+        "key",
+        [("e0_0", "s0", 7), ("e0_0", "s0", -1), ("e0_0", "s1", 0)],
+        ids=["index-past-the-list", "negative-index", "unrecorded-pair"],
+    )
+    def test_unknown_path_key_adds_nothing(self, k2_state, key):
+        req = star_request("r0", n_vms=2)
+        a = Assignment(
+            "r0", {"vm0": "s0", "vm1": "s0"}, {"vs0": "e0_0"},
+            {"vl0": key, "vl1": ("e0_0", "s0", 0)},
+        )
+        self.assert_sums_loads(k2_state, req, a)
+        assert list(k2_state.usage(req, a)) == ["s0", "e0_0", "l1"]
+
+
 class TestCommitRelease:
     def test_commit_release_identity(self, k2_state):
         before = dict(k2_state.residual)
@@ -293,14 +333,17 @@ class TestAudit:
             ("s0", ResourceVector(cpu_cores=1)),
             ("e0_0", ResourceVector(switch_memory=1)),
             ("l0", ResourceVector(bandwidth=1)),
+            ("s0", ResourceVector(memory_mb=1)),
+            ("c0_0", ResourceVector(switch_memory=1)),
+            ("l1", ResourceVector(cpu_cores=1)),
         ],
-        ids=["server", "switch", "link"],
+        ids=["server", "switch", "link", "server-memory", "untouched", "off-kind"],
     )
     def test_residual_drift_detected(self, k2_state, element, delta):
         req = star_request("r0", n_vms=1)
         k2_state.commit(req, assign_star(k2_state.net, k2_state.table, req, "e0_0", "s0"))
         k2_state.residual[element] += delta
-        with pytest.raises(AuditError, match="drifted"):
+        with pytest.raises(AuditError, match="residuals drifted"):
             k2_state.audit()
 
     def test_negative_residual_detected(self, k2_state):

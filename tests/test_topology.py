@@ -212,6 +212,13 @@ class TestValidateRequest:
         found = validate_request(build(), k2_net)
         assert [(f.rule, f.element) for f in found] == expected
 
+    def test_vm_parent_of_a_vm_without_a_vlink_raises(self):
+        req = star_request("r0", n_vms=2)
+        req = replace(req, vlinks={v: vl for v, vl in req.vlinks.items() if vl.b != "vm1"})
+        assert req.vm_parent("vm0") == "vs0"
+        with pytest.raises(FormatError, match="request r0: vm vm1 has no attaching vlink"):
+            req.vm_parent("vm1")
+
 
 class TestGenerateRequest:
     def table2_cfg(self):
