@@ -335,16 +335,22 @@ def plan_batch(
     the residuals and down set it was made on; a request recalls it in
     place of a greedy call when the probe's are equal (EmbeddingState.
     recall), as a re-placed remappable's are unless the state changed.
-    The memo then holds this plan's requests alone.
+    When the memo proves that re-placing the remappables would recall and
+    commit each one as it stands (EmbeddingState.replay), they keep their
+    entries and stay in place, and only the candidates are planned. The
+    memo then holds this plan's requests alone, and the state it ended on.
     """
     probe = state.copy()
     plan: dict[str, Assignment | None] = {rid: probe.active[rid] for rid in remappable}
     requests = list(candidates)
-    if re_place:
+    # a re-placing pass whose round trip the memo proves a no-op keeps the
+    # remappables in place, with their entries
+    replayed = probe.replay(remappable) if re_place else []
+    if replayed is None:
         requests = [probe.requests[rid] for rid in remappable] + requests
         for rid in remappable:
             probe.release(rid)
-    planned: dict[str, PlanEntry] = {}
+    planned: dict[str, PlanEntry] = {e.request.id: e for e in replayed or ()}
     for req in requests:
         entry = probe.recall(req)
         if entry is None:
@@ -359,7 +365,8 @@ def plan_batch(
         plan[req.id] = a
         if a is not None:
             probe.commit(req, a)
-    state.remember(planned)
+    # the probe is dropped here, so the memo may keep its residuals
+    state.remember(planned, probe.residual, frozenset(probe.down))
     return plan
 
 
@@ -489,7 +496,9 @@ def swap_repair(
     moves: list[SwapMove] = []
     incumbent_updates: dict[str, Assignment] = {}
 
-    for _ in range(max(max_swaps, 0) + 1):
+    # each pass that does not return makes one move, so the budget check
+    # ends the loop after at most max(max_swaps, 0) moves
+    while True:
         findings = [v for v in probe.check_assignment(req, assignment) if not v.structural]
         if not findings:
             try:
@@ -527,7 +536,6 @@ def swap_repair(
             "swap: %s %s/%s %s -> %s",
             move.kind, move.moved_request, move.moved_element, move.old_host, move.new_host,
         )
-    return RepairFailure("swap budget exhausted")
 
 
 def _relief(probe, req, assignment, host, need, extra):

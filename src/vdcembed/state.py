@@ -113,6 +113,13 @@ class PlanEntry(NamedTuple):
     usage: dict[str, ResourceVector] | None  # a clean mapping's check's
 
 
+class PlanMemo(dict):
+    """request id -> PlanEntry of the last batch plan, in plan order, and
+    end: the residuals and down set that plan ended on."""
+
+    end: tuple[dict[str, ResourceVector], frozenset[str]] | None = None
+
+
 class EmbeddingState:
     """Single-writer record of all active assignments plus residual resources.
 
@@ -145,6 +152,13 @@ class EmbeddingState:
     object on residuals and a down set equal to those it was made on.
     Greedy and check_assignment read nothing else that changes, so the
     recalled mapping, findings and usage are what a fresh call would give.
+    commit recalls before it re-checks, so a live commit of the plan's
+    clean mapping on equal residuals takes the plan's check. The memo also
+    keeps the residuals and down set the plan ended on: while the state
+    still has them and its recently placed actives are the plan's own
+    objects, replay proves that releasing and re-placing those actives
+    would recall and commit each one as it stands, so a re-placing batch
+    pass skips that round trip.
     """
 
     def __init__(self, net: SubstrateNetwork, table: PathTable):
@@ -173,9 +187,9 @@ class EmbeddingState:
         # active request id -> the usage its commit charged; copies share
         # the usage maps, which no routine writes to after they are built
         self._charged: dict[str, dict[str, ResourceVector]] = {}
-        # request id -> its entry in the last batch plan; an entry holds
-        # only on an equal state, so copies share the dict
-        self._plans: dict[str, PlanEntry] = {}
+        # the last batch plan's entries and end; an entry holds only on an
+        # equal state, so copies share the memo
+        self._plans = PlanMemo()
         self.version = 0
 
     # -- usage accounting ---------------------------------------------------
@@ -456,11 +470,40 @@ class EmbeddingState:
             self._checked = (req, entry.result.assignment, entry.usage)
         return entry
 
-    def remember(self, entries: dict[str, PlanEntry]):
-        """Make entries the plan memo, dropping the last plan's, for this
-        state and every copy that shares its memo."""
+    def remember(
+        self, entries: dict[str, PlanEntry], residual: dict[str, ResourceVector], down: frozenset
+    ):
+        """Make entries, in plan order, the plan memo, and residual and down
+        the state the plan ended on, dropping the last plan's, for this state
+        and every copy that shares its memo. The memo keeps residual as
+        given, so no routine may write to it afterwards."""
         self._plans.clear()
         self._plans.update(entries)
+        self._plans.end = (residual, down)
+
+    def replay(self, remappable: list[str]) -> list[PlanEntry] | None:
+        """The plan memo's entries for remappable, in order, when releasing
+        those actives and re-placing each in turn from the memo would give
+        back this very state, else None.
+
+        That holds when the remappables are, in order, the last plan's
+        trailing committed entries (those with a usage), each active with
+        the very request and assignment its entry holds, and the residuals
+        and down set are those the plan ended on. Loads are exact integers,
+        so releasing them gives back the residuals the first was planned
+        on; each recall then hits, and its commit leaves the residuals the
+        next was planned on, and the last leaves this state's."""
+        memo = self._plans
+        committed = [e for e in memo.values() if e.usage is not None]
+        tail = committed[len(committed) - len(remappable):]
+        if memo.end is None or len(tail) != len(remappable):
+            return None
+        for rid, entry in zip(remappable, tail):
+            a = entry.result.assignment
+            if self.requests[rid] is not entry.request or self.active[rid] is not a:
+                return None
+        residual, down = memo.end
+        return tail if self.down == down and self.residual == residual else None
 
     def _uplinks(self) -> tuple[list[tuple[str, list[RackServer]]], dict[str, RackServer]]:
         """The up uplinks: (edge switch, servers) per up edge switch in id
@@ -558,13 +601,16 @@ class EmbeddingState:
     def commit(self, req: VdcRequest, a: Assignment):
         """Admit an assignment; strict violations reject it and leave state
         unchanged. The kept clean check, when it was of req and a, stands in
-        for a re-check."""
+        for a re-check, as does the plan memo's when recall finds a clean
+        mapping that is a."""
         if req.id in self.active:
             raise InvalidParameterError(f"request {req.id} is already active")
         if self.kept(req, a) is None:
-            violations = self.check_assignment(req, a)
-            if violations:
-                raise CommitRejectedError(violations)
+            self.recall(req)  # keeps the plan's clean check when it holds here
+            if self.kept(req, a) is None:
+                violations = self.check_assignment(req, a)
+                if violations:
+                    raise CommitRejectedError(violations)
         self.charge(req, a, -1)
         self.active[req.id] = a
         self.requests[req.id] = req

@@ -7,6 +7,7 @@ import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 
@@ -25,6 +26,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 from vdcembed import online_search, topology
 from vdcembed.batch_solver import build_mip, extract_assignments, solve_exact
+from vdcembed.online_search import TempMapping, greedy_temp_map
 from vdcembed.paths import enumerate_paths
 from vdcembed.scheduler import PolicyConfig, run_simulation
 from vdcembed.state import EmbeddingState
@@ -230,23 +232,102 @@ SWEEP_LAMBDAS = list(range(1, 11))
 SWEEP_SEEDS = [101, 202, 303, 404, 505]
 
 
+def recalled_as_fresh(state, req, entry):
+    """(repr of a fresh greedy_temp_map on a copy of state, repr of the
+    recalled result, whether the fresh check's usage equals the recalled
+    one, whether state keeps the recalled check as if just made) for one
+    plan memo hit: the first two are equal and the last two true when the
+    hit is what greedy gives afresh."""
+    fresh_state = state.copy()
+    fresh = greedy_temp_map(fresh_state, req)
+    clean = isinstance(fresh, TempMapping) and fresh.clean
+    usage = fresh_state.kept(req, fresh.assignment) if clean else None
+    kept = not clean or state.kept(req, entry.result.assignment) is entry.usage
+    return repr(fresh), repr(entry.result), usage == entry.usage, kept
+
+
+def replay_mismatches(
+    state, remappable, entries, recall=EmbeddingState.recall, commit=EmbeddingState.commit
+):
+    """What differs when a copy of state takes the round trip a replay skips:
+    each remappable released, then recalled from the plan memo and committed
+    in turn, as plan_batch does without replay. Empty when every recall hits
+    the entry replay gave, with the active assignment object, and the
+    residuals, free sum and every active's charged usage come out equal.
+    Calls the unwrapped recall and commit."""
+    chain = state.copy()
+    for rid in remappable:
+        chain.release(rid)
+    out = []
+    for rid, given in zip(remappable, entries):
+        entry = recall(chain, state.requests[rid])
+        if entry is not given or entry.result.assignment is not state.active[rid]:
+            return [f"{rid}: recalled {entry}"]
+        commit(chain, state.requests[rid], entry.result.assignment)
+    if chain.residual != state.residual:
+        out.append("residual")
+    if chain.free != state.free:
+        out.append("free")
+    out += [rid for rid in state.active if chain.charged(rid) != state.charged(rid)]
+    return out
+
+
+@pytest.fixture
+def checked_replays(monkeypatch):
+    """replay_mismatches of every replay that fires from here on, one list
+    per replay."""
+    checked = []
+    replay = EmbeddingState.replay
+
+    def wrapped(state, remappable):
+        entries = replay(state, remappable)
+        if entries is not None:
+            checked.append(replay_mismatches(state, remappable, entries))
+        return entries
+
+    monkeypatch.setattr(EmbeddingState, "replay", wrapped)
+    return checked
+
+
+class SweepRuns(NamedTuple):
+    traces: dict  # (mode, lambda, seed) -> trace
+    committed: list  # (request, assignment) per commit, in commit order
+    hits: dict  # mode -> recalled_as_fresh of each plan memo hit
+    replays: dict  # mode -> replay_mismatches of each replay that fired
+
+
 @pytest.fixture(scope="session")
 def sweep_runs():
     """The acceptance sweep's simulations, run once per session: the trace of
-    each by (mode, lambda, seed), and every (request, assignment) pair they
-    committed, in commit order."""
+    each by (mode, lambda, seed), every (request, assignment) pair they
+    committed, in commit order, and per mode the checks of every plan memo
+    hit and of every replay that fired."""
     net = build_fat_tree(4)
     table = enumerate_paths(net)
     policy = PolicyConfig(batch_width=3, solver_node_limit=500, remap_limit=4)
-    traces, committed = {}, []
-    commit = EmbeddingState.commit
+    runs = SweepRuns({}, [], {m: [] for m in SWEEP_MODES}, {m: [] for m in SWEEP_MODES})
+    commit, recall, replay = EmbeddingState.commit, EmbeddingState.recall, EmbeddingState.replay
 
     def recorded(state, req, a):
         commit(state, req, a)
-        committed.append((req, a))
+        runs.committed.append((req, a))
+
+    def checked_recall(state, req):
+        entry = recall(state, req)
+        if entry is not None:
+            runs.hits[mode].append(recalled_as_fresh(state, req, entry))
+        return entry
+
+    def checked_replay(state, remappable):
+        entries = replay(state, remappable)
+        if entries is not None:
+            runs.replays[mode].append(replay_mismatches(state, remappable, entries))
+        return entries
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(EmbeddingState, "commit", recorded)
+        mp.setattr(EmbeddingState, "recall", checked_recall)
+        mp.setattr(EmbeddingState, "replay", checked_replay)
         for mode in SWEEP_MODES:
             for lam in SWEEP_LAMBDAS:
                 for seed in SWEEP_SEEDS:
@@ -257,10 +338,10 @@ def sweep_runs():
                         horizon=300.0,
                         seed=seed,
                     )
-                    traces[mode, lam, seed] = run_simulation(
+                    runs.traces[mode, lam, seed] = run_simulation(
                         net, cfg, policy, run_mode=mode, table=table, audit_every=100
                     )
-    return traces, committed
+    return runs
 
 
 @pytest.fixture

@@ -64,7 +64,7 @@ def test_exactness_oracle(k2_net, k2_table):
 
 @pytest.fixture(scope="module")
 def sweep_results(sweep_runs):
-    traces, _ = sweep_runs
+    traces = sweep_runs.traces
     results = {}
     for mode in SWEEP_MODES:
         per_lambda = {}

@@ -13,6 +13,7 @@ import pytest
 from vdcembed.metrics import resequence, serialize_trace
 from vdcembed.paths import PathTable, enumerate_paths
 from vdcembed.scheduler import PolicyConfig, SimEvent, run_simulation
+from vdcembed.state import EmbeddingState
 from vdcembed.topology import ResourceVector, WorkloadConfig, build_fat_tree
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -189,9 +190,10 @@ def test_an_admission_checks_its_assignment_once(perfbench_modules, state_calls)
 
 
 def test_usage_folds_once_per_check(perfbench_modules, state_calls):
-    # batch-k4's first simulation at seed 1 makes 20 checks, 30 releases and
-    # 10 audits: 20 usage folds when a release credits back the usage its
-    # commit charged and audit folds loads into its own scratch map,
+    # batch-k4's first simulation at seed 1 makes 10 checks and 10 audits
+    # (and 30 releases when its passes re-placed their remappables on the
+    # probe): a usage fold per check when a release credits back the usage
+    # its commit charged and audit folds loads into its own scratch map,
     # 105 when every release and every audited active folded usage again
     _, workloads = perfbench_modules
     first_simulation(workloads, "batch-k4")
@@ -222,10 +224,11 @@ def test_state_accounting_makes_no_vector_per_load(perfbench_modules, monkeypatc
 # batch pass recalls a re-placed request's mapping from the last plan while
 # the state it plans on is unchanged, 40 when every pass mapped each of its
 # requests again. A recalled clean mapping keeps its check, so the probe's
-# commit does not check again: 20 checks, 50 without the memo and 50 when a
-# hit's commit checked again
+# commit does not check again, nor does the live commit of the plan's
+# mapping: 10 checks, 20 when the live commit checked again, 50 without the
+# memo and 50 when a hit's commit on the probe checked again
 BATCH_K4_GREEDY_CALLS_MAX = 10
-BATCH_K4_CHECKS_MAX = 20
+BATCH_K4_CHECKS_MAX = 15
 
 
 def test_batch_passes_recall_unchanged_plans(perfbench_modules, greedy_calls, state_calls):
@@ -233,6 +236,35 @@ def test_batch_passes_recall_unchanged_plans(perfbench_modules, greedy_calls, st
     first_simulation(workloads, "batch-k4")
     assert 0 < len(greedy_calls) <= BATCH_K4_GREEDY_CALLS_MAX
     assert 0 < state_calls["check_assignment"] <= BATCH_K4_CHECKS_MAX
+
+
+# EmbeddingState.charge calls in the same simulation: 20 when a re-placing
+# pass skips releasing and re-committing the remappables that the plan memo
+# proves unchanged (EmbeddingState.replay), 80 when every pass released and
+# re-committed them on its probe
+BATCH_K4_CHARGES_MAX = 40
+
+
+def test_batch_passes_skip_unchanged_replays(perfbench_modules, monkeypatch):
+    _, workloads = perfbench_modules
+    charges = []
+    charge = EmbeddingState.charge
+
+    def counted(self, req, a, sign):
+        charges.append(sign)
+        return charge(self, req, a, sign)
+
+    monkeypatch.setattr(EmbeddingState, "charge", counted)
+    first_simulation(workloads, "batch-k4")
+    assert 0 < len(charges) <= BATCH_K4_CHARGES_MAX
+
+
+def test_a_skipped_replay_is_the_round_trip(perfbench_modules, checked_replays):
+    # each skipped release-and-recall chain, taken on a copy, gives back the
+    # same assignment objects, residuals, free sum and charged usage
+    _, workloads = perfbench_modules
+    first_simulation(workloads, "batch-k4")
+    assert checked_replays and all(mismatches == [] for mismatches in checked_replays)
 
 
 # Neither workload's pinned trace holds a migration record, so this short

@@ -23,7 +23,6 @@ from vdcembed.online_search import (
     try_online_embed,
 )
 from vdcembed.paths import enumerate_paths
-from vdcembed.scheduler import PolicyConfig, run_simulation
 from vdcembed.state import Assignment, EmbeddingState
 from vdcembed.topology import (
     Link,
@@ -524,6 +523,31 @@ class TestSwapRepair:
         apply_online(state, incoming, result)
         state.audit()
 
+    @pytest.mark.parametrize("max_swaps", [0, 1, 2])
+    def test_the_budget_bounds_the_moves(self, max_swaps):
+        # two 2-core incumbents and an incoming 8-core VM on s0 of two
+        # 8-core servers: each move relieves 2 of the 4 cores over, so
+        # clearing them takes both incumbents off s0 to s1
+        net = make_rack_net(n_servers=2, cores=8)
+        state = fresh_state(net)
+        for rid in ("inc1", "inc2"):
+            req = star_request(rid, n_vms=1, cores=2)
+            a = Assignment(rid, {"vm0": "s0"}, {"vs0": "e0"}, {"vl0": ("e0", "s0", 0)})
+            state.commit(req, a)
+        incoming = star_request("new", n_vms=1, cores=8)
+        a = Assignment("new", {"vm0": "s0"}, {"vs0": "e0"}, {"vl0": ("e0", "s0", 0)})
+        temp = TempMapping(a, tuple(state.check_assignment(incoming, a)))
+        assert [v.rule for v in temp.ledger] == ["server-capacity"]
+        before = dict(state.residual)
+        result = swap_repair(state, incoming, temp, max_swaps=max_swaps)
+        if max_swaps < 2:
+            assert result == RepairFailure("swap budget exhausted")
+        else:
+            assert [(m.moved_request, m.new_host) for m in result.moves] == [
+                ("inc1", "s1"), ("inc2", "s1")
+            ]
+        assert state.residual == before
+
     def test_dead_end_fails_within_budget(self):
         # single server, incumbent fills it, nowhere to move
         net = make_rack_net(n_servers=1, cores=8)
@@ -606,44 +630,29 @@ class TestPlanMemo:
     memo only for the very request object on equal residuals and an equal
     down set."""
 
-    @pytest.fixture
-    def checked_hits(self, monkeypatch):
-        """Every plan memo hit from here on, compared with a fresh
-        greedy_temp_map on a copy of the state that recalled it; one
-        request id per hit."""
-        hits = []
-        recall = EmbeddingState.recall
-
-        def checked(state, req):
-            entry = recall(state, req)
-            if entry is not None:
-                fresh_state = state.copy()
-                fresh = greedy_temp_map(fresh_state, req)
-                assert repr(fresh) == repr(entry.result)
-                clean = isinstance(fresh, TempMapping) and fresh.clean
-                assert (fresh_state.kept(req, fresh.assignment) if clean else None) == entry.usage
-                # the recalled check is kept as if just made
-                assert not clean or state.kept(req, entry.result.assignment) is entry.usage
-                hits.append(req.id)
-            return entry
-
-        monkeypatch.setattr(EmbeddingState, "recall", checked)
-        return hits
-
     @pytest.mark.parametrize("mode", ["batch-only", "hybrid"])
-    def test_a_hit_is_what_greedy_gives_afresh(self, mode, k4_net, k4_table, checked_hits):
+    def test_a_hit_is_what_greedy_gives_afresh(self, mode, sweep_runs):
         # the acceptance sweep's simulations: batch-only re-places the
-        # remappables, the hybrid keeps them in place
-        policy = PolicyConfig(batch_width=3, solver_node_limit=500, remap_limit=4)
-        for lam in range(1, 11):
-            for seed in (101, 202, 303, 404, 505):
-                cfg = WorkloadConfig(
-                    vm_count=(4, 10), vswitch_count=(2, 4), arrival_rate=lam,
-                    horizon=300.0, seed=seed,
-                )
-                run_simulation(k4_net, cfg, policy, run_mode=mode, table=k4_table)
-        # 1,476 hits in batch-only, 9 in the hybrid
-        assert len(checked_hits) >= (1000 if mode == "batch-only" else 1)
+        # remappables, the hybrid keeps them in place; each hit was compared
+        # with a fresh greedy_temp_map on a copy of the state that recalled it
+        hits = sweep_runs.hits[mode]
+        for fresh, recalled, same_usage, kept in hits:
+            assert fresh == recalled
+            assert same_usage
+            # the recalled check is kept as if just made
+            assert kept
+        # 1,896 hits in batch-only, 22 in the hybrid, counting the recalls
+        # of live commits
+        assert len(hits) >= (1000 if mode == "batch-only" else 1)
+
+    def test_a_skipped_replay_is_the_round_trip(self, sweep_runs):
+        # wherever a pass of the sweep skipped re-placing its remappables, a
+        # copy that released and recalled them gives back the same state;
+        # only batch-only re-places them
+        replays = sweep_runs.replays
+        assert len(replays["batch-only"]) >= 400  # 449
+        assert all(mismatches == [] for mismatches in replays["batch-only"])
+        assert replays["hybrid"] == replays["online-only"] == []
 
     @staticmethod
     def planned(k4_state):
@@ -679,6 +688,80 @@ class TestPlanMemo:
         r1 = self.planned(k4_state)
         twin = replace(r1)
         assert twin == r1 and k4_state.recall(twin) is None
+
+    @staticmethod
+    def replayable(k4_state):
+        """k4_state with r0, r1 and r2 committed from one re-placing plan,
+        which left big unplaced after them, so the memo ends on this state."""
+        reqs = [star_request(f"r{i}", n_vms=2, cores=3) for i in range(3)]
+        big = star_request("big", n_vms=3, cores=6)  # three servers of one rack
+        plan = plan_batch(k4_state, [*reqs, big], [], re_place=True)
+        assert plan["big"] is None
+        for req in reqs:
+            k4_state.commit(req, plan[req.id])
+        return reqs
+
+    def test_the_trailing_committed_entries_replay(self, k4_state):
+        self.replayable(k4_state)
+        entries = k4_state.replay(["r1", "r2"])
+        assert [e.request.id for e in entries] == ["r1", "r2"]
+        assert all(k4_state.active[e.request.id] is e.result.assignment for e in entries)
+        assert k4_state.replay([]) == []
+
+    @pytest.mark.parametrize("remappable", [["r0", "r1"], ["r2", "r1"], ["r0", "r1", "r2", "big"]])
+    def test_entries_that_are_not_the_trailing_committed_ones_do_not_replay(
+        self, k4_state, remappable
+    ):
+        self.replayable(k4_state)
+        if "big" in remappable:
+            # as when a search placed what the plan could not
+            big = star_request("big", n_vms=1)
+            k4_state.commit(big, greedy_temp_map(k4_state, big).assignment)
+        assert k4_state.replay(remappable) is None
+
+    @pytest.mark.parametrize("element", ["s15", "e3_1", "l47"])
+    def test_one_unit_of_residual_drift_declines_a_replay(self, k4_state, element):
+        self.replayable(k4_state)
+        probe = k4_state.copy()
+        rv = probe.residual[element]
+        dim = next(d for d in rv._fields if getattr(rv, d))
+        probe.residual[element] = rv._replace(**{dim: getattr(rv, dim) - 1})
+        assert probe.replay(["r1", "r2"]) is None
+
+    def test_an_element_marked_down_declines_a_replay(self, k4_state):
+        self.replayable(k4_state)
+        k4_state.mark_down(["c1_1"])
+        assert k4_state.replay(["r1", "r2"]) is None
+
+    @pytest.mark.parametrize("twin", ["request", "assignment"])
+    def test_a_twin_under_the_same_id_declines_a_replay(self, k4_state, twin):
+        # an equal assignment built anew is what a search's decision commits
+        r2 = self.replayable(k4_state)[2]
+        a = k4_state.release("r2")
+        if twin == "request":
+            k4_state.commit(replace(r2), a)
+        else:
+            k4_state.commit(r2, replace(a))
+        assert k4_state.residual == k4_state._plans.end[0]
+        assert k4_state.replay(["r1", "r2"]) is None
+
+    def test_a_live_commit_of_the_plan_takes_its_check(self, k4_state, state_calls):
+        reqs = [star_request("r0", n_vms=3, cores=4), star_request("r1", n_vms=2, cores=4)]
+        plan = plan_batch(k4_state, reqs, [], re_place=False)
+        state_calls.clear()
+        for req in reqs:
+            k4_state.commit(req, plan[req.id])
+        assert (state_calls["commit"], state_calls["check_assignment"]) == (2, 0)
+        k4_state.audit()
+
+    def test_a_live_commit_after_one_unit_of_drift_checks(self, k4_state, state_calls):
+        r0 = star_request("r0", n_vms=3, cores=4)
+        plan = plan_batch(k4_state, [r0], [], re_place=False)
+        rv = k4_state.residual["l47"]
+        k4_state.residual["l47"] = rv._replace(bandwidth=rv.bandwidth - 1)
+        state_calls.clear()
+        k4_state.commit(r0, plan["r0"])
+        assert (state_calls["commit"], state_calls["check_assignment"]) == (1, 1)
 
     def test_the_memo_holds_only_the_last_plan(self, k4_state, greedy_calls):
         reqs = [star_request(f"r{i}", n_vms=2) for i in range(4)]

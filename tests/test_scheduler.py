@@ -242,6 +242,24 @@ class TestSimulationSteps:
         assert decision.get("outcome") == "accepted-2" and decision.get("optimal") == optimal
         assert (int(decision.get("nodes")) > 0) == (node_limit > 0)
 
+    def test_batch_mode_whose_first_request_does_not_fit_takes_no_candidate(self):
+        # the largest pending request, by cores and bandwidth, fits the
+        # residuals, which selects batch mode; the first in queue order needs
+        # more switch memory than is left, so the pass has no candidate and
+        # decides nothing
+        net = make_rack_net(n_servers=2, cores=8, switch_mem=100)
+        sim = Simulation(net, enumerate_paths(net), PolicyConfig(), run_mode="batch-only")
+        inc = star_request("inc", vswitch_mem=60, duration=100.0)
+        sim.process(SimEvent(0.0, 0, "arrival", request=inc))
+        assert "inc" in sim.state.active
+        wide = star_request("wide", vswitch_mem=50, arrival=1.0)
+        big = star_request("big", n_vms=2, cores=2, arrival=2.0)
+        sim.process(SimEvent(1.0, 1, "arrival", request=wide))
+        seen = len(sim.records)
+        sim.process(SimEvent(2.0, 2, "arrival", request=big))
+        assert [r.kind for r in sim.records[seen:]] == ["arrival", "util"]
+        assert set(sim.queue.entries) == {"wide", "big"}
+
     def test_search_with_no_solution_leaves_the_request_pending(self):
         # three 6-core VMs under one edge vSwitch need three servers of one
         # rack, and a k=4 rack has two 8-core servers; the aggregate fits, so

@@ -203,10 +203,9 @@ class TestUsage:
         assert {type(v) for v in usage.values()} <= {ResourceVector}
 
     def test_every_assignment_the_sweep_commits(self, sweep_runs, k4_net, k4_table):
-        _, committed = sweep_runs
         state = EmbeddingState(k4_net, k4_table)
-        assert len(committed) > 1000
-        for req, a in committed:
+        assert len(sweep_runs.committed) > 1000
+        for req, a in sweep_runs.committed:
             self.assert_sums_loads(state, req, a)
 
     @pytest.mark.parametrize(
