@@ -17,7 +17,6 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import repeat
 
 from .errors import CommitRejectedError
 from .paths import admissible
@@ -98,30 +97,32 @@ def _best_server(residual, demand, bandwidth, pool, server_load, link_load):
     A server's overflow is norm of the demand over its free cores and
     memory plus the uplink's bandwidth overflow over its capacity, its
     room norm of what is left; both take norm's float steps on ints, with
-    no vector built. Free is the residual less the plan's loads. A server's
-    capacity carries cores and memory only, as every substrate the package
-    builds or loads does, so norm has no other terms.
+    no vector built, and the overflow adds only its positive terms, as
+    adding norm's 0.0 terms to a nonnegative float changes nothing. Free is
+    the residual less the plan's loads. A server's capacity carries cores
+    and memory only, as every substrate the package builds or loads does,
+    so norm has no other terms.
     """
-    dc, dm = demand.cpu_cores, demand.memory_mb
+    dc, dm = demand[0], demand[1]
     best = None
     for sid, lid, _, cores, mem, link_bw in pool:
         rv = residual[sid]
         used_c, used_m = server_load.get(sid, (0, 0))
-        fc = rv.cpu_cores - used_c
-        fm = rv.memory_mb - used_m
-        score = 0.0 + max(0, dc - fc) / cores + max(0, dm - fm) / mem
-        link_free = residual[lid].bandwidth - link_load.get(lid, 0)
-        score += max(0, bandwidth - link_free) / link_bw
+        fc = rv[0] - used_c
+        fm = rv[1] - used_m
+        score = 0.0
+        if dc > fc:
+            score += (dc - fc) / cores
+        if dm > fm:
+            score += (dm - fm) / mem
+        short = bandwidth - (residual[lid][3] - link_load.get(lid, 0))
+        if short > 0:
+            score += short / link_bw
         # keys end in the server id, so the scan order does not matter
         key = (score, -(0.0 + (fc - dc) / cores + (fm - dm) / mem), sid)
         if best is None or key < best[0]:
             best = (key, sid, lid)
     return best[0][0], best[1], best[2]
-
-
-def _hop_sum(hops, sid) -> int:
-    """Hops from switch sid to the placed neighbours whose rows hops holds."""
-    return sum(row[sid] for row in hops)
 
 
 def greedy_temp_map(
@@ -130,11 +131,13 @@ def greedy_temp_map(
     """Place every element of a request, tolerating capacity overflows.
 
     allowed optionally restricts placement to a (node ids, link ids) fragment.
-    Each VM group takes the first rack, by most free share then id, whose
-    plan costs nothing, else the cheapest; a vSwitch without a VM group
-    walks the switches by hops, so the substrate must be connected; a
-    vSwitch-vSwitch vlink takes its first path with no overflow, else the
-    least overflowing.
+    Each VM group takes the first rack, by most free share (kept by the
+    state for a rack the fragment and latency bound leave whole) then id,
+    whose plan costs nothing, else the cheapest; a vSwitch without a VM
+    group takes the first switch with room by (hop sum to its placed
+    neighbours, id), else the least overflowing, so the substrate must be
+    connected; a vSwitch-vSwitch vlink takes its first path with no
+    overflow, else the least overflowing.
     Deterministic: all choices resolve ties by element id.
     """
     net = state.net
@@ -157,18 +160,28 @@ def greedy_temp_map(
         ),
     )
     # the state's racks, cut to the fragment and the latency bound, in
-    # tie-break order: (minus the servers' summed free share, id, servers)
+    # tie-break order: (minus the servers' summed free share, id, servers);
+    # an uncut rack reads the share the state keeps, a cut one sums afresh
     bound = req.latency_bound
     racks = []
-    for rack, servers in state.racks():
+    for rack, servers, ids in state.racks():
+        whole = True
         if allowed_nodes is not None:
             if rack not in allowed_nodes:
                 continue
-            servers = [e for e in servers if e.server in allowed_nodes]
+            if not ids <= allowed_nodes:
+                servers, whole = [e for e in servers if e.server in allowed_nodes], False
         if bound is not None:
-            servers = [e for e in servers if e.delay <= bound]
-        if servers:
-            racks.append((-sum(state.server_share(e.server) for e in servers), rack, servers))
+            near = [e for e in servers if e.delay <= bound]
+            if len(near) < len(servers):
+                servers, whole = near, False
+        if not servers:
+            continue
+        if whole:
+            share = state.rack_share(rack, servers)
+        else:
+            share = -sum(state.server_share(e.server) for e in servers)
+        racks.append((share, rack, servers))
     racks.sort()  # rack ids are distinct, so no two server lists are compared
 
     vm_map: dict[str, str] = {}
@@ -246,32 +259,24 @@ def greedy_temp_map(
 
     # vSwitches without a VM group, edge ones (on the edge tier) first, then
     # internal ones, each by id, keyed by (memory overflow, hop sum, id). The
-    # walk goes by hops from the first placed neighbour, or by id with none.
-    # Once the best has room it stops when the triangle bound sum(max(0, d(c)
-    # - d(h))) over the neighbours h exceeds the best hop sum, or when that
-    # sum is the neighbour count: each neighbour is at least 1 hop away, so
-    # every later switch has a larger hop sum or id
+    # walk goes by (hop sum to the placed neighbours, id), so the first
+    # switch it takes that has room is the least key; with none, the least
+    # overflow wins
     for vs_id in sorted(req.vswitches, key=lambda v: (not req.vswitches[v].is_edge, v)):
         if vs_id in vswitch_map:
             continue
         vs = req.vswitches[vs_id]
+        need = vs.demand.switch_memory
         placed = [vswitch_map[nb] for nb in neighbor_map[vs_id] if nb in vswitch_map]
-        hops = [net.hop_distances_from(host) for host in placed]
-        walk = net.switches_by_hops(placed[0]) if placed else zip(repeat(0), sorted(net.switches))
-        near = [hops[0][host] for host in placed]
         best = None
-        at = lower = None
-        for d, sid in walk:
-            if best is not None and best[0] == 0:
-                if d != at:
-                    at, lower = d, sum(max(0, d - dh) for dh in near)
-                if lower > best[1] or best[1] == len(placed):
-                    break
-            short = vs.demand.switch_memory - state.residual[sid].switch_memory
-            over = short / net.switches[sid].capacity.switch_memory if short > 0 else 0.0
-            if best is not None and over > best[0] or not takes(sid, vs):
+        for hops, sid in net.switches_by_hop_sum(placed):
+            if not takes(sid, vs):
                 continue
-            key = (over, _hop_sum(hops, sid), sid)
+            short = need - state.residual[sid].switch_memory
+            if short <= 0:
+                best = (0.0, hops, sid)
+                break
+            key = (short / net.switches[sid].capacity.switch_memory, hops, sid)
             if best is None or key < best:
                 best = key
         if best is None:

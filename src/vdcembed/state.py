@@ -102,6 +102,10 @@ class RackServer(NamedTuple):
     link_bandwidth: int  # the uplink's capacity
 
 
+# (edge switch, its servers, their server ids), as EmbeddingState.racks lists it
+Rack = tuple[str, list[RackServer], frozenset]
+
+
 class PlanEntry(NamedTuple):
     """One request's greedy result in a batch plan, with what it was made
     on: a copy of the residuals and the down set just before the call."""
@@ -128,7 +132,9 @@ class EmbeddingState:
     mark_down. Both keep two running sums current: free, the residuals
     summed over up elements, and one free vector per cached fragment.
     Facts that change only when an element goes down (the uplinks, the up
-    counts) are built on first use and dropped by mark_down.
+    counts) are built on first use and dropped by mark_down. Each rack's
+    share, minus the summed free share of its listed servers, is kept
+    until charge touches one of those servers or mark_down drops them all.
 
     Loads are summed on plain ints: one fold adds an assignment's loads
     into a map of (cores, memory, switch memory, bandwidth) tuples per
@@ -181,6 +187,9 @@ class EmbeddingState:
         # an entry holds only while the server's residual is that object, so
         # copies share the dict
         self._shares: dict[str, tuple[ResourceVector, float]] = {}
+        # up edge switch -> rack_share, each dropped when charge touches one
+        # of its servers and all by mark_down; copies copy it
+        self._rack_shares: dict[str, float] = {}
         # (request, assignment, usage) of the last check that found nothing;
         # a copy starts with equal residuals, so it may share it
         self._checked: tuple[VdcRequest, Assignment, dict[str, ResourceVector]] | None = None
@@ -254,7 +263,8 @@ class EmbeddingState:
         rollback puts back what a release took. A charge (-1) stores the
         usage it takes as req's, the kept check's when that check was of req
         and a; a credit (+1) gives back req's stored usage and drops it.
-        Either way the kept check is dropped, since the residuals change."""
+        Either way the kept check is dropped, since the residuals change,
+        and so is the share of each rack whose servers a's VMs load."""
         if sign < 0:
             usage = self.kept(req, a)
             if usage is None:
@@ -263,6 +273,11 @@ class EmbeddingState:
         else:
             usage = self._charged.pop(req.id)
         self._checked = None
+        shares = self._rack_shares
+        if shares:
+            edge_of = self.net.edge_switch_of
+            for server in a.vm_map.values():  # only VMs load servers
+                shares.pop(edge_of(server), None)
         residual, down = self.residual, self.down
         index = self._fragments[1] if self._fragments is not None else None
         by_fragment: dict[int, list[tuple]] = {}
@@ -505,12 +520,12 @@ class EmbeddingState:
         residual, down = memo.end
         return tail if self.down == down and self.residual == residual else None
 
-    def _uplinks(self) -> tuple[list[tuple[str, list[RackServer]]], dict[str, RackServer]]:
-        """The up uplinks: (edge switch, servers) per up edge switch in id
-        order, and each listed server's entry by its id. A server is listed
-        under the one edge switch it hangs off when path 0 between them (the
-        link itself, alike either way) is admissible with no latency bound.
-        Built on first use after each mark_down."""
+    def _uplinks(self) -> tuple[list[Rack], dict[str, RackServer]]:
+        """The up uplinks: (edge switch, servers, their ids) per up edge
+        switch in id order, and each listed server's entry by its id. A
+        server is listed under the one edge switch it hangs off when path 0
+        between them (the link itself, alike either way) is admissible with
+        no latency bound. Built on first use after each mark_down."""
         uplinks = self._standing.get("uplinks")
         if uplinks is None:
             net = self.net
@@ -528,14 +543,24 @@ class EmbeddingState:
                             net.links[lid].bandwidth,
                         )
                         servers.append(by_server[s])
-                racks.append((rack, servers))
+                racks.append((rack, servers, frozenset(e.server for e in servers)))
             uplinks = self._standing["uplinks"] = (racks, by_server)
         return uplinks
 
-    def racks(self) -> list[tuple[str, list[RackServer]]]:
-        """(edge switch, servers) per up edge switch, in id order: the servers
-        under it, in servers_under order, whose uplink is up."""
+    def racks(self) -> list[Rack]:
+        """(edge switch, servers, their ids) per up edge switch, in id
+        order: the servers under it, in servers_under order, whose uplink is
+        up."""
         return self._uplinks()[0]
+
+    def rack_share(self, rack: str, servers: list[RackServer]) -> float:
+        """Minus the summed server_share of a rack's servers, its whole
+        list as racks() gives it, summed in that order; kept until charge
+        touches one of them or mark_down."""
+        share = self._rack_shares.get(rack)
+        if share is None:
+            share = self._rack_shares[rack] = -sum(self.server_share(e.server) for e in servers)
+        return share
 
     def uplink(self, req: VdcRequest, vm_id: str, server: str) -> tuple[str, str, int] | None:
         """Path key of a VM's uplink when the VM sits on server: path 0
@@ -649,6 +674,7 @@ class EmbeddingState:
         clone.down = set(self.down)
         clone._charged = dict(self._charged)
         clone._fragment_free = list(self._fragment_free)
+        clone._rack_shares = dict(self._rack_shares)
         return clone
 
     def mark_down(self, element_ids) -> None:
@@ -663,6 +689,7 @@ class EmbeddingState:
         self.down.update(newly)
         self._fragments = None
         self._standing = {}
+        self._rack_shares = {}
         self._checked = None
         self.version += 1
 

@@ -8,6 +8,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import ConfigError, FormatError, InvalidParameterError
@@ -152,6 +153,9 @@ class SubstrateNetwork:
         }
         self._hop_cache: dict[str, dict[str, int]] = {}
         self._switch_order: dict[str, list[tuple[int, str]]] = {}
+        self._switch_ids = sorted(self.switches)
+        self._no_hops = [(0, s) for s in self._switch_ids]
+        self._hop_columns: dict[str, list[int]] = {}  # src -> hops per _switch_ids
         self._diameter: int | None = None
         # server -> its edge switch, where exactly one is adjacent
         self._edge_of: dict[str, str] = {}
@@ -206,6 +210,27 @@ class SubstrateNetwork:
                 (d, n) for n, d in dist.items() if n in self.switches
             )
         return order
+
+    def switches_by_hop_sum(self, hosts) -> list[tuple[int, str]]:
+        """(hops summed over hosts, switch id) for every switch, least
+        first, ties by id. No host gives the ids with sum 0 and one host
+        its switches_by_hops, both kept; for more, each host's hops, one
+        column aligned to the sorted ids and built on first use, are summed
+        and stably sorted per call. Needs a connected substrate."""
+        if len(hosts) == 1:
+            return self.switches_by_hops(hosts[0])
+        if not hosts:
+            return self._no_hops
+        ids = self._switch_ids
+        columns = []
+        for host in hosts:
+            column = self._hop_columns.get(host)
+            if column is None:
+                dist = self.hop_distances_from(host)
+                column = self._hop_columns[host] = [dist[s] for s in ids]
+            columns.append(column)
+        # the ids are sorted, so a stable sort on the sum breaks ties by id
+        return sorted(zip(map(sum, zip(*columns)), ids), key=itemgetter(0))
 
     def hop_distance(self, a: str, b: str) -> int:
         return self.hop_distances_from(a)[b]

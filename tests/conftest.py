@@ -29,7 +29,7 @@ from vdcembed.batch_solver import build_mip, extract_assignments, solve_exact
 from vdcembed.online_search import TempMapping, greedy_temp_map
 from vdcembed.paths import enumerate_paths
 from vdcembed.scheduler import PolicyConfig, run_simulation
-from vdcembed.state import EmbeddingState
+from vdcembed.state import EmbeddingState, norm
 from vdcembed.topology import (
     Link,
     ResourceVector,
@@ -289,11 +289,20 @@ def checked_replays(monkeypatch):
     return checked
 
 
+def fresh_rack_share(state, rack):
+    """Minus the summed norm of the free share of each server state.racks()
+    lists under rack, in that order, taken from the residuals afresh: what
+    EmbeddingState.rack_share must equal, float for float."""
+    servers = next(servers for r, servers, _ in state.racks() if r == rack)
+    return -sum(norm(state.residual[e.server], state.net.capacity[e.server]) for e in servers)
+
+
 class SweepRuns(NamedTuple):
     traces: dict  # (mode, lambda, seed) -> trace
     committed: list  # (request, assignment) per commit, in commit order
     hits: dict  # mode -> recalled_as_fresh of each plan memo hit
     replays: dict  # mode -> replay_mismatches of each replay that fired
+    shares: dict  # mode -> Counter of rack_share reads by fresh_rack_share equality
 
 
 @pytest.fixture(scope="session")
@@ -301,12 +310,16 @@ def sweep_runs():
     """The acceptance sweep's simulations, run once per session: the trace of
     each by (mode, lambda, seed), every (request, assignment) pair they
     committed, in commit order, and per mode the checks of every plan memo
-    hit and of every replay that fired."""
+    hit, of every replay that fired and of every rack share greedy read."""
     net = build_fat_tree(4)
     table = enumerate_paths(net)
     policy = PolicyConfig(batch_width=3, solver_node_limit=500, remap_limit=4)
-    runs = SweepRuns({}, [], {m: [] for m in SWEEP_MODES}, {m: [] for m in SWEEP_MODES})
+    runs = SweepRuns(
+        {}, [], {m: [] for m in SWEEP_MODES}, {m: [] for m in SWEEP_MODES},
+        {m: Counter() for m in SWEEP_MODES},
+    )
     commit, recall, replay = EmbeddingState.commit, EmbeddingState.recall, EmbeddingState.replay
+    rack_share = EmbeddingState.rack_share
 
     def recorded(state, req, a):
         commit(state, req, a)
@@ -324,10 +337,16 @@ def sweep_runs():
             runs.replays[mode].append(replay_mismatches(state, remappable, entries))
         return entries
 
+    def checked_share(state, rack, servers):
+        share = rack_share(state, rack, servers)
+        runs.shares[mode][share == fresh_rack_share(state, rack)] += 1
+        return share
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(EmbeddingState, "commit", recorded)
         mp.setattr(EmbeddingState, "recall", checked_recall)
         mp.setattr(EmbeddingState, "replay", checked_replay)
+        mp.setattr(EmbeddingState, "rack_share", checked_share)
         for mode in SWEEP_MODES:
             for lam in SWEEP_LAMBDAS:
                 for seed in SWEEP_SEEDS:
@@ -386,17 +405,32 @@ def greedy_calls(monkeypatch):
 
 @pytest.fixture
 def scored_switches(monkeypatch):
-    """One (placed neighbours, switch) entry per switch greedy scores by
-    its hop sum for a vSwitch without a VM group, from here on."""
+    """One (placed neighbours, switch) entry per switch greedy's walk for a
+    vSwitch without a VM group reads, from here on."""
     scored = []
-    hop_sum = online_search._hop_sum
+    by_hop_sum = SubstrateNetwork.switches_by_hop_sum
 
-    def counted(hops, sid):
-        scored.append((len(hops), sid))
-        return hop_sum(hops, sid)
+    def counted(net, hosts):
+        for entry in by_hop_sum(net, hosts):
+            scored.append((len(hosts), entry[1]))
+            yield entry
 
-    monkeypatch.setattr(online_search, "_hop_sum", counted)
+    monkeypatch.setattr(SubstrateNetwork, "switches_by_hop_sum", counted)
     return scored
+
+
+@pytest.fixture
+def server_share_calls(monkeypatch):
+    """One server id per EmbeddingState.server_share call from here on."""
+    calls = []
+    server_share = EmbeddingState.server_share
+
+    def counted(self, server):
+        calls.append(server)
+        return server_share(self, server)
+
+    monkeypatch.setattr(EmbeddingState, "server_share", counted)
+    return calls
 
 
 @pytest.fixture

@@ -151,17 +151,30 @@ def test_greedy_reads_racks_from_the_state(perfbench_modules, uplink_calls):
     assert 0 < len(uplink_calls) < UPLINK_CALLS_MAX
 
 
-# switches scored by their hop sum for vSwitches without a VM group in the
-# same simulation: 1,584 when a vSwitch with a placed neighbour walks the
-# switches by hops and stops at the triangle bound, 3,426 when every free
-# switch was scored
-GROUPLESS_SWITCHES_SCORED_MAX = 2500
+# switches the walk for vSwitches without a VM group reads in the same
+# simulation: 98 when it goes by (hop sum to the placed neighbours, id) and
+# stops at the first switch it takes that has room; 734 hop sums when it
+# walked by hops from the first placed neighbour and stopped at a triangle
+# bound, 3,426 when every free switch was scored
+GROUPLESS_SWITCHES_SCORED_MAX = 300
 
 
 def test_groupless_vswitches_score_few_switches(perfbench_modules, scored_switches):
     _, workloads = perfbench_modules
     first_simulation(workloads, "online-k8")
     assert 0 < len(scored_switches) < GROUPLESS_SWITCHES_SCORED_MAX
+
+
+# server_share calls in the same simulation: 268 when a rack the fragment
+# and the latency bound leave whole reads the share the state keeps, 1,920
+# when every greedy call summed every rack's server shares again
+SERVER_SHARE_CALLS_MAX = 500
+
+
+def test_greedy_reads_rack_shares_from_the_state(perfbench_modules, server_share_calls):
+    _, workloads = perfbench_modules
+    first_simulation(workloads, "online-k8")
+    assert 0 < len(server_share_calls) < SERVER_SHARE_CALLS_MAX
 
 
 # the vectors sum_vectors folds in online-k8's first simulation at seed 1

@@ -166,6 +166,58 @@ class TestGreedy:
         assert [sid for placed, sid in scored_switches if not placed] == ["a0_0", "a0_1"]
         assert (2, temp.assignment.vswitch_map["vs2"]) in scored_switches
 
+    @staticmethod
+    def one_vm_request(vswitches, vlinks):
+        """Request r0: VM vm0 and the given vSwitches (id -> is_edge) and
+        vlinks (id -> (a, b)), every vSwitch asking 10 memory."""
+        return VdcRequest(
+            id="r0",
+            vms={"vm0": Vm("vm0", ResourceVector(cpu_cores=1, memory_mb=256))},
+            vswitches={
+                vs: VSwitch(vs, edge, ResourceVector(switch_memory=10))
+                for vs, edge in vswitches.items()
+            },
+            vlinks={vl: VLink(vl, a, b, 10) for vl, (a, b) in vlinks.items()},
+            arrival_time=0.0,
+            duration=10.0,
+        )
+
+    def test_no_edge_switch_left_for_a_groupless_edge_vswitch(self, k4_state):
+        # vm0's group takes e0_0, the one edge switch up, so vs1 finds none
+        k4_state.mark_down([s for s in k4_state.net.switches if s[0] == "e" and s != "e0_0"])
+        req = self.one_vm_request(
+            {"vs0": True, "vs1": True}, {"vl0": ("vs0", "vm0"), "vl1": ("vs0", "vs1")}
+        )
+        assert greedy_temp_map(k4_state, req) == StructuralFailure("no switch left for vs1")
+
+    def test_a_vm_with_two_vswitches_is_an_unexpected_structural_finding(self, k4_state):
+        # validate_request refuses a VM of degree 2; greedy gives both of its
+        # vlinks the one uplink key, which cannot join vs1's switch
+        req = self.one_vm_request(
+            {"vs0": True, "vs1": False}, {"vl0": ("vs0", "vm0"), "vl1": ("vs1", "vm0")}
+        )
+        out = greedy_temp_map(k4_state, req)
+        assert isinstance(out, StructuralFailure)
+        assert out.reason.startswith("unexpected structural finding: [endpoint-mismatch] vl1")
+
+    def test_a_fragment_ranks_a_rack_by_the_servers_it_holds(self, k4_state):
+        # every server has 3/4 free, so each rack's share is 3, but e1_0's
+        # are all free; s4's uplink has none, so the fragment of e1_0 holds
+        # s5 alone, a share of 2: e1_0 ranks first on the whole substrate,
+        # last inside that fragment
+        for sid in k4_state.net.servers:
+            if sid not in ("s4", "s5"):
+                k4_state.residual[sid] = ResourceVector(cpu_cores=6, memory_mb=12288)
+        k4_state.residual["l14"] = ResourceVector()
+        nodes, links, _ = next(f for f in compute_fragments(k4_state) if "e1_0" in f[0])
+        assert "s4" not in nodes
+        whole = greedy_temp_map(k4_state, star_request("r0"))
+        assert (whole.assignment.vswitch_map, whole.assignment.vm_map) == (
+            {"vs0": "e1_0"}, {"vm0": "s5"}
+        )
+        inside = greedy_temp_map(k4_state, star_request("r0"), allowed=(nodes, links))
+        assert inside.clean and inside.assignment.vswitch_map == {"vs0": "e0_0"}
+
     def test_skips_the_largest_share_rack_short_of_switch_memory(
         self, k4_state, scored_server_pairs
     ):
@@ -240,12 +292,33 @@ class TestGreedyMatchesFullScan:
         return SubstrateNetwork(dict(base.servers), dict(base.switches), links)
 
     @staticmethod
-    def compare(state, req, seen):
+    def cut_racks(state, req, allowed):
+        """(racks the fragment cuts, racks the latency bound cuts) among the
+        state's racks that keep a server, whose shares greedy sums afresh."""
+        nodes = allowed[0] if allowed else None
+        bound = req.latency_bound
+        by_fragment = by_bound = 0
+        for rack, servers, ids in state.racks():
+            if nodes is not None:
+                if rack not in nodes:
+                    continue
+                if not ids <= nodes:
+                    servers = [e for e in servers if e.server in nodes]
+                    by_fragment += bool(servers)
+            if bound is not None and any(e.delay > bound for e in servers):
+                by_bound += any(e.delay <= bound for e in servers)
+        return by_fragment, by_bound
+
+    @classmethod
+    def compare(cls, state, req, seen):
         """Both greedy versions on the whole substrate and on the first two
         fragments; returns the first mapping."""
         groupless = set(req.vswitches) - {req.vm_parent(vm) for vm in req.vms}
         outputs = []
         for allowed in [None] + [(n, l) for n, l, _ in compute_fragments(state)[:2]]:
+            by_fragment, by_bound = cls.cut_racks(state, req, allowed)
+            seen["rack-cut-by-fragment"] += by_fragment
+            seen["rack-cut-by-latency-bound"] += by_bound
             out = greedy_temp_map(state, req, allowed)
             assert repr(out) == repr(greedy_full_scan(state, req, allowed))
             outputs.append(out)
@@ -279,7 +352,7 @@ class TestGreedyMatchesFullScan:
         seen = Counter()
         for _ in range(5):
             state = EmbeddingState(net, table)
-            assert all(e[0] != "s0" for _, rack in state.racks() for e in rack)
+            assert all(e[0] != "s0" for _, rack, _ in state.racks() for e in rack)
             for i in range(14):
                 req = generate_vdc_request(cfg, 0.0, rng.randrange(10**9))
                 locality = {
@@ -303,7 +376,19 @@ class TestGreedyMatchesFullScan:
                 result = try_online_embed(state, req)
                 if isinstance(result, OnlineResult):
                     apply_online(state, req, result)
-        for case in ("clean", "overflow", "structural", "no-switch-with-room"):
+        # a server with no free core leaves its rack up but outside every
+        # fragment, so inside one greedy sums that rack's share afresh
+        state = EmbeddingState(net, table)
+        rack, servers, _ = state.racks()[1]
+        full, host = star_request("full", cores=8), servers[0].server
+        state.commit(
+            full, Assignment("full", {"vm0": host}, {"vs0": rack}, {"vl0": (rack, host, 0)})
+        )
+        for i in range(3):
+            req = replace(generate_vdc_request(cfg, 0.0, rng.randrange(10**9)), id=f"f{i}")
+            self.compare(state, req, seen)
+        cases = ("clean", "overflow", "structural", "no-switch-with-room")
+        for case in cases + ("rack-cut-by-fragment", "rack-cut-by-latency-bound"):
             assert seen[case], case
 
 

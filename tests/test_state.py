@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import make_rack_net, star_request, chain_request
+from conftest import SWEEP_MODES, chain_request, fresh_rack_share, make_rack_net, star_request
 from oracles import fragments_bfs, recheck_embedding, residual_fold
 from vdcembed.errors import (
     AuditError,
@@ -13,7 +13,13 @@ from vdcembed.errors import (
     InvalidParameterError,
     UnknownElementError,
 )
-from vdcembed.online_search import OnlineResult, _swap_in, compute_fragments, try_online_embed
+from vdcembed.online_search import (
+    OnlineResult,
+    _swap_in,
+    compute_fragments,
+    greedy_temp_map,
+    try_online_embed,
+)
 from vdcembed.paths import enumerate_paths
 from vdcembed.state import Assignment, EmbeddingState
 from vdcembed.topology import ResourceVector, WorkloadConfig, build_fat_tree, generate_vdc_request
@@ -413,6 +419,57 @@ class TestApplyAndCopy:
         assert (k2_state.down, k2_state.version) == (set(), 0)
         k2_state.mark_down(iter(["s0", "l0"]))
         assert (k2_state.down, k2_state.version) == ({"s0", "l0"}, 1)
+
+
+class TestRackShares:
+    """The share the state keeps per rack, minus its listed servers' summed
+    free share, equals the sum taken afresh from the residuals, float for
+    float: charge drops the share of each rack it loads, mark_down drops
+    them all, and a copy keeps its own."""
+
+    @staticmethod
+    def kept(state):
+        return {rack: state.rack_share(rack, servers) for rack, servers, _ in state.racks()}
+
+    @staticmethod
+    def fresh(state):
+        return {rack: fresh_rack_share(state, rack) for rack, _, _ in state.racks()}
+
+    def test_commit_and_release_drop_the_share_of_the_rack_they_load(self, k4_state):
+        empty = self.kept(k4_state)
+        req = star_request("r0", n_vms=2, cores=3)
+        a = greedy_temp_map(k4_state, req).assignment
+        k4_state.commit(req, a)
+        loaded = self.kept(k4_state)
+        assert loaded == self.fresh(k4_state)
+        assert loaded[a.vswitch_map["vs0"]] > empty[a.vswitch_map["vs0"]]
+        k4_state.release("r0")
+        assert self.kept(k4_state) == self.fresh(k4_state) == empty
+
+    def test_mark_down_drops_every_share(self, k4_state):
+        full = self.kept(k4_state)
+        k4_state.mark_down(["s0"])  # e0_0 now lists s1 alone
+        assert self.kept(k4_state) == self.fresh(k4_state)
+        assert self.kept(k4_state)["e0_0"] == full["e0_0"] / 2
+
+    def test_a_probe_copys_charge_leaves_the_state_alone(self, k4_state):
+        empty = self.kept(k4_state)
+        req, other = star_request("r0", n_vms=2, cores=3), star_request("r1")
+        first = repr(greedy_temp_map(k4_state, other))
+        probe = k4_state.copy()
+        probe.commit(req, greedy_temp_map(probe, req).assignment)
+        assert self.kept(probe) == self.fresh(probe) != empty
+        # the probe loaded the first rack by id, which the state still ranks first
+        assert self.kept(k4_state) == self.fresh(k4_state) == empty
+        assert repr(greedy_temp_map(k4_state, other)) == first
+
+    @pytest.mark.parametrize("mode", SWEEP_MODES)
+    def test_every_share_greedy_reads_in_the_sweep_is_the_fresh_sum(self, mode, sweep_runs):
+        # 8,042 reads in online-only, 8,417 in the hybrid and 30,072 in
+        # batch-only, whose plan probes run greedy on copies
+        reads = sweep_runs.shares[mode]
+        assert reads[False] == 0
+        assert reads[True] > 1000
 
 
 class TestLastCleanCheck:

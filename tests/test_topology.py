@@ -1,6 +1,7 @@
 """Fat-tree construction, request generation, validation, and text formats."""
 
 import operator
+import random
 from dataclasses import replace
 
 import pytest
@@ -85,6 +86,25 @@ class TestBuildFatTree:
 
     def test_deterministic_construction(self):
         assert dump_substrate(build_fat_tree(4)) == dump_substrate(build_fat_tree(4))
+
+
+class TestSwitchesByHopSum:
+    """The walk order of greedy's vSwitches without a VM group against
+    sorting every switch by (summed hops, id) afresh."""
+
+    @pytest.mark.parametrize("k", [4, 6])
+    @pytest.mark.parametrize("n_hosts", [0, 1, 2, 3])
+    def test_equals_every_switch_sorted_by_hop_sum_then_id(self, k, n_hosts):
+        net = build_fat_tree(k)
+        rng = random.Random(k * 10 + n_hosts)
+        switches = sorted(net.switches)
+        # repeated draws read the kept orders and hop columns again
+        for _ in range(6):
+            hosts = rng.sample(switches, n_hosts)
+            expected = sorted(
+                (sum(net.hop_distance(h, s) for h in hosts), s) for s in net.switches
+            )
+            assert list(net.switches_by_hop_sum(hosts)) == expected
 
 
 class TestValidateSubstrate:
