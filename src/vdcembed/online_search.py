@@ -72,8 +72,8 @@ def compute_fragments(state: EmbeddingState):
 
     Returns a list of (node id set, link id set, free ResourceVector) ordered
     by descending free cores, memory, bandwidth and switch memory, then
-    smallest member id. The state keeps the components and their free
-    vectors.
+    smallest member id. The state keeps the components' shape and sums
+    their free vectors when read.
     """
     # the state lists fragments by smallest node id, and the sort is stable
     return sorted(

@@ -129,10 +129,13 @@ class EmbeddingState:
 
     Residuals change only through charge, which commit, release and a
     refused swap's rollback call, and elements go down only through
-    mark_down. Both keep two running sums current: free, the residuals
-    summed over up elements, and one free vector per cached fragment.
-    Facts that change only when an element goes down (the uplinks, the up
-    counts) are built on first use and dropped by mark_down. Each rack's
+    mark_down. Both keep one running sum current: free, the residuals
+    summed over up elements. The fragments' shape (their node and link
+    sets, and the up elements in none) is cached until mark_down, or a
+    charge that moves a field of an up element's residual across zero;
+    their free vectors are summed when read. Facts that change only when
+    an element goes down (the uplinks, the up counts) are built on first
+    use and dropped by mark_down. Each rack's
     share, minus the summed free share of its listed servers, is kept
     until charge touches one of those servers or mark_down drops them all.
 
@@ -176,10 +179,10 @@ class EmbeddingState:
         self.residual: dict[str, ResourceVector] = dict(net.capacity)
         self.down: set[str] = set()
         self.free = sum_vectors(self.residual.values())
-        # ([(node ids, link ids)] by smallest node id, element -> its index);
-        # shared by copies, None while stale
-        self._fragments: tuple[list, dict[str, int]] | None = None
-        self._fragment_free: list[ResourceVector] = []  # per fragment, by index
+        # ([(node ids, link ids)] by smallest node id, the up elements in
+        # none, the index of the one with most elements); shared by copies,
+        # None while stale
+        self._fragments: tuple[list, list[str], int] | None = None
         # the uplink table and the up counts, each built on first use;
         # shared by copies, so mark_down replaces the dict, never clears it
         self._standing: dict = {}
@@ -259,8 +262,8 @@ class EmbeddingState:
 
     def charge(self, req: VdcRequest, a: Assignment, sign: int):
         """Add sign (+1 or -1) times one assignment's usage to the residuals
-        and to the running sums. Unchecked: commit checks first, and a
-        rollback puts back what a release took. A charge (-1) stores the
+        and to free. Unchecked: commit checks first, and a rollback puts
+        back what a release took. A charge (-1) stores the
         usage it takes as req's, the kept check's when that check was of req
         and a; a credit (+1) gives back req's stored usage and drops it.
         Either way the kept check is dropped, since the residuals change,
@@ -279,8 +282,7 @@ class EmbeddingState:
             for server in a.vm_map.values():  # only VMs load servers
                 shares.pop(edge_of(server), None)
         residual, down = self.residual, self.down
-        index = self._fragments[1] if self._fragments is not None else None
-        by_fragment: dict[int, list[tuple]] = {}
+        shaped = self._fragments is not None
         fc, fm, fs, fb = self.free
         for eid, (w, x, y, z) in usage.items():
             if sign < 0:
@@ -289,17 +291,10 @@ class EmbeddingState:
             residual[eid] = _new(ResourceVector, (c + w, m + x, s + y, b + z))
             if eid not in down:
                 fc, fm, fs, fb = fc + w, fm + x, fs + y, fb + z
-            if index is not None:
-                i = index.get(eid)
-                if (i is not None) != self._alive(eid):
-                    index = self._fragments = None  # they change shape: rebuilt when read
-                elif i is not None:
-                    by_fragment.setdefault(i, []).append((w, x, y, z))
+                # an element dies or comes alive only when a field crosses zero
+                if shaped and (c > 0, m > 0, s > 0, b > 0) != (c > -w, m > -x, s > -y, b > -z):
+                    shaped = self._fragments = None  # they change shape: rebuilt when read
         self.free = _new(ResourceVector, (fc, fm, fs, fb))
-        if index is not None:
-            free = self._fragment_free
-            for i, deltas in by_fragment.items():
-                free[i] = sum_vectors((free[i], *deltas))
 
     def residual_vectors(self) -> ResourceVector:
         """Componentwise sum of per-element residuals (down elements excluded):
@@ -315,8 +310,11 @@ class EmbeddingState:
 
     def fragments(self) -> list[tuple[frozenset, frozenset, ResourceVector]]:
         """(node ids, link ids, free vector) per connected component of the
-        alive elements, in order of smallest node id. The components are
-        rebuilt only after an element died, came alive or was marked down."""
+        alive elements, in order of smallest node id. The components, and
+        the up elements in none, are rebuilt only after an element died,
+        came alive or was marked down. Each free vector is summed when read,
+        but the largest component's is free less all the others and less
+        the up elements in none, which are exactly the up elements left."""
         if self._fragments is None:
             net = self.net
             alive = {eid for eid in self.residual if self._alive(eid)}
@@ -342,16 +340,20 @@ class EmbeddingState:
                             nodes.add(nxt)
                             frontier.append(nxt)
                 parts.append((frozenset(nodes), frozenset(links)))
-            index = {eid: i for i, part in enumerate(parts) for eid in (*part[0], *part[1])}
-            self._fragments = (parts, index)
-            self._fragment_free = [
-                sum_vectors(self.residual[eid] for eid in (*nodes, *links))
-                for nodes, links in parts
-            ]
-        return [
-            (nodes, links, free)
-            for (nodes, links), free in zip(self._fragments[0], self._fragment_free)
+            inside = seen.union(*(links for _, links in parts))
+            outside = [e for e in self.residual if e not in self.down and e not in inside]
+            sizes = [len(nodes) + len(links) for nodes, links in parts]
+            largest = max(range(len(parts)), key=sizes.__getitem__, default=0)
+            self._fragments = (parts, outside, largest)
+        parts, outside, largest = self._fragments
+        residual = self.residual
+        frees = [
+            sum_vectors(residual[eid] for eid in (*nodes, *links))
+            for i, (nodes, links) in enumerate(parts)
+            if i != largest
         ]
+        frees.insert(largest, self.free - sum_vectors([*frees, *(residual[e] for e in outside)]))
+        return [(nodes, links, free) for (nodes, links), free in zip(parts, frees)]
 
     # -- feasibility --------------------------------------------------------
 
@@ -673,7 +675,6 @@ class EmbeddingState:
         clone.residual = dict(self.residual)
         clone.down = set(self.down)
         clone._charged = dict(self._charged)
-        clone._fragment_free = list(self._fragment_free)
         clone._rack_shares = dict(self._rack_shares)
         return clone
 
@@ -703,7 +704,7 @@ class EmbeddingState:
         Residuals folded from scratch, every load of every active taken off
         its capacity, must equal the stored ones on every element, touched
         or not, and be nonnegative, which proves the actives fit jointly;
-        the running sums must equal the residuals they sum, and each active
+        the running free must equal the residuals it sums, and each active
         assignment must pass the structural checks. The stored charged usage
         is not read, so a wrong one shows as drift once it is credited back.
         Raises AuditError; used by simulation self-checks and tests.
@@ -733,9 +734,6 @@ class EmbeddingState:
             raise AuditError(f"negative residual on {eid}: {_new(ResourceVector, left)}")
         if self.free != (fc, fm, fs, fb):
             raise AuditError("running free total drifted from the fold over up elements")
-        for nodes, links, free in self.fragments() if self._fragments else ():
-            if free != sum_vectors(residual[eid] for eid in (*nodes, *links)):
-                raise AuditError(f"free vector of the fragment of {min(nodes)} drifted")
         for rid, a in self.active.items():
             bad = self.structural_findings(self.requests[rid], a)
             if bad:

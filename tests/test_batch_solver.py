@@ -480,11 +480,12 @@ class TestLeafRouting:
         assert sol.embedded["r0"].vlink_map["vl0"][2] == 0 and sol.embedded["r1"] is None
 
     def test_binding_wall_clock_stops_the_search(self):
-        # no switch-switch link can carry r1's vlink, so every leaf that
-        # embeds r1 tries its paths and fails: about 180k nodes in all
-        net = build_fat_tree(4, bandwidth_profile=(300, 300, 1000))
-        state = fresh_state(net)
-        model = build_mip(state, [star_request("r0"), chain_request("r1", vms_per_switch=3, vlink_bw=400)])
+        # nine stars whose two 5-core VMs each need a whole 16-core rack of
+        # their own, on eight racks: 90 of 128 cores, so no row sees that one
+        # must stay out, and the search does not prove it within 200,000
+        # nodes (about 4.4 s on a 2-core VM; eight stars take 79 nodes)
+        state = fresh_state(build_fat_tree(4))
+        model = build_mip(state, [star_request(f"r{i}", n_vms=2, cores=5) for i in range(9)])
         sol = solve_exact(model, SolveBudget(node_limit=10**9, wall_ms=20))
         assert sol.status in ("incumbent", "no-solution")
         assert sol.wall_ms < 1000

@@ -190,6 +190,33 @@ def test_state_sums_fold_few_vectors(perfbench_modules, sum_vectors_folds):
     assert 0 < len(sum_vectors_folds) < SUM_VECTORS_FOLDS_MAX
 
 
+# EmbeddingState._alive calls in the same simulation, which builds the
+# fragments once: 592, one per substrate element, when charge sees an
+# element die or come alive from its residual's signs alone, 1,051 when
+# every charge asked _alive of each element it loaded
+ONLINE_K8_ALIVE_CALLS_MAX = 700
+
+
+def test_fragments_are_built_once_and_charges_ask_no_element(perfbench_modules, monkeypatch):
+    _, workloads = perfbench_modules
+    calls, rebuilds = [], []
+    alive, fragments = EmbeddingState._alive, EmbeddingState.fragments
+
+    def counted_alive(self, eid):
+        calls.append(eid)
+        return alive(self, eid)
+
+    def counted_fragments(self):
+        rebuilds.append(self._fragments is None)
+        return fragments(self)
+
+    monkeypatch.setattr(EmbeddingState, "_alive", counted_alive)
+    monkeypatch.setattr(EmbeddingState, "fragments", counted_fragments)
+    first_simulation(workloads, "online-k8")
+    assert sum(rebuilds) == 1
+    assert 0 < len(calls) < ONLINE_K8_ALIVE_CALLS_MAX
+
+
 def test_an_admission_checks_its_assignment_once(perfbench_modules, state_calls):
     # the same simulation makes 15 commits: 15 checks and 15 usage folds
     # when commit takes the state's last clean check and charge the usage

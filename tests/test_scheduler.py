@@ -10,7 +10,7 @@ from conftest import chain_request, make_rack_net, star_request
 from vdcembed import scheduler
 from vdcembed.errors import ConfigError
 from vdcembed.metrics import aggregate, serialize_trace
-from vdcembed.online_search import OnlineResult, SwapMove
+from vdcembed.online_search import OnlineResult, SwapMove, compute_fragments
 from vdcembed.paths import enumerate_paths
 from vdcembed.scheduler import (
     MODE_BATCH,
@@ -273,6 +273,25 @@ class TestSimulationSteps:
             "mode": "batch", "batch": "1", "outcome": "no-solution", "via": "search", "nodes": "0",
         }
         assert "big" in sim.queue.entries and not sim.state.active
+
+    @pytest.mark.parametrize("vms, first", [(7, "batch"), (6, "online")])
+    def test_no_fragment_covering_a_lone_request_sends_it_to_batch(self, vms, first):
+        # with both aggregation switches of pod 1 down, its two racks are
+        # fragments of their own. Two groups of 8-core VMs fit the 128 cores
+        # in all, which selects batch; a lone pending request goes online
+        # instead unless no fragment covers it: 2x7 VMs need 112 cores, more
+        # than the main fragment's 96, and fire the compaction trigger;
+        # 2x6 fit it
+        sim = self.make_sim()
+        sim.process(SimEvent(0.0, 0, "failure", elements=("a1_0", "a1_1")))
+        assert [f[2].cpu_cores for f in compute_fragments(sim.state)] == [96, 16, 16]
+        req = chain_request("big", vms_per_switch=vms, cores=8)
+        sim.process(SimEvent(1.0, 1, "arrival", request=req))
+        decisions = [dict(r.fields) for r in sim.records if r.kind == "decision"]
+        assert decisions[0]["mode"] == first
+        assert decisions[-1] == {"mode": "online", "request": "big", "outcome": "fail"}
+        if first == "batch":
+            assert decisions[0]["outcome"] == "accepted-0" and len(decisions) == 2
 
     def test_unembeddable_stays_pending(self):
         policy = PolicyConfig(batch_min_pending=1)
