@@ -337,13 +337,13 @@ def plan_batch(
     committed to the copy before the next, and None when it is not.
 
     The state's plan memo holds each planned request's greedy result with
-    the residuals and down set it was made on; a request recalls it in
-    place of a greedy call when the probe's are equal (EmbeddingState.
-    recall), as a re-placed remappable's are unless the state changed.
-    When the memo proves that re-placing the remappables would recall and
-    commit each one as it stands (EmbeddingState.replay), they keep their
-    entries and stay in place, and only the candidates are planned. The
-    memo then holds this plan's requests alone, and the state it ended on.
+    the residuals it was made on; a request recalls it in place of a greedy
+    call when the probe's are equal (EmbeddingState.recall), as a re-placed
+    remappable's are unless the state changed. When the memo proves that
+    re-placing the remappables would recall and commit each one as it
+    stands (EmbeddingState.replay), they keep their entries and stay in
+    place, and only the candidates are planned. The state's memo then holds
+    this plan's requests alone, and the residuals it ended on.
     """
     probe = state.copy()
     plan: dict[str, Assignment | None] = {rid: probe.active[rid] for rid in remappable}
@@ -359,19 +359,19 @@ def plan_batch(
     for req in requests:
         entry = probe.recall(req)
         if entry is None:
-            residual, down = dict(probe.residual), frozenset(probe.down)
+            residual = dict(probe.residual)
             temp = greedy_temp_map(probe, req)
             # a clean mapping's last step was the check the probe keeps
             clean = isinstance(temp, TempMapping) and temp.clean
             usage = probe.kept(req, temp.assignment) if clean else None
-            entry = PlanEntry(req, residual, down, temp, usage)
+            entry = PlanEntry(req, residual, temp, usage)
         planned[req.id] = entry
         a = entry.result.assignment if entry.usage is not None else None
         plan[req.id] = a
         if a is not None:
             probe.commit(req, a)
     # the probe is dropped here, so the memo may keep its residuals
-    state.remember(planned, probe.residual, frozenset(probe.down))
+    state.remember(planned, probe.residual)
     return plan
 
 

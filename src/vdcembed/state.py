@@ -108,20 +108,12 @@ Rack = tuple[str, list[RackServer], frozenset]
 
 class PlanEntry(NamedTuple):
     """One request's greedy result in a batch plan, with what it was made
-    on: a copy of the residuals and the down set just before the call."""
+    on: a copy of the residuals just before the call."""
 
     request: VdcRequest
     residual: dict[str, ResourceVector]
-    down: frozenset[str]
     result: object  # online_search.TempMapping | StructuralFailure
     usage: dict[str, ResourceVector] | None  # a clean mapping's check's
-
-
-class PlanMemo(dict):
-    """request id -> PlanEntry of the last batch plan, in plan order, and
-    end: the residuals and down set that plan ended on."""
-
-    end: tuple[dict[str, ResourceVector], frozenset[str]] | None = None
 
 
 class EmbeddingState:
@@ -129,45 +121,46 @@ class EmbeddingState:
 
     Residuals change only through charge, which commit, release and a
     refused swap's rollback call, and elements go down only through
-    mark_down. Both keep one running sum current: free, the residuals
-    summed over up elements. The fragments' shape (their node and link
-    sets, and the up elements in none) is cached until mark_down, or a
-    charge that moves a field of an up element's residual across zero;
-    their free vectors are summed when read. Facts that change only when
-    an element goes down (the uplinks, the up counts) are built on first
-    use and dropped by mark_down. Each rack's
-    share, minus the summed free share of its listed servers, is kept
-    until charge touches one of those servers or mark_down drops them all.
+    mark_down. Every other value the state keeps follows one rule: the
+    routine that changes what it was taken of updates or drops it, and a
+    dropped value is rebuilt when next read. The plan memo alone outlives a
+    charge: it compares residuals instead, since a release and a re-commit
+    give them back. Kept, and updated or dropped by:
+    - free, the residuals summed over up elements: kept current by charge
+      and mark_down;
+    - the fragments' shape (their node and link sets, and the up elements
+      in none): mark_down, and a charge that moves a field of an up
+      element's residual across zero; their free vectors are summed when
+      read;
+    - the uplink table and the up counts: mark_down;
+    - each rack's share, minus the summed share of its listed servers:
+      a charge that touches one of those servers, and mark_down;
+    - the last clean check, (request, assignment, usage): charge and
+      mark_down. commit skips the re-check of those very objects and charge
+      takes that usage. check_assignment reads only the residuals, down and
+      the assignment's maps, and no routine writes to an Assignment's maps
+      after it is built (a move builds a new one);
+    - the usage each commit charged, per active request: the release that
+      credits it back. A usage reads only an assignment's maps, its request
+      and the path table; audit folds every load afresh and never reads the
+      stored usage, so a wrong one shows there;
+    - the plan memo, the last batch plan's greedy result per request with
+      the residuals it was made on, and the residuals the plan ended on:
+      remember replaces it and mark_down drops it, so every entry was made
+      under the current down set. recall gives an entry only for the very request
+      object on equal residuals, where greedy and check_assignment would
+      give the same mapping, findings and usage afresh; commit recalls
+      before it re-checks, so a live commit of the plan's clean mapping
+      takes the plan's check. replay proves, on the residuals the plan
+      ended on, that releasing and re-placing the plan's own recently
+      placed actives would recall and commit each one as it stands, so a
+      re-placing batch pass skips that round trip.
 
     Loads are summed on plain ints: one fold adds an assignment's loads
     into a map of (cores, memory, switch memory, bandwidth) tuples per
     element, which usage wraps in one ResourceVector per element and audit
     fills with every active's loads; charge adds a usage to the residuals
     and free field by field. No load gets a vector of its own.
-
-    The state also keeps its last clean check, (request, assignment, usage):
-    commit skips the re-check of those very objects and charge takes that
-    usage. It holds because check_assignment reads only the residuals, down
-    and the assignment's maps: charge and mark_down, the only routines that
-    change the first two, drop it, and no routine writes to an Assignment's
-    maps after it is built (a move builds a new one). An assignment's usage
-    reads only those maps, its request and the path table, so the state
-    keeps the usage each commit charged per active request and a release
-    credits it back without folding again; audit folds every load afresh
-    and never reads the stored usage, so a wrong one shows there.
-
-    A kept clean check may also come from the plan memo: the last batch
-    plan's greedy result per request, recalled only for the very request
-    object on residuals and a down set equal to those it was made on.
-    Greedy and check_assignment read nothing else that changes, so the
-    recalled mapping, findings and usage are what a fresh call would give.
-    commit recalls before it re-checks, so a live commit of the plan's
-    clean mapping on equal residuals takes the plan's check. The memo also
-    keeps the residuals and down set the plan ended on: while the state
-    still has them and its recently placed actives are the plan's own
-    objects, replay proves that releasing and re-placing those actives
-    would recall and commit each one as it stands, so a re-placing batch
-    pass skips that round trip.
     """
 
     def __init__(self, net: SubstrateNetwork, table: PathTable):
@@ -186,10 +179,6 @@ class EmbeddingState:
         # the uplink table and the up counts, each built on first use;
         # shared by copies, so mark_down replaces the dict, never clears it
         self._standing: dict = {}
-        # server -> (the residual object its share was taken of, that share);
-        # an entry holds only while the server's residual is that object, so
-        # copies share the dict
-        self._shares: dict[str, tuple[ResourceVector, float]] = {}
         # up edge switch -> rack_share, each dropped when charge touches one
         # of its servers and all by mark_down; copies copy it
         self._rack_shares: dict[str, float] = {}
@@ -199,9 +188,11 @@ class EmbeddingState:
         # active request id -> the usage its commit charged; copies share
         # the usage maps, which no routine writes to after they are built
         self._charged: dict[str, dict[str, ResourceVector]] = {}
-        # the last batch plan's entries and end; an entry holds only on an
-        # equal state, so copies share the memo
-        self._plans = PlanMemo()
+        # request id -> PlanEntry of the last batch plan, in plan order, and
+        # the residuals that plan ended on; remember and mark_down replace
+        # both, never write to them, so copies share them
+        self._plans: dict[str, PlanEntry] = {}
+        self._plan_end: dict[str, ResourceVector] | None = None
         self.version = 0
 
     # -- usage accounting ---------------------------------------------------
@@ -473,30 +464,22 @@ class EmbeddingState:
 
     def recall(self, req: VdcRequest) -> PlanEntry | None:
         """The last plan's entry for req when it was made for this very
-        request object on residuals and a down set equal to this state's,
-        else None. A clean mapping's check is kept again, as if just made."""
+        request object on residuals equal to this state's, else None; it was
+        made under this state's down set, since mark_down drops the memo. A
+        clean mapping's check is kept again, as if just made."""
         entry = self._plans.get(req.id)
-        if (
-            entry is None
-            or entry.request is not req
-            or entry.down != self.down
-            or entry.residual != self.residual
-        ):
+        if entry is None or entry.request is not req or entry.residual != self.residual:
             return None
         if entry.usage is not None:
             self._checked = (req, entry.result.assignment, entry.usage)
         return entry
 
-    def remember(
-        self, entries: dict[str, PlanEntry], residual: dict[str, ResourceVector], down: frozenset
-    ):
-        """Make entries, in plan order, the plan memo, and residual and down
-        the state the plan ended on, dropping the last plan's, for this state
-        and every copy that shares its memo. The memo keeps residual as
-        given, so no routine may write to it afterwards."""
-        self._plans.clear()
-        self._plans.update(entries)
-        self._plans.end = (residual, down)
+    def remember(self, entries: dict[str, PlanEntry], residual: dict[str, ResourceVector]):
+        """Make entries, in plan order, this state's plan memo, and residual
+        the residuals the plan ended on, in place of the last plan's; copies
+        taken before keep theirs. The memo keeps both as given, so no
+        routine may write to them afterwards."""
+        self._plans, self._plan_end = entries, residual
 
     def replay(self, remappable: list[str]) -> list[PlanEntry] | None:
         """The plan memo's entries for remappable, in order, when releasing
@@ -506,21 +489,19 @@ class EmbeddingState:
         That holds when the remappables are, in order, the last plan's
         trailing committed entries (those with a usage), each active with
         the very request and assignment its entry holds, and the residuals
-        and down set are those the plan ended on. Loads are exact integers,
-        so releasing them gives back the residuals the first was planned
-        on; each recall then hits, and its commit leaves the residuals the
-        next was planned on, and the last leaves this state's."""
-        memo = self._plans
-        committed = [e for e in memo.values() if e.usage is not None]
+        are those the plan ended on. Loads are exact integers, so releasing
+        them gives back the residuals the first was planned on; each recall
+        then hits, and its commit leaves the residuals the next was planned
+        on, and the last leaves this state's."""
+        committed = [e for e in self._plans.values() if e.usage is not None]
         tail = committed[len(committed) - len(remappable):]
-        if memo.end is None or len(tail) != len(remappable):
+        if self._plan_end is None or len(tail) != len(remappable):
             return None
         for rid, entry in zip(remappable, tail):
             a = entry.result.assignment
             if self.requests[rid] is not entry.request or self.active[rid] is not a:
                 return None
-        residual, down = memo.end
-        return tail if self.down == down and self.residual == residual else None
+        return tail if self.residual == self._plan_end else None
 
     def _uplinks(self) -> tuple[list[Rack], dict[str, RackServer]]:
         """The up uplinks: (edge switch, servers, their ids) per up edge
@@ -590,13 +571,8 @@ class EmbeddingState:
         return counts
 
     def server_share(self, server: str) -> float:
-        """norm of a server's residual over its capacity, kept until the
-        residual changes."""
-        rv = self.residual[server]
-        kept = self._shares.get(server)
-        if kept is None or kept[0] is not rv:
-            kept = self._shares[server] = (rv, norm(rv, self.net.capacity[server]))
-        return kept[1]
+        """norm of a server's residual over its capacity."""
+        return norm(self.residual[server], self.net.capacity[server])
 
     def free_path(
         self, pa, pb, bandwidth, latency_bound=None, credit=(), extra=None, avoid=None
@@ -667,8 +643,10 @@ class EmbeddingState:
             self.commit(req, a)
 
     def copy(self) -> "EmbeddingState":
-        """An independent state sharing the read-only substrate and path
-        table, and the caches until either side changes what they read."""
+        """An independent state with its own actives, residuals, down set
+        and charged usages, sharing the read-only substrate and path table,
+        and every other kept value until either side drops it; the rack
+        shares, which charge drops one by one, are copied."""
         clone = copy.copy(self)
         clone.active = dict(self.active)
         clone.requests = dict(self.requests)
@@ -692,6 +670,7 @@ class EmbeddingState:
         self._standing = {}
         self._rack_shares = {}
         self._checked = None
+        self._plans, self._plan_end = {}, None
         self.version += 1
 
     # -- consistency --------------------------------------------------------

@@ -318,6 +318,19 @@ class TestSolve:
         assert code == 0
         assert "0 embedded of 1" in out
 
+    def test_an_unembedded_request_is_flagged_0_with_no_records(self, workdir, capsys):
+        # r1 needs more cores than any server has
+        main(["gen-topology", "--k", "2", "--out", "dc2.txt"])
+        big = REQUEST.split("\n", 1)[1].replace("r0", "r1").replace("vm0 1 ", "vm0 99 ")
+        self.write_requests(workdir, REQUEST + big)
+        args = ["--substrate", "dc2.txt", "--requests", "reqs.txt"]
+        assert main(["solve", *args, "--out", "sol.txt"]) == 0
+        assert "1 embedded of 2" in capsys.readouterr().out
+        records = [ln.split() for ln in (workdir / "sol.txt").read_text().splitlines()]
+        assert ["embedded", "r0", "1"] in records and ["embedded", "r1", "0"] in records
+        assert {f[2] for f in records if f[0] == "assign"} == {"r0"}
+        assert main(["validate", *args, "--assignment", "sol.txt"]) == 0
+
     def test_budget_exhausted_exit_code(self, workdir, capsys):
         # the plan embeds nothing, so the search starts from nothing
         main(["gen-topology", "--k", "2", "--out", "dc2.txt"])
@@ -533,8 +546,17 @@ class TestValidate:
                 "r0: [embedded-flag] not flagged 1 but has assign records",
             ),
             ("embedded r0 0\nembedded r9 1\n", "[unknown-request] r9"),
+            # listed once, and none of its records checked against a request
+            (
+                "embedded r0 0\nembedded r9 1\nassign vm r9 vm0 s0\n"
+                "assign vswitch r9 vs0 e0_0\nassign vlink r9 vl0 e0_0 s0 0\n",
+                "[unknown-request] r9",
+            ),
         ],
-        ids=["flag-without-records", "records-without-flag", "unknown-request"],
+        ids=[
+            "flag-without-records", "records-without-flag", "unknown-request",
+            "unknown-request-with-records",
+        ],
     )
     def test_embedded_flags_match_records(self, workdir, capsys, lines, finding):
         main(["gen-topology", "--k", "2", "--out", "dc2.txt"])

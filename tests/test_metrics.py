@@ -97,6 +97,14 @@ class TestAggregate:
         assert aggregate(toy_trace()).rows[0].__dict__ == aggregate(toy_trace()).rows[0].__dict__
 
 
+class TestTraceRecord:
+    def test_get_gives_a_fields_value_or_the_default(self):
+        r = rec(1.0, 0, "arrive", req="r0")
+        assert r.get("req") == "r0"
+        assert r.get("mode") is None
+        assert r.get("mode", "-") == "-"
+
+
 class TestSerialization:
     def test_trace_round_trip(self):
         records = toy_trace()

@@ -633,6 +633,21 @@ class TestSwapRepair:
             ]
         assert state.residual == before
 
+    def test_a_structural_finding_fails_the_final_check(self, k4_state):
+        # a caller's temp mapping that breaks the request's locality set and
+        # overflows nothing: the repair loop has nothing to clear, and the
+        # commit that ends it refuses the mapping
+        req = star_request("r0", n_vms=2)
+        temp = greedy_temp_map(k4_state, req)
+        assert temp.clean and temp.assignment.vm_map["vm0"] == "s0"
+        pinned = replace(req, locality={"vm0": frozenset({"s15"})})
+        before = dict(k4_state.residual)
+        result = swap_repair(k4_state, pinned, temp, max_swaps=4)
+        assert result == RepairFailure(
+            "final feasibility check failed: commit rejected: [locality] vm0 (on s0)"
+        )
+        assert k4_state.residual == before and not k4_state.active
+
     def test_dead_end_fails_within_budget(self):
         # single server, incumbent fills it, nowhere to move
         net = make_rack_net(n_servers=1, cores=8)
@@ -712,8 +727,8 @@ class TestTryOnlineEmbed:
 
 class TestPlanMemo:
     """plan_batch recalls a request's greedy result from the state's plan
-    memo only for the very request object on equal residuals and an equal
-    down set."""
+    memo only for the very request object on equal residuals; mark_down
+    drops the memo of the state it is called on."""
 
     @pytest.mark.parametrize("mode", ["batch-only", "hybrid"])
     def test_a_hit_is_what_greedy_gives_afresh(self, mode, sweep_runs):
@@ -767,7 +782,12 @@ class TestPlanMemo:
         r1 = self.planned(k4_state)
         probe = k4_state.copy()
         probe.mark_down(["c1_1"])
+        # c1_1 carries no load, so the residuals are still those r1 was
+        # planned on: the miss is mark_down dropping the probe's memo, while
+        # the state the probe was copied from keeps its own
+        assert probe.residual == k4_state.residual
         assert probe.recall(r1) is None
+        assert k4_state.recall(r1).request is r1
 
     def test_another_request_object_under_the_same_id_misses(self, k4_state):
         r1 = self.planned(k4_state)
@@ -827,7 +847,7 @@ class TestPlanMemo:
             k4_state.commit(replace(r2), a)
         else:
             k4_state.commit(r2, replace(a))
-        assert k4_state.residual == k4_state._plans.end[0]
+        assert k4_state.residual == k4_state._plan_end
         assert k4_state.replay(["r1", "r2"]) is None
 
     def test_a_live_commit_of_the_plan_takes_its_check(self, k4_state, state_calls):

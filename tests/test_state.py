@@ -351,6 +351,22 @@ class TestAudit:
         with pytest.raises(AuditError, match="residuals drifted"):
             k2_state.audit()
 
+    @pytest.mark.parametrize("drift", ["missing", "extra", "unknown-host"])
+    def test_residual_ids_drift_detected(self, k2_state, drift):
+        # the residual map lacks a substrate element, holds one the
+        # substrate lacks, or an active loads one the substrate lacks
+        req = star_request("r0", n_vms=1)
+        k2_state.commit(req, assign_star(k2_state.net, k2_state.table, req, "e0_0", "s0"))
+        if drift == "missing":
+            del k2_state.residual["l0"]
+        elif drift == "extra":
+            k2_state.residual["s9"] = ResourceVector(cpu_cores=1)
+        else:  # its one load is on s9, so every substrate element matches
+            k2_state.active["g0"] = Assignment("g0", {"vm0": "s9"}, {}, {})
+            k2_state.requests["g0"] = req
+        with pytest.raises(AuditError, match="residuals drifted"):
+            k2_state.audit()
+
     def test_negative_residual_detected(self, k2_state):
         # charged unchecked, as a refused swap's rollback charges: the
         # residuals equal the fold but s0 holds more than its capacity
