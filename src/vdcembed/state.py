@@ -226,10 +226,10 @@ class EmbeddingState:
                     into[host] = (w, x, y, z)
                 else:
                     into[host] = (prev[0] + w, prev[1] + x, prev[2] + y, prev[3] + z)
-        paths, vlinks = self.table.paths, req.vlinks
+        paths, vlinks = self.table.get, req.vlinks
         for vl_id, (pa, pb, n) in a.vlink_map.items():
-            recs = paths.get((pa, pb))
-            if recs is None or not 0 <= n < len(recs):
+            recs = paths(pa, pb)
+            if not 0 <= n < len(recs):
                 continue  # reported as unknown-path by check_assignment
             bw = vlinks[vl_id].bandwidth
             for eid in recs[n][1]:
@@ -397,10 +397,10 @@ class EmbeddingState:
 
         down = self.down
         down_on_paths: set[str] = set()
-        paths, bound = self.table.paths, req.latency_bound
+        paths, bound = self.table.get, req.latency_bound
         for vl_id, (pa, pb, n) in vlink_map.items():
-            recs = paths.get((pa, pb))
-            if recs is None or not 0 <= n < len(recs):
+            recs = paths(pa, pb)
+            if not 0 <= n < len(recs):
                 out.append(Violation("unknown-path", vl_id, True, detail=f"{pa},{pb},{n}"))
                 continue
             nodes, edges, delay = recs[n]

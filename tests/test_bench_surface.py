@@ -54,15 +54,16 @@ def test_sweep_policy_builds(perfbench_modules):
 
 
 def test_path_table_pairs_resolves():
-    # perfbench/run.py counts path records through it, outside the traced targets
+    # perfbench/run.py counts, outside the traced targets and through it, the
+    # path records enumerated so far (paths.records, per layer, not gated)
     assert "pairs" in PathTable.__dict__
 
 
-def first_simulation(workloads, name, index=0):
+def first_simulation(workloads, name, index=0, table=None):
     """The records of a workload's first simulation at seed 1, or of the one
-    at another index."""
+    at another index, on a fresh path table or the one given."""
     wl = workloads.WORKLOADS[name]
-    net = build_fat_tree(wl.k)
+    net = build_fat_tree(wl.k) if table is None else table.net
     seed = workloads.sub_seeds(1, wl)[index]
     return run_simulation(
         net,
@@ -71,7 +72,7 @@ def first_simulation(workloads, name, index=0):
         run_mode=wl.run_mode,
         lam=0.0,
         seed=seed,
-        table=enumerate_paths(net),
+        table=enumerate_paths(net) if table is None else table,
         extra_events=workloads.simulation_events(wl, seed),
         audit_every=wl.audit_every,
     )
@@ -82,6 +83,21 @@ def test_first_simulation_trace_unchanged(perfbench_modules, name):
     _, workloads = perfbench_modules
     text = serialize_trace(resequence(first_simulation(workloads, name)))
     assert hashlib.sha256(text.encode()).hexdigest() == FIRST_TRACE_SHA256[name]
+
+
+# the pairs online-k8's first simulation at seed 1 looks up and so has its
+# path table enumerate, and their records: 187 and 1,294 when each pair is
+# enumerated on its first lookup, 6,576 and 120,576 when the whole table was
+# built before the first arrival
+ONLINE_K8_FILLED = (187, 1294)
+
+
+def test_online_k8_enumerates_only_the_pairs_it_reads(perfbench_modules):
+    _, workloads = perfbench_modules
+    table = enumerate_paths(build_fat_tree(workloads.WORKLOADS["online-k8"].k))
+    first_simulation(workloads, "online-k8", table=table)
+    pairs = table.pairs()
+    assert (len(pairs), sum(len(table.get(*pair)) for pair in pairs)) == ONLINE_K8_FILLED
 
 
 # (via, status, nodes) of each batch pass of batch-k4's simulations at seed

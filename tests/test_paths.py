@@ -1,4 +1,5 @@
-"""Path enumeration against a recursive DFS oracle, plus indexing contracts."""
+"""Path enumeration against a recursive DFS oracle, plus indexing and
+lazy-fill contracts."""
 
 import gc
 import hashlib
@@ -8,16 +9,36 @@ import pytest
 
 from oracles import random_multigraph, simple_paths_dfs, random_switch_graph
 from vdcembed.errors import InvalidParameterError, PathLookupError
+from vdcembed.metrics import serialize_trace
 from vdcembed.paths import enumerate_paths
-from vdcembed.topology import Link, ResourceVector, SubstrateNetwork, Switch, build_fat_tree
+from vdcembed.scheduler import PolicyConfig, run_simulation
+from vdcembed.topology import (
+    Link, ResourceVector, SubstrateNetwork, Switch, WorkloadConfig, build_fat_tree,
+)
+
+
+def filled(table, order=sorted):
+    """The table with every ordered node pair looked up, sources and then
+    destinations in `order`; a table enumerates a pair only when it is
+    looked up, so a check of the whole table needs every pair filled."""
+    ids = order(table.net.adjacency)
+    for a in ids:
+        for b in ids:
+            table.get(a, b)
+    return table
+
+
+def held(table):
+    """pair -> paths of every pair the table holds paths for."""
+    return {pair: table.get(*pair) for pair in table.pairs()}
 
 
 def table_digest(table):
     """sha256 over every record of a table, pairs sorted: pair, index,
     nodes, edges and delay."""
     digest = hashlib.sha256()
-    for pair in sorted(table.paths):
-        for n, (nodes, edges, delay) in enumerate(table.paths[pair]):
+    for pair in sorted(table.pairs()):
+        for n, (nodes, edges, delay) in enumerate(table.get(*pair)):
             digest.update(f"{pair} {n} {nodes} {edges} {delay}\n".encode())
     return digest.hexdigest()
 
@@ -91,14 +112,16 @@ class TestEnumerate:
             ids = sorted(net.adjacency)
             # each ordered pair on its own, so (a, b) and (b, a) may differ
             admitted = {(a, b) for a in ids for b in ids if a != b and rng.random() < 0.5}
-            table = enumerate_paths(net, max_len, pair_filter=lambda a, b: (a, b) in admitted)
+            table = filled(
+                enumerate_paths(net, max_len, pair_filter=lambda a, b: (a, b) in admitted)
+            )
             expect = {}
             for a, b in sorted(admitted):
                 paths = simple_paths_dfs(net, a, b, max_len)
                 if paths:
                     expect[(a, b)] = paths
-            assert list(table.paths) == list(expect)
-            for (a, b), recs in table.paths.items():
+            assert table.pairs() == list(expect)
+            for (a, b), recs in held(table).items():
                 assert [edges for _, edges, _ in recs] == expect[(a, b)]
                 for nodes, edges, delay in recs:
                     assert nodes[0] == a and nodes[-1] == b
@@ -114,10 +137,9 @@ class TestEnumerate:
         ids=["k4", "k8"],
     )
     def test_default_fat_tree_table_pinned(self, k, pairs, records, digest):
-        table = enumerate_paths(build_fat_tree(k))
-        assert len(table.paths) == pairs
-        assert sum(len(recs) for recs in table.paths.values()) == records
-        assert list(table.paths) == sorted(table.paths)
+        table = filled(enumerate_paths(build_fat_tree(k)))
+        assert len(table.pairs()) == pairs
+        assert sum(len(recs) for recs in held(table).values()) == records
         assert table_digest(table) == digest
 
     def test_leaf_destinations_are_kept_and_inner_nodes_grown(self):
@@ -132,8 +154,8 @@ class TestEnumerate:
         ]
         net = SubstrateNetwork(servers={}, switches=switches, links={l.id: l for l in links})
         admitted = {("a", "c"), ("a", "d"), ("d", "a")}
-        table = enumerate_paths(net, 3, pair_filter=lambda a, b: (a, b) in admitted)
-        assert table.paths == {
+        table = filled(enumerate_paths(net, 3, pair_filter=lambda a, b: (a, b) in admitted))
+        assert held(table) == {
             ("a", "c"): [
                 (("a", "c"), ("ca",), 4),
                 (("a", "b", "c"), ("ab", "bc"), 3),
@@ -150,29 +172,31 @@ class TestEnumerate:
                 (("d", "c", "b", "a"), ("cd", "bc2", "ab"), 9),
             ],
         }
-        assert list(table.paths) == sorted(admitted)
+        assert table.pairs() == sorted(admitted)
 
     def test_records_are_untracked_by_the_collector(self, k4_net):
         # a tuple is untracked once its members are, so the second collection
         # untracks the records whose node and edge tuples the first did; a
         # tuple subclass would stay tracked
-        table = enumerate_paths(k4_net)
+        table = filled(enumerate_paths(k4_net))
         gc.collect()
         gc.collect()
-        recs = [rec for recs in table.paths.values() for rec in recs]
+        recs = [rec for recs in held(table).values() for rec in recs]
         assert len(recs) == 1440
         assert not any(gc.is_tracked(rec) for rec in recs)
 
     def test_index_stability(self, k4_net):
-        t1 = enumerate_paths(k4_net)
-        t2 = enumerate_paths(k4_net)
-        assert t1.paths == t2.paths
-        assert list(t1.paths) == list(t2.paths)
+        # the same indices whichever order the pairs are looked up in
+        t1 = filled(enumerate_paths(k4_net))
+        t2 = filled(enumerate_paths(k4_net), order=lambda ids: sorted(ids, reverse=True))
+        assert len(t1.pairs()) == 412
+        assert held(t1) == held(t2)
 
-    def test_cached_delay(self, k4_net, k4_table):
-        for recs in k4_table.paths.values():
-            for _, edges, delay in recs:
-                assert delay == sum(k4_net.links[e].delay for e in edges)
+    def test_cached_delay(self, k4_net):
+        recs = [rec for recs in held(filled(enumerate_paths(k4_net))).values() for rec in recs]
+        assert len(recs) == 1440
+        for _, edges, delay in recs:
+            assert delay == sum(k4_net.links[e].delay for e in edges)
 
 
 class TestIndicator:
@@ -189,3 +213,64 @@ class TestIndicator:
             table.path("a", "c", 5)
         with pytest.raises(PathLookupError):
             table.path("a", "z", 0)
+
+
+class TestLazyFill:
+    def counted(self, calls, admit=lambda a, b: True):
+        def pair_filter(a, b):
+            calls.append((a, b))
+            return admit(a, b)
+
+        return pair_filter
+
+    def test_fresh_table_holds_no_pairs(self, k4_net):
+        table = enumerate_paths(k4_net)
+        assert table.pairs() == [] and table.paths == {}
+
+    def test_lookup_fills_exactly_its_pair_and_calls_the_filter_once(self):
+        calls = []
+        table = enumerate_paths(line_net(), 4, pair_filter=self.counted(calls))
+        expect = [(("a", "b", "c"), ("ab", "bc"), 5)]
+        assert table.get("a", "c") == expect
+        assert table.path("a", "c", 0) == expect[0]
+        assert table.get("a", "c") is table.get("a", "c")
+        assert calls == [("a", "c")]
+        assert table.pairs() == [("a", "c")] and list(table.paths) == [("a", "c")]
+
+    @pytest.mark.parametrize(
+        "a, b", [("c", "a"), ("a", "z"), ("z", "a"), ("b", "b")],
+        ids=["unadmitted", "unknown-destination", "unknown-source", "same-node"],
+    )
+    def test_pair_without_paths_gives_nothing(self, a, b):
+        calls = []
+        admitted = self.counted(calls, lambda a, b: (a, b) != ("c", "a"))
+        table = enumerate_paths(line_net(), 4, pair_filter=admitted)
+        assert table.get(a, b) == []
+        with pytest.raises(PathLookupError):
+            table.path(a, b, 0)
+        assert table.pairs() == []
+        # the filter is asked only of two distinct known nodes, once
+        assert calls == ([("c", "a")] if (a, b) == ("c", "a") else [])
+
+    def test_a_filled_table_gives_a_fresh_tables_trace(self, k4_net):
+        # simulations share a table (the benchmark, run --lambdas), so one
+        # looks up pairs another filled; its decisions may not depend on that
+        policy = PolicyConfig(batch_width=3, solver_node_limit=500, remap_limit=4)
+
+        def trace(table, mode, seed):
+            cfg = WorkloadConfig(
+                vm_count=(4, 10), vswitch_count=(2, 4), arrival_rate=5, horizon=40.0, seed=seed
+            )
+            return serialize_trace(
+                run_simulation(k4_net, cfg, policy, run_mode=mode, table=table, audit_every=1)
+            )
+
+        for mode in ("hybrid", "online-only", "batch-only"):
+            fresh = enumerate_paths(k4_net)
+            expect = trace(fresh, mode, 2)
+            shared = enumerate_paths(k4_net)
+            trace(shared, mode, 1)
+            before = set(shared.pairs())
+            assert before and set(fresh.pairs()) - before
+            assert trace(shared, mode, 2) == expect
+            assert trace(filled(enumerate_paths(k4_net)), mode, 2) == expect
